@@ -179,12 +179,39 @@ type Applier interface {
 	AM(id uint16, payload []byte)
 }
 
-// destBuf is one destination rank's open batch.
+// destBuf is one destination rank's open batch. dones holds only the
+// non-nil completion callbacks of its ops; at flush the slice moves to
+// the batch's shipped record and an emptied one takes its place, so the
+// backing arrays are reused across flushes.
 type destBuf struct {
 	buf    []byte
 	ops    int
 	dones  []func()
 	oldest time.Time // when the oldest buffered op was added
+}
+
+// shipped is one batch in flight: what its acknowledgement must
+// settle. Records are recycled through Aggregator.free, and ack is the
+// acked method bound once per record, so a flush in steady state
+// allocates neither a closure nor a callback slice.
+type shipped struct {
+	a     *Aggregator
+	ops   int
+	dones []func()
+	ack   func()
+}
+
+// acked settles one acknowledged batch: its ops leave the in-flight
+// count and their completion callbacks fire, in issue order.
+func (s *shipped) acked() {
+	a := s.a
+	a.inflight -= s.ops
+	for _, d := range s.dones {
+		d()
+	}
+	clear(s.dones) // drop the callbacks' referents
+	s.dones = s.dones[:0]
+	a.free = append(a.free, s)
 }
 
 // Aggregator buffers small remote operations into per-destination
@@ -194,9 +221,10 @@ type Aggregator struct {
 	cfg      Config
 	flush    Flusher
 	bufs     []destBuf
-	ctls     []destCtl // per-destination controllers; nil unless cfg.Adaptive
-	buffered int       // ops across all open batches (so the empty case is O(1))
-	inflight int       // ops shipped but not yet acknowledged
+	free     []*shipped // acknowledged batch records awaiting reuse
+	ctls     []destCtl  // per-destination controllers; nil unless cfg.Adaptive
+	buffered int        // ops across all open batches (so the empty case is O(1))
+	inflight int        // ops shipped but not yet acknowledged
 
 	now func() time.Time // injectable clock for tests
 
@@ -300,7 +328,9 @@ func (a *Aggregator) noteOp(dst int, b *destBuf, done func()) {
 	}
 	b.ops++
 	a.buffered++
-	b.dones = append(b.dones, done)
+	if done != nil {
+		b.dones = append(b.dones, done)
+	}
 	a.ring.Instant(obs.KAggOp, int32(dst), uint32(len(b.buf)), 0)
 	if b.ops >= a.maxOpsFor(dst) {
 		a.flushReason(dst, obs.FlushMaxOps)
@@ -347,11 +377,20 @@ func (a *Aggregator) Xor64(dst int, off uint64, val uint64, done func()) {
 // target's Applier dispatches it to handler id with the payload (which
 // is copied here).
 func (a *Aggregator) Send(dst int, id uint16, payload []byte, done func()) {
-	b := a.room(dst, 7+len(payload))
-	b.buf = append(b.buf, opAM)
-	b.buf = append(b.buf, byte(id), byte(id>>8))
-	b.buf = le32(b.buf, uint32(len(payload)))
-	b.buf = append(b.buf, payload...)
+	a.SendParts(dst, id, payload, nil, done)
+}
+
+// SendParts is Send for a payload held in two pieces — a protocol
+// header the caller built on its stack and a body it was handed — which
+// are copied back to back into the open batch, so a layered message
+// needs no buffer of its own.
+func (a *Aggregator) SendParts(dst int, id uint16, hdr, body []byte, done func()) {
+	n := len(hdr) + len(body)
+	b := a.room(dst, 7+n)
+	b.buf = append(b.buf, opAM, byte(id), byte(id>>8))
+	b.buf = le32(b.buf, uint32(n))
+	b.buf = append(b.buf, hdr...)
+	b.buf = append(b.buf, body...)
 	a.noteOp(dst, b, done)
 }
 
@@ -364,8 +403,17 @@ func (a *Aggregator) flushReason(dst int, reason uint64) {
 	if b.ops == 0 {
 		return
 	}
-	batch, ops, dones := b.buf, b.ops, b.dones
-	*b = destBuf{}
+	var sh *shipped
+	if n := len(a.free); n > 0 {
+		sh, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		sh = &shipped{a: a}
+		sh.ack = sh.acked
+	}
+	batch, ops := b.buf, b.ops
+	sh.ops = ops
+	sh.dones, b.dones = b.dones, sh.dones
+	b.buf, b.ops = nil, 0
 
 	a.buffered -= ops
 	a.inflight += ops
@@ -382,14 +430,7 @@ func (a *Aggregator) flushReason(dst int, reason uint64) {
 		a.adapt(dst, reason, ops)
 	}
 
-	a.flush(dst, batch, ops, func() {
-		a.inflight -= ops
-		for _, d := range dones {
-			if d != nil {
-				d()
-			}
-		}
-	})
+	a.flush(dst, batch, ops, sh.ack)
 }
 
 // adapt feeds one threshold-triggered flush into dst's controller and

@@ -207,3 +207,88 @@ func TestApplyRejectsCorruptBatches(t *testing.T) {
 		t.Errorf("empty batch: %v", err)
 	}
 }
+
+// TestSendPartsEqualsSend: a payload handed over in two pieces is the
+// same message on the wire as the pieces joined.
+func TestSendPartsEqualsSend(t *testing.T) {
+	var got [][]byte
+	a := New(1, Config{MaxOps: 1}, func(_ int, batch []byte, _ int, done func()) {
+		got = append(got, append([]byte(nil), batch...))
+		done()
+	})
+	a.Send(0, 0x0203, []byte("headbody"), nil)
+	a.SendParts(0, 0x0203, []byte("head"), []byte("body"), nil)
+	a.SendParts(0, 0x0203, nil, []byte("headbody"), nil)
+	if len(got) != 3 || !bytes.Equal(got[0], got[1]) || !bytes.Equal(got[0], got[2]) {
+		t.Fatalf("batches differ: %q", got)
+	}
+}
+
+// TestCallbacksOnlyForNonNil: completion runs over the recorded
+// callbacks only, in issue order, once per batch — also when batches
+// are acknowledged out of order and their records are reused.
+func TestCallbacksOnlyForNonNil(t *testing.T) {
+	c := &capture{ap: newMemApplier()}
+	a := New(1, Config{MaxOps: 4}, c.flush(t))
+	var fired []int
+	note := func(i int) func() { return func() { fired = append(fired, i) } }
+	for round := 0; round < 3; round++ {
+		fired = fired[:0]
+		for i := 0; i < 8; i++ { // two batches; odd ops carry callbacks
+			var done func()
+			if i%2 == 1 {
+				done = note(i)
+			}
+			a.Xor64(0, uint64(i), 1, done)
+		}
+		if len(c.acks) != 2 {
+			t.Fatalf("round %d: %d batches shipped, want 2", round, len(c.acks))
+		}
+		c.acks[1]()
+		c.acks[0]()
+		c.acks = nil
+		if want := []int{5, 7, 1, 3}; fmt.Sprint(fired) != fmt.Sprint(want) {
+			t.Fatalf("round %d: callbacks fired %v, want %v", round, fired, want)
+		}
+		if a.Pending() != 0 {
+			t.Fatalf("round %d: Pending = %d after both acks", round, a.Pending())
+		}
+	}
+}
+
+// recApplier re-encodes what Apply decodes, through the Aggregator's
+// own encoders, so a fuzz input that decodes cleanly can be compared
+// with its round trip.
+type recApplier struct{ a *Aggregator }
+
+func (r recApplier) Put(off uint64, data []byte)  { r.a.Put(0, off, data, nil) }
+func (r recApplier) Xor64(off, val uint64)        { r.a.Xor64(0, off, val, nil) }
+func (r recApplier) AM(id uint16, payload []byte) { r.a.Send(0, id, payload, nil) }
+
+// FuzzApply holds the batch decoder to: arbitrary bytes give an error
+// or decode to ops that re-encode to exactly the input; never a panic.
+func FuzzApply(f *testing.F) {
+	seed := New(1, Config{MaxOps: 100}, func(_ int, batch []byte, _ int, _ func()) { f.Add(batch) })
+	seed.Put(0, 8, []byte("hello"), nil)
+	seed.Xor64(0, 16, 0xABCD, nil)
+	seed.Send(0, 7, []byte("ping"), nil)
+	seed.SendParts(0, 1, []byte("hdr"), nil, nil)
+	seed.Flush(0)
+	f.Add([]byte{opPut, 1, 2})
+	f.Add([]byte{opAM, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{9})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var out []byte
+		enc := New(1, Config{MaxOps: 1 << 30, MaxBytes: len(in) + 1}, func(_ int, batch []byte, _ int, _ func()) {
+			out = batch
+		})
+		n, err := Apply(in, recApplier{enc})
+		if err != nil {
+			return
+		}
+		enc.Flush(0)
+		if n != enc.inflight || !bytes.Equal(out, in) {
+			t.Fatalf("batch %x decoded to %d ops re-encoding as %x", in, n, out)
+		}
+	})
+}

@@ -95,7 +95,12 @@ type rankApplier struct {
 func (a rankApplier) Put(off uint64, data []byte) { a.r.seg.Write(off, data) }
 func (a rankApplier) Xor64(off, val uint64)       { a.r.seg.Xor64(off, val) }
 func (a rankApplier) AM(id uint16, payload []byte) {
-	h := a.r.amHandlers[id]
+	var h AMHandler
+	if id < reservedAMLimit {
+		h = sysAMs[id]
+	} else {
+		h = a.r.amHandlers[id]
+	}
 	if h == nil {
 		panic(fmt.Sprintf("upcxx: rank %d received aggregated AM for unregistered handler %d",
 			a.r.id, id))
@@ -119,13 +124,20 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 			// launches deferred asyncs. Ship them now: the rank able to
 			// consume them may already be blocked waiting (a Finish, a
 			// barrier drain) with no further frame coming our way to
-			// trigger an age flush. O(1) when nothing was buffered.
-			r.agg.FlushAll()
+			// trigger an age flush. A done-ack held because the rank is
+			// inside batch application goes too: the conduit wait that
+			// delivered this acknowledgement may be a task body's own.
+			// O(1) when nothing was buffered.
+			r.aggPreBlock()
 		}))
 	})
 	bc.SetBatchHandler(func(from int, payload []byte) {
 		r.ring.Begin(obs.KAggApply, int32(from), uint32(len(payload)))
-		if _, err := agg.Apply(payload, rankApplier{r: r, from: from}); err != nil {
+		outer := r.applying
+		r.applying = true
+		_, err := agg.Apply(payload, rankApplier{r: r, from: from})
+		r.applying = outer
+		if err != nil {
 			panic(fmt.Errorf("upcxx: rank %d: corrupt aggregation batch from rank %d: %w",
 				r.id, from, err))
 		}
@@ -134,8 +146,9 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 		// (e.g. a DHT lookup's reply) must not wait for this rank's
 		// next explicit progress call — a peer may be blocked on them
 		// right now, possibly with this rank already inside a barrier
-		// drain.
-		r.agg.FlushAll()
+		// drain. The done-acks this batch's tasks owe go with them, as
+		// one counted ack.
+		r.aggPreBlock()
 	})
 }
 
@@ -146,10 +159,14 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 // be blocked on the ops sitting in our buffers. A pleasant side
 // effect: batches flushed here travel the same TCP stream ahead of the
 // blocking request's frame, so aggregated ops issued before a direct
-// operation to the same destination are applied before it. O(1) when
-// nothing is buffered.
+// operation to the same destination are applied before it. It is also
+// the runtime's one "ship everything" step — the end of a batch
+// application and the start of every progress wait go through it — and
+// so the one place a held counted done-ack (flushDone) joins the
+// flush. O(1) when nothing is buffered.
 func (r *Rank) aggPreBlock() {
 	if r.agg != nil {
+		r.flushDone()
 		r.agg.FlushAll()
 	}
 }
@@ -316,7 +333,14 @@ func (r *Rank) waitProgress(pred func() bool) {
 		r.ep.WaitFor(pred)
 		return
 	}
-	r.agg.FlushAll()
+	r.aggPreBlock()
+	// A wait entered from a task body nests inside batch application, but
+	// nothing about it is batch application: scopes that drain while it
+	// blocks — batch acknowledgements, self-targeted tasks, timers, a
+	// death sweep — must ack at once (oweDone), because no end of an
+	// Apply call is coming to ship a held ack until this wait returns.
+	outer := r.applying
+	r.applying = false
 	err := r.aggBC.WaitFor(func() bool {
 		// Drain self-targeted tasks first: a conduit message's handler
 		// may have queued the work that satisfies pred. Tasks may
@@ -330,5 +354,6 @@ func (r *Rank) waitProgress(pred func() bool) {
 		r.agg.Tick()
 		return pred()
 	})
+	r.applying = outer
 	r.mustCd(err)
 }

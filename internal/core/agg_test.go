@@ -15,7 +15,24 @@ import (
 // per rank with its own endpoint, segment and conduit over localhost
 // TCP (the same shape as spmd.RunWireLocal, which cannot be imported
 // from here without a cycle).
-func runWireJob(t *testing.T, n, segBytes int, cfg Config, main func(me *Rank)) []Stats {
+func runWireJob(t testing.TB, n, segBytes int, cfg Config, main func(me *Rank)) []Stats {
+	t.Helper()
+	stats, _ := wireJob(t, n, segBytes, cfg, false, func(me *Rank, _ []*transport.TCPEndpoint) { main(me) })
+	return stats
+}
+
+// runWireJobFaulty is runWireJob for jobs in which a rank dies: the
+// endpoints are handed to the body (a rank crashes by Abort on its
+// own), and a rank's panic is returned instead of ending the test run.
+func runWireJobFaulty(t testing.TB, n, segBytes int, cfg Config,
+	main func(me *Rank, eps []*transport.TCPEndpoint)) []any {
+	t.Helper()
+	_, panics := wireJob(t, n, segBytes, cfg, true, main)
+	return panics
+}
+
+func wireJob(t testing.TB, n, segBytes int, cfg Config, capture bool,
+	main func(me *Rank, eps []*transport.TCPEndpoint)) ([]Stats, []any) {
 	t.Helper()
 	eps := make([]*transport.TCPEndpoint, n)
 	addrs := make([]string, n)
@@ -28,11 +45,15 @@ func runWireJob(t *testing.T, n, segBytes int, cfg Config, main func(me *Rank)) 
 		addrs[i] = ep.Addr()
 	}
 	stats := make([]Stats, n)
+	panics := make([]any, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			if capture {
+				defer func() { panics[i] = recover() }()
+			}
 			if err := eps[i].Connect(addrs); err != nil {
 				t.Errorf("rank %d connect: %v", i, err)
 				return
@@ -40,7 +61,7 @@ func runWireJob(t *testing.T, n, segBytes int, cfg Config, main func(me *Rank)) 
 			seg := segment.New(segBytes)
 			cd := gasnet.NewWireConduit(eps[i], seg)
 			defer cd.Close()
-			stats[i] = RunWire(cfg, cd, seg, main)
+			stats[i] = RunWire(cfg, cd, seg, func(me *Rank) { main(me, eps) })
 			cd.Goodbye()
 		}(i)
 	}
@@ -48,7 +69,7 @@ func runWireJob(t *testing.T, n, segBytes int, cfg Config, main func(me *Rank)) 
 	if t.Failed() {
 		t.FailNow()
 	}
-	return stats
+	return stats, panics
 }
 
 // aggExercise is the backend-portable Agg* workload: rank 0 writes a

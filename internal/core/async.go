@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
@@ -87,6 +87,36 @@ func Signal(ev *Event) AsyncOpt {
 // TaskFlops charges the given modeled compute to the target when the task
 // runs (in addition to any charges the body itself makes).
 func TaskFlops(f float64) AsyncOpt { return asyncOptFn(func(c *asyncCfg) { c.flops = f }) }
+
+// newAsyncCfg folds a launch's options over its default payload size.
+// Options see the config through an interface call, which forces it to
+// the heap; the option-less launch — the task-storm case — returns
+// before that variable exists and allocates nothing.
+func newAsyncCfg(payload int, opts []AsyncOpt) asyncCfg {
+	if len(opts) == 0 {
+		return asyncCfg{payload: payload}
+	}
+	cfg := asyncCfg{payload: payload}
+	for _, o := range opts {
+		o.applyAsync(&cfg)
+	}
+	return cfg
+}
+
+// registerLaunch books n launches with the enclosing finish scope
+// (returned; nil outside any Finish) and with the completion object.
+func (r *Rank) registerLaunch(done Completer, n int) *finishScope {
+	r.enter()
+	fs := r.currentFinish()
+	if fs != nil {
+		fs.add(n)
+	}
+	if done != nil {
+		done.compRegister(r, n)
+	}
+	r.exit()
+	return fs
+}
 
 // Async launches fn asynchronously on every rank of place, the paper's
 // async(place)(function, args...). The launch is non-blocking; completion
@@ -207,15 +237,20 @@ func AsyncFuture[T any](me *Rank, target int, fn func(me *Rank) T, opts ...Async
 // including RPCs spawned by RPCs on other address spaces, and every
 // aggregated operation they issued, has quiesced.
 type finishScope struct {
-	mu          sync.Mutex
-	outstanding int
+	outstanding atomic.Int64
 	owner       *Rank
 
-	// onZero, when set, makes this a deferred-completion scope (a
-	// remote task's implicit scope): it runs exactly once, when the
-	// count drains, instead of waking a blocked Finish. The sig rank is
-	// the one whose goroutine delivered the final completion.
-	onZero func(t float64, sig *Rank)
+	// task marks a remote task's implicit scope (execTask in rpc.go):
+	// when its count drains, the task's subtree has quiesced and the
+	// owner reports that to the task's launcher instead of waking a
+	// blocked Finish — by crediting parent when the launch came through
+	// the engine (same address space), by a done-ack to rank caller
+	// under the caller's scope id ackID when it came over the wire.
+	// Neither set: nobody waits on the subtree.
+	task   bool
+	parent *finishScope
+	caller int
+	ackID  uint64
 
 	// doneID is this scope's key in the owner rank's done-ack table
 	// while remote executors hold references to it (0 otherwise); see
@@ -223,34 +258,27 @@ type finishScope struct {
 	doneID uint64
 }
 
-func (fs *finishScope) add(n int) {
-	fs.mu.Lock()
-	fs.outstanding += n
-	fs.mu.Unlock()
-}
+func (fs *finishScope) add(n int) { fs.outstanding.Add(int64(n)) }
 
-func (fs *finishScope) childDone(doneTime float64, child *Rank) {
-	fs.mu.Lock()
-	fs.outstanding--
-	zero := fs.outstanding == 0
-	fz := fs.onZero
-	fs.mu.Unlock()
-	if !zero {
+// childDone credits one completed operation; childDoneN credits n. The
+// count is the only state touched, and never after the decrement that
+// drains it, so completions may arrive from any rank's goroutine and a
+// drained task scope may be recycled at once.
+func (fs *finishScope) childDone(doneTime float64, child *Rank) { fs.childDoneN(1, doneTime, child) }
+
+func (fs *finishScope) childDoneN(n int, doneTime float64, child *Rank) {
+	if fs.outstanding.Add(-int64(n)) != 0 {
 		return
 	}
-	if fz != nil {
-		fz(doneTime, child)
+	if fs.task {
+		fs.owner.taskQuiesced(fs, doneTime, child)
 		return
 	}
 	arrival := doneTime + child.job.model.Lat(child.id, fs.owner.id)
 	child.ep.Wake(fs.owner.id, arrival)
 }
 
-func (fs *finishScope) empty() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.outstanding == 0
-}
+func (fs *finishScope) empty() bool { return fs.outstanding.Load() == 0 }
 
 // currentFinish returns the innermost active finish scope, if any.
 func (r *Rank) currentFinish() *finishScope {

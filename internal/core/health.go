@@ -90,9 +90,7 @@ func (r *Rank) markRankDead(rank int) {
 	if m := r.remoteSlots[rank]; m != nil {
 		delete(r.remoteSlots, rank)
 		for fs, n := range m {
-			for i := 0; i < n; i++ {
-				fs.childDone(t, r)
-			}
+			fs.childDoneN(n, t, r)
 		}
 	}
 	for _, fn := range r.deathCbs {

@@ -206,7 +206,8 @@ type Rank struct {
 	aggBC gasnet.BatchConduit
 
 	// amHandlers dispatches aggregated active messages (AggSend) by
-	// registered handler id, like a GASNet handler table.
+	// registered handler id, like a GASNet handler table; the runtime's
+	// own ids dispatch through sysAMs (rpc.go) instead.
 	amHandlers map[uint16]AMHandler
 
 	// aggEv tracks in-flight AggSends on the in-process backend (where
@@ -226,13 +227,23 @@ type Rank struct {
 
 	finish []*finishScope
 
-	// Registered-task RPC state (rpc.go), wire jobs only: calls awaits
-	// executors' replies (futures, signal events) by call id; doneTab
-	// holds finish scopes awaiting remote done-acks by scope id.
-	calls    map[uint64]*pendingCall
-	nextCall uint64
-	doneTab  map[uint64]*finishScope
-	nextDone uint64
+	// Registered-task RPC state (rpc.go). scopeFree recycles the implicit
+	// scopes of tasks executed here (both backends). The rest is for
+	// wire jobs only: calls awaits executors' replies (futures, signal
+	// events) by call id; doneTab holds finish scopes awaiting remote
+	// done-acks by scope id; applying is set while this rank is directly
+	// inside a batch application (not in a wait nested in one), during
+	// which done-acks owed to one caller scope accumulate in (ackTo,
+	// ackID, ackN) and ship as one counted ack (oweDone).
+	calls     map[uint64]*pendingCall
+	nextCall  uint64
+	doneTab   map[uint64]*finishScope
+	nextDone  uint64
+	scopeFree []*finishScope
+	applying  bool
+	ackTo     int
+	ackID     uint64
+	ackN      uint32
 
 	// Failure-handling state (health.go / retry.go), populated on
 	// resilient or chaos-enabled jobs. rcd is the conduit's resilience
@@ -433,7 +444,6 @@ func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *
 		r.initAgg(bc, cfg.Agg)
 	}
 	r.initObs()
-	r.installRPC()
 	if cfg.Resilient || cfg.Fault != nil {
 		if rc := r.caps.Resilient; rc != nil {
 			r.rcd = rc

@@ -39,12 +39,21 @@ import (
 // Aggregated-AM handler ids below reservedAMLimit belong to the
 // runtime; RegisterAMHandler rejects them.
 const (
-	amRPCReq  uint16 = 0x01 // registered-task request (rpc.EncodeRequest)
-	amRPCRep  uint16 = 0x02 // body-completion reply (rpc.EncodeReply)
-	amRPCDone uint16 = 0x03 // subtree-quiesced ack (rpc.EncodeDone)
+	amRPCReq  uint16 = 0x01 // registered-task request (rpc.AppendRequest)
+	amRPCRep  uint16 = 0x02 // body-completion reply (rpc.AppendReply)
+	amRPCDone uint16 = 0x03 // counted subtree-quiesced ack (rpc.AppendDone)
 
 	reservedAMLimit uint16 = 0x10
 )
+
+// sysAMs is the dispatch table of the reserved ids: dense and fixed,
+// so the three protocol messages of every RPC skip the per-rank
+// handler map (rankApplier.AM).
+var sysAMs = [reservedAMLimit]AMHandler{
+	amRPCReq:  (*Rank).rpcRequest,
+	amRPCRep:  (*Rank).rpcReply,
+	amRPCDone: (*Rank).rpcDone,
+}
 
 // TaskBody is a registered task's implementation: it runs on the
 // target rank's goroutine with the target's handle, the calling rank,
@@ -90,33 +99,10 @@ type pendingCall struct {
 	t0 uint64
 }
 
-// installRPC wires the runtime's reserved AM handlers into this rank's
-// dispatch table. Called for wire-backed ranks (the in-process backend
-// dispatches tasks directly through the engine and never consults the
-// table for these ids).
-func (r *Rank) installRPC() {
-	if r.amHandlers == nil {
-		r.amHandlers = make(map[uint16]AMHandler)
-	}
-	r.amHandlers[amRPCReq] = func(me *Rank, from int, p []byte) { me.rpcRequest(from, p) }
-	r.amHandlers[amRPCRep] = func(me *Rank, _ int, p []byte) { me.rpcReply(p) }
-	r.amHandlers[amRPCDone] = func(me *Rank, from int, p []byte) { me.rpcDone(from, p) }
-}
-
-// sysSend ships a runtime-internal protocol message on the aggregation
-// plane. Unlike AggSend it performs no finish/event registration — the
-// task protocol does its own accounting — and so may be called from
-// completion callbacks without re-entering scope bookkeeping.
-func (r *Rank) sysSend(to int, id uint16, payload []byte) {
-	if to == r.id {
-		rankApplier{r: r, from: r.id}.AM(id, payload)
-		return
-	}
-	r.agg.Send(to, id, payload, nil)
-}
-
 // rpcRequest executes one incoming registered-task request. It runs on
-// this rank's SPMD goroutine, inside batch application.
+// this rank's SPMD goroutine, inside batch application. The protocol's
+// own messages go straight to the aggregator, with no finish/event
+// registration: the task protocol does its own accounting.
 func (r *Rank) rpcRequest(from int, payload []byte) {
 	req, err := rpc.DecodeRequest(payload)
 	if err != nil {
@@ -127,21 +113,15 @@ func (r *Rank) rpcRequest(from int, payload []byte) {
 	if req.Flags&rpc.FlagReply != 0 {
 		callID := req.CallID
 		onBody = func(reply []byte, _ float64) {
-			r.sysSend(from, amRPCRep, rpc.EncodeReply(callID, reply))
+			var h [rpc.RepHeaderBytes]byte
+			r.agg.SendParts(from, amRPCRep, rpc.AppendReply(h[:0], callID, nil), reply, nil)
 		}
 	}
-	var onDone func(float64, *Rank)
-	if req.DoneID != 0 {
-		doneID := req.DoneID
-		onDone = func(_ float64, _ *Rank) {
-			r.sysSend(from, amRPCDone, rpc.EncodeDone(doneID))
-		}
-	}
-	r.execTask(from, req.Task, req.Args, onBody, onDone)
+	r.execTask(from, req.Task, req.Args, onBody, nil, req.DoneID)
 }
 
 // rpcReply resolves one pending call with the body's return bytes.
-func (r *Rank) rpcReply(payload []byte) {
+func (r *Rank) rpcReply(_ int, payload []byte) {
 	callID, data, err := rpc.DecodeReply(payload)
 	if err != nil {
 		panic(fmt.Errorf("upcxx: rank %d: corrupt task reply: %w", r.id, err))
@@ -215,9 +195,10 @@ func (r *Rank) failCall(callID uint64, err error) {
 	}
 }
 
-// rpcDone credits one subtree-quiesced ack to the scope it belongs to.
+// rpcDone credits one counted ack — count quiesced task subtrees — to
+// the scope it belongs to.
 func (r *Rank) rpcDone(from int, payload []byte) {
-	id, err := rpc.DecodeDone(payload)
+	id, count, err := rpc.DecodeDone(payload)
 	if err != nil {
 		panic(fmt.Errorf("upcxx: rank %d: corrupt done-ack from rank %d: %w", r.id, from, err))
 	}
@@ -225,18 +206,23 @@ func (r *Rank) rpcDone(from int, payload []byte) {
 	if fs == nil {
 		panic(fmt.Errorf("upcxx: rank %d: done-ack from rank %d for unknown scope %d", r.id, from, id))
 	}
+	n := int(count)
+	if held := fs.outstanding.Load(); int64(n) > held {
+		panic(fmt.Errorf("upcxx: rank %d: done-ack from rank %d credits %d tasks to scope %d, which holds %d",
+			r.id, from, n, id, held))
+	}
 	if r.resilient {
-		// The ack arrived, so the sender no longer owes it: release the
-		// credit the death sweep would otherwise restore.
+		// The acks arrived, so the sender no longer owes them: release
+		// the credits the death sweep would otherwise restore.
 		if m := r.remoteSlots[from]; m != nil {
-			if m[fs] > 1 {
-				m[fs]--
+			if m[fs] > n {
+				m[fs] -= n
 			} else {
 				delete(m, fs)
 			}
 		}
 	}
-	fs.childDone(r.Clock(), r)
+	fs.childDoneN(n, r.Clock(), r)
 }
 
 // doneIDFor lazily assigns fs an id in this rank's done-ack table, the
@@ -262,26 +248,88 @@ func (r *Rank) doneDrop(fs *finishScope) {
 	}
 }
 
+// taskScope returns the implicit scope of one task about to execute
+// here, from this rank's free list: the body holds the first slot, and
+// the completion target is parent (engine launches) or rank caller's
+// scope ackID (wire requests).
+func (r *Rank) taskScope(caller int, parent *finishScope, ackID uint64) *finishScope {
+	var fs *finishScope
+	if n := len(r.scopeFree); n > 0 {
+		fs, r.scopeFree = r.scopeFree[n-1], r.scopeFree[:n-1]
+	} else {
+		fs = &finishScope{owner: r, task: true}
+	}
+	fs.parent, fs.caller, fs.ackID = parent, caller, ackID
+	fs.outstanding.Store(1)
+	return fs
+}
+
+// taskQuiesced reports a drained task scope to its completion target.
+// It runs on the goroutine of sig, the rank that delivered the last
+// completion; the scope returns to the free list only when that is the
+// owner's own goroutine (always, on the wire).
+func (r *Rank) taskQuiesced(fs *finishScope, t float64, sig *Rank) {
+	r.doneDrop(fs)
+	parent, caller, ackID := fs.parent, fs.caller, fs.ackID
+	if sig == r {
+		fs.parent = nil
+		r.scopeFree = append(r.scopeFree, fs)
+	}
+	if parent != nil {
+		parent.childDone(t, sig)
+	} else if ackID != 0 {
+		r.oweDone(caller, ackID)
+	}
+}
+
+// oweDone records one done-ack owed to rank caller's scope id. While a
+// batch is being applied, acks to the same scope accumulate into one
+// counted message (flushDone ships it when the application ends, or
+// when the next ack is for a different scope); outside batch
+// application — a scope drained by an aggregated op's acknowledgement,
+// or during a wait a task body entered (waitProgress clears applying) —
+// the ack ships at once, because the rank may block next and the
+// caller's Finish is waiting on it.
+func (r *Rank) oweDone(caller int, id uint64) {
+	if r.ackN > 0 && (r.ackTo != caller || r.ackID != id) {
+		r.flushDone()
+	}
+	r.ackTo, r.ackID = caller, id
+	r.ackN++
+	if !r.applying {
+		r.flushDone()
+	}
+}
+
+// flushDone ships the accumulated counted done-ack, if any. aggPreBlock
+// calls it — the end of every batch application, every path into a
+// blocking wait, the batch-ack cut-through — so a held ack can never
+// outlive the batch application that produced it, nor sit through a
+// wait nested in it.
+func (r *Rank) flushDone() {
+	if r.ackN == 0 {
+		return
+	}
+	var h [rpc.DoneBytes]byte
+	msg := rpc.AppendDone(h[:0], r.ackID, r.ackN)
+	r.ackN = 0
+	r.agg.SendParts(r.ackTo, amRPCDone, msg, nil, nil)
+}
+
 // execTask runs one registered task on this rank's goroutine: resolve
 // the index, execute the body under an implicit finish scope (so tasks
-// and aggregated ops the body issues defer the task's completion), and
-// fire onBody when the body returns and onDone when the whole subtree
-// has quiesced. A panicking body tears the job down wrapped with the
-// task's name and route, following the failed-process-aborts-the-job
-// model.
+// and aggregated ops the body issues defer the task's completion), fire
+// onBody when the body returns, and report to parent or (from, ackID)
+// when the whole subtree has quiesced — see taskScope. A panicking body
+// tears the job down wrapped with the task's name and route, following
+// the failed-process-aborts-the-job model.
 func (r *Rank) execTask(from int, idx uint16, args []byte,
-	onBody func(reply []byte, t float64), onDone func(t float64, sig *Rank)) {
+	onBody func(reply []byte, t float64), parent *finishScope, ackID uint64) {
 	fn, name, err := taskRegistry.Resolve(idx)
 	if err != nil {
 		panic(fmt.Errorf("upcxx: rank %d: task request from rank %d: %w", r.id, from, err))
 	}
-	rec := &finishScope{owner: r, outstanding: 1} // the body itself holds the first slot
-	rec.onZero = func(t float64, sig *Rank) {
-		r.doneDrop(rec)
-		if onDone != nil {
-			onDone(t, sig)
-		}
-	}
+	rec := r.taskScope(from, parent, ackID)
 	r.finish = append(r.finish, rec)
 	r.ring.Begin(obs.KRPCExec, int32(from), uint32(len(args)))
 	var reply []byte
@@ -300,7 +348,7 @@ func (r *Rank) execTask(from int, idx uint16, args []byte,
 	if onBody != nil {
 		onBody(reply, r.Clock())
 	}
-	rec.childDone(r.Clock(), r) // release the body's slot; fires onZero when the subtree is dry
+	rec.childDone(r.Clock(), r) // release the body's slot; reports when the subtree is dry
 }
 
 // mustTask validates a launch handle.
@@ -354,7 +402,10 @@ func (r *Rank) wireTask(target int, idx uint16, args []byte,
 		}
 	}
 	r.ep.Stats.AMs.Add(1)
-	r.agg.Send(target, amRPCReq, rpc.EncodeRequest(idx, flags, callID, doneID, args), nil)
+	// The header is built on the stack and args are copied exactly
+	// once, into the destination's open batch.
+	var h [rpc.ReqHeaderBytes]byte
+	r.agg.SendParts(target, amRPCReq, rpc.AppendRequest(h[:0], idx, flags, callID, doneID, nil), args, nil)
 }
 
 // wireTaskRetry ships a registered-task request under a RetryPolicy.
@@ -381,7 +432,7 @@ func (r *Rank) wireTaskRetry(target int, idx uint16, args []byte,
 		pc.t0 = obs.NowNs()
 	}
 	r.calls[callID] = pc
-	payload := rpc.EncodeRequest(idx, rpc.FlagReply, callID, 0, args)
+	payload := rpc.AppendRequest(nil, idx, rpc.FlagReply, callID, 0, args) // kept: every attempt re-sends it
 	r.sendCallAttempt(callID, target, payload, pol, 1)
 }
 
@@ -419,41 +470,17 @@ func (r *Rank) sendCallAttempt(callID uint64, target int, payload []byte, pol Re
 
 // AsyncTask launches the registered task on every rank of place with
 // the given POD-encoded arguments — the wire-capable form of the
-// paper's async(place)(function, args...). args are copied at issue
-// time. The launch is non-blocking; completion is observed through a
+// paper's async(place)(function, args...). args are read only during
+// the call: the caller may reuse the buffer as soon as AsyncTask
+// returns. The launch is non-blocking; completion is observed through a
 // surrounding Finish (which waits for the task's whole subtree), a
 // Signal event (which fires when the body has run), or AsyncTaskFuture.
 // The After and TaskFlops options work as with Async.
 func AsyncTask(me *Rank, place Place, t Task, args []byte, opts ...AsyncOpt) {
 	idx := mustTask(t)
-	cfg := asyncCfg{payload: taskWireBytes(len(args))}
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
-	args = append([]byte(nil), args...)
-	me.enter()
-	fs := me.currentFinish()
-	if fs != nil {
-		fs.add(len(place.ranks))
-	}
-	if cfg.done != nil {
-		cfg.done.compRegister(me, len(place.ranks))
-	}
-	me.exit()
-
-	launchOne := func(from *Rank, target int, arrival float64) {
-		if me.onWire() && target != me.id {
-			me.wireTask(target, idx, args, cfg.done, nil, fs)
-			return
-		}
-		me.launchTaskInProc(from, target, arrival, idx, args, cfg,
-			func(_ []byte, done float64, tgt *Rank) {
-				if cfg.done != nil {
-					cfg.done.compComplete(done, tgt)
-				}
-			}, fs)
-	}
-	me.fanOut(place, cfg, launchOne)
+	cfg := newAsyncCfg(taskWireBytes(len(args)), opts)
+	fs := me.registerLaunch(cfg.done, len(place.ranks))
+	me.launchTasks(place.ranks, idx, args, cfg, nil, fs)
 }
 
 // AsyncTaskFuture launches the registered task on the target rank and
@@ -474,56 +501,49 @@ func AsyncTask(me *Rank, place Place, t Task, args []byte, opts ...AsyncOpt) {
 // for the (first) reply of a retried call, not the executor's subtree.
 func AsyncTaskFuture(me *Rank, target int, t Task, args []byte, opts ...AsyncOpt) *Future[[]byte] {
 	idx := mustTask(t)
-	cfg := asyncCfg{payload: taskWireBytes(len(args))}
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
-	args = append([]byte(nil), args...)
+	cfg := newAsyncCfg(taskWireBytes(len(args)), opts)
 	f := newFuture[[]byte](me)
-	me.enter()
-	fs := me.currentFinish()
-	if fs != nil {
-		fs.add(1)
-	}
-	if cfg.done != nil {
-		cfg.done.compRegister(me, 1)
-	}
-	me.exit()
-
-	job := me.job
-	me.fanOut(Place{ranks: []int{target}}, cfg, func(from *Rank, target int, arrival float64) {
-		if me.onWire() && target != me.id {
-			if cfg.retry != nil {
-				me.wireTaskRetry(target, idx, args, cfg.done, f, fs, cfg.retry.withDefaults())
-				return
-			}
-			me.wireTask(target, idx, args, cfg.done, f, fs)
-			return
-		}
-		me.launchTaskInProc(from, target, arrival, idx, args, cfg,
-			func(reply []byte, done float64, tgt *Rank) {
-				repArrival := done + job.model.Lat(tgt.id, me.id) + job.model.WireNs(len(reply))
-				tgt.ep.SendAt(me.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {
-					f.resolve(reply, rep.Clock.Now(), me)
-				})
-				if cfg.done != nil {
-					cfg.done.compComplete(done, tgt)
-				}
-			}, fs)
-	})
+	fs := me.registerLaunch(cfg.done, 1)
+	me.launchTasks([]int{target}, idx, args, cfg, f, fs)
 	return f
 }
 
-// launchTaskInProc injects one registered-task execution through the
-// engine (the in-process backend, and a wire rank's self-targeted
-// fast path): an active message whose handler dispatches the body
-// with modeled dispatch/compute costs, body completion reported
-// through onBody and subtree completion credited straight to fs.
-func (r *Rank) launchTaskInProc(from *Rank, target int, arrival float64,
-	idx uint16, args []byte, cfg asyncCfg,
-	onBody func(reply []byte, done float64, tgt *Rank), fs *finishScope) {
+// launchTasks launches one task per target, now or — under an After
+// dependency — when the event fires; only the deferred form needs args
+// to outlive the call, so only it copies them here.
+func (r *Rank) launchTasks(targets []int, idx uint16, args []byte, cfg asyncCfg,
+	fut *Future[[]byte], fs *finishScope) {
+	if cfg.after == nil {
+		for _, t := range targets {
+			r.launchTask(r, t, r.amSendArrival(t, cfg.payload), idx, args, cfg, fut, fs)
+		}
+		return
+	}
+	held := append([]byte(nil), args...)
+	r.fanOut(Place{ranks: targets}, cfg, func(from *Rank, t int, arrival float64) {
+		r.launchTask(from, t, arrival, idx, held, cfg, fut, fs)
+	})
+}
+
+// launchTask routes one launch. A remote target of a wire job gets a
+// request on the aggregation plane (args are copied into the batch).
+// Anything else — the in-process backend, a wire rank's self-targeted
+// fast path — is injected through the engine: an active message whose
+// handler dispatches the body with modeled dispatch/compute costs,
+// replies to fut, completes cfg.done when the body has run and credits
+// the subtree straight to fs.
+func (r *Rank) launchTask(from *Rank, target int, arrival float64, idx uint16, args []byte,
+	cfg asyncCfg, fut *Future[[]byte], fs *finishScope) {
+	if r.onWire() && target != r.id {
+		if fut != nil && cfg.retry != nil {
+			r.wireTaskRetry(target, idx, args, cfg.done, fut, fs, cfg.retry.withDefaults())
+			return
+		}
+		r.wireTask(target, idx, args, cfg.done, fut, fs)
+		return
+	}
 	job := r.job
-	caller := r.id
+	args = append([]byte(nil), args...) // the engine queues the launch
 	from.ring.Instant(obs.KTaskDispatch, int32(target), uint32(len(args)), uint64(idx))
 	from.ep.SendAt(target, arrival, cfg.payload, func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
@@ -531,18 +551,26 @@ func (r *Rank) launchTaskInProc(from *Rank, target int, arrival float64,
 		if cfg.flops > 0 {
 			tgt.Work(cfg.flops)
 		}
-		tgt.execTask(caller, idx, args,
-			func(reply []byte, done float64) {
-				if onBody != nil {
-					onBody(reply, done, tgt)
-				}
-			},
-			func(done float64, sig *Rank) {
-				if fs != nil {
-					fs.childDone(done, sig)
-				}
-			})
+		tgt.execTask(r.id, idx, args, func(reply []byte, done float64) {
+			if fut != nil {
+				repArrival := done + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
+				tgt.ep.SendAt(r.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {
+					fut.resolve(reply, rep.Clock.Now(), r)
+				})
+			}
+			if cfg.done != nil {
+				cfg.done.compComplete(done, tgt)
+			}
+		}, fs, 0)
 	})
+}
+
+// amSendArrival charges this rank the send occupancy of one active
+// message of the given payload and returns its modeled arrival at to.
+func (r *Rank) amSendArrival(to, payload int) float64 {
+	t0 := r.Clock()
+	r.ep.Clock.Advance(r.job.model.AMSendCost(payload))
+	return r.job.model.AMArrival(t0, r.id, to, payload)
 }
 
 // fanOut performs the launch across place's ranks, immediately or
@@ -552,10 +580,7 @@ func (r *Rank) fanOut(place Place, cfg asyncCfg, launchOne func(from *Rank, targ
 	job := r.job
 	if cfg.after == nil {
 		for _, t := range place.ranks {
-			t0 := r.Clock()
-			r.ep.Clock.Advance(job.model.AMSendCost(cfg.payload))
-			arrival := job.model.AMArrival(t0, r.id, t, cfg.payload)
-			launchOne(r, t, arrival)
+			launchOne(r, t, r.amSendArrival(t, cfg.payload))
 		}
 		return
 	}

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"upcxx/internal/agg"
 	"upcxx/internal/rpc"
+	"upcxx/internal/transport"
 )
 
 // Test tasks are registered once per process (package init), following
@@ -282,7 +287,7 @@ func TestUnknownTaskIndexPanics(t *testing.T) {
 				t.Errorf("panic %q should explain the registration discipline", msg)
 			}
 		}()
-		me.execTask(0, 0xFFFF, nil, nil, nil)
+		me.execTask(0, 0xFFFF, nil, nil, nil, 0)
 	})
 }
 
@@ -306,4 +311,361 @@ func TestReservedAMHandlerIDRejected(t *testing.T) {
 		}()
 		RegisterAMHandler(me, amRPCReq, func(*Rank, int, []byte) {})
 	})
+}
+
+// ---- Wire protocol: counted done-acks ----
+
+// stormEpoch is one rank's share of an RPC storm epoch on a 2-rank
+// wire job: a Finish over n ttMark launches at the peer (24 bytes of
+// arguments built in one reused buffer; the executor xors into its own
+// cell), then a barrier — after which the peer's Finish has returned
+// too. It returns the fold of the values sent.
+func stormEpoch(me *Rank, peerCell GlobalPtr[uint64], n int, salt uint64, args []byte) uint64 {
+	var sent uint64
+	at := On(1 - me.ID())
+	Finish(me, func() {
+		for i := 0; i < n; i++ {
+			v := tmix(salt + uint64(i))
+			sent ^= v
+			args = rpc.AppendU64(rpc.AppendU64(rpc.AppendU64(args[:0], uint64(peerCell.Where())), peerCell.Offset()), v)
+			AsyncTask(me, at, ttMark, args)
+		}
+	})
+	me.Barrier()
+	return sent
+}
+
+// stormJob runs body on both ranks of a 2-rank adaptive-aggregation
+// wire job with the storm's cells set up; body returns the fold of
+// what it sent, which the peer's cell must equal afterwards.
+func stormJob(t testing.TB, body func(me *Rank, peerCell GlobalPtr[uint64]) uint64) {
+	var sent [2]atomic.Uint64
+	runWireJob(t, 2, 1<<17, Config{Agg: agg.Config{Adaptive: true}}, func(me *Rank) {
+		cells := TeamAllGather(me.World(), newCell(me))
+		me.Barrier()
+		sent[me.ID()].Store(body(me, cells[1-me.ID()]))
+		me.Barrier()
+		if got, want := Read(me, cells[me.ID()]), sent[1-me.ID()].Load(); got != want {
+			t.Errorf("rank %d cell = %#x, fold of the peer's RPCs %#x", me.ID(), got, want)
+		}
+	})
+}
+
+// BenchmarkAsyncTaskWire is the layer benchmark of the registered-task
+// wire path: one op is one RPC issued, executed at the peer and
+// acknowledged, both ranks storming each other in epochs of 10,000
+// under one Finish each (so ns/op covers two RPCs' worth of work on a
+// box with fewer than two idle cores).
+func BenchmarkAsyncTaskWire(b *testing.B) {
+	const perEpoch = 10000
+	b.ReportAllocs()
+	stormJob(b, func(me *Rank, peerCell GlobalPtr[uint64]) (sent uint64) {
+		args := make([]byte, 0, 24)
+		sent ^= stormEpoch(me, peerCell, perEpoch, 1<<40, args) // warm pools, free lists, the controller
+		if me.ID() == 0 {
+			b.ResetTimer()
+		}
+		for done, epoch := 0, uint64(0); done < b.N; done, epoch = done+perEpoch, epoch+1 {
+			sent ^= stormEpoch(me, peerCell, min(perEpoch, b.N-done), epoch<<32, args)
+		}
+		if me.ID() == 0 {
+			b.StopTimer()
+		}
+		return sent
+	})
+}
+
+// openScope is the first half of Finish — run body under a fresh scope
+// and hand the scope back undrained — for tests that wait on it with a
+// predicate of their own. The caller ends with me.doneDrop(fs).
+func openScope(me *Rank, body func()) *finishScope {
+	fs := &finishScope{owner: me}
+	me.finish = append(me.finish, fs)
+	body()
+	me.finish = me.finish[:len(me.finish)-1]
+	return fs
+}
+
+// ttFan is the transitive-finish workload: args [rank][off][depth][salt].
+// The body xors a mark into the root's cell with an aggregated op — so
+// its scope drains later, from a batch acknowledgement, outside batch
+// application — and spawns two children one level down on the next two
+// ranks. Registered in init: the body names its own handle.
+var ttFan Task
+
+func init() { ttFan = RegisterTask("core_test.fan", fanBody) }
+
+func fanBody(me *Rank, from int, args []byte) []byte {
+	rank, rest := rpc.U64(args)
+	off, rest := rpc.U64(rest)
+	depth, rest := rpc.U64(rest)
+	salt, _ := rpc.U64(rest)
+	AggXor64(me, PtrAt[uint64](int(rank), off), chainMark(salt, depth, me.ID()), nil)
+	for k := uint64(1); depth > 0 && k <= 2; k++ {
+		next := (me.ID() + int(k)) % me.Ranks()
+		AsyncTask(me, On(next), ttFan, rpc.U64s(rank, off, depth-1, salt*2+k))
+	}
+	return nil
+}
+
+// expectFan folds the marks of the tree fanBody grows from one task.
+func expectFan(n, rank int, depth, salt uint64) uint64 {
+	sum := chainMark(salt, depth, rank)
+	for k := uint64(1); depth > 0 && k <= 2; k++ {
+		sum ^= expectFan(n, (rank+int(k))%n, depth-1, salt*2+k)
+	}
+	return sum
+}
+
+// TestCountedAcksTransitiveFinish: a Finish over RPCs that spawn RPCs
+// and issue aggregated ops drains exactly once under counted acks —
+// every mark of every tree is in the cell when it returns, no scope id
+// or owed ack is left behind on any rank, and no rank ever enters a
+// blocking wait holding an unsent ack (a scope drained outside batch
+// application must ack at once).
+func TestCountedAcksTransitiveFinish(t *testing.T) {
+	const n, roots, depth, rounds = 3, 40, 4, 3
+	const stopAM = 41
+	runWireJob(t, n, 1<<17, Config{Agg: agg.Config{Adaptive: true}}, func(me *Rank) {
+		stop := false
+		RegisterAMHandler(me, stopAM, func(*Rank, int, []byte) { stop = true })
+		cell := newCell(me)
+		me.Barrier()
+		// wait is waitProgress with the invariant checked wherever the
+		// rank is about to block.
+		wait := func(pred func() bool) {
+			me.waitProgress(func() bool {
+				if me.ackN != 0 {
+					t.Errorf("rank %d blocks with %d done-acks unsent", me.ID(), me.ackN)
+				}
+				return pred()
+			})
+		}
+		if me.ID() == 0 {
+			var want uint64
+			for round := uint64(0); round < rounds; round++ {
+				// Finish, spelled out so the wait can carry the check.
+				fs := openScope(me, func() {
+					for i := uint64(0); i < roots; i++ {
+						target, salt := int(i)%n, round<<16+i<<8
+						want ^= expectFan(n, target, depth, salt)
+						AsyncTask(me, On(target), ttFan, append(cellArgs(cell), rpc.U64s(depth, salt)...))
+					}
+				})
+				wait(fs.empty)
+				me.doneDrop(fs)
+				if got := Read(me, cell); got != want {
+					t.Fatalf("round %d: cell = %#x after Finish, want %#x", round, got, want)
+				}
+				if left := fs.outstanding.Load(); left != 0 {
+					t.Errorf("round %d: scope count %d after drain", round, left)
+				}
+			}
+			for r := 1; r < n; r++ {
+				AggSend(me, r, stopAM, nil, nil)
+			}
+		} else {
+			wait(func() bool { return stop })
+		}
+		me.Barrier()
+		if len(me.doneTab) != 0 || me.ackN != 0 || me.applying {
+			t.Errorf("rank %d left %d scope ids, %d owed acks, applying=%v",
+				me.ID(), len(me.doneTab), me.ackN, me.applying)
+		}
+	})
+}
+
+// ttNest is a task whose body blocks: args [rank][off][depth][salt]. It
+// xors a mark into the root's cell and then, above depth 0, runs a
+// Finish of its own over one child sent back to its caller — so the
+// body sits in waitProgress, inside batch application, while the child's
+// subtree and its own aggregated op are acknowledged.
+var ttNest Task
+
+func init() { ttNest = RegisterTask("core_test.nest", nestBody) }
+
+func nestBody(me *Rank, from int, args []byte) []byte {
+	rank, rest := rpc.U64(args)
+	off, rest := rpc.U64(rest)
+	depth, rest := rpc.U64(rest)
+	salt, _ := rpc.U64(rest)
+	AggXor64(me, PtrAt[uint64](int(rank), off), chainMark(salt, depth, me.ID()), nil)
+	if depth > 0 {
+		Finish(me, func() {
+			AsyncTask(me, On(from), ttNest, rpc.U64s(rank, off, depth-1, salt))
+		})
+	}
+	return nil
+}
+
+// TestCountedAcksBlockingBody: task bodies that block in a nested Finish
+// keep the rank inside batch application while scopes drain from batch
+// acknowledgements; the acks those scopes owe must still ship, or the
+// Finish two levels up waits forever. Each rank roots ping-pong chains
+// of blocking bodies against its peer, all in flight at once.
+func TestCountedAcksBlockingBody(t *testing.T) {
+	const roots, depth = 6, 3
+	runWireJob(t, 2, 1<<17, Config{Agg: agg.Config{Adaptive: true}}, func(me *Rank) {
+		cell := newCell(me)
+		me.Barrier()
+		peer := 1 - me.ID()
+		var want uint64
+		Finish(me, func() {
+			for i := uint64(0); i < roots; i++ {
+				salt := uint64(me.ID()+1)<<16 + i
+				for d, r := uint64(depth), peer; ; d, r = d-1, 1-r {
+					want ^= chainMark(salt, d, r)
+					if d == 0 {
+						break
+					}
+				}
+				AsyncTask(me, On(peer), ttNest, append(cellArgs(cell), rpc.U64s(depth, salt)...))
+			}
+		})
+		if got := Read(me, cell); got != want {
+			t.Errorf("rank %d cell = %#x after Finish over blocking bodies, want %#x", me.ID(), got, want)
+		}
+		me.Barrier()
+		if len(me.doneTab) != 0 || me.ackN != 0 || me.applying {
+			t.Errorf("rank %d left %d scope ids, %d owed acks, applying=%v",
+				me.ID(), len(me.doneTab), me.ackN, me.applying)
+		}
+	})
+}
+
+// ttHold spawns a child on rank 2, so its own scope stays open until
+// rank 2 runs it: args are passed through to ttMark.
+var ttHold = RegisterTask("core_test.hold", func(me *Rank, from int, args []byte) []byte {
+	AsyncTask(me, On(2), ttMark, args)
+	return nil
+})
+
+// TestCountedAcksExecutorDeath: on a resilient 3-rank job rank 1
+// executes a mix of tasks for rank 0 — quick ones, which it
+// acknowledges with counted acks, and held ones, whose subtrees hang
+// on rank 2 (parked outside the runtime) — and then crashes. Rank 0
+// must have been credited exactly the quick tasks before the crash,
+// and the death sweep must restore exactly the held ones: the scope
+// lands on zero, neither short (a hang) nor over-credited (negative).
+func TestCountedAcksExecutorDeath(t *testing.T) {
+	const quick, held = 300, 7
+	const dieAM = 42
+	cfg := Config{Resilient: true, HeartbeatInterval: 50 * time.Millisecond, HeartbeatTimeout: 10 * time.Second}
+	release := make(chan struct{}) // rank 0 lets rank 2 back into the runtime
+	var atDeath, atEnd atomic.Int64
+	atDeath.Store(-1)
+	atEnd.Store(-1)
+	panics := runWireJobFaulty(t, 3, 1<<17, cfg, func(me *Rank, eps []*transport.TCPEndpoint) {
+		died := false
+		RegisterAMHandler(me, dieAM, func(me *Rank, _ int, _ []byte) {
+			eps[me.ID()].Abort()
+			died = true
+		})
+		cell := newCell(me)
+		me.Barrier()
+		switch me.ID() {
+		case 1:
+			me.waitProgress(func() bool { return died })
+		case 2:
+			<-release
+		case 0:
+			defer close(release)
+			args := append(cellArgs(cell), rpc.U64s(1)...)
+			fs := openScope(me, func() {
+				for i := 0; i < quick+held; i++ {
+					task := ttMark
+					if i%(quick/held) == 1 && i/(quick/held) < held {
+						task = ttHold
+					}
+					AsyncTask(me, On(1), task, args)
+				}
+			})
+			deadline := time.Now().Add(10 * time.Second)
+			me.waitProgress(func() bool {
+				return fs.outstanding.Load() <= held || time.Now().After(deadline)
+			})
+			atDeath.Store(fs.outstanding.Load())
+			if owed := me.remoteSlots[1][fs]; owed != held {
+				t.Errorf("rank 1 still owes %d acks by rank 0's books, want %d", owed, held)
+			}
+			AggSend(me, 1, dieAM, nil, nil)
+			me.waitProgress(func() bool {
+				return (!me.RankAlive(1) && fs.outstanding.Load() <= 0) || time.Now().After(deadline)
+			})
+			atEnd.Store(fs.outstanding.Load())
+			if len(me.remoteSlots[1]) != 0 {
+				t.Errorf("death sweep left debts on the books: %v", me.remoteSlots[1])
+			}
+			me.doneDrop(fs)
+		}
+	})
+	for _, r := range []int{0, 2} {
+		if panics[r] != nil {
+			t.Errorf("survivor rank %d panicked: %v", r, panics[r])
+		}
+	}
+	if got := atDeath.Load(); got != held {
+		t.Errorf("scope held %d credits before the crash, want the %d held tasks", got, held)
+	}
+	if got := atEnd.Load(); got != 0 {
+		t.Errorf("scope count %d after the death sweep, want 0", got)
+	}
+}
+
+// TestDoneAckOverdrawPanics: a counted ack for more tasks than the
+// scope still holds is protocol corruption and must panic typed, like
+// an ack for an unknown scope.
+func TestDoneAckOverdrawPanics(t *testing.T) {
+	Run(testCfg(1), func(me *Rank) {
+		fs := &finishScope{owner: me}
+		fs.add(2)
+		id := me.doneIDFor(fs)
+		me.rpcDone(0, rpc.AppendDone(nil, id, 2))
+		if !fs.empty() {
+			t.Fatalf("scope holds %d after a 2-count ack for 2 tasks", fs.outstanding.Load())
+		}
+		fs.add(1)
+		defer func() {
+			err, _ := recover().(error)
+			if err == nil || !strings.Contains(err.Error(), "credits 3") {
+				t.Errorf("overdrawing ack: recovered %v, want a typed panic naming the count", err)
+			}
+		}()
+		me.rpcDone(0, rpc.AppendDone(nil, id, 3))
+	})
+}
+
+// lateTasks numbers the tasks TestRegisterTaskWhileResolving adds, so
+// repeated runs in one process (-count) never reuse a name.
+var lateTasks atomic.Int64
+
+// TestRegisterTaskWhileResolving: RegisterTask from one goroutine
+// while rank goroutines execute (and so resolve) tasks — the registry
+// is process-global and in-process jobs share it (run under -race).
+func TestRegisterTaskWhileResolving(t *testing.T) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			RegisterTask(fmt.Sprint("core_test.late.", lateTasks.Add(1)),
+				func(*Rank, int, []byte) []byte { return nil })
+		}
+	}()
+	Run(testCfg(4), func(me *Rank) {
+		cell := newCell(me)
+		var want uint64
+		Finish(me, func() {
+			for i := 0; i < 200; i++ {
+				v := tmix(uint64(me.ID())<<20 + uint64(i))
+				want ^= v
+				AsyncTask(me, On(i%me.Ranks()), ttMark, append(cellArgs(cell), rpc.U64s(v)...))
+			}
+		})
+		if got := Read(me, cell); got != want {
+			t.Errorf("rank %d cell = %#x, want %#x", me.ID(), got, want)
+		}
+		me.Barrier()
+	})
+	wg.Wait()
 }

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Fn is a registered task body, generic over the runtime handle type:
@@ -71,17 +72,28 @@ func (t Task) String() string {
 // Registry maps registered functions to dense wire indices, in
 // registration order. It is safe for concurrent use: registration
 // normally completes before the job starts, but in-process jobs share
-// one registry across all rank goroutines.
+// one registry across all rank goroutines. Every executing rank
+// resolves an index per task, so readers take no lock: they load an
+// immutable snapshot that Register replaces copy-on-write.
 type Registry[H any] struct {
-	mu    sync.RWMutex
-	names map[string]uint16 // name -> index
-	fns   []Fn[H]
-	tags  []string
+	mu    sync.Mutex        // serializes Register
+	names map[string]uint16 // name -> index; guarded by mu
+	snap  atomic.Pointer[regSnap[H]]
+}
+
+// regSnap is one published state of the registry. Register appends to
+// the slices of the previous snapshot: elements below a published
+// length are never written again, so older snapshots stay valid.
+type regSnap[H any] struct {
+	fns  []Fn[H]
+	tags []string
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry[H any]() *Registry[H] {
-	return &Registry[H]{names: make(map[string]uint16)}
+	r := &Registry[H]{names: make(map[string]uint16)}
+	r.snap.Store(&regSnap[H]{})
+	return r
 }
 
 // Register adds fn under name and returns its portable handle. Names
@@ -101,13 +113,13 @@ func (r *Registry[H]) Register(name string, fn Fn[H]) Task {
 	if _, dup := r.names[name]; dup {
 		panic(fmt.Sprintf("rpc: task %q registered twice", name))
 	}
-	if len(r.fns) >= 1<<16 {
+	old := r.snap.Load()
+	if len(old.fns) >= 1<<16 {
 		panic("rpc: task registry full (65536 tasks)")
 	}
-	idx := uint16(len(r.fns))
+	idx := uint16(len(old.fns))
 	r.names[name] = idx
-	r.fns = append(r.fns, fn)
-	r.tags = append(r.tags, name)
+	r.snap.Store(&regSnap[H]{fns: append(old.fns, fn), tags: append(old.tags, name)})
 	return Task{idx1: idx + 1, name: name}
 }
 
@@ -116,30 +128,21 @@ func (r *Registry[H]) Register(name string, fn Fn[H]) Task {
 // diagnostic a rank produces when its peer's registration sequence
 // diverged from its own.
 func (r *Registry[H]) Resolve(idx uint16) (Fn[H], string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if int(idx) >= len(r.fns) {
+	s := r.snap.Load()
+	if int(idx) >= len(s.fns) {
 		return nil, "", fmt.Errorf(
 			"rpc: no task registered at index %d (registry has %d; did every process register the same tasks in the same order?)",
-			idx, len(r.fns))
+			idx, len(s.fns))
 	}
-	return r.fns[idx], r.tags[idx], nil
+	return s.fns[idx], s.tags[idx], nil
 }
 
 // Len reports how many tasks are registered.
-func (r *Registry[H]) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.fns)
-}
+func (r *Registry[H]) Len() int { return len(r.snap.Load().fns) }
 
 // Names returns the registered names in index order.
 func (r *Registry[H]) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.tags))
-	copy(out, r.tags)
-	return out
+	return append([]string(nil), r.snap.Load().tags...)
 }
 
 // ---- Wire encodings ----
@@ -151,34 +154,49 @@ func (r *Registry[H]) Names() []string {
 //
 //	request:  [task u16][flags u8][callID u64][doneID u64][args...]
 //	reply:    [callID u64][reply bytes...]
-//	done-ack: [doneID u64]
+//	done-ack: [doneID u64][count u32]
 //
 // callID keys the caller's pending-reply table (futures and signal
 // events); doneID keys the caller's finish-scope table — the executor
-// sends the done-ack only when the task's whole subtree (tasks spawned
-// by the task, and the aggregated operations it issued) has quiesced,
-// which is what gives Finish its distributed semantics. A zero id
-// means the corresponding half of the protocol is unused.
+// acknowledges a task only when its whole subtree (tasks spawned by
+// the task, and the aggregated operations it issued) has quiesced,
+// which is what gives Finish its distributed semantics. A done-ack is
+// counted: one message certifies count quiesced tasks of the same
+// scope, so an executor owing many acks to one scope ships one. A zero
+// id means the corresponding half of the protocol is unused.
+//
+// The encoders are append-style: they extend dst and return it, so a
+// caller can build a message on the stack or directly behind other
+// bytes without an intermediate buffer.
 
 // FlagReply marks a request whose caller awaits the body's return
 // bytes (a future) or a completion signal (an event): the executor
 // must send a reply message when the body returns.
 const FlagReply byte = 1 << 0
 
-// ReqHeaderBytes is the fixed size of a request's prefix — also the
-// per-launch protocol overhead the core's cost model charges on top of
-// the encoded arguments.
-const ReqHeaderBytes = 2 + 1 + 8 + 8
+// Fixed sizes: a request's prefix (also the per-launch protocol
+// overhead the core's cost model charges on top of the encoded
+// arguments), a reply's prefix, and a whole done-ack.
+const (
+	ReqHeaderBytes = 2 + 1 + 8 + 8
+	RepHeaderBytes = 8
+	DoneBytes      = 8 + 4
+)
 
-// EncodeRequest builds a request message.
+// AppendRequest appends a request message to dst.
+func AppendRequest(dst []byte, task uint16, flags byte, callID, doneID uint64, args []byte) []byte {
+	dst = append(dst, byte(task), byte(task>>8), flags)
+	dst = binary.LittleEndian.AppendUint64(dst, callID)
+	dst = binary.LittleEndian.AppendUint64(dst, doneID)
+	return append(dst, args...)
+}
+
+// EncodeRequest builds a request message in a buffer of its own: it is
+// AppendRequest onto an exact-size allocation, kept for the request
+// codec probe of benchmark/ (which this change may not edit); the
+// runtime itself only appends.
 func EncodeRequest(task uint16, flags byte, callID, doneID uint64, args []byte) []byte {
-	p := make([]byte, ReqHeaderBytes+len(args))
-	binary.LittleEndian.PutUint16(p[0:], task)
-	p[2] = flags
-	binary.LittleEndian.PutUint64(p[3:], callID)
-	binary.LittleEndian.PutUint64(p[11:], doneID)
-	copy(p[ReqHeaderBytes:], args)
-	return p
+	return AppendRequest(make([]byte, 0, ReqHeaderBytes+len(args)), task, flags, callID, doneID, args)
 }
 
 // Request is a decoded task request.
@@ -204,35 +222,35 @@ func DecodeRequest(p []byte) (Request, error) {
 	}, nil
 }
 
-// EncodeReply builds a reply message carrying the body's return bytes.
-func EncodeReply(callID uint64, data []byte) []byte {
-	p := make([]byte, 8+len(data))
-	binary.LittleEndian.PutUint64(p, callID)
-	copy(p[8:], data)
-	return p
+// AppendReply appends a reply message carrying the body's return bytes.
+func AppendReply(dst []byte, callID uint64, data []byte) []byte {
+	return append(binary.LittleEndian.AppendUint64(dst, callID), data...)
 }
 
 // DecodeReply parses a reply message; the returned data aliases p.
 func DecodeReply(p []byte) (callID uint64, data []byte, err error) {
-	if len(p) < 8 {
+	if len(p) < RepHeaderBytes {
 		return 0, nil, fmt.Errorf("rpc: truncated task reply (%d bytes)", len(p))
 	}
-	return binary.LittleEndian.Uint64(p), p[8:], nil
+	return binary.LittleEndian.Uint64(p), p[RepHeaderBytes:], nil
 }
 
-// EncodeDone builds a done-ack message.
-func EncodeDone(doneID uint64) []byte {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], doneID)
-	return p[:]
+// AppendDone appends a done-ack certifying count quiesced tasks of the
+// caller's scope doneID.
+func AppendDone(dst []byte, doneID uint64, count uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(dst, doneID), count)
 }
 
-// DecodeDone parses a done-ack message.
-func DecodeDone(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("rpc: malformed done-ack (%d bytes)", len(p))
+// DecodeDone parses a done-ack message. A count of zero is malformed:
+// an executor only acknowledges tasks that quiesced.
+func DecodeDone(p []byte) (doneID uint64, count uint32, err error) {
+	if len(p) != DoneBytes {
+		return 0, 0, fmt.Errorf("rpc: malformed done-ack (%d bytes)", len(p))
 	}
-	return binary.LittleEndian.Uint64(p), nil
+	if count = binary.LittleEndian.Uint32(p[8:]); count == 0 {
+		return 0, 0, fmt.Errorf("rpc: done-ack with zero count")
+	}
+	return binary.LittleEndian.Uint64(p), count, nil
 }
 
 // ---- Argument codec ----
