@@ -41,6 +41,7 @@ import (
 
 	"upcxx/internal/frames"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 )
 
 // Batch op kinds. A batch payload is a concatenation of operations,
@@ -216,8 +217,13 @@ func (s *shipped) acked() {
 
 // Aggregator buffers small remote operations into per-destination
 // batches. See the package comment for the flush policy and the
-// threading discipline.
+// threading discipline. Its rank's goroutine writes it on every
+// buffered op, so the struct sits in a pad bracket and bufs and ctls on
+// pad.Slice backing arrays: ranks that share a heap share none of
+// these cache lines.
 type Aggregator struct {
+	_ pad.Line
+
 	cfg      Config
 	flush    Flusher
 	bufs     []destBuf
@@ -246,6 +252,8 @@ type Aggregator struct {
 	// Adaptive-controller decisions across all destinations.
 	raises atomic.Int64
 	cuts   atomic.Int64
+
+	_ pad.Line
 }
 
 // New builds an aggregator over ranks destinations shipping through
@@ -254,11 +262,11 @@ func New(ranks int, cfg Config, flush Flusher) *Aggregator {
 	a := &Aggregator{
 		cfg:   cfg.withDefaults(),
 		flush: flush,
-		bufs:  make([]destBuf, ranks),
+		bufs:  pad.Slice[destBuf](ranks),
 		now:   time.Now,
 	}
 	if a.cfg.Adaptive {
-		a.ctls = make([]destCtl, ranks)
+		a.ctls = pad.Slice[destCtl](ranks)
 		for i := range a.ctls {
 			a.ctls[i].maxOps.Store(int64(a.cfg.MaxOps))
 			a.ctls[i].maxAge.Store(int64(a.cfg.MaxAge))

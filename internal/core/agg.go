@@ -203,8 +203,8 @@ func AggPut[T any](me *Rank, p GlobalPtr[T], v T, done Completer) {
 	defer me.exit()
 	done = normCompleter(done)
 	n := int(sizeOf[T]())
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(n))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(n)
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), n))
 	if me.agg == nil || int(p.rank) == me.id {
 		me.mustCd(me.cd.Put(int(p.rank), p.Offset(), valueBytes(&v)))
@@ -222,8 +222,8 @@ func AggXor64(me *Rank, p GlobalPtr[uint64], val uint64, done Completer) {
 	me.enter()
 	defer me.exit()
 	done = normCompleter(done)
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(8)
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += 8
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), 8))
 	if me.agg == nil || int(p.rank) == me.id {
 		_, err := me.cd.Xor64(int(p.rank), p.Offset(), val)
@@ -248,7 +248,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	if target < 0 || target >= me.Ranks() {
 		panic(fmt.Sprintf("upcxx: AggSend to invalid rank %d of %d", target, me.Ranks()))
 	}
-	me.ep.Stats.AMs.Add(1)
+	me.ep.Stats.AMs++
 	if me.agg != nil {
 		if target == me.id {
 			rankApplier{r: me, from: me.id}.AM(id, payload)

@@ -88,15 +88,14 @@ func Signal(ev *Event) AsyncOpt {
 // runs (in addition to any charges the body itself makes).
 func TaskFlops(f float64) AsyncOpt { return asyncOptFn(func(c *asyncCfg) { c.flops = f }) }
 
-// newAsyncCfg folds a launch's options over its default payload size.
-// Options see the config through an interface call, which forces it to
-// the heap; the option-less launch — the task-storm case — returns
-// before that variable exists and allocates nothing.
-func newAsyncCfg(payload int, opts []AsyncOpt) asyncCfg {
-	if len(opts) == 0 {
-		return asyncCfg{payload: payload}
-	}
-	cfg := asyncCfg{payload: payload}
+// applyOpts folds a launch's options over cfg. Options see the config
+// through an interface call, which forces it to the heap, and a 48-byte
+// struct returned by value is spilled word by word and re-read 16 bytes
+// at a time (a store-forwarding stall on every launch): the task
+// launchers therefore build their config in place and come here only
+// when there are options, so the option-less launch — the task-storm
+// case — pays for neither.
+func applyOpts(cfg asyncCfg, opts []AsyncOpt) asyncCfg {
 	for _, o := range opts {
 		o.applyAsync(&cfg)
 	}

@@ -80,8 +80,8 @@ func ReadAsync[T any](me *Rank, p GlobalPtr[T], opts ...AsyncOpt) *Future[T] {
 	me.enter()
 	defer me.exit()
 	n := int(sizeOf[T]())
-	me.ep.Stats.Gets.Add(1)
-	me.ep.Stats.GetBytes.Add(int64(n))
+	me.ep.Stats.Gets++
+	me.ep.Stats.GetBytes += int64(n)
 	mo := me.job.model
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
@@ -125,8 +125,8 @@ func WriteAsync[T any](me *Rank, p GlobalPtr[T], v T, opts ...AsyncOpt) *Future[
 	me.enter()
 	defer me.exit()
 	n := int(sizeOf[T]())
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(n))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(n)
 	mo := me.job.model
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
@@ -170,8 +170,8 @@ func ReadSliceAsync[T any](me *Rank, src GlobalPtr[T], dst []T, opts ...AsyncOpt
 		settle(dst, me.Clock())
 		return f
 	}
-	me.ep.Stats.Gets.Add(1)
-	me.ep.Stats.GetBytes.Add(int64(bytes))
+	me.ep.Stats.Gets++
+	me.ep.Stats.GetBytes += int64(bytes)
 	mo := me.job.model
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(src.rank), bytes)
@@ -213,8 +213,8 @@ func WriteSliceFuture[T any](me *Rank, dst GlobalPtr[T], src []T, opts ...AsyncO
 		settle(struct{}{}, me.Clock())
 		return f
 	}
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(bytes))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(bytes)
 	mo := me.job.model
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(dst.rank), bytes)
@@ -267,8 +267,8 @@ func CopyAsync[T any](me *Rank, src, dst GlobalPtr[T], count int, opts ...AsyncO
 	if peer == me.id {
 		peer = int(dst.rank)
 	}
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(bytes))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(bytes)
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, peer, bytes)
 

@@ -75,9 +75,7 @@ func Gather[T any](me *Rank, v T, root int) []T {
 func worldBroadcast[T any](me *Rank, v T, root int) T {
 	bytes := int(sizeOf[T]())
 	if me.onWire() {
-		out := wireBroadcast(me, v, root)
-		me.ep.Clock.Advance(float64(me.job.model.CollStages()) * me.job.model.CollStageCost(bytes))
-		return out
+		return wireBroadcast(me, v, root)
 	}
 	slot := me.ep.Collective(
 		func(int) any { return new(T) },
@@ -97,11 +95,7 @@ func worldBroadcast[T any](me *Rank, v T, root int) T {
 func worldAllGather[T any](me *Rank, v T) []T {
 	bytes := int(sizeOf[T]())
 	if me.onWire() {
-		out := wireExchange(me, v)
-		mo := me.job.model
-		me.ep.Clock.Advance(float64(mo.CollStages())*mo.CollStageCost(bytes) +
-			float64(me.Ranks()-1)*mo.WireNs(bytes))
-		return out
+		return wireExchange(me, v)
 	}
 	slot := me.ep.Collective(
 		func(n int) any { return make([]T, n) },
@@ -122,9 +116,7 @@ func worldAllGather[T any](me *Rank, v T) []T {
 func worldReduce[T any](me *Rank, v T, op func(a, b T) T) T {
 	bytes := int(sizeOf[T]())
 	if me.onWire() {
-		out := wireReduce(me, v, op)
-		me.ep.Clock.Advance(2 * float64(me.job.model.CollStages()) * me.job.model.CollStageCost(bytes))
-		return out
+		return wireReduce(me, v, op)
 	}
 	type box struct {
 		vals   []T
@@ -155,12 +147,7 @@ func worldReduce[T any](me *Rank, v T, op func(a, b T) T) T {
 // latency stages plus twice the payload's wire time.
 func worldReduceSlices[T any](me *Rank, contrib []T, op func(a, b T) T, root int) []T {
 	if me.onWire() {
-		out := wireReduceSlices(me, contrib, op, root)
-		bytes := len(contrib) * int(sizeOf[T]())
-		mo := me.job.model
-		me.ep.Clock.Advance(float64(mo.CollStages())*mo.CollStageCost(0) + 2*mo.WireNs(bytes))
-		me.Work(float64(len(contrib)))
-		return out
+		return wireReduceSlices(me, contrib, op, root)
 	}
 	type box struct {
 		parts [][]T

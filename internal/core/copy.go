@@ -184,18 +184,18 @@ func Copy[T any](me *Rank, src, dst GlobalPtr[T], count int) {
 	case srcR == me.id && dstR == me.id:
 		me.ep.Clock.Advance(mo.GetCost(me.id, me.id, bytes))
 	case dstR == me.id: // remote get
-		me.ep.Stats.Gets.Add(1)
-		me.ep.Stats.GetBytes.Add(int64(bytes))
+		me.ep.Stats.Gets++
+		me.ep.Stats.GetBytes += int64(bytes)
 		me.ep.Clock.Advance(mo.GetCost(me.id, srcR, bytes))
 	case srcR == me.id: // remote put
-		me.ep.Stats.Puts.Add(1)
-		me.ep.Stats.PutBytes.Add(int64(bytes))
+		me.ep.Stats.Puts++
+		me.ep.Stats.PutBytes += int64(bytes)
 		me.ep.Clock.Advance(mo.PutCost(me.id, dstR, bytes))
 	default: // third party: get then put, staged through the initiator
-		me.ep.Stats.Gets.Add(1)
-		me.ep.Stats.Puts.Add(1)
-		me.ep.Stats.GetBytes.Add(int64(bytes))
-		me.ep.Stats.PutBytes.Add(int64(bytes))
+		me.ep.Stats.Gets++
+		me.ep.Stats.Puts++
+		me.ep.Stats.GetBytes += int64(bytes)
+		me.ep.Stats.PutBytes += int64(bytes)
 		me.ep.Clock.Advance(mo.GetCost(me.id, srcR, bytes) + mo.PutCost(me.id, dstR, bytes))
 	}
 	moveBytes(me, src, dst, bytes)
@@ -238,8 +238,8 @@ func AsyncCopy[T any](me *Rank, src, dst GlobalPtr[T], count int, done Completer
 	if peer == me.id {
 		peer = int(dst.rank)
 	}
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(bytes))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(bytes)
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, peer, bytes)
 
@@ -287,8 +287,8 @@ func ReadSlice[T any](me *Rank, src GlobalPtr[T], dst []T) {
 	if bytes == 0 {
 		return
 	}
-	me.ep.Stats.Gets.Add(1)
-	me.ep.Stats.GetBytes.Add(int64(bytes))
+	me.ep.Stats.Gets++
+	me.ep.Stats.GetBytes += int64(bytes)
 	me.ep.Clock.Advance(me.job.model.GetCost(me.id, int(src.rank), bytes))
 	me.aggPreBlock()
 	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), sliceBytes(dst)))
@@ -302,8 +302,8 @@ func WriteSlice[T any](me *Rank, dst GlobalPtr[T], src []T) {
 	if bytes == 0 {
 		return
 	}
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(bytes))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(bytes)
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(dst.rank), bytes))
 	me.aggPreBlock()
 	me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), sliceBytes(src)))
@@ -317,8 +317,8 @@ func WriteSliceAsync[T any](me *Rank, dst GlobalPtr[T], src []T, done Completer)
 	done = normCompleter(done)
 	bytes := len(src) * int(sizeOf[T]())
 	mo := me.job.model
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(bytes))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(bytes)
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(dst.rank), bytes)
 	if done != nil {

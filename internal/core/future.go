@@ -310,7 +310,7 @@ func thenImpl[T, U any](f *Future[T], fn func(me *Rank, v T) U, task bool) *Futu
 			return
 		}
 		if task {
-			me.ep.Stats.Tasks.Add(1)
+			me.ep.Stats.Tasks++
 			me.ep.Clock.Advance(me.job.model.TaskDispatchCost())
 		}
 		me.ring.Begin(obs.KFutThen, -1, 0)

@@ -183,8 +183,8 @@ func Read[T any](me *Rank, p GlobalPtr[T]) T {
 	me.enter()
 	defer me.exit()
 	n := int(sizeOf[T]())
-	me.ep.Stats.Gets.Add(1)
-	me.ep.Stats.GetBytes.Add(int64(n))
+	me.ep.Stats.Gets++
+	me.ep.Stats.GetBytes += int64(n)
 	me.ep.Clock.Advance(me.job.model.GetCost(me.id, int(p.rank), n))
 	if int(p.rank) == me.id {
 		// The segment lock also serializes against remote writers.
@@ -193,7 +193,7 @@ func Read[T any](me *Rank, p GlobalPtr[T]) T {
 		me.seg.Unlock()
 		return v
 	}
-	if me.job.cfg.Access == AMMediated && !me.onWire() {
+	if me.job.cfg.Access == AMMediated {
 		var v T
 		var done bool
 		me.ep.Send(int(p.rank), 16, func(tep *gasnet.Endpoint) {
@@ -231,8 +231,8 @@ func Write[T any](me *Rank, p GlobalPtr[T], v T) {
 	me.enter()
 	defer me.exit()
 	n := int(sizeOf[T]())
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(n))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(n)
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), n))
 	if int(p.rank) == me.id {
 		me.seg.Lock()
@@ -240,7 +240,7 @@ func Write[T any](me *Rank, p GlobalPtr[T], v T) {
 		me.seg.Unlock()
 		return
 	}
-	if me.job.cfg.Access == AMMediated && !me.onWire() {
+	if me.job.cfg.Access == AMMediated {
 		var done bool
 		me.ep.Send(int(p.rank), 16+n, func(tep *gasnet.Endpoint) {
 			tgt := me.job.ranks[tep.Rank]
@@ -268,8 +268,8 @@ func RMW[T any](me *Rank, p GlobalPtr[T], f func(T) T) T {
 	defer me.exit()
 	me.noWire("RMW", int(p.rank))
 	n := int(sizeOf[T]())
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(int64(n))
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += int64(n)
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), n))
 	tseg := me.job.segs[p.rank]
 	tseg.Lock()
@@ -288,8 +288,8 @@ func RMW[T any](me *Rank, p GlobalPtr[T], f func(T) T) T {
 func AtomicXor(me *Rank, p GlobalPtr[uint64], val uint64) uint64 {
 	me.enter()
 	defer me.exit()
-	me.ep.Stats.Puts.Add(1)
-	me.ep.Stats.PutBytes.Add(8)
+	me.ep.Stats.Puts++
+	me.ep.Stats.PutBytes += 8
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), 8))
 	me.aggPreBlock()
 	v, err := me.cd.Xor64(int(p.rank), p.Offset(), val)

@@ -27,6 +27,7 @@ import (
 	"upcxx/internal/fault"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 	"upcxx/internal/segment"
 	"upcxx/internal/sim"
 )
@@ -66,12 +67,15 @@ type Config struct {
 	Machine sim.Machine
 	// SW is the software-overhead profile. Default sim.SWUPCXX.
 	SW sim.SW
-	// Virtual enables virtual-time reporting in Stats (the cost model is
-	// always charged; this flag records which time base is authoritative).
+	// Virtual enables virtual-time reporting in Stats (an in-process job
+	// always charges the cost model; this flag records which time base is
+	// authoritative). A wire-backed job runs under sim.NoCost whatever
+	// Machine, SW and Virtual say: its only time base is the wall clock.
 	Virtual bool
 	// Threads selects Serialized (default) or Concurrent mode.
 	Threads ThreadMode
-	// Access selects Direct (default) or AMMediated one-sided transfers.
+	// Access selects Direct (default) or AMMediated one-sided transfers
+	// (in-process jobs only; a wire job's accesses are always Direct).
 	Access AccessPath
 	// Agg sets the message-aggregation flush thresholds for wire-backed
 	// jobs (zero fields take internal/agg's defaults; MaxOps = 1 is the
@@ -225,6 +229,14 @@ type Rank struct {
 	// would drive the wrong progress engine. 0 = not yet bound.
 	gid uint64
 
+	// The fields between the two pad lines are what this rank's own
+	// goroutine writes on every launch, execution and completion; the
+	// bracket keeps them off the cache lines of the read-mostly fields
+	// above (which peers' goroutines read in-process) and of whatever
+	// the allocator places after this Rank. finish and scopeFree start
+	// on pad.Slice backing arrays for the same reason (newRank).
+	_ pad.Line
+
 	finish []*finishScope
 
 	// Registered-task RPC state (rpc.go). scopeFree recycles the implicit
@@ -245,6 +257,13 @@ type Rank struct {
 	ackID     uint64
 	ackN      uint32
 
+	// Implicit-handle non-blocking operation state (async_copy without an
+	// event; completed by Fence / AsyncCopyFence).
+	implicitMax float64
+	implicitN   int
+
+	_ pad.Line
+
 	// Failure-handling state (health.go / retry.go), populated on
 	// resilient or chaos-enabled jobs. rcd is the conduit's resilience
 	// extension (nil otherwise); deadRanks is this rank's local view of
@@ -259,11 +278,6 @@ type Rank struct {
 	deathCbs    []func(rank int)
 	remoteSlots map[int]map[*finishScope]int
 	voidCalls   map[uint64]struct{}
-
-	// Implicit-handle non-blocking operation state (async_copy without an
-	// event; completed by Fence / AsyncCopyFence).
-	implicitMax float64
-	implicitN   int
 
 	// Observability (internal/obs). ring is this rank's span ring —
 	// nil while tracing is disabled, making every span call site a
@@ -310,20 +324,32 @@ func newJob(cfg Config) *Job {
 	}
 	conduits := gasnet.NewProcGroup(j.eng, mems)
 	for i := 0; i < cfg.Ranks; i++ {
-		j.ranks[i] = &Rank{
-			id:    i,
-			job:   j,
-			ep:    j.eng.Endpoint(i),
-			seg:   j.segs[i],
-			cd:    conduits[i],
-			caps:  conduits[i].Capabilities(),
-			nodes: jobNodes(cfg, conduits[i]),
-		}
+		j.ranks[i] = newRank(j, i, conduits[i])
 	}
 	if cfg.Fault != nil {
 		j.chaos = &procChaos{plan: cfg.Fault}
 	}
 	return j
+}
+
+// scopeSlab is how many finish-stack slots a rank starts with and how
+// many task scopes one free-list refill carves (taskScope).
+const scopeSlab = 16
+
+// newRank builds rank id's handle over conduit cd; j.eng and j.segs[id]
+// must exist.
+func newRank(j *Job, id int, cd gasnet.Conduit) *Rank {
+	return &Rank{
+		id:        id,
+		job:       j,
+		ep:        j.eng.Endpoint(id),
+		seg:       j.segs[id],
+		cd:        cd,
+		caps:      cd.Capabilities(),
+		nodes:     jobNodes(j.cfg, cd),
+		finish:    pad.Slice[*finishScope](scopeSlab)[:0],
+		scopeFree: pad.Slice[*finishScope](scopeSlab)[:0],
+	}
 }
 
 // initObs attaches this rank to the observability plane: its span ring
@@ -421,15 +447,19 @@ func Run(cfg Config, main func(me *Rank)) Stats {
 // operations (Async, AsyncFuture, RMW, raw AMs) work only when
 // targeting this rank itself and panic with gasnet.ErrNotWireCapable
 // otherwise. Reported time is wall-clock; the virtual-time model does
-// not span address spaces.
+// not span address spaces, so the job's cost model is sim.NoCost and
+// Stats.VirtualNs holds only what the program charged itself (Lapse).
 func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *Rank)) Stats {
 	cfg.Ranks = cd.Ranks()
 	cfg = cfg.withDefaults()
 	id := cd.Rank()
-	j := &Job{
-		cfg:   cfg,
-		model: sim.NewModel(cfg.Virtual, cfg.Machine, cfg.SW, cfg.Ranks),
-	}
+	// What a wire job cannot have is settled here, once, so the shared
+	// operation code asks no wire-or-not question about it: no virtual
+	// clock is read across address spaces, so the cost model is
+	// sim.NoCost; the AM-mediated access path ships closures, so every
+	// access is the conduit's.
+	cfg.Access = Direct
+	j := &Job{cfg: cfg, model: sim.NoCost(cfg.Ranks)}
 	// The local engine provides this rank's clock, counters and
 	// loopback task queue (self-targeted asyncs, events); cross-rank
 	// traffic never touches it.
@@ -437,8 +467,7 @@ func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *
 	j.segs = make([]*segment.Segment, cfg.Ranks)
 	j.segs[id] = seg
 	j.ranks = make([]*Rank, cfg.Ranks)
-	r := &Rank{id: id, job: j, ep: j.eng.Endpoint(id), seg: seg, cd: cd,
-		caps: cd.Capabilities(), nodes: jobNodes(cfg, cd)}
+	r := newRank(j, id, cd)
 	j.ranks[id] = r
 	if bc := r.caps.Batch; bc != nil {
 		r.initAgg(bc, cfg.Agg)
@@ -463,12 +492,12 @@ func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *
 	wall := time.Since(start)
 
 	st := Stats{Ranks: cfg.Ranks, Wall: wall, VirtualNs: r.ep.Clock.Now()}
-	st.AMs = r.ep.Stats.AMs.Load()
-	st.Tasks = r.ep.Stats.Tasks.Load()
-	st.Puts = r.ep.Stats.Puts.Load()
-	st.Gets = r.ep.Stats.Gets.Load()
-	st.PutBytes = r.ep.Stats.PutBytes.Load()
-	st.GetBytes = r.ep.Stats.GetBytes.Load()
+	st.AMs = r.ep.Stats.AMs
+	st.Tasks = r.ep.Stats.Tasks
+	st.Puts = r.ep.Stats.Puts
+	st.Gets = r.ep.Stats.Gets
+	st.PutBytes = r.ep.Stats.PutBytes
+	st.GetBytes = r.ep.Stats.GetBytes
 	st.SegPeak = seg.Peak()
 	st.Counters = map[string]float64{}
 	if cs := r.caps.Counters; cs != nil {

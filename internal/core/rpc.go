@@ -5,6 +5,7 @@ import (
 
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 	"upcxx/internal/rpc"
 )
 
@@ -108,7 +109,7 @@ func (r *Rank) rpcRequest(from int, payload []byte) {
 	if err != nil {
 		panic(fmt.Errorf("upcxx: rank %d: corrupt task request from rank %d: %w", r.id, from, err))
 	}
-	r.ep.Stats.Tasks.Add(1)
+	r.ep.Stats.Tasks++
 	var onBody func([]byte, float64)
 	if req.Flags&rpc.FlagReply != 0 {
 		callID := req.CallID
@@ -251,14 +252,20 @@ func (r *Rank) doneDrop(fs *finishScope) {
 // taskScope returns the implicit scope of one task about to execute
 // here, from this rank's free list: the body holds the first slot, and
 // the completion target is parent (engine launches) or rank caller's
-// scope ackID (wire requests).
+// scope ackID (wire requests). An empty list refills from one
+// pad.Slice slab, so a task scope shares cache lines only with other
+// scopes of this rank.
 func (r *Rank) taskScope(caller int, parent *finishScope, ackID uint64) *finishScope {
-	var fs *finishScope
-	if n := len(r.scopeFree); n > 0 {
-		fs, r.scopeFree = r.scopeFree[n-1], r.scopeFree[:n-1]
-	} else {
-		fs = &finishScope{owner: r, task: true}
+	if len(r.scopeFree) == 0 {
+		slab := pad.Slice[finishScope](scopeSlab)
+		for i := range slab {
+			slab[i].owner, slab[i].task = r, true
+			r.scopeFree = append(r.scopeFree, &slab[i])
+		}
 	}
+	n := len(r.scopeFree) - 1
+	fs := r.scopeFree[n]
+	r.scopeFree = r.scopeFree[:n]
 	fs.parent, fs.caller, fs.ackID = parent, caller, ackID
 	fs.outstanding.Store(1)
 	return fs
@@ -401,7 +408,7 @@ func (r *Rank) wireTask(target int, idx uint16, args []byte,
 			m[fs]++
 		}
 	}
-	r.ep.Stats.AMs.Add(1)
+	r.ep.Stats.AMs++
 	// The header is built on the stack and args are copied exactly
 	// once, into the destination's open batch.
 	var h [rpc.ReqHeaderBytes]byte
@@ -447,7 +454,7 @@ func (r *Rank) sendCallAttempt(callID uint64, target int, payload []byte, pol Re
 		r.failCall(callID, r.deadErrFor(target))
 		return
 	}
-	r.ep.Stats.AMs.Add(1)
+	r.ep.Stats.AMs++
 	r.agg.Send(target, amRPCReq, payload, nil)
 	// Ship now: the attempt deadline measures the network round trip,
 	// not this rank's next age-flush.
@@ -478,9 +485,12 @@ func (r *Rank) sendCallAttempt(callID uint64, target int, payload []byte, pol Re
 // The After and TaskFlops options work as with Async.
 func AsyncTask(me *Rank, place Place, t Task, args []byte, opts ...AsyncOpt) {
 	idx := mustTask(t)
-	cfg := newAsyncCfg(taskWireBytes(len(args)), opts)
+	cfg := asyncCfg{payload: taskWireBytes(len(args))}
+	if len(opts) > 0 {
+		cfg = applyOpts(cfg, opts)
+	}
 	fs := me.registerLaunch(cfg.done, len(place.ranks))
-	me.launchTasks(place.ranks, idx, args, cfg, nil, fs)
+	me.launchTasks(place.ranks, idx, args, &cfg, nil, fs)
 }
 
 // AsyncTaskFuture launches the registered task on the target rank and
@@ -501,65 +511,85 @@ func AsyncTask(me *Rank, place Place, t Task, args []byte, opts ...AsyncOpt) {
 // for the (first) reply of a retried call, not the executor's subtree.
 func AsyncTaskFuture(me *Rank, target int, t Task, args []byte, opts ...AsyncOpt) *Future[[]byte] {
 	idx := mustTask(t)
-	cfg := newAsyncCfg(taskWireBytes(len(args)), opts)
+	cfg := asyncCfg{payload: taskWireBytes(len(args))}
+	if len(opts) > 0 {
+		cfg = applyOpts(cfg, opts)
+	}
 	f := newFuture[[]byte](me)
 	fs := me.registerLaunch(cfg.done, 1)
-	me.launchTasks([]int{target}, idx, args, cfg, f, fs)
+	me.launchTasks([]int{target}, idx, args, &cfg, f, fs)
 	return f
 }
 
 // launchTasks launches one task per target, now or — under an After
 // dependency — when the event fires; only the deferred form needs args
-// to outlive the call, so only it copies them here.
-func (r *Rank) launchTasks(targets []int, idx uint16, args []byte, cfg asyncCfg,
+// and the config to outlive the call, so only it copies them. cfg stays
+// on the caller's stack and is read field by field: a remote target of
+// a wire job needs nothing from it but done and retry, and no modeled
+// arrival time at all.
+func (r *Rank) launchTasks(targets []int, idx uint16, args []byte, cfg *asyncCfg,
 	fut *Future[[]byte], fs *finishScope) {
 	if cfg.after == nil {
 		for _, t := range targets {
-			r.launchTask(r, t, r.amSendArrival(t, cfg.payload), idx, args, cfg, fut, fs)
+			if !r.wireLaunch(t, idx, args, cfg, fut, fs) {
+				r.engineTask(r, t, r.amSendArrival(t, cfg.payload), idx, args, cfg, fut, fs)
+			}
 		}
 		return
 	}
-	held := append([]byte(nil), args...)
-	r.fanOut(Place{ranks: targets}, cfg, func(from *Rank, t int, arrival float64) {
-		r.launchTask(from, t, arrival, idx, held, cfg, fut, fs)
+	held, c := append([]byte(nil), args...), *cfg
+	r.fanOut(Place{ranks: targets}, c, func(from *Rank, t int, arrival float64) {
+		if !r.wireLaunch(t, idx, held, &c, fut, fs) {
+			r.engineTask(from, t, arrival, idx, held, &c, fut, fs)
+		}
 	})
 }
 
-// launchTask routes one launch. A remote target of a wire job gets a
-// request on the aggregation plane (args are copied into the batch).
-// Anything else — the in-process backend, a wire rank's self-targeted
-// fast path — is injected through the engine: an active message whose
-// handler dispatches the body with modeled dispatch/compute costs,
-// replies to fut, completes cfg.done when the body has run and credits
-// the subtree straight to fs.
-func (r *Rank) launchTask(from *Rank, target int, arrival float64, idx uint16, args []byte,
-	cfg asyncCfg, fut *Future[[]byte], fs *finishScope) {
-	if r.onWire() && target != r.id {
-		if fut != nil && cfg.retry != nil {
-			r.wireTaskRetry(target, idx, args, cfg.done, fut, fs, cfg.retry.withDefaults())
-			return
-		}
-		r.wireTask(target, idx, args, cfg.done, fut, fs)
-		return
+// wireLaunch ships the launch as a request on the aggregation plane
+// (args are copied into the batch) when target is a remote rank of a
+// wire job, and reports whether it did. Anything else — the in-process
+// backend, a wire rank's self-targeted fast path — is engineTask's.
+func (r *Rank) wireLaunch(target int, idx uint16, args []byte, cfg *asyncCfg,
+	fut *Future[[]byte], fs *finishScope) bool {
+	if target == r.id || !r.onWire() {
+		return false
 	}
-	job := r.job
-	args = append([]byte(nil), args...) // the engine queues the launch
+	if fut != nil && cfg.retry != nil {
+		r.wireTaskRetry(target, idx, args, cfg.done, fut, fs, cfg.retry.withDefaults())
+	} else {
+		r.wireTask(target, idx, args, cfg.done, fut, fs)
+	}
+	return true
+}
+
+// engineTask injects one launch through the engine: an active message
+// whose handler dispatches the body with modeled dispatch/compute
+// costs, replies to fut, completes cfg.done when the body has run and
+// credits the subtree straight to fs.
+func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, args []byte,
+	cfg *asyncCfg, fut *Future[[]byte], fs *finishScope) {
+	job, flops, done := r.job, cfg.flops, cfg.done
+	// The engine queues the launch, so it gets a copy — under a name of
+	// its own: were the parameter reassigned and captured, escape
+	// analysis would move every caller's args buffer to the heap, the
+	// wire path's included.
+	held := append([]byte(nil), args...)
 	from.ring.Instant(obs.KTaskDispatch, int32(target), uint32(len(args)), uint64(idx))
 	from.ep.SendAt(target, arrival, cfg.payload, func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
 		tep.Clock.Advance(job.model.TaskDispatchCost())
-		if cfg.flops > 0 {
-			tgt.Work(cfg.flops)
+		if flops > 0 {
+			tgt.Work(flops)
 		}
-		tgt.execTask(r.id, idx, args, func(reply []byte, done float64) {
+		tgt.execTask(r.id, idx, held, func(reply []byte, t float64) {
 			if fut != nil {
-				repArrival := done + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
+				repArrival := t + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
 				tgt.ep.SendAt(r.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {
 					fut.resolve(reply, rep.Clock.Now(), r)
 				})
 			}
-			if cfg.done != nil {
-				cfg.done.compComplete(done, tgt)
+			if done != nil {
+				done.compComplete(t, tgt)
 			}
 		}, fs, 0)
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -373,6 +374,42 @@ func BenchmarkAsyncTaskWire(b *testing.B) {
 		}
 		return sent
 	})
+}
+
+// BenchmarkAsyncTaskWireJobs is BenchmarkAsyncTaskWire as a mode-split
+// detector: the same storm on eight 2-rank jobs built one after another
+// in this process, each with a heap layout of its own, b.N RPCs per
+// rank and job. A job's figure is the lower quartile of its epochs'
+// ns/op — a layout-decided mode slows every epoch of a job, a noisy
+// neighbour on the machine only some — ns/op is the median job's, and
+// max/min is the slowest job's figure over the fastest's. While ranks'
+// per-operation words could share cache lines that ratio was 1.5-1.9,
+// decided per job by where the allocator happened to put them; the CI
+// leg fails it above 1.35.
+func BenchmarkAsyncTaskWireJobs(b *testing.B) {
+	const jobs, perEpoch = 8, 10000
+	nsPerOp := make([]float64, jobs)
+	for j := range nsPerOp {
+		stormJob(b, func(me *Rank, peerCell GlobalPtr[uint64]) (sent uint64) {
+			args := make([]byte, 0, 24)
+			sent ^= stormEpoch(me, peerCell, perEpoch, 1<<40, args)
+			epochs := make([]float64, 0, b.N/perEpoch+1)
+			for done, epoch := 0, uint64(0); done < b.N; done, epoch = done+perEpoch, epoch+1 {
+				n, t0 := min(perEpoch, b.N-done), time.Now()
+				sent ^= stormEpoch(me, peerCell, n, epoch<<32, args)
+				epochs = append(epochs, float64(time.Since(t0).Nanoseconds())/float64(n))
+			}
+			if me.ID() == 0 {
+				sort.Float64s(epochs)
+				nsPerOp[j] = epochs[len(epochs)/4]
+			}
+			return sent
+		})
+	}
+	sort.Float64s(nsPerOp)
+	b.Logf("ns/op by job: %.0f", nsPerOp)
+	b.ReportMetric(nsPerOp[jobs/2], "ns/op")
+	b.ReportMetric(nsPerOp[jobs-1]/nsPerOp[0], "max/min")
 }
 
 // openScope is the first half of Finish — run body under a fresh scope

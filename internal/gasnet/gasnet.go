@@ -24,8 +24,8 @@ package gasnet
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"upcxx/internal/pad"
 	"upcxx/internal/sim"
 )
 
@@ -46,16 +46,18 @@ type Task struct {
 	Bytes int
 }
 
-// Stats aggregates communication counters for one endpoint. Counters are
-// atomic so the engine can snapshot them while ranks run.
+// Stats aggregates communication counters for one endpoint. They are
+// plain words: only the goroutine driving the rank writes them (in
+// Concurrent thread mode, whichever goroutine holds the rank lock), and
+// they are read once the job has joined.
 type Stats struct {
-	AMs      atomic.Int64
-	Tasks    atomic.Int64
-	Puts     atomic.Int64
-	Gets     atomic.Int64
-	PutBytes atomic.Int64
-	GetBytes atomic.Int64
-	Barriers atomic.Int64
+	AMs      int64
+	Tasks    int64
+	Puts     int64
+	Gets     int64
+	PutBytes int64
+	GetBytes int64
+	Barriers int64
 }
 
 // Engine owns the endpoints, barrier and collective state of one job.
@@ -91,15 +93,16 @@ func New(model *sim.Model, n int) *Engine {
 // Endpoint returns rank i's endpoint.
 func (g *Engine) Endpoint(i int) *Endpoint { return g.eps[i] }
 
-// TotalStats sums the counters across all endpoints.
+// TotalStats sums the counters across all endpoints; call it after the
+// ranks have joined.
 func (g *Engine) TotalStats() (ams, tasks, puts, gets, putB, getB int64) {
 	for _, e := range g.eps {
-		ams += e.Stats.AMs.Load()
-		tasks += e.Stats.Tasks.Load()
-		puts += e.Stats.Puts.Load()
-		gets += e.Stats.Gets.Load()
-		putB += e.Stats.PutBytes.Load()
-		getB += e.Stats.GetBytes.Load()
+		ams += e.Stats.AMs
+		tasks += e.Stats.Tasks
+		puts += e.Stats.Puts
+		gets += e.Stats.Gets
+		putB += e.Stats.PutBytes
+		getB += e.Stats.GetBytes
 	}
 	return
 }
@@ -116,13 +119,18 @@ func (g *Engine) MaxClock() float64 {
 	return m
 }
 
-// Endpoint is one rank's attachment to the engine.
+// Endpoint is one rank's attachment to the engine. Rank, eng and Inbox
+// are read by every sender; Clock and Stats are written by the owning
+// rank on every operation, so they sit in a pad bracket of their own.
 type Endpoint struct {
 	Rank  int
 	eng   *Engine
 	Inbox chan Task
+
+	_     pad.Line
 	Clock sim.Clock
 	Stats Stats
+	_     pad.Line
 }
 
 // Engine returns the owning engine.
@@ -153,7 +161,7 @@ func (e *Endpoint) Send(to int, bytes int, fn func(ep *Endpoint)) {
 // SendAt injects a message with an explicit arrival time, for callers
 // (e.g. the MPI baseline) that model their own protocol costs.
 func (e *Endpoint) SendAt(to int, arrival float64, bytes int, fn func(ep *Endpoint)) {
-	e.Stats.AMs.Add(1)
+	e.Stats.AMs++
 	t := Task{Fn: fn, Arrival: arrival, From: e.Rank, Bytes: bytes}
 	if to == e.Rank {
 		// Loopback: execute immediately on our own goroutine.
@@ -173,7 +181,7 @@ func (e *Endpoint) SendAt(to int, arrival float64, bytes int, fn func(ep *Endpoi
 
 func (e *Endpoint) exec(t Task) {
 	e.Clock.AdvanceTo(t.Arrival)
-	e.Stats.Tasks.Add(1)
+	e.Stats.Tasks++
 	t.Fn(e)
 }
 
@@ -230,7 +238,7 @@ func newBarrier(n int) *barrier {
 // max(entry clocks) + the modeled dissemination-barrier cost. Tasks are
 // serviced while waiting, matching GASNet's progress guarantee.
 func (e *Endpoint) Barrier() {
-	e.Stats.Barriers.Add(1)
+	e.Stats.Barriers++
 	b := e.eng.bar
 	b.mu.Lock()
 	gen := b.cur

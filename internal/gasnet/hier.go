@@ -10,6 +10,7 @@ import (
 
 	"upcxx/internal/frames"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 	"upcxx/internal/transport"
 )
 
@@ -62,9 +63,12 @@ type HierConduit struct {
 	locals   []int       // world ranks co-located with me, ascending (locals[shmIdx] = world)
 	localIdx map[int]int // world rank -> shm local index
 
+	_         pad.Line // as WireConduit.nextToken
 	nextToken uint64
-	replies   map[uint64][]byte
-	shmAcks   map[uint64]func()
+	_         pad.Line
+
+	replies map[uint64][]byte
+	shmAcks map[uint64]func()
 
 	gen uint64 // world-collective generation (Barrier/AllGather keys)
 

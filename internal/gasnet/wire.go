@@ -9,6 +9,7 @@ import (
 
 	"upcxx/internal/frames"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 	"upcxx/internal/transport"
 )
 
@@ -106,8 +107,14 @@ type WireConduit struct {
 	// peers' shared-memory requests.
 	wait func(pred func() bool) error
 
+	// nextToken is written for every request and batch; the bracket
+	// keeps it off the lines of the read-only fields around it (Wake
+	// reads tep from foreign goroutines) and of neighbouring objects.
+	_         pad.Line
 	nextToken uint64
-	replies   map[uint64][]byte
+	_         pad.Line
+
+	replies map[uint64][]byte
 	// acks holds reply callbacks for tokens whose requester did not
 	// block: aggregation batches and the async data plane (GetAsync /
 	// PutAsync chunks). Tokens without a callback park in replies for

@@ -190,8 +190,11 @@ func (r *Ring) Dropped() uint64 {
 // record claims a slot and commits one record. The commit word packs
 // (seq+1)<<16 | kind<<8 | ev, so a reader can verify both that the
 // slot holds the generation it expects and that the write finished.
+// r is not nil: that half of the disabled-tracing guard lives in the
+// inlinable wrappers below, so a call site whose component captured no
+// ring costs a compare and a branch, not a call.
 func (r *Ring) record(ev uint8, k Kind, peer int32, bytes uint32, arg uint64) {
-	if r == nil || !tracing.Load() {
+	if !tracing.Load() {
 		return
 	}
 	t := nowNs()
@@ -206,14 +209,24 @@ func (r *Ring) record(ev uint8, k Kind, peer int32, bytes uint32, arg uint64) {
 
 // Begin opens a span of the given kind. Pair with End; spans must nest
 // per goroutine (the exporter pairs them stack-wise per ring).
-func (r *Ring) Begin(k Kind, peer int32, bytes uint32) { r.record(evBegin, k, peer, bytes, 0) }
+func (r *Ring) Begin(k Kind, peer int32, bytes uint32) {
+	if r != nil {
+		r.record(evBegin, k, peer, bytes, 0)
+	}
+}
 
 // End closes the innermost open span of the given kind.
-func (r *Ring) End(k Kind) { r.record(evEnd, k, -1, 0, 0) }
+func (r *Ring) End(k Kind) {
+	if r != nil {
+		r.record(evEnd, k, -1, 0, 0)
+	}
+}
 
 // Instant records a point event.
 func (r *Ring) Instant(k Kind, peer int32, bytes uint32, arg uint64) {
-	r.record(evInstant, k, peer, bytes, arg)
+	if r != nil {
+		r.record(evInstant, k, peer, bytes, arg)
+	}
 }
 
 // Snapshot decodes the currently resident records in claim order. It

@@ -19,14 +19,16 @@ type Clock struct {
 // Now returns the current virtual time in nanoseconds.
 func (c *Clock) Now() float64 { return f64(c.bits.Load()) }
 
-// Advance adds d nanoseconds (negative d is ignored) and returns the new
-// time.
+// Advance adds d nanoseconds and returns the new time. A charge of zero
+// (every charge under NoCost) or a negative one leaves the clock alone:
+// no store, so a job whose time base is the wall clock pays nothing
+// for being modeled.
 func (c *Clock) Advance(d float64) float64 {
 	t := f64(c.bits.Load())
 	if d > 0 {
 		t += d
+		c.bits.Store(u64(t))
 	}
-	c.bits.Store(u64(t))
 	return t
 }
 

@@ -32,6 +32,13 @@ func NewModel(virtual bool, m Machine, sw SW, ranks int) *Model {
 	}
 }
 
+// NoCost is the model of a job whose only time base is the wall clock —
+// a wire or hierarchical job, whose ranks' virtual clocks nobody can
+// merge across address spaces: every charge is zero, so Clock.Advance
+// returns before its store and virtual time moves only by what the
+// program charges itself (Rank.Lapse).
+func NoCost(ranks int) *Model { return NewModel(false, Machine{}, SW{}, ranks) }
+
 // Lat returns the modeled one-way latency in nanoseconds from rank a to
 // rank b (intra-node if they share a node, zero if they are the same rank).
 func (mo *Model) Lat(a, b int) float64 {

@@ -25,6 +25,7 @@ import (
 	"upcxx/internal/fault"
 	"upcxx/internal/frames"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 )
 
 // Message is one framed active message.
@@ -232,10 +233,16 @@ type TCPEndpoint struct {
 	conns []net.Conn // by peer rank; nil for self
 	qs    []*outQ    // vectored send queue per peer, same indexing
 
-	// retained is the dispatch-scope flag Retain sets: the handler
-	// currently executing keeps the pooled payload alive past its
-	// return. Dispatch goroutine only.
+	// The dispatch goroutine's own words, written per frame and per tick,
+	// bracketed away from inbox and done below, which every reader
+	// goroutine reads per frame. retained is the dispatch-scope flag
+	// Retain sets: the handler currently executing keeps the pooled
+	// payload alive past its return. lastTick is when the periodic tick
+	// (SetTick) last ran.
+	_        pad.Line
 	retained bool
+	lastTick time.Time
+	_        pad.Line
 
 	inbox     chan Message
 	done      chan struct{}
@@ -264,7 +271,6 @@ type TCPEndpoint struct {
 	// Poll/WaitFor (heartbeats, deadline sweeps). Set before use.
 	tickEvery time.Duration
 	tick      func()
-	lastTick  time.Time
 
 	// ring is this rank's span ring (nil unless tracing is on);
 	// installed by the conduit via SetObs.
