@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -20,6 +21,37 @@ const (
 	hHierGather uint16 = 15 // Arg=key, payload = fragment of a subtree's entry blob
 	hHierTable  uint16 = 16 // Arg=key, payload = fragment of the member-ordered table
 	hHierBar    uint16 = 17 // Arg=key, payload = [round u64]; dissemination token
+	hHierBell   uint16 = 18 // no payload; doorbell for a co-located rank parked on its inbox
+
+	// hLast is the highest wire handler id. NewWireConduit sizes its
+	// name and stat tables by it, so a new id goes above this line and
+	// moves hLast, or it does not compile (handlerNames) or panics at
+	// registration (register).
+	hLast = hHierBell
+)
+
+// Poll budgets: how many times waitFor polls both planes before it arms
+// the wake word and parks. Constants sized by measurement and selected
+// by the topology the conduit can see, never configured; DESIGN.md
+// section 3 has the sweeps.
+const (
+	// Every job but the one below: past the first few polls a waiter
+	// only takes the core from the producer it waits for, and between
+	// processes the yield hands it to nobody. BenchmarkHierBarrier 2x2,
+	// mean us by budget: 0 -> 52-56, 2 -> 44-46, 4 -> 46, 16 -> 55-62,
+	// 64 -> 81; four processes on one host: 4 -> 212, 1024 -> 640.
+	pollsBeforePark = 4
+	// A job of goroutines of one process on one host (RunHierLocal(n,
+	// n)): the yield runs the neighbour that resolves the wait (1x4
+	// barrier 45 us at 4, 6-7 at 64 as on the parent), but a doorbell
+	// frame is read only once a P runs dry, which the neighbours' poll
+	// loops prevent — a parked rank stays parked until they all give
+	// up, at any budget (TestHierBeatsFlatBarrier under a parallel go
+	// test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536). So here
+	// alone the park also re-polls on the transport's tick, which busy
+	// Ps do serve: 0 failures of 16.
+	pollsBeforeParkGoroutines = 64
+	repollParkedGoroutines    = 20 * time.Microsecond
 )
 
 // Shm AM handler ids (ShmConduit's own table, disjoint from the wire's).
@@ -43,11 +75,12 @@ const (
 // host (the first co-located rank). This is the paper's two-level
 // machine model: GASNet's PSHM bypass below, the network conduit above.
 //
-// The wire leg's blocking-wait primitive is replaced so that EVERY
-// blocking wire operation also services the shm plane (and vice versa,
-// via the shm producer's idle hook) — a rank parked in a wire lock
-// request still answers its neighbors' shared-memory allocations, which
-// is what keeps the two planes deadlock-free under mutual blocking.
+// Both legs' blocking-wait primitives are replaced by the one waitFor
+// below, so EVERY blocked operation — a wire request, a collective, a
+// push on a full shm ring — services both planes: a rank parked in a
+// wire lock request still answers its neighbors' shared-memory
+// allocations, which is what keeps the two planes deadlock-free under
+// mutual blocking.
 //
 // Like its legs, a HierConduit is driven by its rank's single SPMD
 // goroutine. It advertises Batch, Async, Teams, Counters and Locality;
@@ -62,6 +95,9 @@ type HierConduit struct {
 	me       int
 	locals   []int       // world ranks co-located with me, ascending (locals[shmIdx] = world)
 	localIdx map[int]int // world rank -> shm local index
+	world    []int       // 0..Ranks()-1, the member list of the world collectives
+	polls    int         // the poll budget above that the topology selects (a field: tests set 0)
+	part     *hierPart   // partition's buffers between collectives; nil while one holds them
 
 	_         pad.Line // as WireConduit.nextToken
 	nextToken uint64
@@ -127,19 +163,40 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 			h.localIdx[r] = len(h.locals)
 			h.locals = append(h.locals, r)
 		}
+		h.world = append(h.world, r)
 	}
 	if len(h.locals) != shm.Locals() || h.localIdx[me] != shm.Local() {
 		panic(fmt.Sprintf("gasnet: shm geometry (%d locals, me %d) disagrees with topology (%d, %d)",
 			shm.Locals(), shm.Local(), len(h.locals), h.localIdx[me]))
 	}
+	switch {
+	case len(h.locals) == 1:
+		// Alone on its host: whatever a poll could find, the inbox wait
+		// delivers (4x1 allgather p50 68-71 us at 4; 64-69 at 0, which is
+		// the parent's path, and on the parent).
+		h.polls = 0
+	case len(h.locals) == len(nodes) && shm.PeersAreGoroutines():
+		h.polls = pollsBeforeParkGoroutines
+		wire.tep.SetTick(repollParkedGoroutines, func() {})
+	default:
+		h.polls = pollsBeforePark
+	}
 
-	// Both planes' blocked waits service each other.
+	// One wait for both planes; the doorbell is a payload-free frame to
+	// the co-located peer, shipped at once — nothing after a publish is
+	// guaranteed to flush. A failed send means the job is going down,
+	// and the peer's wait fails with its own endpoint.
 	wire.wait = h.waitFor
-	shm.SetIdle(func() { wire.Poll() })
+	shm.wait = h.waitFor
+	shm.bell = func(local int) {
+		_ = wire.send(transport.Message{To: int32(h.locals[local]), Handler: hHierBell})
+		wire.tep.Flush()
+	}
 
 	wire.register(hHierGather, h.onHierGather)
 	wire.register(hHierTable, h.onHierTable)
 	wire.register(hHierBar, h.onHierBar)
+	wire.register(hHierBell, func(*transport.TCPEndpoint, transport.Message) {})
 
 	shm.Register(shmReply, h.onShmReply)
 	shm.Register(shmAlloc, h.onShmAlloc)
@@ -152,37 +209,30 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	return h
 }
 
-// waitFor services both planes until pred() is true. Poll on the wire
-// leg also flushes its buffered outgoing frames, so a peer is never
-// left waiting on a frame parked in our write buffer.
-//
-// A rank with no co-located peers has a silent shm plane, so it blocks
-// event-driven on the transport inbox — zero-cost waits, exactly as
-// the flat wire conduit. With live shm peers the mapped rings have no
-// wakeup mechanism (that is their point: no kernel in the path), so
-// the wait is a polling loop, as in any PSHM-enabled GASNet: both
-// polls are cheap (a channel drain, a few atomic loads). The spin
-// budget is deliberately short before backing off to a sleep — peers
-// sharing cores (the common case for co-located ranks) need this CPU
-// to produce the very message being waited for.
+// waitFor services both planes until pred() is true: a few polls, then
+// a park. The poll phase is what a PSHM-enabled GASNet does — both
+// polls are cheap (a channel drain, a few atomic loads) and a yield
+// lets the co-located producer run. The park is the transport's own
+// event-driven inbox wait, the one the flat wire conduit blocks in,
+// behind the shm wake protocol (ShmConduit.Park): cross-host frames
+// arrive in the inbox by themselves, and a co-located neighbour that
+// publishes into our rings while we are armed sends a doorbell frame
+// into the same inbox. One protocol for goroutine ranks and process
+// ranks (the one shape in which the doorbell alone is not enough also
+// re-polls on a tick while parked: pollsBeforeParkGoroutines); a rank
+// alone on its host parks at once, and its wake word is never read.
+// Wire polls and the inbox wait both flush, so a peer is never left
+// waiting on a frame parked in our write buffer.
 func (h *HierConduit) waitFor(pred func() bool) error {
-	if h.shm.Locals() == 1 {
-		return h.wire.tep.WaitFor(pred)
-	}
-	idle := 0
-	for !pred() {
-		if h.wire.Poll()+h.shm.Poll() > 0 {
-			idle = 0
-			continue
+	for polls := h.polls; polls > 0; polls-- {
+		if pred() {
+			return nil
 		}
-		idle++
-		if idle < 64 {
+		if h.wire.Poll()+h.shm.Poll() == 0 {
 			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	return nil
+	return h.shm.Park(pred, h.wire.tep.WaitFor)
 }
 
 // Rank returns this conduit's world rank; Ranks the job size.
@@ -201,9 +251,8 @@ func (h *HierConduit) Capabilities() Caps {
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
-// (WakerConduit). The wire leg's inbox is what waitFor blocks on when
-// this rank has no co-located peers; with peers the wait spins and a
-// wake is unnecessary but harmless.
+// (WakerConduit): the wire leg's inbox is what a parked waitFor blocks
+// on.
 func (h *HierConduit) Wake() { h.wire.Wake() }
 
 // Nodes returns the launch topology (LocalityConduit).
@@ -307,18 +356,18 @@ func (h *HierConduit) PutAsync(rank int, off uint64, p []byte, timeout time.Dura
 // shmRequest is the shm plane's blocking request/reply: the token rides
 // the record's arg, the reply arrives as shmReply, and the wait loop
 // services both planes.
-func (h *HierConduit) shmRequest(li int, handler uint16, payload []byte) []byte {
+func (h *HierConduit) shmRequest(li int, handler uint16, payload []byte) ([]byte, error) {
 	h.nextToken++
 	tok := h.nextToken
 	h.shm.Send(li, handler, tok, payload)
 	var out []byte
 	found := false
-	_ = h.waitFor(func() bool {
+	err := h.waitFor(func() bool {
 		out, found = h.replies[tok]
 		return found
 	})
 	delete(h.replies, tok)
-	return out
+	return out, err
 }
 
 func (h *HierConduit) onShmReply(from int, tok uint64, payload []byte) {
@@ -339,7 +388,10 @@ func (h *HierConduit) Alloc(rank int, size uint64) (uint64, error) {
 	}
 	var req [8]byte
 	putU64(req[:], size)
-	rep := h.shmRequest(li, shmAlloc, req[:])
+	rep, err := h.shmRequest(li, shmAlloc, req[:])
+	if err != nil {
+		return 0, err
+	}
 	v := u64(rep)
 	if v == 0 {
 		return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
@@ -363,7 +415,10 @@ func (h *HierConduit) Free(rank int, off uint64) error {
 	}
 	var req [8]byte
 	putU64(req[:], off)
-	rep := h.shmRequest(li, shmFree, req[:])
+	rep, err := h.shmRequest(li, shmFree, req[:])
+	if err != nil {
+		return err
+	}
 	if u64(rep) == 0 {
 		return fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
 	}
@@ -438,7 +493,7 @@ func (h *HierConduit) WaitFor(pred func() bool) error { return h.waitFor(pred) }
 // dissemination among per-host leaders over the wire.
 func (h *HierConduit) Barrier() error {
 	h.gen++
-	return h.teamBarrier(mix64hier(h.gen), h.worldMembers())
+	return h.teamBarrier(mix64hier(h.gen), h.world)
 }
 
 // AllGather is the world allgather, run hierarchically: local gather to
@@ -446,7 +501,7 @@ func (h *HierConduit) Barrier() error {
 // the table back down, local distribution.
 func (h *HierConduit) AllGather(contrib []byte) ([][]byte, error) {
 	h.gen++
-	return h.teamAllGather(mix64hier(h.gen), h.worldMembers(), contrib)
+	return h.teamAllGather(mix64hier(h.gen), h.world, contrib)
 }
 
 // TeamAllGather implements TeamConduit over the same two-level path.
@@ -457,14 +512,6 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 // TeamBarrier implements TeamConduit.
 func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
 	return h.teamBarrier(key, members)
-}
-
-func (h *HierConduit) worldMembers() []int {
-	m := make([]int, h.Ranks())
-	for i := range m {
-		m[i] = i
-	}
-	return m
 }
 
 // mix64hier scrambles the internal world-collective generation into key
@@ -480,23 +527,39 @@ func mix64hier(gen uint64) uint64 {
 	return x
 }
 
+// hierPart is one team's split into per-host groups, in buffers that
+// are reused from one collective to the next.
+type hierPart struct {
+	groupOf []int   // host -> 1 + index of its group (0: no member seen there)
+	groups  [][]int // members per host in team order, groups[i][0] leading; one slot per host
+	leaders []int   // groups[i][0] of every host that has members
+}
+
 // partition splits members into per-host groups preserving team order,
 // with each group's first member as its leader. leaders[0] == members[0],
-// so the tree root is the team root. Returns the groups, the leaders
-// (indexed like groups), and this rank's group index. Panics if this
-// rank is not a member — the TeamConduit contract.
-func (h *HierConduit) partition(members []int) (groups [][]int, leaders []int, gi int) {
-	byNode := make(map[int]int)
+// so the tree root is the team root. Returns the split and this rank's
+// group index. Panics if this rank is not a member — the TeamConduit
+// contract. The caller holds the buffers until it hands them back
+// (h.part = p); a collective entered from a handler in the meantime
+// builds its own.
+func (h *HierConduit) partition(members []int) (p *hierPart, gi int) {
+	p, h.part = h.part, nil
+	if p == nil {
+		hosts := slices.Max(h.nodes) + 1
+		p = &hierPart{groupOf: make([]int, hosts), groups: make([][]int, hosts)}
+	}
+	clear(p.groupOf)
+	p.leaders = p.leaders[:0]
 	gi = -1
 	for _, m := range members {
-		nd := h.nodes[m]
-		g, ok := byNode[nd]
-		if !ok {
-			g = len(groups)
-			byNode[nd] = g
-			groups = append(groups, nil)
+		g := p.groupOf[h.nodes[m]] - 1
+		if g < 0 {
+			g = len(p.leaders)
+			p.groupOf[h.nodes[m]] = g + 1
+			p.groups[g] = p.groups[g][:0]
+			p.leaders = append(p.leaders, m)
 		}
-		groups[g] = append(groups[g], m)
+		p.groups[g] = append(p.groups[g], m)
 		if m == h.me {
 			gi = g
 		}
@@ -504,11 +567,7 @@ func (h *HierConduit) partition(members []int) (groups [][]int, leaders []int, g
 	if gi < 0 {
 		panic(fmt.Sprintf("gasnet: rank %d is not a member of the team", h.me))
 	}
-	leaders = make([]int, len(groups))
-	for i, g := range groups {
-		leaders[i] = g[0]
-	}
-	return groups, leaders, gi
+	return p, gi
 }
 
 // encodeEntry appends one (world rank, contribution) record.
@@ -551,18 +610,21 @@ func (h *HierConduit) depositLocal(key uint64, world int, contrib []byte) {
 
 // teamAllGather runs the hierarchical subset allgather; see AllGather.
 func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
-	groups, leaders, gi := h.partition(members)
-	group := groups[gi]
+	p, gi := h.partition(members)
+	defer func() { h.part = p }()
+	group, leaders := p.groups[gi], p.leaders
 
 	if h.me != group[0] {
 		// Non-leader: contribute to the host leader, wait for the table.
 		h.shm.Send(h.localIdx[group[0]], shmTeamContrib, key, contrib)
 		var enc []byte
 		ok := false
-		_ = h.waitFor(func() bool {
+		if err := h.waitFor(func() bool {
 			enc, ok = h.localTable[key]
 			return ok
-		})
+		}); err != nil {
+			return nil, err
+		}
 		delete(h.localTable, key)
 		return decodeParts(enc, len(members))
 	}
@@ -570,8 +632,11 @@ func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) (
 	// Leader: local gather phase.
 	h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
 	h.depositLocal(key, h.me, contrib)
-	_ = h.waitFor(func() bool { return len(h.localParts[key]) == len(group) })
+	err := h.waitFor(func() bool { return len(h.localParts[key]) == len(group) })
 	h.ring.End(obs.KHierLocal)
+	if err != nil {
+		return nil, err
+	}
 	byRank := h.localParts[key]
 	delete(h.localParts, key)
 	var blob []byte
@@ -600,10 +665,12 @@ func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) (
 			cw := leaders[child]
 			var b []byte
 			ok := false
-			_ = h.waitFor(func() bool {
+			if err := h.waitFor(func() bool {
 				b, ok = h.treeBlobs[key][cw]
 				return ok
-			})
+			}); err != nil {
+				return nil, err
+			}
 			delete(h.treeBlobs[key], cw)
 			blob = append(blob, b...)
 		}
@@ -630,10 +697,12 @@ func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) (
 		enc = encodeParts(parts)
 	} else {
 		ok := false
-		_ = h.waitFor(func() bool {
+		if err := h.waitFor(func() bool {
 			enc, ok = h.hierTable[key]
 			return ok
-		})
+		}); err != nil {
+			return nil, err
+		}
 		delete(h.hierTable, key)
 	}
 	h.ring.End(obs.KHierLeader)
@@ -666,21 +735,25 @@ func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) (
 // dissemination barrier (ceil(log2 L) rounds, each leader passing a
 // token 2^r places around the leader ring); leaders release locals.
 func (h *HierConduit) teamBarrier(key uint64, members []int) error {
-	groups, leaders, gi := h.partition(members)
-	group := groups[gi]
+	p, gi := h.partition(members)
+	defer func() { h.part = p }()
+	group, leaders := p.groups[gi], p.leaders
 
 	if h.me != group[0] {
 		h.shm.Send(h.localIdx[group[0]], shmBarArrive, key, nil)
-		_ = h.waitFor(func() bool { return h.barRelease[key] })
+		err := h.waitFor(func() bool { return h.barRelease[key] })
 		delete(h.barRelease, key)
-		return nil
+		return err
 	}
 
 	if len(group) > 1 {
 		h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
-		_ = h.waitFor(func() bool { return h.barLocal[key] == len(group)-1 })
+		err := h.waitFor(func() bool { return h.barLocal[key] == len(group)-1 })
 		h.ring.End(obs.KHierLocal)
 		delete(h.barLocal, key)
+		if err != nil {
+			return err
+		}
 	}
 
 	li, L := gi, len(leaders)
@@ -695,7 +768,9 @@ func (h *HierConduit) teamBarrier(key uint64, members []int) error {
 			return err
 		}
 		bk := hierBarKey{key: key, round: round}
-		_ = h.waitFor(func() bool { return h.barWire[bk] > 0 })
+		if err := h.waitFor(func() bool { return h.barWire[bk] > 0 }); err != nil {
+			return err
+		}
 		if h.barWire[bk]--; h.barWire[bk] == 0 {
 			delete(h.barWire, bk)
 		}

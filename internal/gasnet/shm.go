@@ -3,9 +3,9 @@ package gasnet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -24,7 +24,7 @@ import (
 //
 // File layout (rank i's file, rank<i>.shm in the job's shm directory):
 //
-//	[64B header: magic, nLocal, ringBytes, segBytes]
+//	[64B header: magic, nLocal, ringBytes, segBytes, wake u32 @32, proc u64 @40]
 //	nLocal ring blocks of 128+ringBytes each — block j carries messages
 //	  from local rank j to local rank i (the self block is unused):
 //	    [head u64 @0, consumer-owned] [tail u64 @64, producer-owned]
@@ -40,6 +40,23 @@ import (
 //
 // Payloads longer than ringBytes/4 are fragmented (the more-fragments
 // bit chains them); SPSC ordering makes reassembly a plain append.
+//
+// The wake word (header offset 32) is how a rank that is about to block
+// tells its neighbours so: 1 means "my rings were empty and my
+// predicate false after I stored this; ring my doorbell when you
+// publish". Its owner stores 1 before the last re-poll of every park
+// and 0 when the park returns; a publisher that finds 1 takes it back
+// to 0 by CAS, and the winner of that CAS — exactly one per arming —
+// rings the bell. The words beside it are written once by CreateShm
+// and read once by Attach, so the wake word has the header's cache line
+// to itself: neighbours' loads of it after every publish stay in their
+// caches until the owner actually parks. Park and ringIfArmed are the
+// two halves of the protocol.
+//
+// proc is a nonce drawn once per OS process: a rank whose peers all
+// carry its own is one goroutine among goroutines (RunHierLocal), and
+// only then does a runtime.Gosched in its poll loop hand the CPU to the
+// neighbour it is waiting for (PeersAreGoroutines).
 //
 // Setup is two-phase to avoid a filesystem race: every rank Creates its
 // own file before the job rendezvous, then Attaches to its peers' files
@@ -57,17 +74,29 @@ type ShmConduit struct {
 
 	files  [][]byte // mmap per local rank's file (files[me] created, rest attached)
 	closed bool
+	// goroutines: every attached peer's file was created by this process.
+	goroutines bool
 
 	handlers map[uint16]func(from int, arg uint64, payload []byte)
 	partial  [][]byte // per-producer fragment accumulator
-	// idle runs in the producer's full-ring spin loop; HierConduit hooks
-	// the wire poll here so a rank stalled on a full ring keeps serving
-	// its cross-host peers.
-	idle func()
+
+	// The composing conduit installs both before any traffic. wait is
+	// the blocking wait a push on a full ring takes — the composer's
+	// one wait loop, so a stalled producer parks (and keeps serving
+	// both planes) exactly like any other blocked operation. bell wakes
+	// co-located rank `local` out of its Park; it may be called from
+	// inside Send or Poll.
+	wait func(pred func() bool) error
+	bell func(local int)
+	// parked counts the Parks in progress: a handler run by a park's
+	// re-poll can park in turn (a push on a full ring), and only the
+	// outermost return may clear the wake word.
+	parked int
 
 	// Traffic counters: written on the SPMD goroutine, read live by the
 	// debug plane, hence atomics.
 	txMsgs, rxMsgs, txBytes, rxBytes atomic.Int64
+	parks, bellsTx                   atomic.Int64
 
 	// ring is this rank's span ring (nil unless tracing is on);
 	// installed via SetObs.
@@ -77,6 +106,8 @@ type ShmConduit struct {
 const (
 	shmMagic     = 0x75706378782d7368 // "upcxx-sh"
 	shmHdrBytes  = 64
+	shmWakeOff   = 32 // wake word's offset in the header
+	shmProcOff   = 40 // creating process's nonce
 	shmCtlBytes  = 128
 	shmRecHdr    = 16
 	shmMoreFlag  = 1 << 31
@@ -87,6 +118,10 @@ const (
 	DefaultShmRingBytes = 1 << 20
 	minShmRingBytes     = 4096
 )
+
+// shmProc identifies this OS process in the files it creates (a pid
+// would repeat across pid namespaces sharing one shm directory).
+var shmProc = rand.Uint64()
 
 // ShmPath returns rank me's shm file path inside dir.
 func ShmPath(dir string, me int) string {
@@ -120,15 +155,17 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(ringBytes))
 	binary.LittleEndian.PutUint64(buf[24:], uint64(segBytes))
+	binary.LittleEndian.PutUint64(buf[shmProcOff:], shmProc)
 	c := &ShmConduit{
-		dir:       dir,
-		me:        me,
-		n:         n,
-		ringBytes: ringBytes,
-		segBytes:  segBytes,
-		files:     make([][]byte, n),
-		handlers:  make(map[uint16]func(int, uint64, []byte)),
-		partial:   make([][]byte, n),
+		dir:        dir,
+		me:         me,
+		n:          n,
+		ringBytes:  ringBytes,
+		segBytes:   segBytes,
+		files:      make([][]byte, n),
+		goroutines: true,
+		handlers:   make(map[uint16]func(int, uint64, []byte)),
+		partial:    make([][]byte, n),
 	}
 	c.files[me] = buf
 	return c, nil
@@ -152,6 +189,7 @@ func (c *ShmConduit) Attach() error {
 			binary.LittleEndian.Uint64(buf[24:]) != uint64(c.segBytes) {
 			return fmt.Errorf("gasnet: shm file %s disagrees on geometry", ShmPath(c.dir, j))
 		}
+		c.goroutines = c.goroutines && binary.LittleEndian.Uint64(buf[shmProcOff:]) == shmProc
 		c.files[j] = buf
 	}
 	return nil
@@ -187,6 +225,10 @@ func (c *ShmConduit) Locals() int { return c.n }
 // Local returns this rank's local index.
 func (c *ShmConduit) Local() int { return c.me }
 
+// PeersAreGoroutines reports whether every co-located peer runs in this
+// OS process (valid after Attach).
+func (c *ShmConduit) PeersAreGoroutines() bool { return c.goroutines }
+
 // Seg returns this rank's shared-segment window of its own mapped file;
 // wrap it with segment.NewExtern so co-located peers' direct loads and
 // stores land in the same physical pages the owner allocates from.
@@ -209,8 +251,43 @@ func (c *ShmConduit) Register(h uint16, fn func(from int, arg uint64, payload []
 	c.handlers[h] = fn
 }
 
-// SetIdle installs the hook run while a producer spins on a full ring.
-func (c *ShmConduit) SetIdle(fn func()) { c.idle = fn }
+// wake returns co-located rank j's wake word.
+func (c *ShmConduit) wake(j int) *uint32 {
+	return (*uint32)(unsafe.Pointer(&c.files[j][shmWakeOff]))
+}
+
+// Park is the waiter's half of the wake protocol. It hands block — the
+// blocking wait that bell interrupts — a predicate that arms the wake
+// word, re-polls the rings and only then evaluates pred, so block
+// blocks only on a false return. A record published before the store
+// of 1 is found by the re-poll; one published after it finds the word
+// set and rings: sync/atomic operations on the shared mapping are
+// sequentially consistent, across goroutines and across processes, so
+// "both sides miss" is excluded.
+func (c *ShmConduit) Park(pred func() bool, block func(armed func() bool) error) error {
+	c.parks.Add(1)
+	w := c.wake(c.me)
+	c.parked++
+	defer func() {
+		if c.parked--; c.parked == 0 {
+			atomic.StoreUint32(w, 0)
+		}
+	}()
+	return block(func() bool {
+		atomic.StoreUint32(w, 1)
+		c.Poll()
+		return pred()
+	})
+}
+
+// ringIfArmed is the publisher's half: call it after storing a ring
+// control word rank j may be waiting on.
+func (c *ShmConduit) ringIfArmed(j int) {
+	if w := c.wake(j); atomic.LoadUint32(w) == 1 && atomic.CompareAndSwapUint32(w, 1, 0) {
+		c.bellsTx.Add(1)
+		c.bell(j)
+	}
+}
 
 // ring is one SPSC channel's view: control words plus data window.
 type shmRing struct {
@@ -252,10 +329,10 @@ func ringCopyOut(dst, data []byte, pos uint64) {
 }
 
 // Send delivers one active message to co-located rank `to`, fragmenting
-// payloads larger than a quarter ring. Blocks (polling own rings and
-// running the idle hook) while the destination ring is full; because the
-// consumer publishes head before dispatching each record, two ranks
-// blocked sending to each other still drain.
+// payloads larger than a quarter ring. While the destination ring is
+// full it blocks in the injected wait, which keeps polling our own
+// rings; because the consumer publishes head before dispatching each
+// record, two ranks blocked sending to each other still drain.
 func (c *ShmConduit) Send(to int, h uint16, arg uint64, payload []byte) {
 	maxFrag := c.ringBytes / 4
 	for {
@@ -264,29 +341,31 @@ func (c *ShmConduit) Send(to int, h uint16, arg uint64, payload []byte) {
 		if more {
 			n = maxFrag
 		}
-		c.push(to, h, arg, payload[:n], more)
-		payload = payload[n:]
-		if !more {
+		if !c.push(to, h, arg, payload[:n], more) || !more {
 			return
 		}
+		payload = payload[n:]
 	}
 }
 
-func (c *ShmConduit) push(to int, h uint16, arg uint64, p []byte, more bool) {
+// push writes one record and reports whether it did: it gives up only
+// when the wait for room fails, which means the job is being torn down
+// — the record is dropped like a frame to a closed endpoint, and the
+// caller's own next wait reports the error.
+func (c *ShmConduit) push(to int, h uint16, arg uint64, p []byte, more bool) bool {
 	if to == c.me {
 		panic("gasnet: shm self-send")
 	}
 	r := c.ring(to, c.me)
 	rec := uint64(shmRecHdr + ((len(p) + shmAlignMask) &^ shmAlignMask))
 	capacity := uint64(c.ringBytes)
-	for capacity-(atomic.LoadUint64(r.tail())-atomic.LoadUint64(r.head())) < rec {
-		// Full: the consumer is behind. Serve our own rings (it may be
-		// blocked pushing to us) and the other plane, then yield.
-		if c.Poll() == 0 {
-			if c.idle != nil {
-				c.idle()
-			}
-			runtime.Gosched()
+	if capacity-(atomic.LoadUint64(r.tail())-atomic.LoadUint64(r.head())) < rec {
+		// Full: the consumer is behind. Its Poll rings us when it has
+		// made room (see there).
+		if c.wait(func() bool {
+			return capacity-(atomic.LoadUint64(r.tail())-atomic.LoadUint64(r.head())) >= rec
+		}) != nil {
+			return false
 		}
 	}
 	tail := atomic.LoadUint64(r.tail())
@@ -304,16 +383,30 @@ func (c *ShmConduit) push(to int, h uint16, arg uint64, p []byte, more bool) {
 	// (Go sync/atomic), so the consumer's tail load orders after our data
 	// writes.
 	atomic.StoreUint64(r.tail(), tail+rec)
+	c.ringIfArmed(to)
 	c.txMsgs.Add(1)
 	c.txBytes.Add(int64(len(p)))
 	c.obsRing.Instant(obs.KShmTx, int32(to), uint32(len(p)), uint64(h))
+	return true
 }
 
 // Poll drains every incoming ring, dispatching complete messages, and
 // reports how many records it consumed. Head is published before each
 // dispatch so a handler that blocks in Send never wedges its producer.
+//
+// A producer parked on a full ring needs at most half of it (a record
+// is a quarter ring plus its header), so the ring was more than half
+// full before the head store that makes its room. The tail loaded
+// after that store is the parked producer's last (its tail store
+// precedes its wake store, which precedes the head load that found no
+// room, which precedes our head store), so "more than half full" is
+// tested against the true fill and the consumer checks the producer's
+// wake word whenever it could matter — and never in the common case of
+// a nearly empty ring, where the producer is parked on something else
+// and a bell would only wake it for nothing.
 func (c *ShmConduit) Poll() int {
 	n := 0
+	capacity := uint64(c.ringBytes)
 	for j := 0; j < c.n; j++ {
 		if j == c.me {
 			continue
@@ -336,6 +429,9 @@ func (c *ShmConduit) Poll() int {
 			ringCopyOut(payload, r.data, head+shmRecHdr)
 			rec := uint64(shmRecHdr + ((plen + shmAlignMask) &^ shmAlignMask))
 			atomic.StoreUint64(r.head(), head+rec)
+			if atomic.LoadUint64(r.tail())-head > capacity/2 {
+				c.ringIfArmed(j)
+			}
 			n++
 			if more {
 				c.partial[j] = append(c.partial[j], payload...)
@@ -361,13 +457,17 @@ func (c *ShmConduit) Poll() int {
 // SetObs installs the rank's span ring on the shm send/receive paths.
 func (c *ShmConduit) SetObs(ring *obs.Ring) { c.obsRing = ring }
 
-// Counters reports shm-plane traffic (complete messages, payload bytes).
+// Counters reports shm-plane traffic (complete messages, payload bytes)
+// and how often this rank ran out of poll budget and parked
+// (shm_parks) and rang a parked neighbour's doorbell (shm_bells_tx).
 func (c *ShmConduit) Counters() map[string]float64 {
 	return map[string]float64{
 		"shm_tx_msgs":  float64(c.txMsgs.Load()),
 		"shm_rx_msgs":  float64(c.rxMsgs.Load()),
 		"shm_tx_bytes": float64(c.txBytes.Load()),
 		"shm_rx_bytes": float64(c.rxBytes.Load()),
+		"shm_parks":    float64(c.parks.Load()),
+		"shm_bells_tx": float64(c.bellsTx.Load()),
 	}
 }
 

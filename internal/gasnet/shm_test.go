@@ -2,14 +2,18 @@ package gasnet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
 
-// buildShmPair maps a fleet of co-located ShmConduits over one shared
+// buildShmFleet maps a fleet of co-located ShmConduits over one shared
 // temp-dir file set, with a deliberately tiny ring so the stress tests
-// exercise wraparound, backpressure (full-ring spins) and record
-// fragmentation, not just the easy path.
+// exercise wraparound, backpressure (full-ring waits) and record
+// fragmentation, not just the easy path. No composer installs the wait
+// and bell seams here, so the fleet gets the simplest pair that is
+// correct without a wire: a full-ring wait that polls, and a bell
+// nobody needs because nobody parks.
 func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
 	t.Helper()
 	dir := t.TempDir()
@@ -19,6 +23,14 @@ func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
 		if err != nil {
 			t.Fatal(err)
 		}
+		shm.wait = func(pred func() bool) error {
+			for !pred() {
+				shm.Poll()
+				runtime.Gosched()
+			}
+			return nil
+		}
+		shm.bell = func(int) {}
 		cds[i] = shm
 	}
 	for _, shm := range cds {

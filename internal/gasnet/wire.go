@@ -39,49 +39,32 @@ const (
 	hTeamGather uint16 = 13 // Arg=key, payload = fragment of a member's contribution
 	hTeamResult uint16 = 14 // Arg=key, payload = fragment of the encoded table
 
-	// 15-17 belong to HierConduit's leader plane (see hier.go).
+	// 15-18 belong to HierConduit (see hier.go, which also names hLast).
 )
 
-// handlerName names each wire handler for the per-handler traffic
-// counters (Counters keys are derived from these).
-func handlerName(h uint16) string {
-	switch h {
-	case hReply:
-		return "reply"
-	case hGet:
-		return "get"
-	case hPut:
-		return "put"
-	case hXor:
-		return "xor"
-	case hAlloc:
-		return "alloc"
-	case hFree:
-		return "free"
-	case hLockAcq:
-		return "lockacq"
-	case hLockRel:
-		return "lockrel"
-	case hGather:
-		return "gather"
-	case hResult:
-		return "result"
-	case hBatch:
-		return "batch"
-	case hPing:
-		return "ping"
-	case hTeamGather:
-		return "teamgather"
-	case hTeamResult:
-		return "teamresult"
-	case hHierGather:
-		return "hiergather"
-	case hHierTable:
-		return "hiertable"
-	case hHierBar:
-		return "hierbar"
-	}
-	return fmt.Sprintf("h%d", h)
+// handlerNames names each wire handler for the per-handler traffic
+// counters (Counters keys are derived from these). It is sized by
+// hLast, so an id added above hLast does not compile here, and
+// TestWireHandlerTable fails on one added below it without a name.
+var handlerNames = [hLast + 1]string{
+	hReply:      "reply",
+	hGet:        "get",
+	hPut:        "put",
+	hXor:        "xor",
+	hAlloc:      "alloc",
+	hFree:       "free",
+	hLockAcq:    "lockacq",
+	hLockRel:    "lockrel",
+	hGather:     "gather",
+	hResult:     "result",
+	hBatch:      "batch",
+	hPing:       "ping",
+	hTeamGather: "teamgather",
+	hTeamResult: "teamresult",
+	hHierGather: "hiergather",
+	hHierTable:  "hiertable",
+	hHierBar:    "hierbar",
+	hHierBell:   "hierbell",
 }
 
 // WireConduit is the multi-process Conduit: each rank is one OS process
@@ -245,9 +228,9 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 		rx:              make(map[uint16]*wireStat),
 	}
 	// Populate both counter maps up front for every handler the wire
-	// protocol can carry (1..hHierBar): the debug plane reads them from
+	// protocol can carry (1..hLast): the debug plane reads them from
 	// another goroutine, so the maps must never grow after this.
-	for h := hReply; h <= hHierBar; h++ {
+	for h := hReply; h <= hLast; h++ {
 		c.tx[h] = &wireStat{}
 		c.rx[h] = &wireStat{}
 	}
@@ -273,6 +256,9 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 // in resilient mode, liveness bookkeeping: any frame from a peer is
 // proof of life).
 func (c *WireConduit) register(h uint16, fn transport.Handler) {
+	if c.rx[h] == nil {
+		panic(fmt.Sprintf("gasnet: wire handler %d registered above hLast (%d): its frames would go uncounted", h, hLast))
+	}
 	c.tep.Register(h, func(ep *transport.TCPEndpoint, m transport.Message) {
 		c.count(c.rx, m.Handler, len(m.Payload))
 		c.ring.Instant(obs.KWireRx, m.From, uint32(len(m.Payload)), uint64(m.Handler))
@@ -284,10 +270,7 @@ func (c *WireConduit) register(h uint16, fn transport.Handler) {
 }
 
 func (c *WireConduit) count(dir map[uint16]*wireStat, h uint16, bytes int) {
-	s := dir[h]
-	if s == nil {
-		return // unknown handler: never counted (the maps must not grow)
-	}
+	s := dir[h] // never nil: register refuses an id without a slot
 	s.frames.Add(1)
 	s.bytes.Add(int64(bytes))
 }
@@ -335,8 +318,8 @@ func (c *WireConduit) Counters() map[string]float64 {
 			}
 			frames += f
 			bytes += b
-			out[prefix+"_frames_"+handlerName(h)] = float64(f)
-			out[prefix+"_bytes_"+handlerName(h)] = float64(b)
+			out[prefix+"_frames_"+handlerNames[h]] = float64(f)
+			out[prefix+"_bytes_"+handlerNames[h]] = float64(b)
 		}
 		out[prefix+"_frames"] = float64(frames)
 		out[prefix+"_bytes"] = float64(bytes)
