@@ -7,3 +7,7 @@ func (h *HierConduit) ParkAlways() {
 	h.polls = 0
 	h.wire.tep.SetTick(0, nil)
 }
+
+// BellReaderDone is closed once the doorbell reader that Listen started
+// has exited.
+func (c *ShmConduit) BellReaderDone() <-chan struct{} { return c.bellDone }

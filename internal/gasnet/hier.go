@@ -21,13 +21,12 @@ const (
 	hHierGather uint16 = 15 // Arg=key, payload = fragment of a subtree's entry blob
 	hHierTable  uint16 = 16 // Arg=key, payload = fragment of the member-ordered table
 	hHierBar    uint16 = 17 // Arg=key, payload = [round u64]; dissemination token
-	hHierBell   uint16 = 18 // no payload; doorbell for a co-located rank parked on its inbox
 
 	// hLast is the highest wire handler id. NewWireConduit sizes its
 	// name and stat tables by it, so a new id goes above this line and
 	// moves hLast, or it does not compile (handlerNames) or panics at
 	// registration (register).
-	hLast = hHierBell
+	hLast = hHierBar
 )
 
 // Poll budgets: how many times waitFor polls both planes before it arms
@@ -44,12 +43,12 @@ const (
 	// A job of goroutines of one process on one host (RunHierLocal(n,
 	// n)): the yield runs the neighbour that resolves the wait (1x4
 	// barrier 45 us at 4, 6-7 at 64 as on the parent), but a doorbell
-	// frame is read only once a P runs dry, which the neighbours' poll
-	// loops prevent — a parked rank stays parked until they all give
-	// up, at any budget (TestHierBeatsFlatBarrier under a parallel go
-	// test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536). So here
-	// alone the park also re-polls on the transport's tick, which busy
-	// Ps do serve: 0 failures of 16.
+	// is read (by the netpoller) only once a P runs dry, which the
+	// neighbours' poll loops prevent — a parked rank stays parked until
+	// they all give up, at any budget (TestHierBeatsFlatBarrier under a
+	// parallel go test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536).
+	// So here alone the park also re-polls on the transport's tick,
+	// which busy Ps do serve: 0 failures of 16.
 	pollsBeforeParkGoroutines = 64
 	repollParkedGoroutines    = 20 * time.Microsecond
 )
@@ -182,21 +181,15 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		h.polls = pollsBeforePark
 	}
 
-	// One wait for both planes; the doorbell is a payload-free frame to
-	// the co-located peer, shipped at once — nothing after a publish is
-	// guaranteed to flush. A failed send means the job is going down,
-	// and the peer's wait fails with its own endpoint.
+	// One wait for both planes, parked on the wire endpoint's inbox: a
+	// byte on this rank's doorbell becomes a wake message there.
 	wire.wait = h.waitFor
 	shm.wait = h.waitFor
-	shm.bell = func(local int) {
-		_ = wire.send(transport.Message{To: int32(h.locals[local]), Handler: hHierBell})
-		wire.tep.Flush()
-	}
+	shm.Listen(wire.tep.Wake)
 
 	wire.register(hHierGather, h.onHierGather)
 	wire.register(hHierTable, h.onHierTable)
 	wire.register(hHierBar, h.onHierBar)
-	wire.register(hHierBell, func(*transport.TCPEndpoint, transport.Message) {})
 
 	shm.Register(shmReply, h.onShmReply)
 	shm.Register(shmAlloc, h.onShmAlloc)
@@ -216,11 +209,13 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 // event-driven inbox wait, the one the flat wire conduit blocks in,
 // behind the shm wake protocol (ShmConduit.Park): cross-host frames
 // arrive in the inbox by themselves, and a co-located neighbour that
-// publishes into our rings while we are armed sends a doorbell frame
-// into the same inbox. One protocol for goroutine ranks and process
-// ranks (the one shape in which the doorbell alone is not enough also
-// re-polls on a tick while parked: pollsBeforeParkGoroutines); a rank
-// alone on its host parks at once, and its wake word is never read.
+// publishes into our rings while we are armed writes a byte to our
+// doorbell FIFO, whose reader wakes the same inbox — no frame and no
+// TCP between two ranks of one host. One protocol for goroutine ranks
+// and process ranks (the one shape in which the doorbell alone is not
+// enough also re-polls on a tick while parked:
+// pollsBeforeParkGoroutines); a rank alone on its host parks at once,
+// and its wake word is never read.
 // Wire polls and the inbox wait both flush, so a peer is never left
 // waiting on a frame parked in our write buffer.
 func (h *HierConduit) waitFor(pred func() bool) error {

@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -53,6 +54,15 @@ import (
 // caches until the owner actually parks. Park and ringIfArmed are the
 // two halves of the protocol.
 //
+// The bell itself is a named FIFO beside the file, rank<i>.bell: its
+// owner holds it open for reading and writing (so a read never sees
+// EOF) through the runtime's poller, every co-located peer holds a
+// non-blocking write end, and ringing is the write of one byte. A
+// reader goroutine (Listen) turns arriving bytes into the composer's
+// wake. It is a descriptor Go's scheduler knows — the reader blocks in
+// the netpoller, not on a P — and the same code whether the peer is a
+// goroutine or another process.
+//
 // proc is a nonce drawn once per OS process: a rank whose peers all
 // carry its own is one goroutine among goroutines (RunHierLocal), and
 // only then does a runtime.Gosched in its poll loop hand the CPU to the
@@ -74,6 +84,13 @@ type ShmConduit struct {
 
 	files  [][]byte // mmap per local rank's file (files[me] created, rest attached)
 	closed bool
+	// The doorbell: bellRx is this rank's FIFO, bellTx[j] the write end
+	// of co-located rank j's (-1 for self, and for a peer whose reader
+	// was already gone at Attach). bellDone closes when the reader
+	// goroutine Listen started has exited.
+	bellRx   *os.File
+	bellTx   []int
+	bellDone chan struct{}
 	// goroutines: every attached peer's file was created by this process.
 	goroutines bool
 
@@ -85,7 +102,8 @@ type ShmConduit struct {
 	// one wait loop, so a stalled producer parks (and keeps serving
 	// both planes) exactly like any other blocked operation. bell wakes
 	// co-located rank `local` out of its Park; it may be called from
-	// inside Send or Poll.
+	// inside Send or Poll. It is ringBell unless a protocol test has put
+	// its own counter in the seam.
 	wait func(pred func() bool) error
 	bell func(local int)
 	// parked counts the Parks in progress: a handler run by a park's
@@ -97,6 +115,7 @@ type ShmConduit struct {
 	// debug plane, hence atomics.
 	txMsgs, rxMsgs, txBytes, rxBytes atomic.Int64
 	parks, bellsTx                   atomic.Int64
+	bellsRx, bellsLost               atomic.Int64
 
 	// ring is this rank's span ring (nil unless tracing is on);
 	// installed via SetObs.
@@ -128,13 +147,19 @@ func ShmPath(dir string, me int) string {
 	return filepath.Join(dir, fmt.Sprintf("rank%d.shm", me))
 }
 
+// bellPath returns rank me's doorbell FIFO path inside dir.
+func bellPath(dir string, me int) string {
+	return filepath.Join(dir, fmt.Sprintf("rank%d.bell", me))
+}
+
 func shmFileSize(n, ringBytes, segBytes int) int {
 	return shmHdrBytes + n*(shmCtlBytes+ringBytes) + segBytes
 }
 
 // CreateShm creates and maps this rank's own shm file (local index me of
-// n co-located ranks, each with a segBytes shared segment). ringBytes 0
-// takes the default. Call before the job rendezvous; Attach after.
+// n co-located ranks, each with a segBytes shared segment) and creates
+// its doorbell FIFO. ringBytes 0 takes the default. Call before the job
+// rendezvous; Attach after.
 func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) {
 	if ringBytes <= 0 {
 		ringBytes = DefaultShmRingBytes
@@ -151,6 +176,11 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 	if err != nil {
 		return nil, err
 	}
+	bell, err := createBell(bellPath(dir, me))
+	if err != nil {
+		syscall.Munmap(buf)
+		return nil, err
+	}
 	binary.LittleEndian.PutUint64(buf[0:], shmMagic)
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n))
 	binary.LittleEndian.PutUint64(buf[16:], uint64(ringBytes))
@@ -163,16 +193,38 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 		ringBytes:  ringBytes,
 		segBytes:   segBytes,
 		files:      make([][]byte, n),
+		bellRx:     bell,
+		bellTx:     make([]int, n),
 		goroutines: true,
 		handlers:   make(map[uint16]func(int, uint64, []byte)),
 		partial:    make([][]byte, n),
 	}
 	c.files[me] = buf
+	for j := range c.bellTx {
+		c.bellTx[j] = -1
+	}
+	c.bell = c.ringBell
 	return c, nil
 }
 
-// Attach maps every peer's shm file. All ranks must have Created theirs
-// first (the launcher's rendezvous provides that ordering).
+// createBell makes a fresh FIFO at path — whatever a crashed job left
+// under that name is unlinked, as its shm file is truncated — and opens
+// it for reading. O_RDWR keeps a writer on it for as long as we read,
+// so the read end never reports EOF between two peers' lifetimes;
+// O_NONBLOCK is what makes os hand the descriptor to the poller.
+func createBell(path string) (*os.File, error) {
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	if err := syscall.Mkfifo(path, 0o600); err != nil {
+		return nil, fmt.Errorf("gasnet: mkfifo %s: %w", path, err)
+	}
+	return os.OpenFile(path, os.O_RDWR|syscall.O_NONBLOCK, 0)
+}
+
+// Attach maps every peer's shm file and opens the write end of its
+// doorbell. All ranks must have Created theirs first (the launcher's
+// rendezvous provides that ordering).
 func (c *ShmConduit) Attach() error {
 	size := shmFileSize(c.n, c.ringBytes, c.segBytes)
 	for j := 0; j < c.n; j++ {
@@ -191,6 +243,17 @@ func (c *ShmConduit) Attach() error {
 		}
 		c.goroutines = c.goroutines && binary.LittleEndian.Uint64(buf[shmProcOff:]) == shmProc
 		c.files[j] = buf
+		// A raw descriptor, written on the rank's goroutine only: a full
+		// FIFO must fail the write, not park it in the poller. ENXIO is a
+		// FIFO nobody reads — the peer is gone already; ringBell counts
+		// what it cannot deliver.
+		switch fd, err := syscall.Open(bellPath(c.dir, j), syscall.O_WRONLY|syscall.O_NONBLOCK|syscall.O_CLOEXEC, 0); err {
+		case nil:
+			c.bellTx[j] = fd
+		case syscall.ENXIO:
+		default:
+			return fmt.Errorf("gasnet: open %s: %w", bellPath(c.dir, j), err)
+		}
 	}
 	return nil
 }
@@ -287,6 +350,43 @@ func (c *ShmConduit) ringIfArmed(j int) {
 		c.bellsTx.Add(1)
 		c.bell(j)
 	}
+}
+
+// ringBell is the doorbell: one byte into co-located rank j's FIFO. It
+// cannot fail the publisher. EAGAIN is 64 KiB of bells nobody has read
+// yet, so a wake is queued already; EPIPE (the signal that comes with
+// it is one Go ignores on any descriptor but 1 and 2) means the peer
+// has closed its conduit or died, which is counted and left to whoever
+// is waiting on that peer to report.
+func (c *ShmConduit) ringBell(j int) {
+	var one [1]byte
+	switch _, err := syscall.Write(c.bellTx[j], one[:]); err {
+	case nil, syscall.EAGAIN:
+	default: // EPIPE; EBADF on the -1 an ENXIO left at Attach
+		c.bellsLost.Add(1)
+	}
+}
+
+// Listen starts the goroutine that reads this rank's doorbell and calls
+// wake — which must not block — for every batch of bytes that arrives,
+// until Close. The composer calls it once, with what unblocks the wait
+// its Park blocks in.
+func (c *ShmConduit) Listen(wake func()) {
+	c.bellDone = make(chan struct{})
+	go func() {
+		defer close(c.bellDone)
+		var buf [64]byte
+		for {
+			n, err := c.bellRx.Read(buf[:])
+			if n > 0 {
+				c.bellsRx.Add(int64(n))
+				wake()
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
 }
 
 // ring is one SPSC channel's view: control words plus data window.
@@ -459,26 +559,41 @@ func (c *ShmConduit) SetObs(ring *obs.Ring) { c.obsRing = ring }
 
 // Counters reports shm-plane traffic (complete messages, payload bytes)
 // and how often this rank ran out of poll budget and parked
-// (shm_parks) and rang a parked neighbour's doorbell (shm_bells_tx).
+// (shm_parks), rang a parked neighbour's doorbell (shm_bells_tx), read
+// a byte off its own (shm_bells_rx) and rang one whose reader was gone
+// (shm_bells_lost).
 func (c *ShmConduit) Counters() map[string]float64 {
 	return map[string]float64{
-		"shm_tx_msgs":  float64(c.txMsgs.Load()),
-		"shm_rx_msgs":  float64(c.rxMsgs.Load()),
-		"shm_tx_bytes": float64(c.txBytes.Load()),
-		"shm_rx_bytes": float64(c.rxBytes.Load()),
-		"shm_parks":    float64(c.parks.Load()),
-		"shm_bells_tx": float64(c.bellsTx.Load()),
+		"shm_tx_msgs":    float64(c.txMsgs.Load()),
+		"shm_rx_msgs":    float64(c.rxMsgs.Load()),
+		"shm_tx_bytes":   float64(c.txBytes.Load()),
+		"shm_rx_bytes":   float64(c.rxBytes.Load()),
+		"shm_parks":      float64(c.parks.Load()),
+		"shm_bells_tx":   float64(c.bellsTx.Load()),
+		"shm_bells_rx":   float64(c.bellsRx.Load()),
+		"shm_bells_lost": float64(c.bellsLost.Load()),
 	}
 }
 
-// Close unmaps every mapping. The launcher owns the directory (and
-// removes it after the job); Close only releases this process's views.
+// Close unmaps every mapping and closes both ends of the doorbells,
+// returning once the reader goroutine has exited. The launcher owns the
+// directory (and removes it after the job); Close only releases this
+// process's views.
 func (c *ShmConduit) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	var first error
+	first := c.bellRx.Close()
+	if c.bellDone != nil {
+		<-c.bellDone
+	}
+	for j, fd := range c.bellTx {
+		if fd >= 0 {
+			c.bellTx[j] = -1
+			syscall.Close(fd)
+		}
+	}
 	for j, buf := range c.files {
 		if buf == nil {
 			continue

@@ -11,9 +11,8 @@ import (
 // temp-dir file set, with a deliberately tiny ring so the stress tests
 // exercise wraparound, backpressure (full-ring waits) and record
 // fragmentation, not just the easy path. No composer installs the wait
-// and bell seams here, so the fleet gets the simplest pair that is
-// correct without a wire: a full-ring wait that polls, and a bell
-// nobody needs because nobody parks.
+// seam here, so the fleet gets the simplest one that is correct without
+// a wire: a full-ring wait that polls (nobody parks, so nobody rings).
 func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
 	t.Helper()
 	dir := t.TempDir()
@@ -30,7 +29,6 @@ func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
 			}
 			return nil
 		}
-		shm.bell = func(int) {}
 		cds[i] = shm
 	}
 	for _, shm := range cds {

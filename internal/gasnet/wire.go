@@ -39,7 +39,7 @@ const (
 	hTeamGather uint16 = 13 // Arg=key, payload = fragment of a member's contribution
 	hTeamResult uint16 = 14 // Arg=key, payload = fragment of the encoded table
 
-	// 15-18 belong to HierConduit (see hier.go, which also names hLast).
+	// 15-17 belong to HierConduit (see hier.go, which also names hLast).
 )
 
 // handlerNames names each wire handler for the per-handler traffic
@@ -64,7 +64,6 @@ var handlerNames = [hLast + 1]string{
 	hHierGather: "hiergather",
 	hHierTable:  "hiertable",
 	hHierBar:    "hierbar",
-	hHierBell:   "hierbell",
 }
 
 // WireConduit is the multi-process Conduit: each rank is one OS process

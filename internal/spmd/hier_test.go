@@ -59,6 +59,7 @@ func TestHierBackendAgrees(t *testing.T) {
 		{"ring", 64, []int{2, 4}},
 		{"gups", 10, []int{4}},
 		{"dht", 384, []int{4}},
+		{"collloop", 100, []int{4}},
 	}
 	for _, tc := range cases {
 		p, ok := Lookup(tc.prog)

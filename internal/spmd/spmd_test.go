@@ -69,6 +69,8 @@ func TestBackendsAgree(t *testing.T) {
 					scale = 384 // keep test-sized shards
 				case "dhtchaos":
 					scale = 128 // fault-free here; the chaos tests kill ranks
+				case "collloop":
+					scale = 100 // rounds; the timing it prints is not under test
 				}
 				proc := runProcChecksum(t, p, n, scale)
 				wire := runWireChecksum(t, p, n, scale)
