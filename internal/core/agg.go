@@ -131,6 +131,13 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 			r.aggPreBlock()
 		}))
 	})
+	// The conduit queues the batch's ack between the two: apply, ack,
+	// then the cut-through flush — ops the applied handlers just
+	// buffered (e.g. a DHT lookup's reply) must not wait for this rank's
+	// next explicit progress call, because a peer may be blocked on
+	// them right now, possibly with this rank already inside a barrier
+	// drain. The done-acks this batch's tasks owe go with them, as one
+	// counted ack, and on the wire all of it shares the ack's writev.
 	bc.SetBatchHandler(func(from int, payload []byte) {
 		r.ring.Begin(obs.KAggApply, int32(from), uint32(len(payload)))
 		outer := r.applying
@@ -142,14 +149,7 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 				r.id, from, err))
 		}
 		r.ring.End(obs.KAggApply)
-		// Cut-through flush: ops the applied handlers just buffered
-		// (e.g. a DHT lookup's reply) must not wait for this rank's
-		// next explicit progress call — a peer may be blocked on them
-		// right now, possibly with this rank already inside a barrier
-		// drain. The done-acks this batch's tasks owe go with them, as
-		// one counted ack.
-		r.aggPreBlock()
-	})
+	}, r.aggPreBlock)
 }
 
 // aggPreBlock ships buffered batches before an operation that blocks

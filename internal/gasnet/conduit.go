@@ -124,8 +124,9 @@ type Caps struct {
 
 // WakerConduit is the optional extension that lets a goroutine OTHER
 // than the rank's progress goroutine unblock a WaitFor on this
-// conduit. Wake must be safe to call from any goroutine, any number
-// of times, and must cause a concurrently blocked WaitFor on this
+// conduit. Wake must be safe to call from any goroutine but the
+// rank's own (it may wait for room in a full inbox that only the rank
+// drains), any number of times, and must cause a concurrently blocked WaitFor on this
 // conduit's own rank to re-evaluate its predicate promptly. Spurious
 // wakes (nobody waiting) must be harmless. This is the seam the
 // service plane uses to hand work from HTTP handler goroutines to the
@@ -182,10 +183,14 @@ type BatchConduit interface {
 	SendBatch(to int, payload []byte, onAck func()) error
 
 	// SetBatchHandler installs the decoder incoming batches dispatch
-	// to. The handler runs on the receiving rank's SPMD goroutine and
-	// must apply the whole batch before returning (the conduit acks on
-	// return); it must not block.
-	SetBatchHandler(fn func(from int, payload []byte))
+	// to, and the hook run after each one (both required). Both run on
+	// the receiving rank's SPMD goroutine. apply must apply the whole
+	// batch before returning and must not block; the conduit then queues
+	// the batch's acknowledgement, and only then runs after.
+	// The order is the contract: a batch's ack precedes the replies its
+	// handlers generated, so whatever after flushes leaves in the same
+	// vectored write as the ack.
+	SetBatchHandler(apply func(from int, payload []byte), after func())
 
 	// WaitFor blocks until pred() is true, servicing incoming requests
 	// and acknowledgements while waiting.

@@ -1,11 +1,11 @@
 package gasnet
 
-// ParkAlways takes the poll phase out of every wait of h, and the tick
+// ParkAlways takes the poll phase out of every wait of h, and the timed
 // re-poll out of its park, so that a test drives each wait through the
 // arm / re-poll / block path and only a doorbell can end it.
 func (h *HierConduit) ParkAlways() {
 	h.polls = 0
-	h.wire.tep.SetTick(0, nil)
+	h.repoll = 0
 }
 
 // BellReaderDone is closed once the doorbell reader that Listen started

@@ -47,8 +47,9 @@ const (
 	// neighbours' poll loops prevent — a parked rank stays parked until
 	// they all give up, at any budget (TestHierBeatsFlatBarrier under a
 	// parallel go test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536).
-	// So here alone the park also re-polls on the transport's tick,
-	// which busy Ps do serve: 0 failures of 16.
+	// So here alone a parked rank also re-polls on a timer, which busy
+	// Ps do serve: 0 failures of 16. The timer is armed only while the
+	// rank is parked; a rank that is polling or computing pays nothing.
 	pollsBeforeParkGoroutines = 64
 	repollParkedGoroutines    = 20 * time.Microsecond
 )
@@ -97,6 +98,12 @@ type HierConduit struct {
 	world    []int       // 0..Ranks()-1, the member list of the world collectives
 	polls    int         // the poll budget above that the topology selects (a field: tests set 0)
 	part     *hierPart   // partition's buffers between collectives; nil while one holds them
+
+	// repoll, when non-zero, is how often a parked rank wakes to re-poll
+	// (the all-goroutines shape only; tests set 0); repollTimer is the
+	// one timer that does it, made at the first such park.
+	repoll      time.Duration
+	repollTimer *time.Timer
 
 	_         pad.Line // as WireConduit.nextToken
 	nextToken uint64
@@ -176,7 +183,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		h.polls = 0
 	case len(h.locals) == len(nodes) && shm.PeersAreGoroutines():
 		h.polls = pollsBeforeParkGoroutines
-		wire.tep.SetTick(repollParkedGoroutines, func() {})
+		h.repoll = repollParkedGoroutines
 	default:
 		h.polls = pollsBeforePark
 	}
@@ -213,8 +220,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 // doorbell FIFO, whose reader wakes the same inbox — no frame and no
 // TCP between two ranks of one host. One protocol for goroutine ranks
 // and process ranks (the one shape in which the doorbell alone is not
-// enough also re-polls on a tick while parked:
-// pollsBeforeParkGoroutines); a rank alone on its host parks at once,
+// enough also re-polls on a timer while parked: parkRepolling); a rank alone on its host parks at once,
 // and its wake word is never read.
 // Wire polls and the inbox wait both flush, so a peer is never left
 // waiting on a frame parked in our write buffer.
@@ -227,7 +233,29 @@ func (h *HierConduit) waitFor(pred func() bool) error {
 			runtime.Gosched()
 		}
 	}
+	if h.repoll > 0 {
+		return h.shm.Park(pred, h.parkRepolling)
+	}
 	return h.shm.Park(pred, h.wire.tep.WaitFor)
+}
+
+// parkRepolling is the block of the all-goroutines shape (see
+// pollsBeforeParkGoroutines): the inbox wait, with every false
+// evaluation of armed — each of which has just re-polled the rings —
+// arming one timer whose firing is a Wake like the doorbell's. The
+// timer runs only between a failed re-poll and the end of the park.
+func (h *HierConduit) parkRepolling(armed func() bool) error {
+	if h.repollTimer == nil {
+		h.repollTimer = time.AfterFunc(h.repoll, h.wire.tep.Wake)
+	}
+	defer h.repollTimer.Stop()
+	return h.wire.tep.WaitFor(func() bool {
+		if armed() {
+			return true
+		}
+		h.repollTimer.Reset(h.repoll)
+		return false
+	})
 }
 
 // Rank returns this conduit's world rank; Ranks the job size.
@@ -246,8 +274,8 @@ func (h *HierConduit) Capabilities() Caps {
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
-// (WakerConduit): the wire leg's inbox is what a parked waitFor blocks
-// on.
+// (WakerConduit; never the rank's own): the wire leg's inbox is what a
+// parked waitFor blocks on.
 func (h *HierConduit) Wake() { h.wire.Wake() }
 
 // Nodes returns the launch topology (LocalityConduit).
@@ -446,9 +474,10 @@ func (h *HierConduit) LockRelease(home int, id uint64) error {
 
 // ---- Aggregation batch plane ----
 
-// SetBatchHandler installs the decoder on both planes.
-func (h *HierConduit) SetBatchHandler(fn func(from int, payload []byte)) {
-	h.wire.SetBatchHandler(fn)
+// SetBatchHandler installs the decoder and its after-ack hook on both
+// planes.
+func (h *HierConduit) SetBatchHandler(apply func(from int, payload []byte), after func()) {
+	h.wire.SetBatchHandler(apply, after)
 }
 
 // SendBatch routes one aggregation batch by locality: co-located
@@ -477,6 +506,7 @@ func (h *HierConduit) onShmBatch(from int, tok uint64, payload []byte) {
 	}
 	h.wire.batchHandler(h.locals[from], payload)
 	h.shm.Send(from, shmReply, tok, nil)
+	h.wire.afterBatch()
 }
 
 // WaitFor blocks until pred() is true, servicing both planes.

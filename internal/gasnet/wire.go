@@ -119,9 +119,11 @@ type WireConduit struct {
 	timers      []wireTimer // After callbacks, swept on tick
 	lostBatches int64       // batches completed-as-lost to dead ranks
 
-	// batchHandler decodes and applies one aggregation batch; installed
-	// by the layer above (core) via SetBatchHandler.
+	// batchHandler decodes and applies one aggregation batch and
+	// afterBatch runs once its ack is queued; installed by the layer
+	// above (core) via SetBatchHandler.
 	batchHandler func(from int, payload []byte)
+	afterBatch   func()
 
 	locks      map[uint64]*wireLockState
 	nextLockID uint64
@@ -304,8 +306,10 @@ func (c *WireConduit) SetObs(ring *obs.Ring) {
 // Counters reports this conduit's wire traffic as named counters:
 // aggregate frame and payload-byte totals per direction, plus
 // per-handler breakdowns (wire_tx_frames_put, wire_rx_bytes_batch,
-// ...). The bench harness folds them into its JSON artifact so message
-// reductions from the aggregation layer are measurable, not anecdotal.
+// ...), plus the transport's system-call accounting (net_rx_reads,
+// net_tx_writevs, ...). The bench harness folds them into its JSON
+// artifact so message reductions from the aggregation layer are
+// measurable, not anecdotal.
 func (c *WireConduit) Counters() map[string]float64 {
 	out := make(map[string]float64)
 	fold := func(prefix string, dir map[uint16]*wireStat) {
@@ -325,6 +329,9 @@ func (c *WireConduit) Counters() map[string]float64 {
 	}
 	fold("wire_tx", c.tx)
 	fold("wire_rx", c.rx)
+	for k, v := range c.tep.Counters() {
+		out[k] = v
+	}
 	return out
 }
 
@@ -346,7 +353,8 @@ func (c *WireConduit) Capabilities() Caps {
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
-// (WakerConduit).
+// (WakerConduit) — never the rank's own, which would wait on itself
+// when its inbox is full.
 func (c *WireConduit) Wake() { c.tep.Wake() }
 
 // request sends one encoded-argument message and blocks until its
@@ -730,14 +738,18 @@ func (c *WireConduit) onXor(_ *transport.TCPEndpoint, m transport.Message) {
 // ---- Aggregation batch plane ----
 
 // SetBatchHandler installs the decoder for incoming aggregation
-// batches (hBatch frames). The handler executes on this rank's SPMD
-// goroutine, inside Poll or a blocking call's wait loop, and must
-// apply every operation in the payload before returning: the conduit
-// acknowledges the batch to its sender as soon as fn returns, which is
-// what completes the sender's events and Finish scopes. fn must not
-// block. internal/core installs the internal/agg decoder here.
-func (c *WireConduit) SetBatchHandler(fn func(from int, payload []byte)) {
-	c.batchHandler = fn
+// batches (hBatch frames) and the hook that follows each one. apply
+// executes on this rank's SPMD goroutine, inside Poll or a blocking
+// call's wait loop, and must apply every operation in the payload
+// before returning: the conduit queues the batch's acknowledgement as
+// soon as apply returns, which is what completes the sender's events
+// and Finish scopes, and then runs after — so the flush after makes
+// ships the ack and the replies apply generated in one vectored write.
+// apply must not block; both are required. internal/core installs the internal/agg decoder
+// and its cut-through flush here.
+func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte), after func()) {
+	c.batchHandler = apply
+	c.afterBatch = after
 }
 
 // SendBatch ships one encoded aggregation batch to rank `to` without
@@ -793,6 +805,7 @@ func (c *WireConduit) onBatch(_ *transport.TCPEndpoint, m transport.Message) {
 	}
 	c.batchHandler(int(m.From), m.Payload)
 	c.reply(m, nil)
+	c.afterBatch()
 }
 
 // WaitFor blocks until pred() is true, dispatching incoming requests

@@ -3,9 +3,11 @@ package gasnet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"upcxx/internal/frames"
 	"upcxx/internal/transport"
 )
 
@@ -174,7 +176,7 @@ func (r *recorder) handle(from int, payload []byte) {
 func TestSendBatchAckAndCounters(t *testing.T) {
 	cds := wireFleet(t, 2, 64)
 	rec := &recorder{}
-	cds[1].SetBatchHandler(rec.handle)
+	cds[1].SetBatchHandler(rec.handle, func() {})
 	stop := servePoll(cds[1])
 
 	const batches = 5
@@ -220,5 +222,48 @@ func TestSendBatchAckAndCounters(t *testing.T) {
 	}
 	if rxc["wire_rx_frames"] < batches {
 		t.Errorf("receiver wire_rx_frames = %v, want >= %d", rxc["wire_rx_frames"], batches)
+	}
+}
+
+// TestBatchAckSharesFlush pins the order of the batch plane's receive
+// side: apply, queue the ack, then the after hook. A batch whose
+// handling produces a reply batch therefore costs its target exactly
+// one vectored write for ack and reply together, and the sender
+// dispatches the ack before the reply — the ordering rule "a batch's
+// ack precedes the replies its handlers generated".
+func TestBatchAckSharesFlush(t *testing.T) {
+	cds := wireFleet(t, 2, 64)
+	var order []string // sender's goroutine only
+	cds[0].SetBatchHandler(func(int, []byte) { order = append(order, "reply") }, func() {})
+	applied := false
+	cds[1].SetBatchHandler(func(int, []byte) { applied = true }, func() {
+		if !applied {
+			t.Error("after hook ran before apply")
+		}
+		// What core's cut-through flush does when an applied handler
+		// buffered an answer: ship it as a batch of its own.
+		if err := cds[1].SendBatch(0, frames.Get(3), nil); err != nil {
+			t.Error(err)
+		}
+	})
+	before := cds[1].Counters()["net_tx_writevs"]
+	stop := servePoll(cds[1])
+	if err := cds[0].SendBatch(1, frames.Get(2), func() { order = append(order, "ack") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := cds[0].WaitFor(func() bool { return len(order) == 2 }); err != nil {
+		t.Fatal(err)
+	}
+	// The reply batch's own ack must reach rank 1 before its counters
+	// are final; it is rank 0's write, not rank 1's.
+	for cds[1].Counters()["wire_rx_frames_reply"] < 1 {
+		runtime.Gosched()
+	}
+	stop()
+	if order[0] != "ack" || order[1] != "reply" {
+		t.Errorf("sender dispatched %v, want the ack before the reply batch", order)
+	}
+	if got := cds[1].Counters()["net_tx_writevs"] - before; got != 1 {
+		t.Errorf("target made %v vectored writes for ack + reply batch, want 1", got)
 	}
 }

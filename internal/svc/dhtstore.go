@@ -35,8 +35,14 @@ type DHTStore struct {
 
 	mu     sync.Mutex
 	queue  []*op
+	gated  int // queued ops carrying a backoff gate (notBefore set)
 	wake   func()
 	closed bool // serve loop has exited; no op can ever settle again
+
+	// queued mirrors len(queue), written under mu: the serve loop's
+	// predicate, evaluated several times per request, reads it and
+	// returns before the lock while nothing is queued.
+	queued atomic.Int64
 
 	ready    atomic.Bool
 	stopping atomic.Bool
@@ -139,7 +145,7 @@ func (st *DHTStore) PutBatch(ctx context.Context, keys []string, vals []uint64) 
 		ops[i] = &op{kind: opPut, key: keys[i], val: vals[i], done: make(chan struct{})}
 	}
 	errs := make([]error, len(keys))
-	if err := st.enqueueAll(ops); err != nil {
+	if err := st.enqueue(ops...); err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
@@ -163,7 +169,7 @@ func (st *DHTStore) GetBatch(ctx context.Context, keys []string) []GetResult {
 		ops[i] = &op{kind: opGet, key: keys[i], done: make(chan struct{})}
 	}
 	res := make([]GetResult, len(keys))
-	if err := st.enqueueAll(ops); err != nil {
+	if err := st.enqueue(ops...); err != nil {
 		for i := range res {
 			res[i] = GetResult{Err: err}
 		}
@@ -198,10 +204,8 @@ func (st *DHTStore) Stop() {
 	}
 }
 
-// enqueue hands one op to the serve loop.
-func (st *DHTStore) enqueue(o *op) error { return st.enqueueAll([]*op{o}) }
-
-func (st *DHTStore) enqueueAll(ops []*op) error {
+// enqueue hands ops to the serve loop under one lock and one wake.
+func (st *DHTStore) enqueue(ops ...*op) error {
 	if st.stopping.Load() {
 		return ErrDraining
 	}
@@ -214,6 +218,7 @@ func (st *DHTStore) enqueueAll(ops []*op) error {
 		return ErrDraining
 	}
 	st.queue = append(st.queue, ops...)
+	st.queued.Store(int64(len(st.queue)))
 	wake := st.wake
 	st.mu.Unlock()
 	if wake != nil {
@@ -268,12 +273,18 @@ func (st *DHTStore) Serve(me *core.Rank, tbl *dht.Table) {
 	st.ready.Store(false)
 }
 
-// dueNow reports whether any queued op's backoff gate has passed.
+// dueNow reports whether any queued op's backoff gate has passed. It
+// is the serve loop's predicate, so the common answers cost little: an
+// empty queue neither locks nor reads the clock, and fresh ops (no gate)
+// are due without a clock read.
 func (st *DHTStore) dueNow() bool {
+	if st.queued.Load() == 0 {
+		return false
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.queue) == 0 {
-		return false
+	if len(st.queue) > st.gated {
+		return true
 	}
 	now := time.Now()
 	for _, o := range st.queue {
@@ -293,7 +304,7 @@ func (st *DHTStore) idle() bool {
 }
 
 // tryClose atomically confirms drain completion and seals the queue:
-// taken under the same mutex as enqueueAll's append, so either the op
+// taken under the same mutex as enqueue's append, so either the op
 // made it in (and the loop keeps running to settle it) or the client
 // got ErrDraining — an accepted op can never be abandoned.
 func (st *DHTStore) tryClose() bool {
@@ -310,13 +321,20 @@ func (st *DHTStore) tryClose() bool {
 func (st *DHTStore) take() []*op {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	now := time.Now()
+	var now time.Time
+	if st.gated > 0 {
+		now = time.Now()
+	}
 	var due []*op
 	rest := st.queue[:0]
 	for _, o := range st.queue {
-		if o.notBefore.After(now) {
+		switch {
+		case o.notBefore.IsZero():
+			due = append(due, o)
+		case o.notBefore.After(now):
 			rest = append(rest, o)
-		} else {
+		default:
+			st.gated--
 			due = append(due, o)
 		}
 	}
@@ -324,6 +342,7 @@ func (st *DHTStore) take() []*op {
 		st.queue[i] = nil
 	}
 	st.queue = rest
+	st.queued.Store(int64(len(rest)))
 	return due
 }
 
@@ -385,6 +404,8 @@ func (st *DHTStore) settle(me *core.Rank, o *op, err error) {
 			o.notBefore = time.Now().Add(st.cfg.Retry.Backoff << (o.attempts - 1))
 			st.mu.Lock()
 			st.queue = append(st.queue, o)
+			st.gated++
+			st.queued.Store(int64(len(st.queue)))
 			st.mu.Unlock()
 			return
 		}
@@ -397,14 +418,11 @@ func (st *DHTStore) settle(me *core.Rank, o *op, err error) {
 
 // Counters exposes the adapter's counters for the metrics plane.
 func (st *DHTStore) Counters() map[string]float64 {
-	st.mu.Lock()
-	queued := len(st.queue)
-	st.mu.Unlock()
 	return map[string]float64{
 		"gate.puts":     float64(st.puts.Load()),
 		"gate.gets":     float64(st.gets.Load()),
 		"gate.retries":  float64(st.retries.Load()),
 		"gate.failures": float64(st.failures.Load()),
-		"gate.queued":   float64(queued),
+		"gate.queued":   float64(st.queued.Load()),
 	}
 }

@@ -8,6 +8,7 @@ package transport
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"upcxx/internal/frames"
 )
@@ -69,5 +70,46 @@ func TestAllocsDispatchSteadyState(t *testing.T) {
 	avg := testing.AllocsPerRun(2000, cycle)
 	if avg > 0.1 {
 		t.Errorf("loopback dispatch steady state: %.3f allocs/frame, want 0", avg)
+	}
+}
+
+// TestAllocsBlockedWaitTick gates the park: a round trip whose waiter
+// blocks in WaitFor on an endpoint with a tick installed (every
+// resilient rank) allocates nothing — no timer per blocked wait, and
+// the one per endpoint is re-armed in place.
+func TestAllocsBlockedWaitTick(t *testing.T) {
+	eps := mesh(t, 2)
+	var stop atomic.Bool
+	eps[1].Register(5, func(ep *TCPEndpoint, m Message) {
+		if err := ep.Send(Message{To: 0, Handler: 6, Arg: m.Arg}); err != nil {
+			t.Error(err)
+		}
+	})
+	var pongs uint64
+	eps[0].Register(6, func(*TCPEndpoint, Message) { pongs++ })
+	for _, ep := range eps {
+		ep.SetTick(time.Millisecond, func() {})
+	}
+	served := make(chan error, 1)
+	go func() { served <- eps[1].WaitFor(stop.Load) }()
+
+	want := uint64(0)
+	cycle := func() {
+		want++
+		if err := eps[0].Send(Message{To: 1, Handler: 5, Arg: want}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eps[0].WaitFor(func() bool { return pongs == want }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(2000, cycle); avg != 0 {
+		t.Errorf("blocked round trip on a ticking endpoint: %.2f allocs, want 0", avg)
+	}
+	stop.Store(true)
+	eps[1].Wake()
+	if err := <-served; err != nil {
+		t.Fatal(err)
 	}
 }

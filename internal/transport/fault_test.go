@@ -2,7 +2,9 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,8 +175,10 @@ func TestMidFrameSeverSurvivable(t *testing.T) {
 	if ev.peer != 0 {
 		t.Fatalf("rank 1 peer-down from %d, want 0", ev.peer)
 	}
-	if ev.cause == nil {
-		t.Fatal("rank 1 peer-down cause missing")
+	// The header announced a payload that never came: the reader's
+	// parser reports the cut as an unexpected EOF, not a clean one.
+	if !errors.Is(ev.cause, io.ErrUnexpectedEOF) {
+		t.Fatalf("rank 1 peer-down cause = %v, want io.ErrUnexpectedEOF", ev.cause)
 	}
 	// Both survivors keep full connectivity to rank 2.
 	for _, from := range []int{0, 1} {
@@ -224,6 +228,30 @@ func TestMidFrameSeverLegacyTeardown(t *testing.T) {
 	}
 	if eps[1].Err() == nil {
 		t.Error("rank 1 Err() = nil after mid-frame sever")
+	}
+}
+
+// TestByeThenEOFStaysClean: the EOF that follows a goodbye is orderly
+// teardown — the survivor's reader exits without reporting peer loss,
+// however the bye and the EOF were split across reads.
+func TestByeThenEOFStaysClean(t *testing.T) {
+	downed := make(chan int, 1)
+	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
+		ep.SetPeerDownHandler(func(peer int, _ error) { downed <- peer })
+	})
+	eps[0].Goodbye()
+	eps[0].Close()
+	// Close on rank 1 waits for its reader, which has by then seen the
+	// bye and the EOF; a loss would have queued its peerDown first.
+	eps[1].wg.Wait()
+	eps[1].Poll()
+	select {
+	case p := <-downed:
+		t.Fatalf("goodbye followed by EOF reported as loss of peer %d", p)
+	default:
+	}
+	if eps[1].PeerDown(0) || eps[1].Err() != nil {
+		t.Fatal("rank 1 retired a peer that said goodbye")
 	}
 }
 
@@ -299,6 +327,27 @@ func TestTickRunsWhileBlocked(t *testing.T) {
 	eps := meshWith(t, 2, nil)
 	var ticks atomic.Int64
 	eps[0].SetTick(5*time.Millisecond, func() { ticks.Add(1) })
+	if err := eps[0].WaitFor(func() bool { return ticks.Load() >= 3 }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTickOneFiringWhileAway: the timer is one-shot and re-armed by the
+// dispatch goroutine, so a rank that stays away from its endpoint for
+// many periods comes back to exactly one due tick, not a backlog — and
+// the tick then resumes.
+func TestTickOneFiringWhileAway(t *testing.T) {
+	eps := meshWith(t, 2, nil)
+	const period = time.Millisecond
+	var ticks atomic.Int64
+	eps[0].SetTick(period, func() { ticks.Add(1) })
+	for away := time.Now().Add(20 * period); time.Now().Before(away); {
+		runtime.Gosched() // computing: no Poll, no WaitFor
+	}
+	eps[0].Poll()
+	if got := ticks.Load(); got != 1 {
+		t.Fatalf("%d ticks after 20 periods away, want exactly 1", got)
+	}
 	if err := eps[0].WaitFor(func() bool { return ticks.Load() >= 3 }); err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,9 @@ type Handler func(ep *TCPEndpoint, m Message)
 // dispatch goroutine strictly after every frame that peer delivered.
 // wake is also synthesized locally: Wake enqueues one through the
 // inbox so a blocked WaitFor re-runs its predicate. It carries no
-// payload and dispatch treats it as a no-op.
+// payload; the periodic tick and endpoint close reach a blocked rank as
+// the same message, so the inbox is the only thing a rank ever blocks
+// on.
 const (
 	helloHandler    uint16 = 0xFFFF
 	byeHandler      uint16 = 0xFFFE
@@ -110,6 +112,16 @@ const (
 	// flushThreshold ships a peer's queue from inside Send once this
 	// many bytes are queued, bounding memory under one-way storms.
 	flushThreshold = 256 << 10
+	// rxBufLen sizes each reader's header buffer: one Read fills it, and
+	// every frame that fits — header and payload — is parsed out of it
+	// without another system call. The size is set by counting. Below
+	// it, payloads stop fitting beside their header (at 256 B a 256-byte
+	// payload is back to two reads per frame). Above it, a payload that
+	// does not fit has more of itself copied twice, since its buffered
+	// prefix is copied into its pooled frame: at 512 B a 32 KiB frame
+	// pays at most 486 copied bytes and the same two reads it always
+	// did. DESIGN.md §3 has the measurements.
+	rxBufLen = 512
 )
 
 // outQ is one peer's vectored send queue: frame headers (and inlined
@@ -120,6 +132,7 @@ const (
 // endpoint's mu.
 type outQ struct {
 	bufs  net.Buffers // iovec list, in frame order
+	wv    net.Buffers // ship's cursor over bufs (WriteTo consumes its receiver)
 	owned [][]byte    // pooled payloads released once shipped
 	slab  []byte      // active header/inline slab (len = bytes used)
 	slabs [][]byte    // retired slabs awaiting release
@@ -182,13 +195,12 @@ func (q *outQ) enqueue(m Message, owned bool) {
 // ship writes every queued byte to c with one vectored WriteTo and
 // resets the queue (releasing owned payloads and retired slabs) whether
 // or not the write succeeded — after an error the connection is dead
-// and the bytes are gone either way.
+// and the bytes are gone either way. Called through TCPEndpoint.ship,
+// which skips an empty queue.
 func (q *outQ) ship(c net.Conn) error {
-	if q.qn == 0 {
-		return nil
-	}
-	bufs := q.bufs
-	_, err := bufs.WriteTo(c)
+	q.wv = q.bufs // a field, so taking its address allocates nothing
+	_, err := q.wv.WriteTo(c)
+	q.wv = nil
 	q.reset()
 	return err
 }
@@ -232,22 +244,45 @@ type TCPEndpoint struct {
 	mu    sync.Mutex
 	conns []net.Conn // by peer rank; nil for self
 	qs    []*outQ    // vectored send queue per peer, same indexing
+	// txFrames and txWritevs count frames queued for a peer and vectored
+	// writes made (one writev each unless the kernel takes a partial
+	// write); plain words, every writer holds mu.
+	txFrames, txWritevs int64
+	ticker              *time.Timer // one-shot; marks the periodic tick due (SetTick)
 
-	// The dispatch goroutine's own words, written per frame and per tick,
-	// bracketed away from inbox and done below, which every reader
-	// goroutine reads per frame. retained is the dispatch-scope flag
-	// Retain sets: the handler currently executing keeps the pooled
-	// payload alive past its return. lastTick is when the periodic tick
-	// (SetTick) last ran.
+	// txPending is set (under mu) whenever a frame is left queued, so a
+	// flush with nothing to ship returns before taking mu.
+	txPending atomic.Bool
+
+	// The dispatch goroutine's own word, written per frame, bracketed
+	// away from inbox and done below, which every reader goroutine reads
+	// per frame. retained is the dispatch-scope flag Retain sets: the
+	// handler currently executing keeps the pooled payload alive past
+	// its return.
 	_        pad.Line
 	retained bool
-	lastTick time.Time
 	_        pad.Line
 
+	// inbox is the one thing a rank blocks on: frames from the reader
+	// goroutines, loopback sends, and the synthetic peerDown and wake
+	// messages. Its 1,024 slots let the readers run ahead of a rank that
+	// is computing; a full inbox blocks them (and, through TCP, the
+	// senders), which is the transport's only flow control.
 	inbox     chan Message
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	rxs       []*frameReader // by peer rank; nil for self
+
+	// wakeQueued is the one word of the wake protocol: set by the Wake
+	// that enqueues a wake message, cleared by the dispatch goroutine
+	// when it takes that message out — before it re-evaluates any
+	// predicate. While it is set, further Wakes are already covered and
+	// return at once. tickDue tells the dispatch goroutine that the
+	// wake it is looking at came (also) from the periodic tick.
+	wakeQueued     atomic.Bool
+	tickDue        atomic.Bool
+	wakesCoalesced atomic.Int64
 
 	failMu  sync.Mutex
 	failure error // first peer-connection loss; endpoint is torn down
@@ -267,10 +302,10 @@ type TCPEndpoint struct {
 	downed     []atomic.Bool               // by peer rank
 	downCause  []error                     // guarded by failMu
 
-	// Optional periodic tick, run on the dispatch goroutine from
-	// Poll/WaitFor (heartbeats, deadline sweeps). Set before use.
-	tickEvery time.Duration
+	// Optional periodic tick, run on the dispatch goroutine (heartbeats,
+	// deadline sweeps). Set before use.
 	tick      func()
+	tickEvery time.Duration
 
 	// ring is this rank's span ring (nil unless tracing is on);
 	// installed by the conduit via SetObs.
@@ -299,25 +334,56 @@ func (ep *TCPEndpoint) SetPeerDownHandler(fn func(peer int, cause error)) {
 	ep.survivable.Store(fn != nil)
 }
 
-// SetTick installs fn to run on the dispatch goroutine roughly every d:
-// from Poll when due, and on a timer while WaitFor blocks — which is
-// what lets heartbeat and deadline machinery make progress while the
-// rank sits in a blocking wait.
+// SetTick installs fn to run on the dispatch goroutine roughly every d,
+// whether the rank is polling or blocked in WaitFor — which is what
+// lets heartbeat and deadline machinery make progress while the rank
+// sits in a blocking wait. One one-shot timer per endpoint marks the
+// tick due and wakes the rank through the inbox like any other wake, so
+// a blocked wait arms nothing of its own; the dispatch goroutine re-arms
+// the timer after it has run the tick, so the timer's callback takes no
+// lock and a rank that is busy computing has at most one firing
+// outstanding however long it stays away. It replaces any tick
+// installed before (a nil fn installs none). Call it from the rank's
+// goroutine, before the job issues traffic.
 func (ep *TCPEndpoint) SetTick(d time.Duration, fn func()) {
-	ep.tickEvery = d
-	ep.tick = fn
-	ep.lastTick = time.Now()
-}
-
-// runDueTick fires the tick if one is installed and due. Dispatch
-// goroutine only.
-func (ep *TCPEndpoint) runDueTick() {
-	if ep.tick == nil {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.ticker != nil {
+		ep.ticker.Stop()
+		ep.ticker = nil
+	}
+	ep.tick, ep.tickEvery = fn, d
+	if fn == nil {
 		return
 	}
-	if now := time.Now(); now.Sub(ep.lastTick) >= ep.tickEvery {
-		ep.lastTick = now
-		ep.tick()
+	select {
+	case <-ep.done:
+		return // shutdown has run; nothing would stop a timer armed now
+	default:
+	}
+	ep.ticker = time.AfterFunc(d, func() {
+		ep.tickDue.Store(true)
+		ep.Wake()
+	})
+}
+
+// runDueTick fires the tick if the timer marked it due and arms the
+// timer for the next one. Dispatch goroutine only (ticker is written by
+// SetTick on this goroutine; shutdown only stops it).
+func (ep *TCPEndpoint) runDueTick() {
+	if !ep.tickDue.Load() {
+		return
+	}
+	ep.tickDue.Store(false)
+	if ep.tick == nil {
+		return // a firing of a tick since removed
+	}
+	ep.tick()
+	select {
+	case <-ep.done:
+		// Closed: the tick stops with the endpoint.
+	default:
+		ep.ticker.Reset(ep.tickEvery)
 	}
 }
 
@@ -367,24 +433,51 @@ func (ep *TCPEndpoint) markPeerDown(peer int32, cause error) {
 		ep.qs[peer] = nil
 	}
 	ep.mu.Unlock()
+	ep.deliver(Message{From: peer, To: ep.rank, Handler: peerDownHandler})
+}
+
+// deliver puts m in the inbox, blocking while it is full, and reports
+// false if the endpoint closed first. The common case — room in the
+// inbox — is one non-blocking channel send; only a full inbox pays for
+// the two-way select.
+func (ep *TCPEndpoint) deliver(m Message) bool {
 	select {
-	case ep.inbox <- Message{From: peer, To: ep.rank, Handler: peerDownHandler}:
+	case ep.inbox <- m:
+		return true
+	default:
+	}
+	select {
+	case ep.inbox <- m:
+		return true
 	case <-ep.done:
+		return false
 	}
 }
 
 // Wake makes a WaitFor blocked on this endpoint re-evaluate its
-// predicate by enqueueing a synthetic no-op message through the inbox.
-// Safe to call from any goroutine, any number of times: it is how
-// non-SPMD threads (an HTTP server, a signal handler) nudge the rank's
-// progress loop after publishing work for it. When the inbox is full
-// the wake is dropped — a full inbox means dispatch is active and the
-// predicate is being re-checked anyway.
+// predicate by enqueueing a synthetic message through the inbox. Safe
+// to call from any goroutine but the rank's own (which a full inbox
+// would leave waiting on itself), any number of times: it is how
+// non-SPMD threads (an HTTP server, a signal handler, the
+// shm doorbell reader, the tick timer) nudge the rank's progress loop
+// after publishing work for it.
+//
+// At most one wake message is ever queued. The caller publishes its
+// state, then sets wakeQueued; the dispatch goroutine clears
+// wakeQueued when it dequeues the message and only then re-evaluates
+// predicates (the Dekker order of the shm wake word, on one word). So a
+// Wake that finds the word set is covered by a message the rank has
+// not acted on yet, and returns without touching the inbox — which is
+// why neither a 20 us re-poll timer nor a burst of HTTP handlers can
+// fill it. The Wake that sets the word must get its message in: with
+// the inbox full of frames it waits for room rather than drop the wake
+// others may have coalesced into.
 func (ep *TCPEndpoint) Wake() {
-	select {
-	case ep.inbox <- Message{From: ep.rank, To: ep.rank, Handler: wakeHandler}:
-	default:
+	if ep.wakeQueued.Swap(true) {
+		ep.wakesCoalesced.Add(1)
+		return
 	}
+	ep.deliver(Message{From: ep.rank, To: ep.rank, Handler: wakeHandler})
 }
 
 // SeverPeer forcibly closes the connection to peer, as if the link had
@@ -440,6 +533,32 @@ func (ep *TCPEndpoint) Ranks() int { return int(ep.n) }
 // crashing the dispatch loop; a correct peer never sends one).
 func (ep *TCPEndpoint) Dropped() int64 { return ep.dropped.Load() }
 
+// Counters reports the endpoint's exact system-call accounting:
+// net_rx_reads and net_rx_frames (Reads the per-peer readers made and
+// frames they parsed), net_tx_frames and net_tx_writevs (frames queued
+// for a peer and vectored writes that shipped them), and
+// net_wakes_coalesced (Wakes that found a wake already queued). Safe
+// from any goroutine.
+func (ep *TCPEndpoint) Counters() map[string]float64 {
+	var reads, frames int64
+	for _, rx := range ep.rxs {
+		if rx != nil {
+			reads += rx.reads.Load()
+			frames += rx.frames.Load()
+		}
+	}
+	ep.mu.Lock()
+	txFrames, txWritevs := ep.txFrames, ep.txWritevs
+	ep.mu.Unlock()
+	return map[string]float64{
+		"net_rx_reads":        float64(reads),
+		"net_rx_frames":       float64(frames),
+		"net_tx_frames":       float64(txFrames),
+		"net_tx_writevs":      float64(txWritevs),
+		"net_wakes_coalesced": float64(ep.wakesCoalesced.Load()),
+	}
+}
+
 // Retain transfers ownership of the payload being dispatched to the
 // calling handler: the transport will not recycle it when the handler
 // returns. Handlers that park a payload past their return (the wire
@@ -455,7 +574,12 @@ func (ep *TCPEndpoint) Retain() { ep.retained = true }
 // frame.
 func (ep *TCPEndpoint) dispatch(m Message) {
 	if m.Handler == wakeHandler {
-		return // delivery itself was the point: WaitFor re-runs its predicate
+		// Delivery itself was the point: WaitFor re-runs its predicate.
+		// Clear the word first (Swap, so this observes the Wake that set
+		// it and everything published before it).
+		ep.wakeQueued.Swap(false)
+		ep.runDueTick()
+		return
 	}
 	if m.Handler == peerDownHandler {
 		ep.failMu.Lock()
@@ -502,21 +626,10 @@ func writeFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// readFrame deserializes one message. The payload buffer comes from the
-// frame pool; dispatch releases it after the handler runs (see Retain).
-func readFrame(r io.Reader) (Message, error) {
-	var hdr [frameHdrLen]byte
-	return readFrameHdr(r, &hdr)
-}
-
-// readFrameHdr is readFrame with a caller-provided header scratch
-// buffer: hdr escapes through the io.ReadFull interface call, so the
-// reader loop hoists one out of its per-frame path instead of heap-
-// allocating 26 bytes per received frame.
-func readFrameHdr(r io.Reader, hdr *[frameHdrLen]byte) (Message, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Message{}, err
-	}
+// parseHeader decodes a frame header into a payload-less message and
+// the announced payload length, refusing an over-limit length before
+// anything is allocated for it.
+func parseHeader(hdr []byte) (Message, int, error) {
 	m := Message{
 		To:      int32(binary.LittleEndian.Uint32(hdr[0:])),
 		From:    int32(binary.LittleEndian.Uint32(hdr[4:])),
@@ -525,16 +638,106 @@ func readFrameHdr(r io.Reader, hdr *[frameHdrLen]byte) (Message, error) {
 	}
 	n := binary.LittleEndian.Uint64(hdr[18:])
 	if n > MaxPayload {
-		return Message{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return Message{}, 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	return m, int(n), nil
+}
+
+// readFrame deserializes one message with a read for the header and a
+// read for the payload: the Connect hello exchange, and the reference
+// decoder the rx parser is fuzzed against. Steady-state traffic goes
+// through frameReader.
+func readFrame(r io.Reader) (Message, error) {
+	var hdr [frameHdrLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Message{}, err
+	}
+	m, n, err := parseHeader(hdr[:])
+	if err != nil {
+		return Message{}, err
 	}
 	if n > 0 {
-		m.Payload = frames.Get(int(n))
+		m.Payload = frames.Get(n)
 		m.pooled = true
 		if _, err := io.ReadFull(r, m.Payload); err != nil {
 			frames.Put(m.Payload)
 			return Message{}, err
 		}
 	}
+	return m, nil
+}
+
+// frameReader is one peer connection's receive side: a small buffer
+// filled by one Read per wake-up, out of which every complete frame is
+// parsed. Each payload is copied into its own size-classed pooled
+// frame, so ownership downstream (dispatch's release, Retain) is what
+// it was when every frame was read into its pooled buffer directly; a
+// payload that runs past the buffer gets its pooled frame, the
+// buffered prefix, and the remainder read straight into it.
+//
+// Every field is the reader goroutine's own; reads and frames are
+// atomics only so Counters may fold them from another goroutine.
+type frameReader struct {
+	_      pad.Line
+	buf    [rxBufLen]byte
+	r, w   int // buf[r:w] is received and not yet parsed
+	reads  atomic.Int64
+	frames atomic.Int64
+	_      pad.Line
+}
+
+// fill reads from src into p until at least min bytes have arrived,
+// counting each Read. An EOF before min is io.ErrUnexpectedEOF when it
+// cuts a frame (partial is true or some bytes arrived) and a bare
+// io.EOF at a frame boundary.
+func (rx *frameReader) fill(src io.Reader, p []byte, min int, partial bool) (int, error) {
+	n := 0
+	for n < min {
+		k, err := src.Read(p[n:])
+		rx.reads.Add(1)
+		n += k
+		if err != nil && n < min {
+			if err == io.EOF && (partial || n > 0) {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// next returns the next frame of the stream, reading only when the
+// buffer holds less than the frame needs.
+func (rx *frameReader) next(src io.Reader) (Message, error) {
+	if have := rx.w - rx.r; have < frameHdrLen {
+		// Move the partial header to the front so the one Read that
+		// completes it can also bring in whatever follows.
+		copy(rx.buf[:], rx.buf[rx.r:rx.w])
+		rx.r, rx.w = 0, have
+		n, err := rx.fill(src, rx.buf[have:], frameHdrLen-have, have > 0)
+		rx.w += n
+		if err != nil {
+			return Message{}, err
+		}
+	}
+	m, n, err := parseHeader(rx.buf[rx.r:])
+	if err != nil {
+		return Message{}, err
+	}
+	rx.r += frameHdrLen
+	if n > 0 {
+		m.Payload = frames.Get(n)
+		m.pooled = true
+		got := copy(m.Payload, rx.buf[rx.r:rx.w])
+		rx.r += got
+		if got < n {
+			if _, err := rx.fill(src, m.Payload[got:], n-got, true); err != nil {
+				frames.Put(m.Payload)
+				return Message{}, err
+			}
+		}
+	}
+	rx.frames.Add(1)
 	return m, nil
 }
 
@@ -554,8 +757,14 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		conns:     make([]net.Conn, n),
 		inbox:     make(chan Message, 1024),
 		done:      make(chan struct{}),
+		rxs:       make([]*frameReader, n),
 		downed:    make([]atomic.Bool, n),
 		downCause: make([]error, n),
+	}
+	for r := range ep.rxs {
+		if r != rank {
+			ep.rxs[r] = new(frameReader)
+		}
 	}
 	return ep, nil
 }
@@ -633,39 +842,41 @@ func (ep *TCPEndpoint) Connect(addrs []string) error {
 		if r == ep.rank {
 			continue
 		}
-		conn := ep.conns[r]
 		ep.wg.Add(1)
-		go func(peer int32, c net.Conn) {
-			defer ep.wg.Done()
-			sawBye := false
-			var hdr [frameHdrLen]byte // one header scratch per reader, not per frame
-			for {
-				m, err := readFrameHdr(c, &hdr)
-				if err != nil {
-					if sawBye {
-						return // peer announced a clean close
-					}
-					select {
-					case <-ep.done: // deliberate Close on our side
-					default:
-						ep.peerLost(peer, fmt.Errorf("transport: rank %d lost connection to rank %d: %w",
-							ep.rank, peer, err))
-					}
-					return
-				}
-				if m.Handler == byeHandler {
-					sawBye = true
-					continue
-				}
-				select {
-				case ep.inbox <- m:
-				case <-ep.done:
-					return
-				}
-			}
-		}(r, conn)
+		go ep.readLoop(r, ep.conns[r], ep.rxs[r])
 	}
 	return nil
+}
+
+// readLoop is peer's reader goroutine: every frame rx parses off c goes
+// to the inbox, in order. An EOF inside a frame is io.ErrUnexpectedEOF
+// and, like any other read error, peer loss — unless the peer said bye
+// first, or this side is closing.
+func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
+	defer ep.wg.Done()
+	sawBye := false
+	for {
+		m, err := rx.next(c)
+		if err != nil {
+			if sawBye {
+				return // peer announced a clean close
+			}
+			select {
+			case <-ep.done: // deliberate Close on our side
+			default:
+				ep.peerLost(peer, fmt.Errorf("transport: rank %d lost connection to rank %d: %w",
+					ep.rank, peer, err))
+			}
+			return
+		}
+		if m.Handler == byeHandler {
+			sawBye = true
+			continue
+		}
+		if !ep.deliver(m) {
+			return
+		}
+	}
 }
 
 // Send queues a message for the target rank (loopback is delivered
@@ -713,13 +924,11 @@ func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
 		// Loopback: an owned payload rides the pooled-release path
 		// through dispatch, exactly like an rx buffer.
 		m.pooled = owned
-		select {
-		case ep.inbox <- m:
-			return nil
-		case <-ep.done:
+		if !ep.deliver(m) {
 			disposeOwned(m, owned)
 			return ep.closedErr()
 		}
+		return nil
 	}
 	if ep.downed[m.To].Load() {
 		disposeOwned(m, owned)
@@ -747,15 +956,27 @@ func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
 		return fmt.Errorf("transport: no connection to rank %d", m.To)
 	}
 	q.enqueue(m, owned)
+	ep.txFrames++
 	var err error
 	if q.qn >= flushThreshold {
-		err = q.ship(ep.conns[m.To])
+		err = ep.ship(int(m.To))
+	} else if !ep.txPending.Load() {
+		ep.txPending.Store(true)
 	}
 	ep.mu.Unlock()
 	if err != nil {
 		return ep.flushFailed(m.To, err)
 	}
 	return nil
+}
+
+// ship writes peer's queue out, counting the write. Caller holds mu.
+func (ep *TCPEndpoint) ship(peer int) error {
+	if ep.qs[peer].qn == 0 {
+		return nil
+	}
+	ep.txWritevs++
+	return ep.qs[peer].ship(ep.conns[peer])
 }
 
 // flushFailed routes a failed vectored write into the peer-loss path
@@ -782,7 +1003,7 @@ func (ep *TCPEndpoint) severFrame(m Message) error {
 		var hdr [frameHdrLen]byte
 		putHeader(hdr[:], m, len(m.Payload)+1)
 		q.slabAppend(hdr[:])
-		_ = q.ship(ep.conns[m.To])
+		_ = ep.ship(int(m.To))
 	}
 	c := ep.conns[m.To]
 	ep.mu.Unlock()
@@ -811,16 +1032,20 @@ func (ep *TCPEndpoint) Flush() { ep.flushOut() }
 // dead peer surfaces at flush time instead of waiting for the reader
 // goroutine to notice, and a flush error is never silently swallowed.
 func (ep *TCPEndpoint) flushOut() {
+	if !ep.txPending.Load() {
+		return
+	}
 	var failedPeers []int32
 	var failedErrs []error
 	ep.mu.Lock()
+	ep.txPending.Store(false)
 	buffered := 0
 	for r, q := range ep.qs {
 		if q == nil || q.qn == 0 {
 			continue
 		}
 		buffered += q.qn
-		if err := q.ship(ep.conns[r]); err != nil {
+		if err := ep.ship(r); err != nil {
 			failedPeers = append(failedPeers, int32(r))
 			failedErrs = append(failedErrs, err)
 		}
@@ -846,7 +1071,6 @@ func (ep *TCPEndpoint) Poll() int {
 			ep.dispatch(m)
 			n++
 		default:
-			ep.runDueTick()
 			ep.flushOut()
 			return n
 		}
@@ -856,6 +1080,12 @@ func (ep *TCPEndpoint) Poll() int {
 // WaitFor polls (blocking) until pred() is true. Buffered outgoing
 // frames are flushed whenever the wait is about to block, so a peer
 // can never be left waiting on a frame parked in our write buffer.
+//
+// The block is one plain receive on the inbox: frames, loopback sends,
+// external wakes, the periodic tick and endpoint close all arrive
+// there (the last three as the one coalesced wake message), so a
+// blocked wait arms no timer, runs no multi-way select and allocates
+// nothing.
 func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 	if !pred() && ep.ring != nil {
 		ep.ring.Begin(obs.KNetWait, -1, 0)
@@ -869,30 +1099,14 @@ func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 		default:
 		}
 		ep.flushOut()
-		if ep.tick != nil {
-			// With a tick installed the blocking wait must still wake
-			// periodically: heartbeats and deadline sweeps are what turn
-			// a silently lost peer into progress on this very wait.
-			timer := time.NewTimer(ep.tickEvery)
-			select {
-			case m := <-ep.inbox:
-				ep.dispatch(m)
-			case <-timer.C:
-				ep.lastTick = time.Now()
-				ep.tick()
-			case <-ep.done:
-				timer.Stop()
-				return ep.closedErr()
-			}
-			timer.Stop()
-			continue
-		}
+		// shutdown closes done and then wakes the inbox, so a close is
+		// seen here either before blocking or on the wake's way round.
 		select {
-		case m := <-ep.inbox:
-			ep.dispatch(m)
 		case <-ep.done:
 			return ep.closedErr()
+		default:
 		}
+		ep.dispatch(<-ep.inbox)
 	}
 	ep.flushOut()
 	return nil
@@ -912,7 +1126,8 @@ func (ep *TCPEndpoint) Goodbye() {
 		}
 		// Best-effort: an unreachable peer is already tearing down.
 		q.enqueue(Message{From: ep.rank, To: int32(r), Handler: byeHandler}, false)
-		_ = q.ship(ep.conns[r])
+		ep.txFrames++
+		_ = ep.ship(r)
 	}
 }
 
@@ -928,7 +1143,11 @@ func (ep *TCPEndpoint) shutdown() {
 				c.Close()
 			}
 		}
+		if ep.ticker != nil {
+			ep.ticker.Stop()
+		}
 		ep.mu.Unlock()
+		ep.Wake() // a rank blocked in WaitFor wakes to find done closed
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // mesh spins up n endpoints over localhost and wires the full mesh.
-func mesh(t *testing.T, n int) []*TCPEndpoint {
+func mesh(t testing.TB, n int) []*TCPEndpoint {
 	t.Helper()
 	eps := make([]*TCPEndpoint, n)
 	addrs := make([]string, n)
@@ -192,9 +193,13 @@ func TestOversizedPayloadRejected(t *testing.T) {
 
 func TestOversizedFrameRejectedOnRead(t *testing.T) {
 	// A corrupt (or hostile) stream announcing a giant payload must be
-	// refused before any allocation, not trusted.
+	// refused before any allocation, not trusted — by the reader's
+	// parser and by the hello decoder alike.
 	var hdr [26]byte
 	binary.LittleEndian.PutUint64(hdr[18:], MaxPayload+1)
+	if _, err := new(frameReader).next(bytes.NewReader(hdr[:])); err == nil {
+		t.Fatal("the rx parser accepted an over-limit length header")
+	}
 	if _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("readFrame accepted an over-limit length header")
 	}
@@ -222,14 +227,28 @@ func TestPartialFrameRead(t *testing.T) {
 	}
 	raw := full.Bytes()
 	// Every proper prefix must fail cleanly — truncated header or
-	// truncated payload — never hang or misparse.
+	// truncated payload — never hang or misparse: the reader's parser
+	// reports the cut as io.ErrUnexpectedEOF (peer loss), and only the
+	// empty stream as a bare io.EOF.
 	for cut := 0; cut < len(raw); cut++ {
+		want := io.ErrUnexpectedEOF
+		if cut == 0 {
+			want = io.EOF
+		}
+		if _, err := new(frameReader).next(bytes.NewReader(raw[:cut])); err != want {
+			t.Fatalf("rx parser on %d of %d bytes: %v, want %v", cut, len(raw), err, want)
+		}
 		if _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("readFrame succeeded on %d of %d bytes", cut, len(raw))
 		}
 	}
-	if m, err := readFrame(bytes.NewReader(raw)); err != nil || string(m.Payload) != "hello, wire" {
-		t.Fatalf("full frame readback: %v %q", err, m.Payload)
+	for name, decode := range map[string]func() (Message, error){
+		"rx parser": func() (Message, error) { return new(frameReader).next(bytes.NewReader(raw)) },
+		"readFrame": func() (Message, error) { return readFrame(bytes.NewReader(raw)) },
+	} {
+		if m, err := decode(); err != nil || string(m.Payload) != "hello, wire" {
+			t.Fatalf("%s, full frame readback: %v %q", name, err, m.Payload)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,5 +68,79 @@ func TestWakeIsDroppedWhenIdle(t *testing.T) {
 		default:
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestWakeCoalesces: however many Wakes land on a rank that is not
+// polling, at most one wake message is queued — the rest find the word
+// set and return — and the wake protocol still works afterwards: a
+// WaitFor that has consumed the stale wake, found its predicate false
+// and gone back to the inbox is woken by the next Wake.
+func TestWakeCoalesces(t *testing.T) {
+	eps := mesh(t, 2)
+	const wakers, each = 8, 1250 // 10,000 wakes
+	var wg sync.WaitGroup
+	for g := 0; g < wakers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				eps[0].Wake()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(eps[0].inbox); n > 1 {
+		t.Fatalf("%d messages queued after %d wakes, want at most 1", n, wakers*each)
+	}
+	if c := eps[0].Counters()["net_wakes_coalesced"]; c != wakers*each-1 {
+		t.Errorf("net_wakes_coalesced = %v, want %d", c, wakers*each-1)
+	}
+
+	var flag atomic.Bool
+	evals := make(chan struct{}, 4)
+	done := make(chan error, 1)
+	go func() {
+		done <- eps[0].WaitFor(func() bool {
+			select {
+			case evals <- struct{}{}:
+			default:
+			}
+			return flag.Load()
+		})
+	}()
+	// Three evaluations: the ring-less entry check, the loop's first
+	// look, and the one after the stale wake was dispatched; the waiter
+	// then has nothing left to do but block.
+	for i := 0; i < 3; i++ {
+		<-evals
+	}
+	flag.Store(true)
+	eps[0].Wake()
+	if err := <-done; err != nil {
+		t.Fatalf("WaitFor: %v", err)
+	}
+}
+
+// TestCloseUnblocksPlainReceive: a rank blocked in WaitFor's plain
+// inbox receive — no done case to select on — is reached by Close
+// through the wake message shutdown queues, and returns ErrClosed.
+func TestCloseUnblocksPlainReceive(t *testing.T) {
+	eps := mesh(t, 2)
+	evals := make(chan struct{}, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- eps[0].WaitFor(func() bool {
+			select {
+			case evals <- struct{}{}:
+			default:
+			}
+			return false
+		})
+	}()
+	<-evals // the waiter is inside WaitFor, blocked or about to
+	eps[0].Close()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitFor after Close = %v, want ErrClosed", err)
 	}
 }
