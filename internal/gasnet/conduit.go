@@ -330,6 +330,10 @@ type CounterSource interface {
 type Memory interface {
 	Read(off uint64, p []byte)
 	Write(off uint64, p []byte)
+	// Window returns the n bytes at off, unlocked, or nil unless
+	// [off, off+n) lies inside the memory: the bounds check for offsets
+	// that arrive off the wire, and the view a get replies from.
+	Window(off, n uint64) []byte
 	Xor64(off, val uint64) uint64
 	Alloc(size uint64) (uint64, error)
 	Free(off uint64) error

@@ -36,6 +36,13 @@ func (m *testMem) Write(off uint64, p []byte) {
 	m.mu.Unlock()
 }
 
+func (m *testMem) Window(off, n uint64) []byte {
+	if off > uint64(len(m.buf)) || n > uint64(len(m.buf))-off {
+		return nil
+	}
+	return m.buf[off : off+n : off+n]
+}
+
 func (m *testMem) Xor64(off, val uint64) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

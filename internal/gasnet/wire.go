@@ -94,7 +94,11 @@ type WireConduit struct {
 	// reads tep from foreign goroutines) and of neighbouring objects.
 	_         pad.Line
 	nextToken uint64
-	_         pad.Line
+	// reqHdr holds a blocking get's or put's argument words while they
+	// are sent; 16 bytes are inlined into the transport's slab at the
+	// call, so one buffer serves every request without escaping.
+	reqHdr [16]byte
+	_      pad.Line
 
 	replies map[uint64][]byte
 	// acks holds reply callbacks for tokens whose requester did not
@@ -250,6 +254,7 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 	c.register(hPing, c.onPing)
 	c.register(hTeamGather, c.onTeamGather)
 	c.register(hTeamResult, c.onTeamResult)
+	c.tep.SetLander(hPut, 8, c.landPut)
 	return c
 }
 
@@ -261,8 +266,9 @@ func (c *WireConduit) register(h uint16, fn transport.Handler) {
 		panic(fmt.Sprintf("gasnet: wire handler %d registered above hLast (%d): its frames would go uncounted", h, hLast))
 	}
 	c.tep.Register(h, func(ep *transport.TCPEndpoint, m transport.Message) {
-		c.count(c.rx, m.Handler, len(m.Payload))
-		c.ring.Instant(obs.KWireRx, m.From, uint32(len(m.Payload)), uint64(m.Handler))
+		n := len(m.Payload) + int(m.Landed)
+		c.count(c.rx, m.Handler, n)
+		c.ring.Instant(obs.KWireRx, m.From, uint32(n), uint64(m.Handler))
 		if c.lastHeard != nil {
 			c.lastHeard[m.From] = time.Now()
 		}
@@ -280,10 +286,15 @@ func (c *WireConduit) count(dir map[uint16]*wireStat, h uint16, bytes int) {
 // payload is borrowed until the transport's next flush (small payloads
 // are copied at the call) — callers that reuse the buffer sooner go
 // through sendOwned.
-func (c *WireConduit) send(m transport.Message) error {
-	c.count(c.tx, m.Handler, len(m.Payload))
-	c.ring.Instant(obs.KWireTx, m.To, uint32(len(m.Payload)), uint64(m.Handler))
-	return c.tep.Send(m)
+func (c *WireConduit) send(m transport.Message) error { return c.sendLong(m, nil) }
+
+// sendLong is send with data following the payload as the frame's
+// second, borrowed part (transport.SendLong).
+func (c *WireConduit) sendLong(m transport.Message, data []byte) error {
+	n := len(m.Payload) + len(data)
+	c.count(c.tx, m.Handler, n)
+	c.ring.Instant(obs.KWireTx, m.To, uint32(n), uint64(m.Handler))
+	return c.tep.SendLong(m, data)
 }
 
 // sendOwned is send with ownership transfer: the payload (typically a
@@ -366,36 +377,33 @@ func (c *WireConduit) Wake() { c.tep.Wake() }
 // The returned reply buffer is a retained frame-pool buffer: the caller
 // owns it and must hand it to frames.Put once consumed.
 func (c *WireConduit) request(to int, handler uint16, payload []byte) ([]byte, error) {
-	return c.requestMode(to, handler, payload, false)
+	rep, _, err := c.requestLong(to, handler, payload, nil, nil)
+	return rep, err
 }
 
-// requestOwned is request with payload ownership transferred to the
-// transport (released once the frame ships).
-func (c *WireConduit) requestOwned(to int, handler uint16, payload []byte) ([]byte, error) {
-	return c.requestMode(to, handler, payload, true)
-}
-
-func (c *WireConduit) requestMode(to int, handler uint16, payload []byte, owned bool) ([]byte, error) {
+// requestLong is request for the one-sided bulk plane. A non-empty data
+// follows payload as the frame's borrowed second part and is flushed
+// before the wait, so the borrow ends before any handler runs. A
+// non-nil land is armed for the reply — and disarmed on every way out —
+// and landed reports that the reply arrived in it (rep is then nil).
+func (c *WireConduit) requestLong(to int, handler uint16, payload, data, land []byte) (rep []byte, landed bool, err error) {
 	if err := c.deadErr(to); err != nil {
-		if owned {
-			frames.Put(payload)
-		}
-		return nil, err
+		return nil, false, err
 	}
 	c.nextToken++
 	tok := c.nextToken
-	m := transport.Message{To: int32(to), Handler: handler, Arg: tok, Payload: payload}
-	var err error
-	if owned {
-		err = c.sendOwned(m)
-	} else {
-		err = c.send(m)
+	if land != nil {
+		c.tep.ArmLanding(to, hReply, tok, land)
+		defer func() { landed = c.tep.DisarmLanding(to) }()
 	}
-	if err != nil {
+	if err := c.sendLong(transport.Message{To: int32(to), Handler: handler, Arg: tok, Payload: payload}, data); err != nil {
 		if derr := c.noteSendError(to, err); derr != nil {
-			return nil, derr
+			return nil, false, derr
 		}
-		return nil, err
+		return nil, false, err
+	}
+	if len(data) > 0 {
+		c.tep.Flush()
 	}
 	var out []byte
 	found := false
@@ -403,16 +411,16 @@ func (c *WireConduit) requestMode(to int, handler uint16, payload []byte, owned 
 		out, found = c.replies[tok]
 		return found || c.isDead(to)
 	}); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if !found {
 		// The target died while we waited. A reply may still surface
 		// from the inbox backlog; void the token so it is dropped.
 		c.void[tok] = struct{}{}
-		return nil, c.deadErr(to)
+		return nil, false, c.deadErr(to)
 	}
 	delete(c.replies, tok)
-	return out, nil
+	return out, false, nil
 }
 
 // isDead reports resilient-mode death state (always false otherwise).
@@ -485,78 +493,113 @@ func putU64(p []byte, v uint64) { binary.LittleEndian.PutUint64(p, v) }
 // reply the transport refuses to send.
 const maxChunk = transport.MaxPayload - 8
 
-// Get copies len(p) bytes from rank's segment at off into p.
+// A one-sided request the target cannot serve — a payload too short to
+// hold its arguments, a range outside the segment, a misaligned atomic
+// — is answered with a failure reply its requester tells from success
+// by length alone: empty for get and xor (whose successful replies
+// carry the data), one byte for put (whose successful reply is empty).
+var putRefused = []byte{0}
+
+// refused is the error a requester returns for a failure reply.
+func refused(op string, rank int, off uint64, n int) error {
+	return fmt.Errorf("gasnet: rank %d refused a wire %s of %d bytes at offset %d", rank, op, n, off)
+}
+
+// Get copies len(p) bytes from rank's segment at off into p. A long
+// chunk's reply is read by the transport straight into p (ArmLanding);
+// a short one is copied out of its pooled frame.
 func (c *WireConduit) Get(rank int, off uint64, p []byte) error {
 	if rank == c.Rank() {
 		c.mem.Read(off, p)
 		return nil
 	}
 	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
+		n := min(len(p), maxChunk)
+		putU64(c.reqHdr[0:], off)
+		putU64(c.reqHdr[8:], uint64(n))
+		var land []byte
+		if n > transport.LongPayload {
+			land = p[:n]
 		}
-		var req [16]byte
-		putU64(req[0:], off)
-		putU64(req[8:], uint64(n))
-		rep, err := c.request(rank, hGet, req[:])
+		rep, landed, err := c.requestLong(rank, hGet, c.reqHdr[:], nil, land)
 		if err != nil {
 			return err
 		}
-		if len(rep) != n {
-			return fmt.Errorf("gasnet: wire get of %d bytes returned %d", n, len(rep))
+		if !landed {
+			if len(rep) != n {
+				frames.Put(rep)
+				return refused("get", rank, off, n)
+			}
+			copy(p, rep)
+			frames.Put(rep)
 		}
-		copy(p, rep)
-		frames.Put(rep)
 		p = p[n:]
 		off += uint64(n)
 	}
 	return nil
 }
 
+// onGet replies with a borrowed view of the segment: the reply ships
+// in the flush that ends this dispatch turn, before the rank's own code
+// runs again, so no copy is made on this side either.
 func (c *WireConduit) onGet(_ *transport.TCPEndpoint, m transport.Message) {
-	off, n := u64(m.Payload[0:]), u64(m.Payload[8:])
-	if n > maxChunk {
-		// A well-formed requester chunks, so an oversized length is a
-		// corrupt frame. An empty reply makes the requester fail its
-		// length check instead of hanging (and bounds the allocation).
-		c.reply(m, nil)
-		return
+	var view []byte
+	if len(m.Payload) >= 16 {
+		if n := u64(m.Payload[8:]); n <= maxChunk {
+			view = c.mem.Window(u64(m.Payload), n)
+		}
 	}
-	// Pooled reply buffer, handed to the transport with the frame: the
-	// hot read-serving loop recycles instead of allocating per request.
-	buf := frames.Get(int(n))
-	c.mem.Read(off, buf)
-	_ = c.sendOwned(transport.Message{To: m.From, Handler: hReply, Arg: m.Arg, Payload: buf})
+	c.reply(m, view) // nil view: refused
 }
 
-// Put copies p into rank's segment at off.
+// Put copies p into rank's segment at off. The request leaves as the
+// offset followed by p itself, one borrowed iovec, flushed before Put
+// waits for the acknowledgement.
 func (c *WireConduit) Put(rank int, off uint64, p []byte) error {
 	if rank == c.Rank() {
 		c.mem.Write(off, p)
 		return nil
 	}
 	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		req := frames.Get(8 + n)
-		putU64(req, off)
-		copy(req[8:], p[:n])
-		rep, err := c.requestOwned(rank, hPut, req)
+		n := min(len(p), maxChunk)
+		putU64(c.reqHdr[:], off)
+		rep, _, err := c.requestLong(rank, hPut, c.reqHdr[:8], p[:n], nil)
 		if err != nil {
 			return err
 		}
+		ok := len(rep) == 0
 		frames.Put(rep)
+		if !ok {
+			return refused("put", rank, off, n)
+		}
 		p = p[n:]
 		off += uint64(n)
 	}
 	return nil
 }
 
+// landPut is hPut's lander: a long put's data is read straight into the
+// segment window its offset names. The part that arrived with the
+// header goes in through Write, under the memory's lock, so a local
+// access that held the lock before is ordered before the landing. An
+// out-of-range put declines, and onPut refuses it.
+func (c *WireConduit) landPut(prefix, head []byte, rest int) []byte {
+	off := u64(prefix)
+	win := c.mem.Window(off, uint64(rest))
+	if win != nil {
+		c.mem.Write(off, head)
+	}
+	return win
+}
+
 func (c *WireConduit) onPut(_ *transport.TCPEndpoint, m transport.Message) {
-	c.mem.Write(u64(m.Payload), m.Payload[8:])
+	if m.Landed == 0 {
+		if len(m.Payload) < 8 || c.mem.Window(u64(m.Payload), uint64(len(m.Payload)-8)) == nil {
+			c.reply(m, putRefused)
+			return
+		}
+		c.mem.Write(u64(m.Payload), m.Payload[8:])
+	}
 	c.reply(m, nil)
 }
 
@@ -620,7 +663,7 @@ func (c *WireConduit) GetAsync(rank int, off uint64, p []byte, timeout time.Dura
 		if n > maxChunk {
 			n = maxChunk
 		}
-		dst := p[:n]
+		dst, chunkOff := p[:n], off
 		var req [16]byte
 		putU64(req[0:], off)
 		putU64(req[8:], uint64(n))
@@ -631,7 +674,8 @@ func (c *WireConduit) GetAsync(rank int, off uint64, p []byte, timeout time.Dura
 				return
 			}
 			if len(rep) != len(dst) {
-				panic(fmt.Sprintf("gasnet: wire async get of %d bytes returned %d", len(dst), len(rep)))
+				st.complete(refused("get", rank, chunkOff, len(dst)))
+				return
 			}
 			copy(dst, rep)
 			st.complete(nil)
@@ -675,8 +719,12 @@ func (c *WireConduit) PutAsync(rank int, off uint64, p []byte, timeout time.Dura
 		req := frames.Get(8 + n)
 		putU64(req, off)
 		copy(req[8:], p[:n])
+		chunkOff := off
 		c.nextToken++
-		c.acks[c.nextToken] = &wireAck{to: rank, deadline: deadline, fn: func(_ []byte, err error) {
+		c.acks[c.nextToken] = &wireAck{to: rank, deadline: deadline, fn: func(rep []byte, err error) {
+			if err == nil && len(rep) != 0 {
+				err = refused("put", rank, chunkOff, n)
+			}
 			st.complete(err)
 		}}
 		if err := c.sendOwned(transport.Message{
@@ -723,12 +771,18 @@ func (c *WireConduit) Xor64(rank int, off uint64, val uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := u64(rep)
-	frames.Put(rep)
-	return v, nil
+	defer frames.Put(rep)
+	if len(rep) != 8 {
+		return 0, refused("xor", rank, off, 8)
+	}
+	return u64(rep), nil
 }
 
 func (c *WireConduit) onXor(_ *transport.TCPEndpoint, m transport.Message) {
+	if len(m.Payload) < 16 || u64(m.Payload)%8 != 0 || c.mem.Window(u64(m.Payload), 8) == nil {
+		c.reply(m, nil) // refused
+		return
+	}
 	v := c.mem.Xor64(u64(m.Payload[0:]), u64(m.Payload[8:]))
 	var rep [8]byte
 	putU64(rep[:], v)

@@ -13,7 +13,7 @@ import (
 
 // wireFleet builds n connected WireConduits over localhost TCP, each
 // backed by a testMem of memBytes.
-func wireFleet(t *testing.T, n, memBytes int) []*WireConduit {
+func wireFleet(t testing.TB, n, memBytes int) []*WireConduit {
 	t.Helper()
 	eps := make([]*transport.TCPEndpoint, n)
 	addrs := make([]string, n)

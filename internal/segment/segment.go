@@ -221,6 +221,16 @@ func (s *Segment) Base() unsafe.Pointer { return unsafe.Pointer(&s.buf[0]) }
 // rank use it for local access, remote callers must hold Lock.
 func (s *Segment) Bytes(off, n uint64) []byte { return s.buf[off : off+n : off+n] }
 
+// Window is Bytes for an offset and length that arrived off the network:
+// nil unless [off, off+n) lies inside the segment. It is the view a wire
+// get replies from and a long put lands in.
+func (s *Segment) Window(off, n uint64) []byte {
+	if off > uint64(len(s.buf)) || n > uint64(len(s.buf))-off {
+		return nil
+	}
+	return s.buf[off : off+n : off+n]
+}
+
 // At returns a typed pointer to the segment bytes at off. The caller is
 // responsible for ensuring off was allocated with space for T and that T
 // is pointer-free.

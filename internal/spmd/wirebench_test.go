@@ -10,16 +10,19 @@ import (
 	"upcxx/internal/rpc"
 )
 
-// netCalls sums the transport's system-call counters over every rank of
-// the running job, from the live metrics registry (the source
-// /debug/metrics serves).
-func netCalls() (reads, writevs int64) {
+// netCalls sums the transport's system-call counters, and the frames
+// read straight to their destination, over every rank of the running
+// job, from the live metrics registry (the source /debug/metrics
+// serves).
+func netCalls() (reads, writevs, landed int64) {
 	for k, v := range obs.Reg().Snapshot() {
 		switch {
 		case strings.HasPrefix(k, "net_rx_reads{"):
 			reads += v
 		case strings.HasPrefix(k, "net_tx_writevs{"):
 			writevs += v
+		case strings.HasPrefix(k, "net_rx_landed{"):
+			landed += v
 		}
 	}
 	return
@@ -34,8 +37,17 @@ func netCalls() (reads, writevs int64) {
 // answers — the batch, the target's ack and answer batch in one writev,
 // and the ack of that answer (3 writevs, exact; 3 reads at most, fewer
 // whenever the answer's ack and the next batch reach the target
-// together).
+// together). put32k and get32k are WriteSlice and ReadSlice of 32 KiB:
+// a request and a reply each (2 writevs; 3 reads, the long frame's
+// header buffer and its remainder plus the short one), and landed/op —
+// frames read straight into the segment or the caller's slice — exactly
+// 1.
 func BenchmarkWireRoundTrip(b *testing.B) {
+	const bulkWords = 4096 // 32 KiB
+	src, dst := make([]uint64, bulkWords), make([]uint64, bulkWords)
+	for i := range src {
+		src[i] = uint64(i) * 0x9E3779B97F4A7C15
+	}
 	ops := []struct {
 		name string
 		op   func(me *core.Rank, p core.GlobalPtr[uint64], i int)
@@ -44,6 +56,13 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		{"get8", func(me *core.Rank, p core.GlobalPtr[uint64], i int) {
 			if v := core.Read(me, p); v != 42 {
 				panic(fmt.Sprintf("get8 %d: read %d, want 42", i, v))
+			}
+		}},
+		{"put32k", func(me *core.Rank, p core.GlobalPtr[uint64], i int) { core.WriteSlice(me, p.Add(1), src) }},
+		{"get32k", func(me *core.Rank, p core.GlobalPtr[uint64], i int) {
+			core.ReadSlice(me, p.Add(1), dst)
+			if dst[bulkWords-1] != src[bulkWords-1] {
+				panic(fmt.Sprintf("get32k %d: last word %#x, want %#x", i, dst[bulkWords-1], src[bulkWords-1]))
 			}
 		}},
 		{"batch1-reply", func(me *core.Rank, _ core.GlobalPtr[uint64], i int) {
@@ -55,24 +74,27 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	for _, o := range ops {
 		b.Run(o.name, func(b *testing.B) {
-			var reads, writevs int64
-			_, err := RunWireLocal(2, 1<<16, core.Config{}, func(me *core.Rank) {
-				p := core.TeamBroadcast(me.World(), core.Allocate[uint64](me, 1, 1), 0)
+			b.ReportAllocs()
+			var reads, writevs, landed int64
+			// Word 0 for the 8-byte ops, words 1..bulkWords for the slices.
+			_, err := RunWireLocal(2, 1<<17, core.Config{}, func(me *core.Rank) {
+				p := core.TeamBroadcast(me.World(), core.Allocate[uint64](me, 1, 1+bulkWords), 0)
 				if me.ID() == 0 {
 					core.Write(me, p, 42)
+					core.WriteSlice(me, p.Add(1), src)
 					const warm = 200
 					for i := 0; i < warm; i++ {
 						o.op(me, p, i)
 					}
 					core.Write(me, p, 42)
-					r0, w0 := netCalls()
+					r0, w0, l0 := netCalls()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						o.op(me, p, i)
 					}
 					b.StopTimer()
-					reads, writevs = netCalls()
-					reads, writevs = reads-r0, writevs-w0
+					reads, writevs, landed = netCalls()
+					reads, writevs, landed = reads-r0, writevs-w0, landed-l0
 					core.Write(me, p, 42)
 				}
 				me.Barrier()
@@ -82,6 +104,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			}
 			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 			b.ReportMetric(float64(writevs)/float64(b.N), "writevs/op")
+			b.ReportMetric(float64(landed)/float64(b.N), "landed/op")
 		})
 	}
 }

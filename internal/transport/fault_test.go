@@ -335,10 +335,13 @@ func TestTickRunsWhileBlocked(t *testing.T) {
 // TestTickOneFiringWhileAway: the timer is one-shot and re-armed by the
 // dispatch goroutine, so a rank that stays away from its endpoint for
 // many periods comes back to exactly one due tick, not a backlog — and
-// the tick then resumes.
+// the tick then resumes. The period is long enough that the Poll which
+// runs the due tick cannot also see the re-armed timer fire unless it
+// is descheduled for a whole period (at 1 ms it was, in 16 of 300 runs
+// beside a parallel go test).
 func TestTickOneFiringWhileAway(t *testing.T) {
 	eps := meshWith(t, 2, nil)
-	const period = time.Millisecond
+	const period = 10 * time.Millisecond
 	var ticks atomic.Int64
 	eps[0].SetTick(period, func() { ticks.Add(1) })
 	for away := time.Now().Add(20 * period); time.Now().Before(away); {

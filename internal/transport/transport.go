@@ -33,14 +33,21 @@ type Message struct {
 	From    int32
 	To      int32
 	Handler uint16
-	Arg     uint64
-	Payload []byte
 
 	// pooled marks a payload owned by the transport (rx-loop buffers
 	// from internal/frames, SendOwned loopbacks): dispatch releases it
 	// back to the pool after the handler returns unless the handler
 	// called Retain.
 	pooled bool
+
+	// Landed is set on a received frame whose payload the reader placed
+	// straight at its destination (a Lander's window, or the buffer
+	// ArmLanding named) instead of in Payload, which is then nil: it is
+	// that payload's length. Zero on every other frame.
+	Landed int32
+
+	Arg     uint64
+	Payload []byte
 }
 
 // MaxPayload bounds a frame's payload, both on send (oversized messages
@@ -124,6 +131,13 @@ const (
 	rxBufLen = 512
 )
 
+// LongPayload is the largest payload that always fits beside its header
+// in a reader's buffer. A longer one is a long message: it never
+// arrives whole with its header, and it is what a landing (SetLander,
+// ArmLanding) can read straight to its destination. Every shorter frame
+// takes the one rx path there is for it.
+const LongPayload = rxBufLen - frameHdrLen
+
 // outQ is one peer's vectored send queue: frame headers (and inlined
 // small payloads) are carved from pooled slabs, large payloads are
 // queued by reference, and the whole run ships as one
@@ -170,24 +184,32 @@ func (q *outQ) refAppend(p []byte) {
 	q.qn += len(p)
 }
 
-// enqueue queues one frame. owned payloads are released by the queue
-// (after the flush that ships them, or immediately when inlined);
-// borrowed payloads stay aliased until the flush.
-func (q *outQ) enqueue(m Message, owned bool) {
+// enqueue queues one frame whose payload is m.Payload followed by tail.
+// owned payloads are released by the queue (after the flush that ships
+// them, or immediately when inlined); borrowed ones — tail always —
+// stay aliased until the flush.
+func (q *outQ) enqueue(m Message, tail []byte, owned bool) {
 	var hdr [frameHdrLen]byte
-	putHeader(hdr[:], m, len(m.Payload))
+	putHeader(hdr[:], m, len(m.Payload)+len(tail))
 	q.slabAppend(hdr[:])
+	q.part(m.Payload, owned)
+	q.part(tail, false)
+}
+
+// part queues one payload part: inlined into the slab when small, by
+// reference otherwise.
+func (q *outQ) part(p []byte, owned bool) {
 	switch {
-	case len(m.Payload) == 0:
-	case len(m.Payload) <= inlineMax:
-		q.slabAppend(m.Payload)
+	case len(p) == 0:
+	case len(p) <= inlineMax:
+		q.slabAppend(p)
 		if owned {
-			frames.Put(m.Payload)
+			frames.Put(p)
 		}
 	default:
-		q.refAppend(m.Payload)
+		q.refAppend(p)
 		if owned {
-			q.owned = append(q.owned, m.Payload)
+			q.owned = append(q.owned, p)
 		}
 	}
 }
@@ -273,6 +295,17 @@ type TCPEndpoint struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 	rxs       []*frameReader // by peer rank; nil for self
+	sites     []*rxLanding   // by peer rank, the readers' landing sites; nil for self
+
+	// landers holds each handler's Lander (SetLander), indexed like
+	// handlers and loaded by the readers on long frames only.
+	landers []atomic.Pointer[lander]
+	// dispatched counts, per peer, the frames the dispatch goroutine has
+	// finished handling: the order rule lets a lander place a peer's
+	// frame only once it equals what that peer's reader has delivered.
+	// Written per frame by the dispatch goroutine alone, so the counts
+	// sit in a padded array of their own.
+	dispatched []atomic.Int64
 
 	// wakeQueued is the one word of the wake protocol: set by the Wake
 	// that enqueues a wake message, cleared by the dispatch goroutine
@@ -535,27 +568,33 @@ func (ep *TCPEndpoint) Dropped() int64 { return ep.dropped.Load() }
 
 // Counters reports the endpoint's exact system-call accounting:
 // net_rx_reads and net_rx_frames (Reads the per-peer readers made and
-// frames they parsed), net_tx_frames and net_tx_writevs (frames queued
-// for a peer and vectored writes that shipped them), and
-// net_wakes_coalesced (Wakes that found a wake already queued). Safe
-// from any goroutine.
+// frames they parsed), net_rx_landed (frames read straight to their
+// destination) and net_rx_land_fallbacks (long frames the per-sender
+// order rule sent down the pooled path), net_tx_frames and
+// net_tx_writevs (frames queued for a peer and vectored writes that
+// shipped them), and net_wakes_coalesced (Wakes that found a wake
+// already queued). Safe from any goroutine.
 func (ep *TCPEndpoint) Counters() map[string]float64 {
-	var reads, frames int64
-	for _, rx := range ep.rxs {
+	var reads, frames, landed, fallbacks int64
+	for r, rx := range ep.rxs {
 		if rx != nil {
 			reads += rx.reads.Load()
 			frames += rx.frames.Load()
+			landed += rx.landed.Load()
+			fallbacks += ep.sites[r].fallbacks.Load()
 		}
 	}
 	ep.mu.Lock()
 	txFrames, txWritevs := ep.txFrames, ep.txWritevs
 	ep.mu.Unlock()
 	return map[string]float64{
-		"net_rx_reads":        float64(reads),
-		"net_rx_frames":       float64(frames),
-		"net_tx_frames":       float64(txFrames),
-		"net_tx_writevs":      float64(txWritevs),
-		"net_wakes_coalesced": float64(ep.wakesCoalesced.Load()),
+		"net_rx_reads":          float64(reads),
+		"net_rx_frames":         float64(frames),
+		"net_rx_landed":         float64(landed),
+		"net_rx_land_fallbacks": float64(fallbacks),
+		"net_tx_frames":         float64(txFrames),
+		"net_tx_writevs":        float64(txWritevs),
+		"net_wakes_coalesced":   float64(ep.wakesCoalesced.Load()),
 	}
 }
 
@@ -595,12 +634,17 @@ func (ep *TCPEndpoint) dispatch(m Message) {
 		if m.pooled {
 			frames.Put(m.Payload)
 		}
-		return
+	} else {
+		ep.retained = false
+		ep.handlers[m.Handler](ep, m)
+		if m.pooled && !ep.retained {
+			frames.Put(m.Payload)
+		}
 	}
-	ep.retained = false
-	ep.handlers[m.Handler](ep, m)
-	if m.pooled && !ep.retained {
-		frames.Put(m.Payload)
+	if m.From != ep.rank {
+		// A reader's frame (readLoop stamps From with its peer) is done
+		// with: its sender's next long frame may land.
+		ep.dispatched[m.From].Add(1)
 	}
 }
 
@@ -661,6 +705,9 @@ func readFrame(r io.Reader) (Message, error) {
 		m.pooled = true
 		if _, err := io.ReadFull(r, m.Payload); err != nil {
 			frames.Put(m.Payload)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header came: the frame is cut
+			}
 			return Message{}, err
 		}
 	}
@@ -673,17 +720,166 @@ func readFrame(r io.Reader) (Message, error) {
 // frame, so ownership downstream (dispatch's release, Retain) is what
 // it was when every frame was read into its pooled buffer directly; a
 // payload that runs past the buffer gets its pooled frame, the
-// buffered prefix, and the remainder read straight into it.
+// buffered prefix, and the remainder read straight into it — unless it
+// is long and its site places it: then the buffered part is copied to
+// the destination the site names and the rest is read straight there.
 //
-// Every field is the reader goroutine's own; reads and frames are
-// atomics only so Counters may fold them from another goroutine.
+// Every field is the reader goroutine's own; reads, frames and landed
+// are atomics only so Counters may fold them from another goroutine.
 type frameReader struct {
-	_      pad.Line
-	buf    [rxBufLen]byte
-	r, w   int // buf[r:w] is received and not yet parsed
-	reads  atomic.Int64
-	frames atomic.Int64
-	_      pad.Line
+	_         pad.Line
+	buf       [rxBufLen]byte
+	r, w      int         // buf[r:w] is received and not yet parsed
+	site      landingSite // nil: every payload takes the pooled path
+	delivered int64       // frames readLoop has put in the inbox
+	reads     atomic.Int64
+	frames    atomic.Int64
+	landed    atomic.Int64
+	_         pad.Line
+}
+
+// landingSite is what a frameReader asks, for each long frame, whether
+// and where its payload lands. The endpoint's is rxLanding; tests plug
+// in their own.
+type landingSite interface {
+	// prefix reports how many leading payload bytes claim must see to
+	// decide on a frame for handler h, or -1 for the pooled path.
+	// delivered is how many frames the reader has delivered before it.
+	prefix(h uint16, delivered int64) int
+	// claim returns where the rest bytes after prefix go, with head —
+	// the part of them that arrived with the header — already copied
+	// into its start, or nil to decline (the whole payload then takes
+	// the pooled path).
+	claim(h uint16, arg uint64, prefix, head []byte, rest int) []byte
+	// release ends a claim: ok reports that the payload arrived whole.
+	release(ok bool)
+}
+
+// Lander places the payload of a long frame at its destination: it runs
+// on the connection's reader goroutine with the first prefix bytes of
+// the payload (SetLander) and head — the part of the remaining rest
+// bytes that arrived with the header. It returns the rest-byte window
+// the payload goes to, with head already copied into its start, or nil
+// to decline (the frame then takes the pooled path, and its handler
+// sees the whole payload). The reader fills the window before the
+// frame — with Landed set and no Payload — reaches the handler.
+type Lander func(prefix, head []byte, rest int) []byte
+
+type lander struct {
+	prefix int
+	fn     Lander
+}
+
+// rxLanding is the endpoint's landing site for one peer's reader: the
+// handlers' landers, under the per-sender order rule, and the one reply
+// landing a blocked requester may have armed.
+type rxLanding struct {
+	ep        *TCPEndpoint
+	peer      int32
+	lander    *lander      // the lander whose claim is in progress; reader-own
+	fallbacks atomic.Int64 // long frames the order rule sent down the pooled path
+
+	mu    sync.Mutex
+	ended sync.Cond // broadcast when a reply claim ends
+	reply replySlot // guarded by mu
+}
+
+// replySlot is one armed reply landing (ArmLanding).
+type replySlot struct {
+	h      uint16
+	arg    uint64
+	dst    []byte // nil: none armed
+	busy   bool   // the reader is reading into dst
+	landed bool   // the reply arrived whole in dst
+}
+
+// prefix applies the order rule: a lander may place this peer's frame
+// only when every frame the peer delivered before it has been
+// dispatched, so nothing still queued (an aggregated put to the same
+// words, say) can apply after it. A frame with no lander looks for an
+// armed reply landing, which needs no prefix.
+func (s *rxLanding) prefix(h uint16, delivered int64) int {
+	s.lander = nil
+	if int(h) < len(s.ep.landers) {
+		if l := s.ep.landers[h].Load(); l != nil {
+			if delivered != s.ep.dispatched[s.peer].Load() {
+				s.fallbacks.Add(1)
+				return -1
+			}
+			s.lander = l
+			return l.prefix
+		}
+	}
+	return 0
+}
+
+func (s *rxLanding) claim(h uint16, arg uint64, prefix, head []byte, rest int) []byte {
+	if l := s.lander; l != nil {
+		return l.fn(prefix, head, rest)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := &s.reply
+	if r.dst == nil || r.busy || r.h != h || r.arg != arg || len(r.dst) != rest {
+		return nil
+	}
+	r.busy = true
+	copy(r.dst, head)
+	return r.dst
+}
+
+func (s *rxLanding) release(ok bool) {
+	if s.lander != nil {
+		return
+	}
+	s.mu.Lock()
+	s.reply = replySlot{landed: ok}
+	s.mu.Unlock()
+	s.ended.Broadcast()
+}
+
+// SetLander installs fn as handler h's lander (nil removes it), to be
+// offered every long frame for h whose sender's earlier frames have all
+// been dispatched, with the first prefix bytes of its payload (at most
+// LongPayload). Safe while traffic flows: a frame that arrives before
+// the lander takes the pooled path.
+func (ep *TCPEndpoint) SetLander(h uint16, prefix int, fn Lander) {
+	if prefix < 0 || prefix > LongPayload {
+		panic(fmt.Sprintf("transport: lander prefix %d outside [0, %d]", prefix, LongPayload))
+	}
+	var l *lander
+	if fn != nil {
+		l = &lander{prefix: prefix, fn: fn}
+	}
+	ep.landers[h].Store(l)
+}
+
+// ArmLanding names dst as where the reply (h, arg) from peer lands: if
+// it arrives as a long frame of exactly len(dst) payload bytes, the
+// reader reads it straight into dst and delivers it with Landed set
+// and no Payload. One landing per peer; the caller must DisarmLanding
+// before it next touches dst.
+func (ep *TCPEndpoint) ArmLanding(peer int, h uint16, arg uint64, dst []byte) {
+	s := ep.sites[peer]
+	s.mu.Lock()
+	s.reply = replySlot{h: h, arg: arg, dst: dst}
+	s.mu.Unlock()
+}
+
+// DisarmLanding withdraws peer's landing and reports whether the reply
+// arrived whole in it. If the reader is reading into it, DisarmLanding
+// waits until it is done — which a closed or severed connection ends —
+// so dst is never written after it returns.
+func (ep *TCPEndpoint) DisarmLanding(peer int) bool {
+	s := ep.sites[peer]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.reply.busy {
+		s.ended.Wait()
+	}
+	landed := s.reply.landed
+	s.reply = replySlot{}
+	return landed
 }
 
 // fill reads from src into p until at least min bytes have arrived,
@@ -725,6 +921,14 @@ func (rx *frameReader) next(src io.Reader) (Message, error) {
 		return Message{}, err
 	}
 	rx.r += frameHdrLen
+	if n > LongPayload && rx.site != nil {
+		if landed, err := rx.land(src, m.Handler, m.Arg, n); err != nil {
+			return Message{}, err
+		} else if landed {
+			m.Landed = int32(n)
+			return m, nil
+		}
+	}
 	if n > 0 {
 		m.Payload = frames.Get(n)
 		m.pooled = true
@@ -741,6 +945,45 @@ func (rx *frameReader) next(src io.Reader) (Message, error) {
 	return m, nil
 }
 
+// land offers the long frame (h, arg) with an n-byte payload, whose
+// header next has just consumed, to the site, and reads the payload to
+// the destination the site names. A decline (false, nil) leaves the
+// payload — prefix included, however much of it a Read had to bring
+// in — unconsumed for the pooled path.
+func (rx *frameReader) land(src io.Reader, h uint16, arg uint64, n int) (bool, error) {
+	pre := rx.site.prefix(h, rx.delivered)
+	if pre < 0 {
+		return false, nil
+	}
+	if have := rx.w - rx.r; have < pre {
+		copy(rx.buf[:], rx.buf[rx.r:rx.w])
+		rx.r, rx.w = 0, have
+		k, err := rx.fill(src, rx.buf[have:], pre-have, true)
+		rx.w += k
+		if err != nil {
+			return false, err
+		}
+	}
+	at := rx.r + pre
+	head := rx.buf[at:min(rx.w, rx.r+n)]
+	dst := rx.site.claim(h, arg, rx.buf[rx.r:at], head, n-pre)
+	if dst == nil {
+		return false, nil
+	}
+	rx.r = at + len(head)
+	var err error
+	if len(head) < len(dst) {
+		_, err = rx.fill(src, dst[len(head):], len(dst)-len(head), true)
+	}
+	rx.site.release(err == nil)
+	if err != nil {
+		return false, err
+	}
+	rx.frames.Add(1)
+	rx.landed.Add(1)
+	return true, nil
+}
+
 // ListenTCP creates an endpoint for the given rank of an n-rank job,
 // listening on addr (use "127.0.0.1:0" to pick a free port). Connect must
 // be called with everyone's advertised addresses before sending.
@@ -750,20 +993,26 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		return nil, err
 	}
 	ep := &TCPEndpoint{
-		rank:      int32(rank),
-		n:         int32(n),
-		ln:        ln,
-		handlers:  make([]Handler, 256),
-		conns:     make([]net.Conn, n),
-		inbox:     make(chan Message, 1024),
-		done:      make(chan struct{}),
-		rxs:       make([]*frameReader, n),
-		downed:    make([]atomic.Bool, n),
-		downCause: make([]error, n),
+		rank:       int32(rank),
+		n:          int32(n),
+		ln:         ln,
+		handlers:   make([]Handler, 256),
+		conns:      make([]net.Conn, n),
+		inbox:      make(chan Message, 1024),
+		done:       make(chan struct{}),
+		rxs:        make([]*frameReader, n),
+		sites:      make([]*rxLanding, n),
+		landers:    make([]atomic.Pointer[lander], 256),
+		dispatched: pad.Slice[atomic.Int64](n),
+		downed:     make([]atomic.Bool, n),
+		downCause:  make([]error, n),
 	}
 	for r := range ep.rxs {
 		if r != rank {
-			ep.rxs[r] = new(frameReader)
+			s := &rxLanding{ep: ep, peer: int32(r)}
+			s.ended.L = &s.mu
+			ep.sites[r] = s
+			ep.rxs[r] = &frameReader{site: s}
 		}
 	}
 	return ep, nil
@@ -873,9 +1122,11 @@ func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
 			sawBye = true
 			continue
 		}
+		m.From = peer // what the order rule's dispatched count is kept by
 		if !ep.deliver(m) {
 			return
 		}
+		rx.delivered++
 	}
 }
 
@@ -891,14 +1142,22 @@ func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
 // the borrow immediately). Callers that mutate or recycle the payload
 // before then must use SendOwned. Payloads over MaxPayload and sends on
 // a closed endpoint are rejected up front.
-func (ep *TCPEndpoint) Send(m Message) error { return ep.enqueue(m, false) }
+func (ep *TCPEndpoint) Send(m Message) error { return ep.enqueue(m, nil, false) }
 
 // SendOwned is Send with ownership transfer: the payload belongs to the
 // transport from the call on and is released to the frame pool once the
 // frame has shipped (or on any error path), so callers can hand over
 // pooled buffers without waiting for a flush. The caller must not touch
 // the payload after the call.
-func (ep *TCPEndpoint) SendOwned(m Message) error { return ep.enqueue(m, true) }
+func (ep *TCPEndpoint) SendOwned(m Message) error { return ep.enqueue(m, nil, true) }
+
+// SendLong is Send of a long message in two parts: the frame's payload
+// is m.Payload (header words, inlined into the slab when small)
+// followed by data, queued as its own iovec — so a caller's bulk buffer
+// reaches the socket with no copy on the way. data is borrowed like
+// Send's payload, until the flush that ships it; the receiver sees one
+// payload.
+func (ep *TCPEndpoint) SendLong(m Message, data []byte) error { return ep.enqueue(m, data, false) }
 
 // disposeOwned releases an owned payload on a path where the frame
 // never ships.
@@ -908,10 +1167,10 @@ func disposeOwned(m Message, owned bool) {
 	}
 }
 
-func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
-	if len(m.Payload) > MaxPayload {
+func (ep *TCPEndpoint) enqueue(m Message, tail []byte, owned bool) error {
+	if n := len(m.Payload) + len(tail); n > MaxPayload {
 		disposeOwned(m, owned)
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(m.Payload))
+		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, n)
 	}
 	select {
 	case <-ep.done:
@@ -921,6 +1180,13 @@ func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
 	}
 	m.From = ep.rank
 	if m.To == ep.rank {
+		if len(tail) > 0 {
+			// A loopback long message is delivered as one payload, the
+			// way the wire would deliver it.
+			p := append(frames.Get(len(m.Payload) + len(tail))[:0], m.Payload...)
+			disposeOwned(m, owned)
+			m.Payload, owned = append(p, tail...), true
+		}
 		// Loopback: an owned payload rides the pooled-release path
 		// through dispatch, exactly like an rx buffer.
 		m.pooled = owned
@@ -943,9 +1209,9 @@ func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
 			time.Sleep(act.Delay)
 		case fault.Sever:
 			// The sever writes a header-only torn frame; the payload
-			// itself never ships (severFrame reads only its length).
+			// itself never ships.
 			disposeOwned(m, owned)
-			return ep.severFrame(m)
+			return ep.severFrame(m, len(m.Payload)+len(tail))
 		}
 	}
 	ep.mu.Lock()
@@ -955,7 +1221,7 @@ func (ep *TCPEndpoint) enqueue(m Message, owned bool) error {
 		disposeOwned(m, owned)
 		return fmt.Errorf("transport: no connection to rank %d", m.To)
 	}
-	q.enqueue(m, owned)
+	q.enqueue(m, tail, owned)
 	ep.txFrames++
 	var err error
 	if q.qn >= flushThreshold {
@@ -997,11 +1263,11 @@ func (ep *TCPEndpoint) flushFailed(peer int32, err error) error {
 // partway through a frame — the worst-shaped cut a real link failure
 // produces. The local side then routes through the normal peer-loss
 // path and the caller gets the typed peer-down error.
-func (ep *TCPEndpoint) severFrame(m Message) error {
+func (ep *TCPEndpoint) severFrame(m Message, n int) error {
 	ep.mu.Lock()
 	if q := ep.qs[m.To]; q != nil {
 		var hdr [frameHdrLen]byte
-		putHeader(hdr[:], m, len(m.Payload)+1)
+		putHeader(hdr[:], m, n+1)
 		q.slabAppend(hdr[:])
 		_ = ep.ship(int(m.To))
 	}
@@ -1125,7 +1391,7 @@ func (ep *TCPEndpoint) Goodbye() {
 			continue
 		}
 		// Best-effort: an unreachable peer is already tearing down.
-		q.enqueue(Message{From: ep.rank, To: int32(r), Handler: byeHandler}, false)
+		q.enqueue(Message{From: ep.rank, To: int32(r), Handler: byeHandler}, nil, false)
 		ep.txFrames++
 		_ = ep.ship(r)
 	}
