@@ -118,6 +118,62 @@ func TestGetLandingAbandoned(t *testing.T) {
 	}
 }
 
+// TestNestedLongGets: a blocked long Get to rank 1 dispatches, while it
+// waits, a handler that makes its own long Get to rank 1 — a task body
+// reading from the same peer. The inner Get starts while the outer
+// landing is still armed, or after the outer reply has already landed
+// in it. Either way the inner Get takes the pooled path, the outer one
+// keeps its landing, and both return their own bytes and no error.
+func TestNestedLongGets(t *testing.T) {
+	for _, afterLanding := range []bool{false, true} {
+		cds := wireFleet(t, 2, 1<<16)
+		a, b := pattern(4096), bytes.Repeat([]byte{0x3C}, 4096)
+		cds[1].mem.Write(0, a)
+		cds[1].mem.Write(8192, b)
+		outer, inner := make([]byte, len(a)), make([]byte, len(b))
+		innerErr := errors.New("the batch handler never ran")
+		cds[0].SetBatchHandler(func(int, []byte) {
+			// Rank 0's goroutine, inside the outer Get's wait.
+			for deadline := time.Now().Add(10 * time.Second); afterLanding && cds[0].Counters()["net_rx_landed"] < 1; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					innerErr = errors.New("the outer reply never landed")
+					return
+				}
+			}
+			innerErr = cds[0].Get(1, 8192, inner)
+		}, func() {})
+		done := make(chan error, 1)
+		go func() { done <- cds[0].Get(1, 0, outer) }()
+
+		// Rank 1 (this goroutine): once the outer request is in, a batch
+		// for rank 0; then, with the reply queued behind the batch, it
+		// serves. Without afterLanding it serves only once the inner
+		// request is in too, so the inner Get arms while the outer reply
+		// is still to come.
+		waitCounter(t, cds[1], "net_rx_frames", 1)
+		if err := cds[1].SendBatch(0, frames.Get(16), nil); err != nil {
+			t.Fatal(err)
+		}
+		if !afterLanding {
+			cds[1].tep.Flush()
+			waitCounter(t, cds[1], "net_rx_frames", 2)
+		}
+		stop := servePoll(cds[1])
+		err := <-done
+		stop()
+		if err != nil || innerErr != nil {
+			t.Fatalf("afterLanding %v: outer Get %v, inner Get %v", afterLanding, err, innerErr)
+		}
+		if !bytes.Equal(outer, a) || !bytes.Equal(inner, b) {
+			t.Fatalf("afterLanding %v: outer Get's bytes right %v, inner's %v",
+				afterLanding, bytes.Equal(outer, a), bytes.Equal(inner, b))
+		}
+		if c := cds[0].Counters(); c["net_rx_landed"] != 1 {
+			t.Fatalf("afterLanding %v: net_rx_landed %v, want 1 (the outer reply)", afterLanding, c["net_rx_landed"])
+		}
+	}
+}
+
 // FuzzOneSidedHandlers sends arbitrary payloads as get, put and xor
 // requests to rank 1 of a 2-rank loopback pair and holds every answer
 // to a reference: a malformed or out-of-range request gets the failure

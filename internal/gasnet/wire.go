@@ -254,7 +254,7 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 	c.register(hPing, c.onPing)
 	c.register(hTeamGather, c.onTeamGather)
 	c.register(hTeamResult, c.onTeamResult)
-	c.tep.SetLander(hPut, 8, c.landPut)
+	c.tep.SetLander(hPut, c.landPut)
 	return c
 }
 
@@ -386,15 +386,17 @@ func (c *WireConduit) request(to int, handler uint16, payload []byte) ([]byte, e
 // before the wait, so the borrow ends before any handler runs. A
 // non-nil land is armed for the reply — and disarmed on every way out —
 // and landed reports that the reply arrived in it (rep is then nil).
+// When an outer request to the same peer holds the landing (this one
+// was issued from a handler its wait dispatched), the reply takes the
+// pooled path.
 func (c *WireConduit) requestLong(to int, handler uint16, payload, data, land []byte) (rep []byte, landed bool, err error) {
 	if err := c.deadErr(to); err != nil {
 		return nil, false, err
 	}
 	c.nextToken++
 	tok := c.nextToken
-	if land != nil {
-		c.tep.ArmLanding(to, hReply, tok, land)
-		defer func() { landed = c.tep.DisarmLanding(to) }()
+	if land != nil && c.tep.ArmLanding(to, hReply, tok, land) {
+		defer func() { landed = c.tep.DisarmLanding(to, hReply, tok) }()
 	}
 	if err := c.sendLong(transport.Message{To: int32(to), Handler: handler, Arg: tok, Payload: payload}, data); err != nil {
 		if derr := c.noteSendError(to, err); derr != nil {
@@ -539,9 +541,17 @@ func (c *WireConduit) Get(rank int, off uint64, p []byte) error {
 	return nil
 }
 
-// onGet replies with a borrowed view of the segment: the reply ships
-// in the flush that ends this dispatch turn, before the rank's own code
-// runs again, so no copy is made on this side either.
+// onGet replies with a borrowed view of the segment, so no copy is made
+// on this side either. The view is read when the reply ships, in the
+// flush that ends this dispatch turn (Poll's, or WaitFor's once its
+// inbox is empty or its predicate holds) — not here: handlers the same
+// turn dispatches after this one (task bodies, batch applies) may write
+// the range first, and the reply then carries their writes. That is
+// still a correct get: it has not completed until its reply arrives, so
+// its read may take effect at any point before the reply ships, and the
+// later handlers run on this goroutine, so the flush sees their writes
+// whole. Only an unordered concurrent write — a put landing from
+// another peer's reader — can make it a mix, as with RDMA.
 func (c *WireConduit) onGet(_ *transport.TCPEndpoint, m transport.Message) {
 	var view []byte
 	if len(m.Payload) >= 16 {

@@ -297,9 +297,9 @@ type TCPEndpoint struct {
 	rxs       []*frameReader // by peer rank; nil for self
 	sites     []*rxLanding   // by peer rank, the readers' landing sites; nil for self
 
-	// landers holds each handler's Lander (SetLander), indexed like
-	// handlers and loaded by the readers on long frames only.
-	landers []atomic.Pointer[lander]
+	// lander is the endpoint's one Lander and the handler it serves
+	// (SetLander), loaded by the readers on long frames only.
+	lander atomic.Pointer[lander]
 	// dispatched counts, per peer, the frames the dispatch goroutine has
 	// finished handling: the order rule lets a lander place a peer's
 	// frame only once it equals what that peer's reader has delivered.
@@ -755,28 +755,32 @@ type landingSite interface {
 	release(ok bool)
 }
 
+// LanderPrefix is how many leading payload bytes the Lander sees before
+// it decides: the offset word a one-sided put leads with.
+const LanderPrefix = 8
+
 // Lander places the payload of a long frame at its destination: it runs
-// on the connection's reader goroutine with the first prefix bytes of
-// the payload (SetLander) and head — the part of the remaining rest
-// bytes that arrived with the header. It returns the rest-byte window
-// the payload goes to, with head already copied into its start, or nil
-// to decline (the frame then takes the pooled path, and its handler
-// sees the whole payload). The reader fills the window before the
-// frame — with Landed set and no Payload — reaches the handler.
+// on the connection's reader goroutine with the payload's first
+// LanderPrefix bytes and head — the part of the remaining rest bytes
+// that arrived with the header. It returns the rest-byte window the
+// payload goes to, with head already copied into its start, or nil to
+// decline (the frame then takes the pooled path, and its handler sees
+// the whole payload). The reader fills the window before the frame —
+// with Landed set and no Payload — reaches the handler.
 type Lander func(prefix, head []byte, rest int) []byte
 
 type lander struct {
-	prefix int
-	fn     Lander
+	h  uint16
+	fn Lander
 }
 
 // rxLanding is the endpoint's landing site for one peer's reader: the
-// handlers' landers, under the per-sender order rule, and the one reply
-// landing a blocked requester may have armed.
+// endpoint's lander, under the per-sender order rule, and the one reply
+// landing a blocked requester may hold.
 type rxLanding struct {
 	ep        *TCPEndpoint
 	peer      int32
-	lander    *lander      // the lander whose claim is in progress; reader-own
+	placing   Lander       // the lander whose claim is in progress; reader-own
 	fallbacks atomic.Int64 // long frames the order rule sent down the pooled path
 
 	mu    sync.Mutex
@@ -784,38 +788,41 @@ type rxLanding struct {
 	reply replySlot // guarded by mu
 }
 
-// replySlot is one armed reply landing (ArmLanding).
+// replySlot is the reply landing one requester holds from ArmLanding to
+// DisarmLanding. While it is held — armed, being read into, or holding
+// its result — no other requester can arm it, so a wait nested inside
+// the holder's (a task body that reads from the same peer) can neither
+// overwrite nor consume it.
 type replySlot struct {
+	held   bool
 	h      uint16
 	arg    uint64
-	dst    []byte // nil: none armed
+	dst    []byte // where the reply lands; nil once a claim has ended
 	busy   bool   // the reader is reading into dst
 	landed bool   // the reply arrived whole in dst
 }
 
-// prefix applies the order rule: a lander may place this peer's frame
+// prefix applies the order rule: the lander may place this peer's frame
 // only when every frame the peer delivered before it has been
 // dispatched, so nothing still queued (an aggregated put to the same
-// words, say) can apply after it. A frame with no lander looks for an
-// armed reply landing, which needs no prefix.
+// words, say) can apply after it. Any other frame looks for the held
+// reply landing, which needs no prefix.
 func (s *rxLanding) prefix(h uint16, delivered int64) int {
-	s.lander = nil
-	if int(h) < len(s.ep.landers) {
-		if l := s.ep.landers[h].Load(); l != nil {
-			if delivered != s.ep.dispatched[s.peer].Load() {
-				s.fallbacks.Add(1)
-				return -1
-			}
-			s.lander = l
-			return l.prefix
+	s.placing = nil
+	if l := s.ep.lander.Load(); l != nil && l.h == h {
+		if delivered != s.ep.dispatched[s.peer].Load() {
+			s.fallbacks.Add(1)
+			return -1
 		}
+		s.placing = l.fn
+		return LanderPrefix
 	}
 	return 0
 }
 
 func (s *rxLanding) claim(h uint16, arg uint64, prefix, head []byte, rest int) []byte {
-	if l := s.lander; l != nil {
-		return l.fn(prefix, head, rest)
+	if s.placing != nil {
+		return s.placing(prefix, head, rest)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -828,57 +835,67 @@ func (s *rxLanding) claim(h uint16, arg uint64, prefix, head []byte, rest int) [
 	return r.dst
 }
 
+// release ends a reply claim. The slot is still its holder's — ArmLanding
+// refuses a held slot and DisarmLanding waits out a busy one — so only
+// the outcome changes.
 func (s *rxLanding) release(ok bool) {
-	if s.lander != nil {
+	if s.placing != nil {
 		return
 	}
 	s.mu.Lock()
-	s.reply = replySlot{landed: ok}
+	s.reply.busy, s.reply.dst, s.reply.landed = false, nil, ok
 	s.mu.Unlock()
 	s.ended.Broadcast()
 }
 
-// SetLander installs fn as handler h's lander (nil removes it), to be
-// offered every long frame for h whose sender's earlier frames have all
-// been dispatched, with the first prefix bytes of its payload (at most
-// LongPayload). Safe while traffic flows: a frame that arrives before
-// the lander takes the pooled path.
-func (ep *TCPEndpoint) SetLander(h uint16, prefix int, fn Lander) {
-	if prefix < 0 || prefix > LongPayload {
-		panic(fmt.Sprintf("transport: lander prefix %d outside [0, %d]", prefix, LongPayload))
-	}
+// SetLander installs fn (nil removes it) as the lander for handler h's
+// long frames: it is offered every one whose sender's earlier frames
+// have all been dispatched. An endpoint has one lander. Safe while
+// traffic flows: a frame that arrives before it takes the pooled path.
+func (ep *TCPEndpoint) SetLander(h uint16, fn Lander) {
 	var l *lander
 	if fn != nil {
-		l = &lander{prefix: prefix, fn: fn}
+		l = &lander{h: h, fn: fn}
 	}
-	ep.landers[h].Store(l)
+	ep.lander.Store(l)
 }
 
 // ArmLanding names dst as where the reply (h, arg) from peer lands: if
 // it arrives as a long frame of exactly len(dst) payload bytes, the
 // reader reads it straight into dst and delivers it with Landed set
-// and no Payload. One landing per peer; the caller must DisarmLanding
-// before it next touches dst.
-func (ep *TCPEndpoint) ArmLanding(peer int, h uint16, arg uint64, dst []byte) {
-	s := ep.sites[peer]
-	s.mu.Lock()
-	s.reply = replySlot{h: h, arg: arg, dst: dst}
-	s.mu.Unlock()
-}
-
-// DisarmLanding withdraws peer's landing and reports whether the reply
-// arrived whole in it. If the reader is reading into it, DisarmLanding
-// waits until it is done — which a closed or severed connection ends —
-// so dst is never written after it returns.
-func (ep *TCPEndpoint) DisarmLanding(peer int) bool {
+// and no Payload. A peer has one landing: ArmLanding reports false, and
+// arms nothing, while another requester holds it — that reply then
+// takes the pooled path. After a true, the caller must
+// DisarmLanding(peer, h, arg) before it next touches dst.
+func (ep *TCPEndpoint) ArmLanding(peer int, h uint16, arg uint64, dst []byte) bool {
 	s := ep.sites[peer]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.reply.busy {
+	if s.reply.held {
+		return false
+	}
+	s.reply = replySlot{held: true, h: h, arg: arg, dst: dst}
+	return true
+}
+
+// DisarmLanding gives up the landing (h, arg) armed on peer and reports
+// whether the reply arrived whole in it; for any other token it does
+// nothing and reports false. If the reader is reading into the landing,
+// DisarmLanding waits until it is done — which a closed or severed
+// connection ends — so dst is never written after it returns.
+func (ep *TCPEndpoint) DisarmLanding(peer int, h uint16, arg uint64) bool {
+	s := ep.sites[peer]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := &s.reply
+	if !r.held || r.h != h || r.arg != arg {
+		return false
+	}
+	for r.busy {
 		s.ended.Wait()
 	}
-	landed := s.reply.landed
-	s.reply = replySlot{}
+	landed := r.landed
+	*r = replySlot{}
 	return landed
 }
 
@@ -1002,7 +1019,6 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		done:       make(chan struct{}),
 		rxs:        make([]*frameReader, n),
 		sites:      make([]*rxLanding, n),
-		landers:    make([]atomic.Pointer[lander], 256),
 		dispatched: pad.Slice[atomic.Int64](n),
 		downed:     make([]atomic.Bool, n),
 		downCause:  make([]error, n),
