@@ -207,7 +207,7 @@ func BenchmarkAblationFenceVsEvents(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			upcxx.Run(upcxx.Config{Ranks: 8, Virtual: true}, func(me *upcxx.Rank) {
 				buf := upcxx.Allocate[float64](me, me.ID(), 64*8)
-				all := upcxx.AllGather(me, buf)
+				all := upcxx.TeamAllGather(me.World(), buf)
 				me.Barrier()
 				src := make([]float64, 64)
 				if useEvents {

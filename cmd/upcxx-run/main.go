@@ -142,7 +142,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "upcxx-run: -gateway requires -backend tcp (the gateway is its own OS process joining the wire mesh)")
 			os.Exit(2)
 		case plan != nil:
-			fmt.Fprintln(os.Stderr, "upcxx-run: -gateway does not combine with -chaos; the gatebench chaos experiment covers fault injection against a gateway")
+			fmt.Fprintln(os.Stderr, "upcxx-run: -gateway does not combine with -chaos; TestChaosZeroAckedLoss in internal/svc covers fault injection against a gateway")
 			os.Exit(2)
 		}
 	}

@@ -74,7 +74,7 @@ const (
 // Config sets the flush thresholds. Zero fields take the defaults;
 // MaxOps = 1 effectively disables coalescing (every operation ships as
 // its own single-op batch), which is the "aggregation off" baseline the
-// dhtbench experiment measures against.
+// frame-reduction tests compare against.
 type Config struct {
 	// MaxOps flushes a destination once this many ops are buffered.
 	MaxOps int

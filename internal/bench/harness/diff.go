@@ -30,10 +30,6 @@ type DiffEntry struct {
 	Baseline   float64 `json:"baseline"`
 	Current    float64 `json:"current"`
 	RelDrift   float64 `json:"rel_drift"`
-	// Tol is the tolerance this entry was judged against: the larger
-	// of the global -tol and the baseline experiment's DiffTolerance
-	// (wall-clock experiments widen it).
-	Tol float64 `json:"tol"`
 	// Missing marks a baseline point absent from the current report
 	// (an experiment or sweep point silently disappeared).
 	Missing bool `json:"missing,omitempty"`
@@ -59,12 +55,7 @@ func DiffReports(baseline, current Report, tol float64) []DiffEntry {
 	key := func(exp, series string, ranks int) string {
 		return fmt.Sprintf("%s\x00%s\x00%d", exp, series, ranks)
 	}
-	// Per-experiment tolerances from BOTH reports: the widest wins, so
-	// a DiffTolerance change in the experiment code takes effect
-	// immediately instead of waiting for a baseline regeneration.
-	curTol := map[string]float64{}
 	for _, r := range current.Results {
-		curTol[r.ID] = r.DiffTolerance
 		for _, s := range r.Series {
 			for _, p := range s.Points {
 				cur[key(r.ID, s.Name, p.Ranks)] = p.Value
@@ -73,13 +64,6 @@ func DiffReports(baseline, current Report, tol float64) []DiffEntry {
 	}
 	var out []DiffEntry
 	for _, r := range baseline.Results {
-		rtol := tol
-		if r.DiffTolerance > rtol {
-			rtol = r.DiffTolerance
-		}
-		if t := curTol[r.ID]; t > rtol {
-			rtol = t
-		}
 		for _, s := range r.Series {
 			for _, p := range s.Points {
 				e := DiffEntry{
@@ -87,7 +71,6 @@ func DiffReports(baseline, current Report, tol float64) []DiffEntry {
 					Series:     s.Name,
 					Ranks:      p.Ranks,
 					Baseline:   p.Value,
-					Tol:        rtol,
 				}
 				v, ok := cur[key(r.ID, s.Name, p.Ranks)]
 				if !ok {
@@ -95,7 +78,7 @@ func DiffReports(baseline, current Report, tol float64) []DiffEntry {
 				} else {
 					e.Current = v
 					e.RelDrift = relDrift(p.Value, v)
-					e.OK = e.RelDrift <= rtol
+					e.OK = e.RelDrift <= tol
 				}
 				out = append(out, e)
 			}
@@ -131,11 +114,10 @@ func LoadReport(path string) (Report, error) {
 	return r, nil
 }
 
-// RenderDiff writes the comparison as an aligned table, worst drift
-// first within each experiment, and returns how many entries failed.
-// Each entry carries the tolerance it was judged against (DiffReports
-// sets it), so no global tolerance is needed here.
-func RenderDiff(w io.Writer, entries []DiffEntry) int {
+// RenderDiff writes the comparison DiffReports made at tolerance tol as
+// an aligned table, worst drift first within each experiment, and
+// returns how many entries failed.
+func RenderDiff(w io.Writer, entries []DiffEntry, tol float64) int {
 	sorted := make([]DiffEntry, len(entries))
 	copy(sorted, entries)
 	// Key on the experiment's first appearance so the comparator is a
@@ -166,7 +148,7 @@ func RenderDiff(w io.Writer, entries []DiffEntry) int {
 				e.Experiment, e.Series, e.Ranks, e.Baseline, status)
 			continue
 		case !e.OK:
-			status = fmt.Sprintf("FAIL (> %.0f%%)", e.Tol*100)
+			status = fmt.Sprintf("FAIL (> %.0f%%)", tol*100)
 			failures++
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%.4g\t%.4g\t%.1f%%\t%s\n",

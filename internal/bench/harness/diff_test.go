@@ -84,7 +84,7 @@ func TestRenderDiffCountsFailures(t *testing.T) {
 	cur := report(map[string]float64{"fig4/UPC": 500, "fig4/UPC++": 10})
 	entries := DiffReports(base, cur, 0.25)
 	var buf bytes.Buffer
-	if got := RenderDiff(&buf, entries); got != 1 {
+	if got := RenderDiff(&buf, entries, 0.25); got != 1 {
 		t.Fatalf("RenderDiff returned %d failures, want 1", got)
 	}
 	out := buf.String()

@@ -1,17 +1,9 @@
 package harness
 
 import (
-	"time"
-
-	"upcxx/internal/bench/collbench"
-	"upcxx/internal/bench/dhtbench"
-	"upcxx/internal/bench/futbench"
-	"upcxx/internal/bench/gatebench"
 	"upcxx/internal/bench/gups"
-	"upcxx/internal/bench/loadcurve"
 	"upcxx/internal/bench/lulesh"
 	"upcxx/internal/bench/raytrace"
-	"upcxx/internal/bench/rpcbench"
 	"upcxx/internal/bench/samplesort"
 	"upcxx/internal/bench/stencil"
 	"upcxx/internal/sim"
@@ -108,305 +100,6 @@ func logTableFor(p int) int {
 		l++
 	}
 	return l
-}
-
-// DHTBench measures the message-aggregation subsystem on the real TCP
-// wire conduit (not the virtual-time model): distributed hash-table
-// insert throughput with aggregation on vs off, plus the wire-frame
-// cost per insert from the conduit's per-handler counters. The frame
-// counts are deterministic for a given workload; the throughput is
-// wall-clock, so the experiment carries a wide DiffTolerance for the
-// regression gate.
-func DHTBench(o Options) Result {
-	res := Result{
-		ID: "dhtbench", PaperRef: "§IV (beyond the paper)",
-		Title:  "DHT inserts over the wire conduit, aggregation on vs off",
-		Metric: "throughput", Unit: "inserts/s",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "agg-on", System: "upcxx"},
-			{Name: "agg-off", System: "upcxx"},
-		},
-		SweepLabel: "ranks", Format: "%.3g", Ratio: true,
-		// Wall-clock throughput on shared CI runners drifts far more
-		// than the virtual-time sweeps; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	ranks := []int{2, 4}
-	inserts := 8192
-	if o.Quick {
-		ranks = []int{2}
-		inserts = 2048
-	}
-	run := func(p int, aggregate bool) Point {
-		r, wall := timed(func() dhtbench.Result {
-			return dhtbench.Run(dhtbench.Params{
-				Ranks: p, InsertsPerRank: inserts, Aggregate: aggregate,
-				Adaptive: aggregate, // agg-on rides the AIMD controller
-			})
-		})
-		return Point{Ranks: p, Value: r.InsertsPerSec,
-			WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, p := range ranks {
-		res.Series[0].Points = append(res.Series[0].Points, run(p, true))
-		res.Series[1].Points = append(res.Series[1].Points, run(p, false))
-	}
-	return res
-}
-
-// CollBench measures barrier latency on real transports, flat vs
-// hierarchical (see internal/bench/collbench): the flat series is the
-// wire conduit's linear gather-through-rank-0 collective; hier-packed
-// co-locates all ranks on one virtual host (the shm arrive/release
-// phase plus a single leader — the intra-node story); hier-spread
-// packs 2 ranks per host, exercising the shm phase AND the
-// dissemination rounds among leaders together. Wall-clock and
-// best-of-repeats, like DHTBench; the allgather latency and total
-// frame counts ride along as counters.
-func CollBench(o Options) Result {
-	res := Result{
-		ID: "collbench", PaperRef: "§III-F / §IV (beyond the paper)",
-		Title:  "Barrier latency: flat wire vs hierarchical (shm + leader dissemination)",
-		Metric: "latency", Unit: "usec/barrier",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "flat-tcp", System: "upcxx"},
-			{Name: "hier-spread", System: "upcxx"},
-			{Name: "hier-packed", System: "upcxx"},
-		},
-		SweepLabel: "ranks", Format: "%.3g", Ratio: true,
-		// Wall-clock latency on shared CI runners drifts far more than
-		// the virtual-time sweeps; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	ranks := []int{2, 4, 8, 16}
-	iters, repeats := 64, 5
-	if o.Quick {
-		ranks = []int{2, 4, 8}
-		iters, repeats = 32, 3
-	}
-	run := func(p, ppn int, hier bool) Point {
-		r, wall := timed(func() collbench.Result {
-			return collbench.Run(collbench.Params{
-				Ranks: p, PPN: ppn, Hier: hier, Iters: iters, Repeats: repeats,
-			})
-		})
-		return Point{Ranks: p, Value: r.BarrierUsec,
-			WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, p := range ranks {
-		res.Series[0].Points = append(res.Series[0].Points, run(p, 1, false))
-		if p >= 4 {
-			res.Series[1].Points = append(res.Series[1].Points, run(p, 2, true))
-		}
-		res.Series[2].Points = append(res.Series[2].Points, run(p, p, true))
-	}
-	return res
-}
-
-// RPCBench measures the registered-task invocation layer on the real
-// TCP wire conduit: remote-procedure-call throughput under
-// distributed-finish completion, with the aggregation batch plane
-// coalescing requests and done-acks vs disabled, plus the wire-frame
-// cost per RPC from the conduit's per-handler counters. Wall-clock,
-// like DHTBench, and gated with the same wide tolerance.
-func RPCBench(o Options) Result {
-	res := Result{
-		ID: "rpcbench", PaperRef: "§III-G / §IV (beyond the paper)",
-		Title:  "Registered-task RPCs over the wire conduit, batched vs unbatched",
-		Metric: "throughput", Unit: "RPCs/s",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "batched", System: "upcxx"},
-			{Name: "unbatched", System: "upcxx"},
-		},
-		SweepLabel: "ranks", Format: "%.3g", Ratio: true,
-		// Wall-clock throughput on shared CI runners drifts far more
-		// than the virtual-time sweeps; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	ranks := []int{2, 4}
-	rpcs := 4096
-	if o.Quick {
-		ranks = []int{2}
-		rpcs = 1024
-	}
-	run := func(p int, aggregate bool) Point {
-		r, wall := timed(func() rpcbench.Result {
-			return rpcbench.Run(rpcbench.Params{
-				Ranks: p, RPCsPerRank: rpcs, Aggregate: aggregate,
-				Adaptive: aggregate, // batched rides the AIMD controller
-			})
-		})
-		return Point{Ranks: p, Value: r.RPCsPerSec,
-			WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, p := range ranks {
-		res.Series[0].Points = append(res.Series[0].Points, run(p, true))
-		res.Series[1].Points = append(res.Series[1].Points, run(p, false))
-	}
-	return res
-}
-
-// FutBench measures the futures-first completion model on the real TCP
-// wire conduit: chained non-blocking reads (ReadAsync + Then, resolved
-// from progress dispatch as replies land) against blocking Reads, in
-// reader/server rank pairs where round-trip latency dominates. Both
-// modes are verified against a pure reference fold inside the
-// benchmark. Wall-clock, like DHTBench, and gated with the same wide
-// tolerance.
-func FutBench(o Options) Result {
-	res := Result{
-		ID: "futbench", PaperRef: "§III-D / §V-E (beyond the paper)",
-		Title:  "Chained ReadAsync+Then vs blocking Reads over the wire conduit",
-		Metric: "throughput", Unit: "reads/s",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "futures", System: "upcxx"},
-			{Name: "blocking", System: "upcxx"},
-		},
-		SweepLabel: "ranks", Format: "%.3g", Ratio: true,
-		// Wall-clock throughput on shared CI runners drifts far more
-		// than the virtual-time sweeps; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	ranks := []int{2, 4}
-	reads := 8192
-	if o.Quick {
-		ranks = []int{2}
-		reads = 2048
-	}
-	run := func(p int, futures bool) Point {
-		r, wall := timed(func() futbench.Result {
-			return futbench.Run(futbench.Params{
-				Ranks: p, ReadsPerRank: reads, Futures: futures,
-			})
-		})
-		return Point{Ranks: p, Value: r.ReadsPerSec,
-			WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, p := range ranks {
-		res.Series[0].Points = append(res.Series[0].Points, run(p, true))
-		res.Series[1].Points = append(res.Series[1].Points, run(p, false))
-	}
-	return res
-}
-
-// LoadCurve traces the aggregation layer's latency-vs-throughput
-// trade-off over the wire conduit: rank 0 paces aggregated active
-// messages toward rank 1 at a swept offered rate and rank 1 samples
-// issue-to-apply latency in the handler (see internal/bench/loadcurve),
-// with static flush thresholds vs the adaptive AIMD controller as the
-// two series. The headline value is the p50 one-way latency at each
-// offered rate; achieved rate, p99 and realized batch occupancy ride
-// along as counters. Wall-clock, like DHTBench, and gated with the
-// same wide tolerance.
-func LoadCurve(o Options) Result {
-	res := Result{
-		ID: "loadcurve", PaperRef: "§IV (beyond the paper)",
-		Title:  "Aggregation latency vs offered load, adaptive vs static (p50 usec)",
-		Metric: "latency", Unit: "usec",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "adaptive", System: "upcxx"},
-			{Name: "static", System: "upcxx"},
-		},
-		// The sweep axis is offered load (kops/s), not rank count.
-		SweepLabel: "offered_kops", Format: "%.3g", Ratio: true,
-		// Wall-clock latency on shared CI runners drifts far more than
-		// the virtual-time sweeps; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	rates := []int{1, 8, 64, 256}
-	repeats := 2
-	if o.Quick {
-		rates = []int{1, 64}
-		repeats = 1
-	}
-	run := func(rate int, adaptive bool) Point {
-		// Roughly a second of offered load at the trickle end, capped
-		// so the fast points stay fast; always enough ops for the
-		// controller to converge (a few hundred).
-		ops := rate * 1000
-		if ops > 6000 {
-			ops = 6000
-		}
-		if ops < 600 {
-			ops = 600
-		}
-		r, wall := timed(func() loadcurve.Result {
-			return loadcurve.Run(loadcurve.Params{
-				OfferedKops: rate, Ops: ops, Adaptive: adaptive, Repeats: repeats,
-			})
-		})
-		return Point{Ranks: rate, Value: r.P50Usec,
-			WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, rate := range rates {
-		res.Series[0].Points = append(res.Series[0].Points, run(rate, true))
-		res.Series[1].Points = append(res.Series[1].Points, run(rate, false))
-	}
-	return res
-}
-
-// Gatebench drives the service plane end to end: an in-process gateway
-// job (3 compute ranks + the gateway, K=2 replicated DHT) behind a real
-// HTTP server, loaded by a closed loop of N workers on zipfian keys
-// (see internal/bench/gatebench). The sweep axis is worker concurrency;
-// the single series uses per-op PUT/GET requests, the batch series
-// packs 64 ops per request through the batch endpoints, and the chaos
-// series kills one replica holder mid-measurement — its lost counter
-// (acked writes missing afterwards) must read zero and rides along for
-// the diff gate. Wall-clock like dhtbench, gated order-of-magnitude.
-func Gatebench(o Options) Result {
-	res := Result{
-		ID: "gatebench", PaperRef: "§IV (beyond the paper)",
-		Title:  "HTTP gateway closed-loop load: throughput and tail latency (ops/s)",
-		Metric: "throughput", Unit: "ops/s",
-		Quick:   o.Quick,
-		Profile: sim.NewProfile(sim.Local, sim.SWUPCXX),
-		Series: []Series{
-			{Name: "single", System: "upcxx"},
-			{Name: "batch64", System: "upcxx"},
-			{Name: "chaos", System: "upcxx"},
-		},
-		SweepLabel: "workers", Format: "%.3g",
-		// Wall-clock QPS on shared CI runners drifts like the other
-		// wall-clock benches; gate only order-of-magnitude.
-		DiffTolerance: 0.9,
-	}
-	workers := []int{8, 32, 64}
-	measure := time.Second
-	if o.Quick {
-		workers = []int{8, 32}
-		measure = 400 * time.Millisecond
-	}
-	run := func(w, batch int, chaos bool) Point {
-		r, wall := timed(func() gatebench.Result {
-			pp := gatebench.Params{
-				Ranks: 3, Scale: 1 << 14, Workers: w, Zipf: true,
-				BatchSize: batch,
-				Warmup:    150 * time.Millisecond, Measure: measure,
-			}
-			if chaos {
-				pp.Chaos, pp.KillRank, pp.KillAfter = true, 1, measure/3
-			}
-			return gatebench.Run(pp)
-		})
-		return Point{Ranks: w, Value: r.QPS, WallSeconds: wall, Counters: r.Counters()}
-	}
-	for _, w := range workers {
-		res.Series[0].Points = append(res.Series[0].Points, run(w, 0, false))
-		res.Series[1].Points = append(res.Series[1].Points, run(w, 64, false))
-		res.Series[2].Points = append(res.Series[2].Points, run(w, 0, true))
-	}
-	return res
 }
 
 // Fig5 reproduces "Stencil weak scaling performance (GFLOPS) on Cray

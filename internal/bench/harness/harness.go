@@ -79,13 +79,6 @@ type Result struct {
 	// Ratio asks text renderers for a derived last/first-series column
 	// (the paper's UPC++/UPC style comparison); it is redundant in JSON.
 	Ratio bool `json:"ratio,omitempty"`
-
-	// DiffTolerance, when non-zero, widens the -diff gate's relative
-	// drift tolerance for this experiment (the gate uses the larger of
-	// this and the global -tol). Wall-clock experiments (dhtbench) set
-	// it: host speed varies across CI runners in a way the virtual-time
-	// sweeps do not.
-	DiffTolerance float64 `json:"diff_tolerance,omitempty"`
 }
 
 // Ranks returns the sorted union of rank counts across the result's
@@ -166,18 +159,6 @@ var registry = []Experiment{
 		Title: "Ray tracing strong scaling, Cray XC30", Run: Fig7},
 	{ID: "fig8", PaperRef: "§V-E Fig 8",
 		Title: "LULESH weak scaling, Cray XC30", Run: Fig8},
-	{ID: "dhtbench", Aliases: []string{"dht"}, PaperRef: "§IV (beyond the paper)",
-		Title: "DHT inserts over the wire conduit, aggregation on vs off", Run: DHTBench},
-	{ID: "collbench", Aliases: []string{"coll"}, PaperRef: "§III-F / §IV (beyond the paper)",
-		Title: "Barrier latency: flat wire vs hierarchical conduit", Run: CollBench},
-	{ID: "rpcbench", Aliases: []string{"rpc"}, PaperRef: "§III-G / §IV (beyond the paper)",
-		Title: "Registered-task RPCs over the wire conduit, batched vs unbatched", Run: RPCBench},
-	{ID: "futbench", Aliases: []string{"fut"}, PaperRef: "§III-D / §V-E (beyond the paper)",
-		Title: "Chained ReadAsync+Then vs blocking Reads over the wire conduit", Run: FutBench},
-	{ID: "loadcurve", Aliases: []string{"load", "curve"}, PaperRef: "§IV (beyond the paper)",
-		Title: "Aggregation latency vs offered load, adaptive vs static", Run: LoadCurve},
-	{ID: "gatebench", Aliases: []string{"gate"}, PaperRef: "§IV (beyond the paper)",
-		Title: "HTTP gateway closed-loop load: throughput and tail latency", Run: Gatebench},
 }
 
 // Experiments returns the registered experiments in paper order.

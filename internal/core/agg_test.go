@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"upcxx/internal/agg"
 	"upcxx/internal/gasnet"
@@ -258,7 +260,7 @@ func TestAggFlushBeforeBlockingOp(t *testing.T) {
 			lk = NewLock(me)
 			lk.Acquire(me)
 		}
-		lk = Broadcast(me, lk, 0)
+		lk = TeamBroadcast(me.World(), lk, 0)
 		me.Barrier()
 		if me.ID() == 0 {
 			me.WaitUntil(func() bool { return sawPing })
@@ -270,6 +272,56 @@ func TestAggFlushBeforeBlockingOp(t *testing.T) {
 		}
 		me.Barrier()
 	})
+}
+
+// TestAggTrickleAppliesOnce: aggregated sends paced at a trickle, one
+// per millisecond — so nearly every batch leaves by age or as a single
+// op — each apply exactly once, under the static thresholds and under
+// the adaptive controller, which at a trickle shrinks its batch budget
+// toward one op.
+func TestAggTrickleAppliesOnce(t *testing.T) {
+	const ops, words = 300, 64
+	val := func(i int) uint64 { return tmix(uint64(i)) | 1 }
+	for _, adaptive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adaptive=%v", adaptive), func(t *testing.T) {
+			runWireJob(t, 2, 1<<17, Config{Agg: agg.Config{Adaptive: adaptive}}, func(me *Rank) {
+				var acc [words]uint64
+				got := 0
+				RegisterAMHandler(me, 43, func(_ *Rank, _ int, p []byte) {
+					acc[got%words] ^= binary.LittleEndian.Uint64(p)
+					got++
+				})
+				me.Barrier()
+				if me.ID() == 0 {
+					pace := time.NewTicker(time.Millisecond)
+					defer pace.Stop()
+					var p [8]byte
+					for i := 0; i < ops; i++ {
+						<-pace.C
+						me.Advance() // lets an aged batch leave before the next op joins it
+						binary.LittleEndian.PutUint64(p[:], val(i))
+						AggSend(me, 1, 43, p[:], nil)
+					}
+					AggDrain(me)
+				}
+				me.Barrier()
+				if me.ID() == 1 {
+					if got != ops {
+						t.Errorf("applied %d sends, want %d", got, ops)
+					}
+					for w := range acc {
+						var want uint64
+						for i := w; i < ops; i += words {
+							want ^= val(i)
+						}
+						if acc[w] != want {
+							t.Errorf("word %d = %#x, want %#x", w, acc[w], want)
+						}
+					}
+				}
+			})
+		})
+	}
 }
 
 // TestAggHandlersRejectConcurrentMode pins the loud failure: handler

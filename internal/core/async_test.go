@@ -229,7 +229,7 @@ func TestFutureReady(t *testing.T) {
 
 func TestLockMutualExclusion(t *testing.T) {
 	Run(testCfg(4), func(me *Rank) {
-		l := Broadcast(me, NewLock(me), 0) // share rank 0's lock value
+		l := TeamBroadcast(me.World(), NewLock(me), 0) // share rank 0's lock value
 		counter := NewSharedVar[int64](me)
 		me.Barrier()
 		for i := 0; i < 25; i++ {
@@ -247,7 +247,7 @@ func TestLockMutualExclusion(t *testing.T) {
 
 func TestTryAcquire(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
-		l := Broadcast(me, NewLock(me), 0)
+		l := TeamBroadcast(me.World(), NewLock(me), 0)
 		me.Barrier()
 		if me.ID() == 0 {
 			if !l.TryAcquire(me) {
@@ -278,29 +278,29 @@ func TestTryAcquire(t *testing.T) {
 func TestCollectives(t *testing.T) {
 	Run(testCfg(6), func(me *Rank) {
 		// Broadcast.
-		v := Broadcast(me, me.ID()*7, 3)
+		v := TeamBroadcast(me.World(), me.ID()*7, 3)
 		if v != 21 {
 			t.Errorf("Broadcast = %d, want 21", v)
 		}
 		// AllGather.
-		all := AllGather(me, me.ID()*me.ID())
+		all := TeamAllGather(me.World(), me.ID()*me.ID())
 		for i, x := range all {
 			if x != i*i {
 				t.Errorf("AllGather[%d] = %d, want %d", i, x, i*i)
 			}
 		}
 		// Reduce (sum).
-		sum := Reduce(me, me.ID()+1, func(a, b int) int { return a + b })
+		sum := TeamReduce(me.World(), me.ID()+1, func(a, b int) int { return a + b })
 		if sum != 21 {
 			t.Errorf("Reduce = %d, want 21", sum)
 		}
 		// ExclusiveScan.
-		scan := ExclusiveScan(me, 1, func(a, b int) int { return a + b }, 0)
+		scan := TeamExclusiveScan(me.World(), 1, func(a, b int) int { return a + b }, 0)
 		if scan != me.ID() {
 			t.Errorf("ExclusiveScan = %d, want %d", scan, me.ID())
 		}
 		// Gather on root 2.
-		g := Gather(me, me.ID()+100, 2)
+		g := TeamGatherAll(me.World(), me.ID()+100, 2)
 		if me.ID() == 2 {
 			for i, x := range g {
 				if x != i+100 {
@@ -319,7 +319,7 @@ func TestReduceSlices(t *testing.T) {
 		for i := range part {
 			part[i] = float64(me.ID())
 		}
-		img := ReduceSlices(me, part, func(a, b float64) float64 { return a + b }, 0)
+		img := TeamReduceSlices(me.World(), part, func(a, b float64) float64 { return a + b }, 0)
 		if me.ID() == 0 {
 			for i, x := range img {
 				if x != 6 { // 0+1+2+3
@@ -392,7 +392,7 @@ func TestRMWAtomicity(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	st := Run(testCfg(2), func(me *Rank) {
 		buf := Allocate[int64](me, me.ID(), 8)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			for i := 0; i < 10; i++ {
 				Write(me, all[1], int64(i))

@@ -18,7 +18,8 @@ import (
 //   - On the wire conduit the request frames leave immediately and the
 //     future resolves from progress dispatch when the last reply
 //     lands (gasnet.AsyncConduit) — genuine communication/computation
-//     overlap in wall-clock time; the futbench experiment measures it.
+//     overlap in wall-clock time, which TestFuturesOverlapBeatsBlocking
+//     (internal/spmd) holds.
 //   - In-process a remote access is a direct segment move, so the data
 //     is staged eagerly and the future resolves immediately carrying
 //     the modeled completion time; Get/continuation timestamps keep

@@ -7,66 +7,9 @@ package core
 // charged per binomial-tree stage plus wire time for the payload;
 // large-payload reductions charge the pipelined (bandwidth-bound) form.
 //
-// The flat free functions here are the world-team specializations; the
-// team-scoped API in team.go is the primary surface (these remain as
-// thin wrappers so old call sites keep compiling).
-
-// Broadcast distributes root's value to every rank and returns it.
-//
-// Deprecated: use TeamBroadcast(me.World(), v, root); this wrapper
-// delegates to it.
-func Broadcast[T any](me *Rank, v T, root int) T {
-	return TeamBroadcast(me.World(), v, root)
-}
-
-// AllGather collects one value per rank; the returned slice is indexed by
-// rank and shared read-only by all ranks (do not mutate it).
-//
-// Deprecated: use TeamAllGather(me.World(), v); this wrapper delegates
-// to it.
-func AllGather[T any](me *Rank, v T) []T {
-	return TeamAllGather(me.World(), v)
-}
-
-// Reduce combines one value per rank with op (which must be associative)
-// and returns the result on every rank (an allreduce).
-//
-// Deprecated: use TeamReduce(me.World(), v, op); this wrapper delegates
-// to it.
-func Reduce[T any](me *Rank, v T, op func(a, b T) T) T {
-	return TeamReduce(me.World(), v, op)
-}
-
-// ReduceSlices element-wise combines equal-length slices from every rank
-// into root's dst; non-root ranks receive nil.
-//
-// Deprecated: use TeamReduceSlices(me.World(), contrib, op, root); this
-// wrapper delegates to it.
-func ReduceSlices[T any](me *Rank, contrib []T, op func(a, b T) T, root int) []T {
-	return TeamReduceSlices(me.World(), contrib, op, root)
-}
-
-// ExclusiveScan returns the exclusive prefix "sum" of v across ranks under
-// op with the given identity (rank 0 receives identity).
-//
-// Deprecated: use TeamExclusiveScan(me.World(), v, op, identity); this
-// wrapper delegates to it.
-func ExclusiveScan[T any](me *Rank, v T, op func(a, b T) T, identity T) T {
-	return TeamExclusiveScan(me.World(), v, op, identity)
-}
-
-// Gather collects one value per rank on root (indexed by rank); other
-// ranks receive nil. The returned slice is root-private.
-//
-// Deprecated: use TeamGatherAll(me.World(), v, root); this wrapper
-// delegates to it.
-func Gather[T any](me *Rank, v T, root int) []T {
-	return TeamGatherAll(me.World(), v, root)
-}
-
-// ---- World-team specializations ----
-//
-// The world team keeps its pre-team fast paths: in-process it
+// The functions here are the world-team specializations behind the
+// team-scoped API in team.go, which is the only public surface. The
+// world team keeps its pre-team fast paths: in-process it
 // rendezvouses through one shared slot (one allocation per collective,
 // shared read-only — what keeps 32K-rank metadata exchanges linear in
 // memory), and on the wire it rides the conduit's world allgather with

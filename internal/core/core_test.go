@@ -147,7 +147,7 @@ func TestLocalAccess(t *testing.T) {
 func TestLocalOnRemotePanics(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		p := Allocate[int](me, me.ID(), 1)
-		all := AllGather(me, p)
+		all := TeamAllGather(me.World(), p)
 		if me.ID() == 1 {
 			defer func() {
 				if recover() == nil {
@@ -265,7 +265,7 @@ func TestCopyAllDirections(t *testing.T) {
 		for i := range ls {
 			ls[i] = int32(me.ID()*100 + i)
 		}
-		all := AllGather(me, src)
+		all := TeamAllGather(me.World(), src)
 		me.Barrier()
 		if me.ID() == 0 {
 			// Local->local.
@@ -298,7 +298,7 @@ func TestCopyAllDirections(t *testing.T) {
 func TestAsyncCopyWithEvent(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		buf := Allocate[float64](me, me.ID(), 32)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			ls := LocalSlice(me, buf, 32)
 			for i := range ls {
@@ -321,7 +321,7 @@ func TestAsyncCopyWithEvent(t *testing.T) {
 func TestAsyncCopyFenceCompletesImplicit(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		buf := Allocate[int64](me, me.ID(), 8)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			before := me.Clock()
 			for i := 0; i < 4; i++ {
@@ -342,7 +342,7 @@ func TestAsyncCopyFenceCompletesImplicit(t *testing.T) {
 func TestEventReuse(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		buf := Allocate[int64](me, me.ID(), 4)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		ev := NewEvent()
 		for iter := 0; iter < 5; iter++ {
 			if me.ID() == 0 {
@@ -361,7 +361,7 @@ func TestOverlapBeatsBlocking(t *testing.T) {
 	const n = 1 << 16
 	overlap := Run(testCfg(3), func(me *Rank) {
 		buf := Allocate[byte](me, me.ID(), n)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			AsyncCopy(me, buf, all[1], n, nil)
 			AsyncCopy(me, buf, all[2], n, nil)
@@ -370,7 +370,7 @@ func TestOverlapBeatsBlocking(t *testing.T) {
 	})
 	blocking := Run(testCfg(3), func(me *Rank) {
 		buf := Allocate[byte](me, me.ID(), n)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			Copy(me, buf, all[1], n)
 			Copy(me, buf, all[2], n)
@@ -384,7 +384,7 @@ func TestOverlapBeatsBlocking(t *testing.T) {
 func TestReadWriteSlice(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		buf := Allocate[uint16](me, me.ID(), 64)
-		all := AllGather(me, buf)
+		all := TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			out := make([]uint16, 64)
 			for i := range out {

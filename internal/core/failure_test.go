@@ -204,7 +204,7 @@ func TestZeroSizedSharedArray(t *testing.T) {
 func TestEmptyCopyAndWait(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		p := Allocate[int64](me, me.ID(), 4)
-		all := AllGather(me, p)
+		all := TeamAllGather(me.World(), p)
 		Copy(me, p, all[1-me.ID()], 0) // zero-length: no-op
 		ev := NewEvent()
 		AsyncCopy(me, p, all[1-me.ID()], 0, ev) // still signals

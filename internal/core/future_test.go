@@ -155,7 +155,7 @@ func TestFinishWaitsForLateAttachedContinuation(t *testing.T) {
 func TestReadWriteAsyncRoundTrip(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		p := Allocate[uint64](me, 1, 4)
-		p = Broadcast(me, p, 0)
+		p = TeamBroadcast(me.World(), p, 0)
 		if me.ID() == 0 {
 			WriteAsync(me, p, 0xBEEF).Wait()
 			if v := ReadAsync(me, p).Get(); v != 0xBEEF {
@@ -172,7 +172,7 @@ func TestReadAsyncThenOverlap(t *testing.T) {
 	st := Run(testCfg(2), func(me *Rank) {
 		n := 32
 		p := Allocate[uint64](me, 1, n)
-		p = Broadcast(me, p, 0)
+		p = TeamBroadcast(me.World(), p, 0)
 		if me.ID() == 1 {
 			for i := 0; i < n; i++ {
 				Write(me, p.Add(i), uint64(i)*3)
@@ -207,8 +207,8 @@ func TestCopyAsyncAndReadSliceAsync(t *testing.T) {
 		n := 16
 		src := Allocate[uint64](me, 1, n)
 		dst := Allocate[uint64](me, 2, n)
-		src = Broadcast(me, src, 0)
-		dst = Broadcast(me, dst, 0)
+		src = TeamBroadcast(me.World(), src, 0)
+		dst = TeamBroadcast(me.World(), dst, 0)
 		if me.ID() == 1 {
 			for i := 0; i < n; i++ {
 				Write(me, src.Add(i), uint64(i)+100)
@@ -232,7 +232,7 @@ func TestCopyAsyncAndReadSliceAsync(t *testing.T) {
 func TestPromiseOntoCombinations(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		p := Allocate[uint64](me, 1, 8)
-		p = Broadcast(me, p, 0)
+		p = TeamBroadcast(me.World(), p, 0)
 		if me.ID() == 0 {
 			// One promise gathering several operations, combined with a
 			// legacy event through Onto.
@@ -256,7 +256,7 @@ func TestPromiseOntoCombinations(t *testing.T) {
 func TestOntoToFinishAttachesCopies(t *testing.T) {
 	Run(testCfg(2), func(me *Rank) {
 		p := Allocate[uint64](me, 1, 2)
-		p = Broadcast(me, p, 0)
+		p = TeamBroadcast(me.World(), p, 0)
 		if me.ID() == 0 {
 			// AsyncCopy historically bypasses Finish (implicit handle
 			// set); ToFinish opts it in.

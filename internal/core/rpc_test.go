@@ -352,6 +352,57 @@ func stormJob(t testing.TB, body func(me *Rank, peerCell GlobalPtr[uint64]) uint
 	})
 }
 
+// TestBatchingReducesFrames: every rank storms its right neighbour with
+// RPCs under one Finish, once with the aggregation plane coalescing
+// requests and done-acks and once with every message a batch of its
+// own (MaxOps 1). Both leave the same marks in every cell, and batched
+// an RPC costs at least 2x fewer wire frames — the realized ratio is
+// far larger, but age flushes on a stalled machine can pad a few.
+func TestBatchingReducesFrames(t *testing.T) {
+	const n, rpcs = 2, 1024
+	mark := func(rank, i int) uint64 { return tmix(uint64(rank)<<32 + uint64(i)) }
+	run := func(cfg agg.Config) (cells [n]uint64, framesPerRPC, opsPerBatch float64) {
+		stats := runWireJob(t, n, 1<<17, Config{Agg: cfg}, func(me *Rank) {
+			dir := TeamAllGather(me.World(), newCell(me))
+			me.Barrier()
+			target := (me.ID() + 1) % n
+			Finish(me, func() {
+				for i := 0; i < rpcs; i++ {
+					AsyncTask(me, On(target), ttMark, append(cellArgs(dir[target]), rpc.U64s(mark(me.ID(), i))...))
+				}
+			})
+			me.Barrier()
+			var want uint64
+			for i := 0; i < rpcs; i++ {
+				want ^= mark((me.ID()+n-1)%n, i)
+			}
+			if cells[me.ID()] = Read(me, dir[me.ID()]); cells[me.ID()] != want {
+				t.Errorf("rank %d cell = %#x, want %#x (%+v)", me.ID(), cells[me.ID()], want, cfg)
+			}
+			me.Barrier()
+		})
+		var frames, batches, ops float64
+		for _, st := range stats {
+			frames += st.Counters["wire_tx_frames"]
+			batches += st.Counters["agg_batches"]
+			ops += st.Counters["agg_ops"]
+		}
+		return cells, frames / (n * rpcs), ops / batches
+	}
+	onCells, on, opsPerBatch := run(agg.Config{})
+	offCells, off, _ := run(agg.Config{MaxOps: 1})
+	if onCells != offCells {
+		t.Fatalf("cells differ: batched %#x, unbatched %#x", onCells, offCells)
+	}
+	if on*2 > off {
+		t.Errorf("batched RPCs cost %.3f frames each vs %.3f unbatched; want >= 2x reduction", on, off)
+	}
+	if opsPerBatch <= 1 {
+		t.Errorf("batched ops/batch = %.2f, want > 1", opsPerBatch)
+	}
+	t.Logf("frames/RPC: batched %.3f, unbatched %.3f; ops/batch %.1f", on, off, opsPerBatch)
+}
+
 // BenchmarkAsyncTaskWire is the layer benchmark of the registered-task
 // wire path: one op is one RPC issued, executed at the peer and
 // acknowledged, both ranks storming each other in epochs of 10,000

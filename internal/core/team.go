@@ -13,8 +13,8 @@ import (
 // built-in teams — World() (all ranks) and Local() (the ranks
 // co-located on this host, per the job topology) — and can carve
 // further subsets with Split(color, key), MPI_Comm_split style. All
-// collectives are team-scoped methods/functions; the old flat free
-// functions in coll.go remain as deprecated wrappers over World().
+// collectives are team-scoped methods/functions; a world-wide one is the
+// team form over World().
 //
 // A Team value is per-rank (it is a view of the subset through this
 // rank's handle, like every other core object), but its identity — the

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"upcxx/internal/agg"
 	"upcxx/internal/bench/gups"
 	"upcxx/internal/core"
 	"upcxx/internal/gasnet"
@@ -57,7 +58,7 @@ func runProc(t *testing.T, n, perRank int) []uint64 {
 	return sums
 }
 
-func runWire(t *testing.T, n, perRank int) ([]uint64, []core.Stats) {
+func runWire(t *testing.T, n, perRank int, cfg core.Config) ([]uint64, []core.Stats) {
 	t.Helper()
 	eps := make([]*transport.TCPEndpoint, n)
 	addrs := make([]string, n)
@@ -83,7 +84,7 @@ func runWire(t *testing.T, n, perRank int) ([]uint64, []core.Stats) {
 			seg := segment.New(SegBytes(DefaultCapacity(perRank)))
 			cd := gasnet.NewWireConduit(eps[i], seg)
 			defer cd.Close()
-			stats[i] = core.RunWire(core.Config{}, cd, seg, func(me *core.Rank) {
+			stats[i] = core.RunWire(cfg, cd, seg, func(me *core.Rank) {
 				sums[me.ID()] = workload(t, me, perRank)
 			})
 			cd.Goodbye()
@@ -102,7 +103,7 @@ func TestBackendsAgree(t *testing.T) {
 	const perRank = 512
 	for _, n := range []int{1, 2, 4} {
 		proc := runProc(t, n, perRank)
-		wire, _ := runWire(t, n, perRank)
+		wire, _ := runWire(t, n, perRank, core.Config{})
 		for r := 1; r < n; r++ {
 			if proc[r] != proc[0] {
 				t.Fatalf("n=%d: proc rank %d checksum %x != rank 0 %x", n, r, proc[r], proc[0])
@@ -131,7 +132,7 @@ func TestOverwriteAndEntries(t *testing.T) {
 			}
 		}
 		me.Barrier()
-		total := core.Reduce(me, tbl.Entries(), func(a, b int64) int64 { return a + b })
+		total := core.TeamReduce(me.World(), tbl.Entries(), func(a, b int64) int64 { return a + b })
 		if total != 50 {
 			t.Errorf("entries = %d after duplicate inserts, want 50", total)
 		}
@@ -148,10 +149,43 @@ func TestOverwriteAndEntries(t *testing.T) {
 // on the wire: many lookups against one owner coalesce, and the wire
 // counters show the reply traffic batching too.
 func TestAggregationServesLookups(t *testing.T) {
-	_, stats := runWire(t, 2, 512)
+	_, stats := runWire(t, 2, 512, core.Config{})
 	for r, st := range stats {
 		if st.Counters["agg_batches"] == 0 {
 			t.Errorf("rank %d shipped no aggregation batches", r)
 		}
 	}
+}
+
+// TestAggregationWins: the same insert-and-lookup workload builds the
+// identical table with aggregation on (the default thresholds) and off
+// (MaxOps 1: every op its own batch), and aggregated it costs at least
+// 4x fewer wire frames, in batches of real size.
+func TestAggregationWins(t *testing.T) {
+	const n, perRank = 2, 1024
+	run := func(cfg agg.Config) (sum uint64, frames, opsPerBatch float64) {
+		sums, stats := runWire(t, n, perRank, core.Config{Agg: cfg})
+		var batches, ops float64
+		for _, st := range stats {
+			frames += st.Counters["wire_tx_frames"]
+			batches += st.Counters["agg_batches"]
+			ops += st.Counters["agg_ops"]
+		}
+		return sums[0], frames, ops / batches
+	}
+	onSum, on, opsPerBatch := run(agg.Config{})
+	offSum, off, _ := run(agg.Config{MaxOps: 1})
+	if onSum != offSum {
+		t.Fatalf("checksum changed with aggregation: on=%016x off=%016x", onSum, offSum)
+	}
+	if off < n*perRank/2 {
+		t.Fatalf("unaggregated run sent only %v frames for %d inserts", off, n*perRank)
+	}
+	if off < 4*on {
+		t.Errorf("frame reduction %.1fx (on=%v off=%v), want >= 4x", off/on, on, off)
+	}
+	if opsPerBatch < 2 {
+		t.Errorf("agg ops/batch = %v, want real coalescing", opsPerBatch)
+	}
+	t.Logf("frames: on=%v off=%v (%.1fx), ops/batch=%.1f", on, off, off/on, opsPerBatch)
 }

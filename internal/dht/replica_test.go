@@ -166,8 +166,12 @@ func TestReadRepairConvergence(t *testing.T) {
 			if got := tbl.Checksum(me); got != want {
 				t.Errorf("rank %d: post-repair checksum %x, want %x", me.ID(), got, want)
 			}
-			if tbl.Counters()["dht_repairs"] == 0 && me.ID() == 0 {
-				t.Errorf("rank 0 issued no repairs despite primary-only seeding")
+			// Which ranks' lookups find the stale replicas is up to the
+			// scheduler; that every key was repaired at least once is not.
+			repairs := core.TeamReduce(me.World(), tbl.Counters()["dht_repairs"],
+				func(a, b float64) float64 { return a + b })
+			if repairs < float64(len(keys)) {
+				t.Errorf("rank %d: job issued %v repairs for %d primary-only keys", me.ID(), repairs, len(keys))
 			}
 		})
 }

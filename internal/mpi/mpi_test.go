@@ -220,7 +220,7 @@ func TestMPIMatchingCostCharged(t *testing.T) {
 	oneSided := core.Run(core.Config{Ranks: 2, Machine: sim.Local, SW: sim.SWUPCXX, Virtual: true},
 		func(me *core.Rank) {
 			buf := core.Allocate[byte](me, me.ID(), 1024)
-			all := core.AllGather(me, buf)
+			all := core.TeamAllGather(me.World(), buf)
 			if me.ID() == 0 {
 				for i := 0; i < 50; i++ {
 					core.AsyncCopy(me, buf, all[1], 1024, nil)

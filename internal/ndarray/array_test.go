@@ -140,7 +140,7 @@ func TestRemoteGetSet(t *testing.T) {
 			a.Set(me, P2(2, 2), 1234)
 			ref = a.Ref()
 		}
-		ref = core.Broadcast(me, ref, 1)
+		ref = core.TeamBroadcast(me.World(), ref, 1)
 		me.Barrier()
 		if me.ID() == 0 {
 			remote := FromRef(ref)
@@ -191,7 +191,7 @@ func TestGhostExchangeTwoRanks(t *testing.T) {
 		// Fill the interior with a rank-identifying pattern.
 		interior.ForEach(func(p Point) { grid.Set(me, p, float64(me.ID()*1000+p.Get(0))) })
 
-		refs := core.AllGather(me, grid.Ref())
+		refs := core.TeamAllGather(me.World(), grid.Ref())
 		me.Barrier()
 
 		other := FromRef(refs[1-me.ID()])
@@ -225,7 +225,7 @@ func TestCopyFromThirdParty(t *testing.T) {
 			}
 			r = a.Ref()
 		}
-		refs := core.AllGather(me, r)
+		refs := core.TeamAllGather(me.World(), r)
 		me.Barrier()
 		if me.ID() == 0 {
 			src := FromRef(refs[1])
@@ -252,7 +252,7 @@ func TestCopyFromAsyncWithEvent(t *testing.T) {
 		if me.ID() == 1 {
 			a.Domain().ForEach(func(p Point) { a.Set(me, p, 5) })
 		}
-		refs := core.AllGather(me, a.Ref())
+		refs := core.TeamAllGather(me.World(), a.Ref())
 		me.Barrier()
 		if me.ID() == 0 {
 			ev := core.NewEvent()

@@ -85,7 +85,7 @@ func TestAsyncCopyEventOnWireAtBoundary(t *testing.T) {
 			vals[i] = mix(uint64(me.ID())<<40 + uint64(i))
 		}
 		core.WriteSlice(me, src, vals)
-		dir := core.AllGather(me, src)
+		dir := core.TeamAllGather(me.World(), src)
 		me.Barrier()
 
 		if me.ID() == 0 {

@@ -2,7 +2,9 @@ package spmd
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"upcxx/internal/core"
 )
@@ -151,5 +153,55 @@ func TestHierShmBypassesWire(t *testing.T) {
 	}
 	if wirePuts == 0 {
 		t.Error("tcp run moved zero put frames; the probe no longer measures anything")
+	}
+}
+
+// barrierUsec times iters world barriers on an n-rank job — over the
+// flat TCP wire, or with all n ranks co-located on one hierarchical host
+// — and returns rank 0's microseconds per barrier, best of five jobs.
+func barrierUsec(t *testing.T, n, iters int, hier bool) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	for rep := 0; rep < 5; rep++ {
+		var dt time.Duration
+		body := func(me *core.Rank) {
+			w := me.World()
+			w.Barrier() // warm the conduit
+			t0 := time.Now()
+			for i := 0; i < iters; i++ {
+				w.Barrier()
+			}
+			if me.ID() == 0 {
+				dt = time.Since(t0)
+			}
+		}
+		var err error
+		if hier {
+			_, err = RunHierLocal(n, n, 1<<17, core.Config{}, body)
+		} else {
+			_, err = RunWireLocal(n, 1<<17, core.Config{}, body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = min(best, dt.Seconds()*1e6/float64(iters))
+	}
+	return best
+}
+
+// TestHierBeatsFlatBarrier: with 8 co-located ranks the hierarchical
+// barrier (shm arrive/release, one leader, no wire phase) beats the flat
+// wire barrier's TCP round trips, by a margin wide enough to hold on any
+// machine once best-of-five suppresses scheduler noise.
+func TestHierBeatsFlatBarrier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock comparison; skipped in -short")
+	}
+	const n, iters = 8, 48
+	flat := barrierUsec(t, n, iters, false)
+	hier := barrierUsec(t, n, iters, true)
+	t.Logf("flat barrier %.1fus, hier (ppn=%d) barrier %.1fus", flat, n, hier)
+	if hier >= flat {
+		t.Errorf("hierarchical barrier (%.1fus) not faster than flat (%.1fus) at %d co-located ranks", hier, flat, n)
 	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package futbench
+package spmd
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package futbench
+package spmd
 
 // raceEnabled relaxes the wall-clock overlap assertion: race
 // instrumentation inflates per-op CPU cost until it dominates the

@@ -17,6 +17,14 @@ import (
 	"upcxx/internal/spmd"
 )
 
+// waitReady returns once the store's gateway rank has joined the table
+// and serves requests.
+func waitReady(st *DHTStore) {
+	for !st.Ready() {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestGatewayDrainSemantics is the end-to-end drain test the PR's
 // satellite demands, deterministic and subprocess-free: a 4-rank
 // in-process wire job (3 compute ranks + the gateway) fronted by an
@@ -54,9 +62,7 @@ func TestGatewayDrainSemantics(t *testing.T) {
 	clientErr := make(chan error, 1)
 	go func() {
 		clientErr <- func() error {
-			for !st.Ready() {
-				time.Sleep(time.Millisecond)
-			}
+			waitReady(st)
 			srv := httptest.NewServer(Handler(app))
 			defer srv.Close()
 			c := srv.Client()

@@ -8,12 +8,13 @@ import (
 
 // SPMD wiring shared by every way a gateway job is assembled — the
 // upcxx-gate binary + gateserve compute ranks under upcxx-run, the
-// in-process gatebench fleet, and the drain tests. The topology is one
-// resilient wire job of n+1 ranks: ranks 0..n-1 run ServeMain (full
-// DHT members parked in progress, serving shard traffic), rank n runs
-// GatewayMain (also a full DHT member, additionally pumping the
-// DHTStore op queue). One topology, one capacity formula, one control
-// protocol — computed here so the sides can never disagree.
+// benchmark's gate_kv fleet, and the drain and chaos tests. The
+// topology is one resilient wire job of n+1 ranks: ranks 0..n-1 run
+// ServeMain (full DHT members parked in progress, serving shard
+// traffic), rank n runs GatewayMain (also a full DHT member,
+// additionally pumping the DHTStore op queue). One topology, one
+// capacity formula, one control protocol — computed here so the sides
+// can never disagree.
 
 // CtlHandler is the gateway's control AM id: the gateway broadcasts it
 // to the compute ranks when it has drained, releasing them from their

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -353,5 +355,70 @@ func TestTickOneFiringWhileAway(t *testing.T) {
 	}
 	if err := eps[0].WaitFor(func() bool { return ticks.Load() >= 3 }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReservedHandlerFromWire: a frame from the wire that names a
+// reserved handler id — hello after the handshake, or peer-down or wake,
+// which only the endpoint itself may synthesize — is a framing error.
+// The sender is lost with a cause naming the id, after every frame it
+// sent before, and nothing it sent after is dispatched.
+func TestReservedHandlerFromWire(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		h    uint16
+	}{{"hello", helloHandler}, {"peer-down", peerDownHandler}, {"wake", wakeHandler}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ep, err := ListenTCP(1, 2, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			var down error
+			ep.SetPeerDownHandler(func(peer int, cause error) {
+				if down == nil {
+					down = fmt.Errorf("peer %d: %w", peer, cause)
+				}
+			})
+			var got []uint64
+			ep.Register(7, func(_ *TCPEndpoint, m Message) { got = append(got, m.Arg) })
+			connErr := make(chan error, 1)
+			go func() { connErr <- ep.Connect([]string{"", ep.Addr()}) }()
+
+			// Rank 0, played by the test: the hello, a frame, the hostile
+			// frame mid-stream, a frame behind it — then the link closes,
+			// which would be the only loss if the hostile frame passed.
+			c, err := net.Dial("tcp", ep.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw bytes.Buffer
+			for _, m := range []Message{
+				{From: 0, To: 1, Handler: helloHandler},
+				{To: 1, Handler: 7, Arg: 1},
+				{To: 1, Handler: tc.h, Payload: []byte("hostile")},
+				{To: 1, Handler: 7, Arg: 2},
+			} {
+				if err := writeFrame(&raw, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Write(raw.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-connErr; err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			if err := ep.WaitFor(func() bool { return down != nil }); err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("peer 0: transport: rank 1: rank 0 sent a frame with reserved handler id %#x", tc.h); down.Error() != want {
+				t.Errorf("peer-down cause %q, want %q", down, want)
+			}
+			if len(got) != 1 || got[0] != 1 {
+				t.Errorf("dispatched frames %v, want [1]: only what preceded the hostile frame", got)
+			}
+		})
 	}
 }

@@ -294,6 +294,13 @@ func FuzzRxFrames(f *testing.F) {
 	over[18+7] = 0x7f // announces an absurd length
 	f.Add(over, []byte{1})
 	f.Add(stream(f, 460, 2000, 600, 900, 1000), []byte{0, 170, 1})
+	// Reserved handler ids mid-stream parse like any other frame; it is
+	// readLoop that refuses them.
+	var reserved bytes.Buffer
+	for _, h := range []uint16{1, helloHandler, peerDownHandler, wakeHandler, byeHandler, 2} {
+		writeFrame(&reserved, Message{To: 1, Handler: h, Arg: 9, Payload: []byte("hostile")})
+	}
+	f.Add(reserved.Bytes(), []byte{5})
 	f.Fuzz(func(t *testing.T, raw, cuts []byte) {
 		sizes := make([]int, len(cuts))
 		for i, c := range cuts {

@@ -94,7 +94,8 @@ type Handler func(ep *TCPEndpoint, m Message)
 // inbox so a blocked WaitFor re-runs its predicate. It carries no
 // payload; the periodic tick and endpoint close reach a blocked rank as
 // the same message, so the inbox is the only thing a rank ever blocks
-// on.
+// on. wake is the lowest of them: readLoop refuses every id from it up,
+// bye excepted, once Connect is done.
 const (
 	helloHandler    uint16 = 0xFFFF
 	byeHandler      uint16 = 0xFFFE
@@ -1134,9 +1135,20 @@ func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
 			}
 			return
 		}
-		if m.Handler == byeHandler {
-			sawBye = true
-			continue
+		if m.Handler >= wakeHandler {
+			if m.Handler == byeHandler {
+				sawBye = true
+				continue
+			}
+			// hello belongs to Connect; peer-down and wake only this
+			// endpoint may synthesize. From the wire they are a framing
+			// error, like an over-limit length.
+			if m.pooled {
+				frames.Put(m.Payload)
+			}
+			ep.peerLost(peer, fmt.Errorf("transport: rank %d: rank %d sent a frame with reserved handler id %#x",
+				ep.rank, peer, m.Handler))
+			return
 		}
 		m.From = peer // what the order rule's dispatched count is kept by
 		if !ep.deliver(m) {

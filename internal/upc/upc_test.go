@@ -48,7 +48,7 @@ func TestForallPartition(t *testing.T) {
 func TestMemgetMemput(t *testing.T) {
 	core.Run(Config(2, sim.Local, true), func(me *core.Rank) {
 		buf := Alloc[int32](me, 8)
-		all := core.AllGather(me, buf)
+		all := core.TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
 			out := []int32{1, 2, 3, 4, 5, 6, 7, 8}
 			Memput(me, all[1], out)

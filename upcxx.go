@@ -364,9 +364,6 @@ func NewLock(me *Rank) Lock { return core.NewLock(me) }
 // Roots are team ranks, results are indexed in team-rank order, and
 // on the hierarchical backend team collectives run in two phases —
 // shared memory within a host, the wire between host leaders.
-//
-// The flat free functions below are deprecated world-team wrappers:
-// Broadcast(me, v, root) is TeamBroadcast(me.World(), v, root).
 
 // Team is an ordered subset of ranks that collectives are scoped to.
 // Obtain one with me.World(), me.Local(), me.SplitTeam(color, key) or
@@ -401,35 +398,6 @@ func TeamExclusiveScan[T any](t *Team, v T, op func(a, b T) T, identity T) T {
 // TeamGather collects one value per member on the root slot (indexed
 // in team-rank order); other members receive nil.
 func TeamGather[T any](t *Team, v T, root int) []T { return core.TeamGatherAll(t, v, root) }
-
-// Broadcast distributes root's value to every rank.
-//
-// Deprecated: use TeamBroadcast(me.World(), v, root).
-func Broadcast[T any](me *Rank, v T, root int) T { return core.TeamBroadcast(me.World(), v, root) }
-
-// AllGather collects one value per rank (shared read-only result).
-//
-// Deprecated: use TeamAllGather(me.World(), v).
-func AllGather[T any](me *Rank, v T) []T { return core.TeamAllGather(me.World(), v) }
-
-// Reduce combines one value per rank on every rank.
-//
-// Deprecated: use TeamReduce(me.World(), v, op).
-func Reduce[T any](me *Rank, v T, op func(a, b T) T) T { return core.TeamReduce(me.World(), v, op) }
-
-// ReduceSlices element-wise combines slices onto root.
-//
-// Deprecated: use TeamReduceSlices(me.World(), contrib, op, root).
-func ReduceSlices[T any](me *Rank, contrib []T, op func(a, b T) T, root int) []T {
-	return core.TeamReduceSlices(me.World(), contrib, op, root)
-}
-
-// ExclusiveScan returns the exclusive prefix combination across ranks.
-//
-// Deprecated: use TeamExclusiveScan(me.World(), v, op, identity).
-func ExclusiveScan[T any](me *Rank, v T, op func(a, b T) T, identity T) T {
-	return core.TeamExclusiveScan(me.World(), v, op, identity)
-}
 
 // Multidimensional domains and arrays (paper §III-E), modeled on
 // Titanium's; see internal/ndarray for the full API.

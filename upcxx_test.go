@@ -33,7 +33,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 		// Global memory + one-sided ops.
 		buf := upcxx.Allocate[float64](me, me.ID(), 8)
-		ptrs := upcxx.AllGather(me, buf)
+		ptrs := upcxx.TeamAllGather(me.World(), buf)
 		me.Barrier()
 		next := ptrs[(me.ID()+1)%me.Ranks()]
 		upcxx.Write(me, next, float64(me.ID()))
@@ -105,20 +105,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		me.Barrier()
 
 		// Locks.
-		l := upcxx.Broadcast(me, upcxx.NewLock(me), 0)
+		l := upcxx.TeamBroadcast(me.World(), upcxx.NewLock(me), 0)
 		l.Acquire(me)
 		l.Release(me)
 		me.Barrier()
 
 		// Collectives.
-		if upcxx.Reduce(me, 1, func(a, b int) int { return a + b }) != me.Ranks() {
+		if upcxx.TeamReduce(me.World(), 1, func(a, b int) int { return a + b }) != me.Ranks() {
 			t.Error("reduce")
 		}
 
 		// Multidimensional arrays.
 		grid := upcxx.NewNDArray[int32](me, upcxx.RD3(0, 0, 0, 4, 4, 4).Translate(upcxx.P(me.ID()*4, 0, 0)))
 		grid.Fill(me, int32(me.ID()))
-		refs := upcxx.AllGather(me, grid.Ref())
+		refs := upcxx.TeamAllGather(me.World(), grid.Ref())
 		me.Barrier()
 		if me.ID() == 0 {
 			other := upcxx.NDFromRef(refs[1])
