@@ -1,25 +1,20 @@
 package core
 
-// Typed collectives built on the gasnet rendezvous. UPC++ inherits its
+// The in-process world team's collectives. UPC++ inherits its
 // collectives from GASNet (the paper's benchmarks use barrier, broadcast,
-// reductions and gathers); these are the Go equivalents. All are
-// collective: every rank must call them in the same order. Costs are
-// charged per binomial-tree stage plus wire time for the payload;
-// large-payload reductions charge the pipelined (bandwidth-bound) form.
-//
-// The functions here are the world-team specializations behind the
-// team-scoped API in team.go, which is the only public surface. The
-// world team keeps its pre-team fast paths: in-process it
-// rendezvouses through one shared slot (one allocation per collective,
-// shared read-only — what keeps 32K-rank metadata exchanges linear in
-// memory), and on the wire it rides the conduit's world allgather with
-// its resilience semantics (dead ranks' slots come back empty).
+// reductions and gathers); team.go holds them for every team, over the
+// conduit's keyed rendezvous. Only the world of an in-process job lives
+// here, selected once when World() builds the team (Team.slot): it
+// rendezvouses through the engine's one shared slot — one allocation
+// per collective, shared read-only, which is what keeps fig8's
+// 32,768-rank allgathers linear in memory — and it charges exactly the
+// costs the paper's figures were generated with: per binomial-tree stage
+// plus wire time for the payload, the pipelined (bandwidth-bound) form
+// for large-payload reductions, and the engine's BarrierCost for a
+// barrier.
 
 func worldBroadcast[T any](me *Rank, v T, root int) T {
 	bytes := int(sizeOf[T]())
-	if me.onWire() {
-		return wireBroadcast(me, v, root)
-	}
 	slot := me.ep.Collective(
 		func(int) any { return new(T) },
 		func(s any) {
@@ -37,9 +32,6 @@ func worldBroadcast[T any](me *Rank, v T, root int) T {
 
 func worldAllGather[T any](me *Rank, v T) []T {
 	bytes := int(sizeOf[T]())
-	if me.onWire() {
-		return wireExchange(me, v)
-	}
 	slot := me.ep.Collective(
 		func(n int) any { return make([]T, n) },
 		func(s any) { s.([]T)[me.id] = v },
@@ -58,9 +50,6 @@ func worldAllGather[T any](me *Rank, v T) []T {
 // across runs and rank counts.
 func worldReduce[T any](me *Rank, v T, op func(a, b T) T) T {
 	bytes := int(sizeOf[T]())
-	if me.onWire() {
-		return wireReduce(me, v, op)
-	}
 	type box struct {
 		vals   []T
 		result T
@@ -89,9 +78,6 @@ func worldReduce[T any](me *Rank, v T, op func(a, b T) T) T {
 // cost model charges the pipelined large-payload reduction — log(P)
 // latency stages plus twice the payload's wire time.
 func worldReduceSlices[T any](me *Rank, contrib []T, op func(a, b T) T, root int) []T {
-	if me.onWire() {
-		return wireReduceSlices(me, contrib, op, root)
-	}
 	type box struct {
 		parts [][]T
 		out   []T

@@ -523,16 +523,16 @@ func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *
 
 // quiesce drains in-flight messages after main returns: two barrier rounds
 // guarantee that any task injected before the first barrier has executed
-// before any rank tears down.
+// before any rank tears down. Both are world-team barriers, so their
+// keys follow the program's world collectives in SPMD order.
 func (r *Rank) quiesce() {
-	r.aggDrain()
-	r.mustCd(r.cd.Barrier())
+	w := r.World()
+	w.barrier()
 	r.ep.Poll()
 	if r.onWire() {
 		r.cd.Poll()
 	}
-	r.aggDrain()
-	r.mustCd(r.cd.Barrier())
+	w.barrier()
 }
 
 // mustCd converts a conduit failure into a job abort, following the

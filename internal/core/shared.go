@@ -12,12 +12,12 @@ type SharedVar[T any] struct {
 // collectives.
 func NewSharedVar[T any](me *Rank) SharedVar[T] {
 	checkPOD[T]()
-	if me.onWire() {
+	if w := me.World(); !w.slot {
 		var p GlobalPtr[T]
 		if me.id == 0 {
 			p = Allocate[T](me, 0, 1)
 		}
-		return SharedVar[T]{ptr: wireExchange(me, p)[0]}
+		return SharedVar[T]{ptr: TeamAllGather(w, p)[0]}
 	}
 	slot := me.ep.Collective(
 		func(int) any { return new(GlobalPtr[T]) },
@@ -87,10 +87,10 @@ func NewSharedArray[T any](me *Rank, size, blockSize int) *SharedArray[T] {
 	if local > 0 {
 		base = Allocate[T](me, me.id, int(local)).Offset()
 	}
-	if me.onWire() {
+	if w := me.World(); !w.slot {
 		// No shared slot across address spaces: allgather the base
 		// directory over the conduit (each process keeps its own copy).
-		sa.bases = wireExchange(me, base)
+		sa.bases = TeamAllGather(w, base)
 		return sa
 	}
 	slot := me.ep.Collective(

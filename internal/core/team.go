@@ -23,7 +23,8 @@ import (
 // own allgather. Collective calls on a team must be made by all its
 // members in the same order, the usual SPMD contract; the per-team
 // sequence number turns that order into globally unique rendezvous
-// keys for the conduit's subset collectives.
+// keys for the conduit's team collectives, which the world rides like
+// any other team (but for an in-process job's world; see slot).
 type Team struct {
 	r       *Rank
 	id      uint64
@@ -31,6 +32,10 @@ type Team struct {
 	myIdx   int   // this rank's position in members
 	seq     uint64
 	splits  uint64
+	// slot marks the world team of an in-process job: its collectives
+	// take the engine's shared slot (coll.go), not the conduit's keyed
+	// rendezvous.
+	slot bool
 }
 
 const (
@@ -95,7 +100,7 @@ func (r *Rank) World() *Team {
 		for i := range members {
 			members[i] = i
 		}
-		r.world = &Team{r: r, id: worldTeamID, members: members, myIdx: r.id}
+		r.world = &Team{r: r, id: worldTeamID, members: members, myIdx: r.id, slot: !r.onWire()}
 	}
 	return r.world
 }
@@ -144,8 +149,6 @@ func (t *Team) WorldRank(i int) int { return t.members[i] }
 // ID returns the team's identity, equal on all members and unique
 // across distinct teams of the job.
 func (t *Team) ID() uint64 { return t.id }
-
-func (t *Team) isWorld() bool { return t == t.r.world }
 
 func (t *Team) String() string {
 	return fmt.Sprintf("team %#x (rank %d/%d)", t.id, t.myIdx, len(t.members))
@@ -199,24 +202,17 @@ func (t *Team) Split(color, key int) *Team {
 	return &Team{r: me, id: id, members: members, myIdx: myIdx}
 }
 
-// allGatherBytes is the subset-collective dispatch: conduit-provided
-// team collectives when available (wire, hierarchical and in-process
-// conduits all advertise them), else the engine's rendezvous as a
-// fallback. The returned parts are indexed by team rank; the caller
-// charges model costs.
+// allGatherBytes runs one keyed team allgather through the conduit,
+// aborting on failure; the parts are indexed by team rank and the caller
+// charges model costs. Buffered aggregated ops ship first: the
+// rendezvous blocks until every member arrives, and a member may be
+// waiting on our ops to get there.
 func (t *Team) allGatherBytes(contrib []byte) [][]byte {
 	me := t.r
-	key := t.nextKey()
 	me.aggPreBlock()
-	if tc := me.caps.Teams; tc != nil {
-		parts, err := tc.TeamAllGather(key, t.members, contrib)
-		me.mustCd(err)
-		return parts
-	}
-	if !me.onWire() {
-		return me.ep.TeamGather(key, t.myIdx, len(t.members), contrib)
-	}
-	panic("upcxx: conduit supports neither team collectives nor shared memory")
+	parts, err := me.cd.TeamAllGather(t.nextKey(), t.members, contrib)
+	me.mustCd(err)
+	return parts
 }
 
 // chargeColl charges one team collective: ceil(log2 m) tree stages plus,
@@ -233,11 +229,11 @@ func (t *Team) chargeColl(elemBytes int, stages float64, fanIn bool) {
 }
 
 // Barrier blocks until every member of the team arrives, servicing
-// progress while waiting. For the world team this is the conduit
-// barrier (on the hierarchical conduit: an intra-host shared-memory
-// phase plus a dissemination exchange among per-host leaders); for
-// subsets it rides the conduit's keyed team barrier. Aggregated ops
-// are drained first, preserving the "visible by the next barrier" rule.
+// progress while waiting. It rides the conduit's keyed team barrier (on
+// the hierarchical conduit: an intra-host shared-memory phase plus a
+// dissemination exchange among per-host leaders); the world of an
+// in-process job takes the engine barrier. Aggregated ops are drained
+// first, preserving the "visible by the next barrier" rule.
 func (t *Team) Barrier() {
 	me := t.r
 	me.enter()
@@ -253,50 +249,62 @@ func (t *Team) Barrier() {
 			me.barrierNs.Observe(int64(obs.NowNs() - t0))
 		}
 	}()
+	t.barrier()
+}
+
+// barrier is Barrier without the span and the Concurrent-mode lock; the
+// runtime's own quiescence barriers call it directly.
+func (t *Team) barrier() {
+	me := t.r
 	me.aggDrain()
-	if t.isWorld() {
-		me.mustCd(me.cd.Barrier())
+	if t.slot {
+		me.ep.Barrier()
 		return
 	}
-	key := t.nextKey()
-	if tc := me.caps.Teams; tc != nil {
-		me.mustCd(tc.TeamBarrier(key, t.members))
-	} else if !me.onWire() {
-		me.ep.TeamGather(key, t.myIdx, len(t.members), nil)
-	} else {
-		panic("upcxx: conduit supports neither team collectives nor shared memory")
-	}
+	me.mustCd(me.cd.TeamBarrier(t.nextKey(), t.members))
 	t.chargeColl(0, 1, false)
 }
 
+// gatherPOD allgathers one POD value per member, indexed by team rank,
+// and charges the gather. A part holds the value's bytes, or nothing
+// for a member declared dead during the collective (a resilient job).
+func gatherPOD[T any](t *Team, v T) [][]byte {
+	checkPOD[T]()
+	size := sizeOf[T]()
+	parts := t.allGatherBytes(valueBytes(&v))
+	for i, p := range parts {
+		if len(p) != 0 && uint64(len(p)) != size {
+			panic(fmt.Sprintf("upcxx: team collective: member %d contributed %d bytes, want %d",
+				i, len(p), size))
+		}
+	}
+	t.chargeColl(int(size), 1, true)
+	return parts
+}
+
 // TeamAllGather collects one POD value per member, indexed by team
-// rank. (Go methods cannot carry type parameters, so the typed team
-// collectives are free functions over *Team.)
+// rank. On a resilient job a member declared dead during the collective
+// leaves the zero T; callers that care consult RankAlive. (Go methods
+// cannot carry type parameters, so the typed team collectives are free
+// functions over *Team.)
 func TeamAllGather[T any](t *Team, v T) []T {
-	if t.isWorld() {
+	if t.slot {
 		return worldAllGather(t.r, v)
 	}
-	checkPOD[T]()
-	parts := t.allGatherBytes(valueBytes(&v))
+	parts := gatherPOD(t, v)
 	out := make([]T, len(parts))
 	for i, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		if uint64(len(p)) != sizeOf[T]() {
-			panic(fmt.Sprintf("upcxx: team collective: member %d contributed %d bytes, want %d",
-				i, len(p), sizeOf[T]()))
-		}
 		copy(valueBytes(&out[i]), p)
 	}
-	t.chargeColl(int(sizeOf[T]()), 1, true)
 	return out
 }
 
 // TeamBroadcast distributes the value held by the member with team rank
-// root to every member.
+// root to every member. A root declared dead has nothing to broadcast:
+// every survivor panics with a cause satisfying errors.Is(err,
+// ErrRankDead).
 func TeamBroadcast[T any](t *Team, v T, root int) T {
-	if t.isWorld() {
+	if t.slot {
 		return worldBroadcast(t.r, v, root)
 	}
 	checkPOD[T]()
@@ -304,13 +312,18 @@ func TeamBroadcast[T any](t *Team, v T, root int) T {
 	if t.myIdx == root {
 		contrib = valueBytes(&v)
 	}
-	parts := t.allGatherBytes(contrib)
-	if uint64(len(parts[root])) != sizeOf[T]() {
-		panic(fmt.Sprintf("upcxx: team broadcast: root contributed %d bytes, want %d",
-			len(parts[root]), sizeOf[T]()))
-	}
 	var out T
-	copy(valueBytes(&out), parts[root])
+	switch p := t.allGatherBytes(contrib)[root]; uint64(len(p)) {
+	case sizeOf[T]():
+		copy(valueBytes(&out), p)
+	case 0:
+		// Only death erases the root's contribution (it deposits before
+		// gathering when alive).
+		panic(fmt.Errorf("upcxx: team broadcast: %w", t.r.deadErrFor(t.members[root])))
+	default:
+		panic(fmt.Sprintf("upcxx: team broadcast: root contributed %d bytes, want %d",
+			len(p), sizeOf[T]()))
+	}
 	t.chargeColl(int(sizeOf[T]()), 1, false)
 	return out
 }
@@ -318,14 +331,25 @@ func TeamBroadcast[T any](t *Team, v T, root int) T {
 // TeamReduce combines one value per member with op (associative) and
 // returns the result on every member. The fold runs in team-rank
 // order, so floating-point results are deterministic and agree across
-// backends.
+// backends. Members declared dead during the collective are skipped:
+// survivors fold the same surviving set in the same order, so they
+// still agree with each other.
 func TeamReduce[T any](t *Team, v T, op func(a, b T) T) T {
-	if t.isWorld() {
+	if t.slot {
 		return worldReduce(t.r, v, op)
 	}
-	vals := TeamAllGather(t, v)
-	acc := vals[0]
-	for _, x := range vals[1:] {
+	var acc T
+	first := true
+	for _, p := range gatherPOD(t, v) {
+		if len(p) == 0 {
+			continue
+		}
+		var x T
+		copy(valueBytes(&x), p)
+		if first {
+			acc, first = x, false
+			continue
+		}
 		acc = op(acc, x)
 	}
 	t.chargeColl(int(sizeOf[T]()), 1, false) // down-sweep on top of the gather
@@ -334,8 +358,10 @@ func TeamReduce[T any](t *Team, v T, op func(a, b T) T) T {
 
 // TeamReduceSlices element-wise combines equal-length slices from every
 // member into root's (a team rank) result; other members receive nil.
+// Members declared dead during the collective are skipped, as in
+// TeamReduce.
 func TeamReduceSlices[T any](t *Team, contrib []T, op func(a, b T) T, root int) []T {
-	if t.isWorld() {
+	if t.slot {
 		return worldReduceSlices(t.r, contrib, op, root)
 	}
 	checkPOD[T]()
@@ -348,19 +374,23 @@ func TeamReduceSlices[T any](t *Team, contrib []T, op func(a, b T) T, root int) 
 		return nil
 	}
 	out := make([]T, len(contrib))
+	d := make([]T, len(contrib))
 	first := true
 	for i, p := range parts {
-		if uint64(len(p)) != uint64(bytes) {
+		switch len(p) {
+		case bytes:
+		case 0:
+			continue // a dead member
+		default:
 			panic(fmt.Sprintf("upcxx: team ReduceSlices: member %d contributed %d bytes, want %d",
 				i, len(p), bytes))
 		}
-		d := make([]T, len(contrib))
-		copy(sliceBytes(d), p)
 		if first {
-			copy(out, d)
+			copy(sliceBytes(out), p)
 			first = false
 			continue
 		}
+		copy(sliceBytes(d), p)
 		for j, x := range d {
 			out[j] = op(out[j], x)
 		}

@@ -181,12 +181,13 @@ func TestBellLifecycle(t *testing.T) {
 func TestHierCollectiveFrameBudget(t *testing.T) {
 	const n, ppn, rounds = 4, 2, 1000
 	cds := buildHierFleet(t, n, ppn, 1<<16, 1<<12)
+	world := allRanks(n)
 	body := func(me int, cd Conduit) error {
 		for i := 0; i < rounds; i++ {
-			if err := cd.Barrier(); err != nil {
+			if err := cd.TeamBarrier(uint64(2*i+1), world); err != nil {
 				return err
 			}
-			slots, err := cd.AllGather([]byte{byte(me), byte(i)})
+			slots, err := cd.TeamAllGather(uint64(2*i+2), world, []byte{byte(me), byte(i)})
 			if err != nil {
 				return err
 			}

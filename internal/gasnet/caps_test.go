@@ -124,13 +124,13 @@ func TestConduitCapabilities(t *testing.T) {
 	hier := buildHierFleet(t, 1, 1, minShmRingBytes, 1<<12)[0]
 
 	cases := []struct {
-		name                                                     string
-		cd                                                       Conduit
-		batch, async, resilient, teams, counters, localty, waker bool
+		name                                              string
+		cd                                                Conduit
+		batch, async, resilient, counters, localty, waker bool
 	}{
-		{"proc", proc, false, false, false, true, false, false, false},
-		{"wire", wire, true, true, true, true, true, false, true},
-		{"hier", hier, true, true, false, true, true, true, true},
+		{"proc", proc, false, false, false, false, false, false},
+		{"wire", wire, true, true, true, true, false, true},
+		{"hier", hier, true, true, false, true, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,7 +143,6 @@ func TestConduitCapabilities(t *testing.T) {
 			check("Batch", caps.Batch != nil, tc.batch)
 			check("Async", caps.Async != nil, tc.async)
 			check("Resilient", caps.Resilient != nil, tc.resilient)
-			check("Teams", caps.Teams != nil, tc.teams)
 			check("Counters", caps.Counters != nil, tc.counters)
 			check("Locality", caps.Locality != nil, tc.localty)
 			check("Waker", caps.Waker != nil, tc.waker)

@@ -11,10 +11,11 @@ import (
 // cross-rank operation the core runtime performs on behalf of the
 // remote-access API is expressed in this vocabulary: one-sided data
 // movement, a fixed-function remote atomic, global memory management,
-// barriers, an allgather rendezvous, and a lock service. All payloads
-// are plain bytes (the segment's pointer-free guarantee makes every
-// shared object byte-serializable), so a conduit may ship them over a
-// wire; nothing in the vocabulary requires shared memory.
+// keyed team collectives (a barrier and an allgather over any ordered
+// subset of ranks, the world included), and a lock service. All
+// payloads are plain bytes (the segment's pointer-free guarantee makes
+// every shared object byte-serializable), so a conduit may ship them
+// over a wire; nothing in the vocabulary requires shared memory.
 //
 // Two implementations exist: ProcConduit runs over the in-process
 // Engine (ranks are goroutines; the virtual-time cost model applies),
@@ -26,7 +27,7 @@ import (
 //
 // A Conduit is driven by its rank's single SPMD goroutine: blocking
 // calls service incoming requests while waiting (the GASNet progress
-// rule), so a rank stalled in Barrier still serves its peers' Gets.
+// rule), so a rank stalled in TeamBarrier still serves its peers' Gets.
 // Implementations are not required to be safe for concurrent callers.
 type Conduit interface {
 	// Rank returns the calling rank's index; Ranks the job size.
@@ -47,13 +48,22 @@ type Conduit interface {
 	Alloc(rank int, size uint64) (uint64, error)
 	Free(rank int, off uint64) error
 
-	// Barrier blocks until all ranks arrive, servicing requests.
-	Barrier() error
+	// TeamAllGather deposits contrib and returns every member's
+	// contribution indexed by team rank (position in members).
+	// Contributions may be empty and may differ in length. Every member
+	// must call with the same key and the same members slice (world
+	// ranks in team-rank order, members[0] acting as the rendezvous
+	// root); keys must be unique per collective operation — the core
+	// derives them from the team id and a per-team sequence number, so
+	// independent teams may run collectives concurrently. On a resilient
+	// conduit a member declared dead during the collective comes back
+	// as an empty slot, and a dead root fails the others with
+	// RankDeadError. Every typed collective reduces to this.
+	TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error)
 
-	// AllGather deposits this rank's contribution and returns every
-	// rank's, indexed by rank. Contributions may be empty and may
-	// differ in length. All typed collectives reduce to this.
-	AllGather(contrib []byte) ([][]byte, error)
+	// TeamBarrier blocks until every member arrives at key, servicing
+	// requests while waiting.
+	TeamBarrier(key uint64, members []int) error
 
 	// LockNew creates a lock homed on the calling rank and returns its
 	// id; LockAcquire blocks until the lock homed on `home` is held
@@ -80,7 +90,7 @@ type Conduit interface {
 	Capabilities() Caps
 
 	// Close tears down the conduit's resources. The caller must have
-	// synchronized (e.g. a final Barrier) first.
+	// synchronized (e.g. a final TeamBarrier) first.
 	Close() error
 }
 
@@ -107,9 +117,6 @@ type Caps struct {
 	// Resilient is the survivable-peer-loss extension; nil on backends
 	// without a failure detector.
 	Resilient ResilientConduit
-	// Teams is the subset-collective rendezvous (team-scoped barrier
-	// and allgather); nil only on conduits predating the team API.
-	Teams TeamConduit
 	// Counters is the backend's named traffic metering; nil when the
 	// backend keeps no counters.
 	Counters CounterSource
@@ -133,25 +140,6 @@ type Caps struct {
 // SPMD progress loop without polling latency.
 type WakerConduit interface {
 	Wake()
-}
-
-// TeamConduit is the optional extension backing team-scoped
-// collectives (core.Team): an allgather rendezvous over an arbitrary
-// ordered subset of ranks. Every member must call with the same key
-// and the same members slice (world ranks in team-rank order,
-// members[0] acting as the rendezvous root); keys must be unique per
-// collective operation — the core derives them from the team id and a
-// per-team sequence number, so independent teams may run collectives
-// concurrently without interference. Team collectives do not skip
-// dead ranks; resilient jobs keep teams of live ranks.
-type TeamConduit interface {
-	// TeamAllGather deposits contrib and returns every member's
-	// contribution indexed by team rank (position in members).
-	TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error)
-
-	// TeamBarrier blocks until every member arrives at key, servicing
-	// requests while waiting.
-	TeamBarrier(key uint64, members []int) error
 }
 
 // LocalityConduit exposes the host topology a conduit was launched

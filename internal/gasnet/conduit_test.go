@@ -79,11 +79,22 @@ func (m *testMem) Free(off uint64) error {
 	return nil
 }
 
+// allRanks is the member list of a world-wide team collective.
+func allRanks(n int) []int {
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	return members
+}
+
 // exerciseConduit runs the same cross-rank script over any conduit
 // fleet: remote put/get/xor, remote alloc/free, a contended lock, an
-// allgather, barriers. It is the contract both backends must satisfy.
+// allgather and barriers over all ranks. It is the contract every
+// backend must satisfy.
 func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 	t.Helper()
+	world := allRanks(n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	var lockID uint64
@@ -169,7 +180,7 @@ func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 			// Allgather with per-rank payload lengths (rank r contributes
 			// r+1 bytes of value r).
 			contrib := bytes.Repeat([]byte{byte(rank)}, rank+1)
-			parts, err := c.AllGather(contrib)
+			parts, err := c.TeamAllGather(1, world, contrib)
 			fail(err)
 			if len(parts) != n {
 				fail(fmt.Errorf("allgather: %d parts, want %d", len(parts), n))
@@ -181,14 +192,14 @@ func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 				}
 			}
 
-			fail(c.Barrier())
+			fail(c.TeamBarrier(2, world))
 			var w [8]byte
 			fail(c.Get(0, ctrOff, w[:]))
 			if got, want := le(w[:]), uint64(5*n); got != want {
 				fail(fmt.Errorf("lock-protected counter = %d, want %d (lost updates)", got, want))
 			}
 			fail(c.Free(right, off))
-			fail(c.Barrier())
+			fail(c.TeamBarrier(3, world))
 		}(i)
 	}
 	wg.Wait()
@@ -377,7 +388,7 @@ func TestWireConduitHugeAllGather(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tables[i], errs[i] = cds[i].AllGather(contribs[i])
+			tables[i], errs[i] = cds[i].TeamAllGather(1, allRanks(n), contribs[i])
 		}(i)
 	}
 	wg.Wait()

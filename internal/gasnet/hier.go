@@ -15,12 +15,12 @@ import (
 	"upcxx/internal/transport"
 )
 
-// Wire handler ids of the hierarchical leader plane (13/14 are the flat
+// Wire handler ids of the hierarchical leader plane (11/12 are the flat
 // team collectives in wire.go; the two tables share one numbering).
 const (
-	hHierGather uint16 = 15 // Arg=key, payload = fragment of a subtree's entry blob
-	hHierTable  uint16 = 16 // Arg=key, payload = fragment of the member-ordered table
-	hHierBar    uint16 = 17 // Arg=key, payload = [round u64]; dissemination token
+	hHierGather uint16 = 13 // Arg=key, payload = fragment of a subtree's entry blob
+	hHierTable  uint16 = 14 // Arg=key, payload = fragment of the member-ordered table
+	hHierBar    uint16 = 15 // Arg=key, payload = [round u64]; dissemination token
 
 	// hLast is the highest wire handler id. NewWireConduit sizes its
 	// name and stat tables by it, so a new id goes above this line and
@@ -83,7 +83,7 @@ const (
 // mutual blocking.
 //
 // Like its legs, a HierConduit is driven by its rank's single SPMD
-// goroutine. It advertises Batch, Async, Teams, Counters and Locality;
+// goroutine. It advertises Batch, Async, Counters, Locality and Waker;
 // NOT Resilient — the shm plane has no failure detector, so the
 // composed conduit cannot honor survivable peer loss even though its
 // wire leg could.
@@ -95,7 +95,6 @@ type HierConduit struct {
 	me       int
 	locals   []int       // world ranks co-located with me, ascending (locals[shmIdx] = world)
 	localIdx map[int]int // world rank -> shm local index
-	world    []int       // 0..Ranks()-1, the member list of the world collectives
 	polls    int         // the poll budget above that the topology selects (a field: tests set 0)
 	part     *hierPart   // partition's buffers between collectives; nil while one holds them
 
@@ -112,17 +111,15 @@ type HierConduit struct {
 	replies map[uint64][]byte
 	shmAcks map[uint64]func()
 
-	gen uint64 // world-collective generation (Barrier/AllGather keys)
-
 	// Leader-plane collective state. All maps accumulate passively from
 	// handlers: a leader may receive deposits for a key before it enters
 	// that collective itself.
 	localParts map[uint64]map[int][]byte // leader: world rank -> contrib
 	localTable map[uint64][]byte         // member: table by key
 	treeBlobs  map[uint64]map[int][]byte // leader: child leader (world) -> entry blob
-	treeFrags  map[fragKey]*fragBuf      // leader: partial blobs (gen field holds the key)
+	treeFrags  map[fragKey]*fragBuf      // leader: partial blobs
 	hierTable  map[uint64][]byte         // leader: table from parent by key
-	tableFrags map[uint64]*fragBuf       // leader: partial tables by key
+	tableFrags map[fragKey]*fragBuf      // leader: partial tables
 	barLocal   map[uint64]int            // leader: local arrivals by key
 	barRelease map[uint64]bool           // member: release flag by key
 	barWire    map[hierBarKey]int        // leader: dissemination tokens by (key, round)
@@ -159,7 +156,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		treeBlobs:  make(map[uint64]map[int][]byte),
 		treeFrags:  make(map[fragKey]*fragBuf),
 		hierTable:  make(map[uint64][]byte),
-		tableFrags: make(map[uint64]*fragBuf),
+		tableFrags: make(map[fragKey]*fragBuf),
 		barLocal:   make(map[uint64]int),
 		barRelease: make(map[uint64]bool),
 		barWire:    make(map[hierBarKey]int),
@@ -169,7 +166,6 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 			h.localIdx[r] = len(h.locals)
 			h.locals = append(h.locals, r)
 		}
-		h.world = append(h.world, r)
 	}
 	if len(h.locals) != shm.Locals() || h.localIdx[me] != shm.Local() {
 		panic(fmt.Sprintf("gasnet: shm geometry (%d locals, me %d) disagrees with topology (%d, %d)",
@@ -266,11 +262,10 @@ func (h *HierConduit) Ranks() int { return h.wire.Ranks() }
 // co-located — closures still do not cross.
 func (h *HierConduit) WireCapable() bool { return true }
 
-// Capabilities: batching, the async data plane, team collectives,
-// counters, locality and external wakeup. No resilience (see type
-// comment).
+// Capabilities: batching, the async data plane, counters, locality and
+// external wakeup. No resilience (see type comment).
 func (h *HierConduit) Capabilities() Caps {
-	return Caps{Batch: h, Async: h, Teams: h, Counters: h, Locality: h, Waker: h}
+	return Caps{Batch: h, Async: h, Counters: h, Locality: h, Waker: h}
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
@@ -514,44 +509,6 @@ func (h *HierConduit) WaitFor(pred func() bool) error { return h.waitFor(pred) }
 
 // ---- Hierarchical collectives ----
 
-// Barrier is the world barrier: intra-host arrive/release over shm,
-// dissemination among per-host leaders over the wire.
-func (h *HierConduit) Barrier() error {
-	h.gen++
-	return h.teamBarrier(mix64hier(h.gen), h.world)
-}
-
-// AllGather is the world allgather, run hierarchically: local gather to
-// the host leader, binomial tree among leaders, binomial broadcast of
-// the table back down, local distribution.
-func (h *HierConduit) AllGather(contrib []byte) ([][]byte, error) {
-	h.gen++
-	return h.teamAllGather(mix64hier(h.gen), h.world, contrib)
-}
-
-// TeamAllGather implements TeamConduit over the same two-level path.
-func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
-	return h.teamAllGather(key, members, contrib)
-}
-
-// TeamBarrier implements TeamConduit.
-func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
-	return h.teamBarrier(key, members)
-}
-
-// mix64hier scrambles the internal world-collective generation into key
-// space so it cannot collide with the core's team-derived keys (which
-// are splitmix64 outputs of team ids).
-func mix64hier(gen uint64) uint64 {
-	x := gen + 0x486965724261723F // "HierBar?"
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // hierPart is one team's split into per-host groups, in buffers that
 // are reused from one collective to the next.
 type hierPart struct {
@@ -563,10 +520,10 @@ type hierPart struct {
 // partition splits members into per-host groups preserving team order,
 // with each group's first member as its leader. leaders[0] == members[0],
 // so the tree root is the team root. Returns the split and this rank's
-// group index. Panics if this rank is not a member — the TeamConduit
-// contract. The caller holds the buffers until it hands them back
-// (h.part = p); a collective entered from a handler in the meantime
-// builds its own.
+// group index. Panics if this rank is not a member — the
+// Conduit.TeamAllGather contract. The caller holds the buffers until it
+// hands them back (h.part = p); a collective entered from a handler in
+// the meantime builds its own.
 func (h *HierConduit) partition(members []int) (p *hierPart, gi int) {
 	p, h.part = h.part, nil
 	if p == nil {
@@ -633,8 +590,10 @@ func (h *HierConduit) depositLocal(key uint64, world int, contrib []byte) {
 	byRank[world] = contrib
 }
 
-// teamAllGather runs the hierarchical subset allgather; see AllGather.
-func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
+// TeamAllGather runs the team allgather hierarchically: local gather to
+// the host leader, binomial tree among leaders, binomial broadcast of
+// the table back down, local distribution. The world is one more team.
+func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
 	p, gi := h.partition(members)
 	defer func() { h.part = p }()
 	group, leaders := p.groups[gi], p.leaders
@@ -756,10 +715,10 @@ func (h *HierConduit) teamAllGather(key uint64, members []int, contrib []byte) (
 	return decodeParts(enc, len(members))
 }
 
-// teamBarrier: locals arrive at their leader over shm; leaders run a
+// TeamBarrier: locals arrive at their leader over shm; leaders run a
 // dissemination barrier (ceil(log2 L) rounds, each leader passing a
 // token 2^r places around the leader ring); leaders release locals.
-func (h *HierConduit) teamBarrier(key uint64, members []int) error {
+func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
 	p, gi := h.partition(members)
 	defer func() { h.part = p }()
 	group, leaders := p.groups[gi], p.leaders
@@ -815,14 +774,7 @@ func (h *HierConduit) teamBarrier(key uint64, members []int) error {
 // ---- Handlers ----
 
 func (h *HierConduit) onHierGather(_ *transport.TCPEndpoint, m transport.Message) {
-	k := fragKey{gen: m.Arg, from: m.From}
-	fb := h.treeFrags[k]
-	if fb == nil {
-		fb = &fragBuf{}
-		h.treeFrags[k] = fb
-	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(h.treeFrags, k)
+	if full, done := h.wire.reassemble(h.treeFrags, m); done {
 		byRank := h.treeBlobs[m.Arg]
 		if byRank == nil {
 			byRank = make(map[int][]byte)
@@ -833,18 +785,16 @@ func (h *HierConduit) onHierGather(_ *transport.TCPEndpoint, m transport.Message
 }
 
 func (h *HierConduit) onHierTable(_ *transport.TCPEndpoint, m transport.Message) {
-	fb := h.tableFrags[m.Arg]
-	if fb == nil {
-		fb = &fragBuf{}
-		h.tableFrags[m.Arg] = fb
-	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(h.tableFrags, m.Arg)
+	if full, done := h.wire.reassemble(h.tableFrags, m); done {
 		h.hierTable[m.Arg] = full
 	}
 }
 
 func (h *HierConduit) onHierBar(_ *transport.TCPEndpoint, m transport.Message) {
+	if len(m.Payload) != 8 {
+		h.wire.severMalformed(m, fmt.Errorf("%d-byte payload, want 8", len(m.Payload)))
+		return
+	}
 	h.barWire[hierBarKey{key: m.Arg, round: int(u64(m.Payload))}]++
 }
 

@@ -62,12 +62,12 @@ func (c *ProcConduit) Ranks() int { return c.ep.N() }
 // asyncs are allowed.
 func (c *ProcConduit) WireCapable() bool { return false }
 
-// Capabilities: teams only. Batch and async stay nil because an
-// in-process remote access is already a direct segment load/store —
-// coalescing or splitting initiation from completion would only add
-// latency; the core's virtual-time path models the overlap instead.
-// Resilience is simulated above the conduit (core's chaos plane).
-func (c *ProcConduit) Capabilities() Caps { return Caps{Teams: c} }
+// Capabilities: none. Batch and async stay nil because an in-process
+// remote access is already a direct segment load/store — coalescing or
+// splitting initiation from completion would only add latency; the
+// core's virtual-time path models the overlap instead. Resilience is
+// simulated above the conduit (core's chaos plane).
+func (c *ProcConduit) Capabilities() Caps { return Caps{} }
 
 // TeamAllGather rides the engine's subset rendezvous; contributions are
 // indexed by team rank (position in members).
@@ -173,25 +173,6 @@ func (c *ProcConduit) Free(rank int, off uint64) error {
 		return fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
 	}
 	return nil
-}
-
-// Barrier delegates to the engine's virtual-time barrier.
-func (c *ProcConduit) Barrier() error {
-	c.ep.Barrier()
-	return nil
-}
-
-// AllGather rides the engine's collective rendezvous: one shared slot,
-// per-rank deposits, byte payload charged to the cost model.
-func (c *ProcConduit) AllGather(contrib []byte) ([][]byte, error) {
-	me := c.ep.Rank
-	slot := c.ep.Collective(
-		func(n int) any { return make([][]byte, n) },
-		func(s any) { s.([][]byte)[me] = contrib },
-		nil,
-		len(contrib),
-	)
-	return slot.([][]byte), nil
 }
 
 // LockNew creates a lock homed on this rank.

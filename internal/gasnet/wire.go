@@ -27,19 +27,16 @@ const (
 	hFree    uint16 = 6  // Arg=token, payload = [off u64]
 	hLockAcq uint16 = 7  // Arg=token, payload = [id u64][try u8]
 	hLockRel uint16 = 8  // Arg=token, payload = [id u64]
-	hGather  uint16 = 9  // Arg=generation, payload = contribution
-	hResult  uint16 = 10 // Arg=generation, payload = length-prefixed table
-	hBatch   uint16 = 11 // Arg=token, payload = aggregation batch (internal/agg encoding)
-	hPing    uint16 = 12 // Arg=token, no payload; heartbeat probe, replied immediately
+	hBatch   uint16 = 9  // Arg=token, payload = aggregation batch (internal/agg encoding)
+	hPing    uint16 = 10 // Arg=token, no payload; heartbeat probe, replied immediately
 
-	// Team (subset) collectives: contributions rendezvous with the
-	// team's root (members[0]) under a caller-chosen key instead of the
-	// SPMD-ordered world generation, so independent teams may gather
-	// concurrently.
-	hTeamGather uint16 = 13 // Arg=key, payload = fragment of a member's contribution
-	hTeamResult uint16 = 14 // Arg=key, payload = fragment of the encoded table
+	// Team collectives (the world is one more team): contributions
+	// rendezvous with the team's root (members[0]) under a caller-chosen
+	// key, so independent teams may gather concurrently.
+	hTeamGather uint16 = 11 // Arg=key, payload = fragment of a member's contribution
+	hTeamResult uint16 = 12 // Arg=key, payload = fragment of the encoded table
 
-	// 15-17 belong to HierConduit (see hier.go, which also names hLast).
+	// 13-15 belong to HierConduit (see hier.go, which also names hLast).
 )
 
 // handlerNames names each wire handler for the per-handler traffic
@@ -55,8 +52,6 @@ var handlerNames = [hLast + 1]string{
 	hFree:       "free",
 	hLockAcq:    "lockacq",
 	hLockRel:    "lockrel",
-	hGather:     "gather",
-	hResult:     "result",
 	hBatch:      "batch",
 	hPing:       "ping",
 	hTeamGather: "teamgather",
@@ -70,9 +65,9 @@ var handlerNames = [hLast + 1]string{
 // owning only its own segment, and every remote operation of the
 // Conduit vocabulary travels as a framed active message with encoded
 // arguments over internal/transport. Collectives rendezvous through
-// rank 0 (contributions in, the gathered table back out). Time is
-// wall-clock; the virtual-time model does not extend across address
-// spaces.
+// the team's root (contributions in, the gathered table back out).
+// Time is wall-clock; the virtual-time model does not extend across
+// address spaces.
 //
 // A WireConduit must be driven by a single goroutine — its rank's SPMD
 // goroutine — which is where all handlers execute (inside Poll or a
@@ -132,22 +127,12 @@ type WireConduit struct {
 	locks      map[uint64]*wireLockState
 	nextLockID uint64
 
-	gen          uint64              // collective generation (SPMD-ordered)
-	gatherParts  map[uint64][][]byte // rank 0: contributions by generation
-	gatherCount  map[uint64]int      // rank 0: deposits by generation
-	gatherSeen   map[uint64][]bool   // rank 0, resilient: which ranks deposited
-	gatherDone   uint64              // rank 0, resilient: highest completed generation
-	gatherResult map[uint64][]byte   // non-root: encoded table by generation
-
-	gatherFrags map[fragKey]*fragBuf // rank 0: partial contributions
-	resultFrags map[uint64]*fragBuf  // non-root: partial tables by generation
-
 	// Team-collective rendezvous state, keyed by the caller-chosen
-	// collective key (never by generation: teams gather concurrently).
+	// collective key (teams gather concurrently).
 	teamParts       map[uint64]map[int32][]byte // root: contributions by world rank
-	teamFrags       map[fragKey]*fragBuf        // root: partial contributions (gen field holds the key)
+	teamFrags       map[fragKey]*fragBuf        // root: partial contributions
 	teamResult      map[uint64][]byte           // member: encoded table by key
-	teamResultFrags map[uint64]*fragBuf         // member: partial tables by key
+	teamResultFrags map[fragKey]*fragBuf        // member: partial tables
 
 	// Per-handler traffic counters, indexed by handler. All sends and
 	// all handler dispatches happen on the rank's SPMD goroutine, but
@@ -188,14 +173,15 @@ type wireTimer struct {
 
 // fragKey identifies one in-flight fragmented collective payload.
 type fragKey struct {
-	gen  uint64
+	key  uint64
 	from int32
 }
 
-// fragBuf reassembles a fragmented payload.
+// fragBuf reassembles a fragmented payload: buf holds the bytes received
+// so far, total how many the first fragment announced.
 type fragBuf struct {
-	buf []byte
-	got uint64
+	buf   []byte
+	total uint64
 }
 
 type wireLockState struct {
@@ -219,16 +205,10 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 		acks:            make(map[uint64]*wireAck),
 		void:            make(map[uint64]struct{}),
 		locks:           make(map[uint64]*wireLockState),
-		gatherParts:     make(map[uint64][][]byte),
-		gatherCount:     make(map[uint64]int),
-		gatherSeen:      make(map[uint64][]bool),
-		gatherResult:    make(map[uint64][]byte),
-		gatherFrags:     make(map[fragKey]*fragBuf),
-		resultFrags:     make(map[uint64]*fragBuf),
 		teamParts:       make(map[uint64]map[int32][]byte),
 		teamFrags:       make(map[fragKey]*fragBuf),
 		teamResult:      make(map[uint64][]byte),
-		teamResultFrags: make(map[uint64]*fragBuf),
+		teamResultFrags: make(map[fragKey]*fragBuf),
 		tx:              make(map[uint16]*wireStat),
 		rx:              make(map[uint16]*wireStat),
 	}
@@ -248,8 +228,6 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 	c.register(hFree, c.onFree)
 	c.register(hLockAcq, c.onLockAcquire)
 	c.register(hLockRel, c.onLockRelease)
-	c.register(hGather, c.onGather)
-	c.register(hResult, c.onResult)
 	c.register(hBatch, c.onBatch)
 	c.register(hPing, c.onPing)
 	c.register(hTeamGather, c.onTeamGather)
@@ -357,10 +335,10 @@ func (c *WireConduit) Ranks() int { return c.tep.Ranks() }
 func (c *WireConduit) WireCapable() bool { return true }
 
 // Capabilities: the full extension set — batching, the async data
-// plane, resilience, team collectives, traffic counters and external
-// wakeup. No locality: a flat wire mesh encodes no co-location.
+// plane, resilience, traffic counters and external wakeup. No
+// locality: a flat wire mesh encodes no co-location.
 func (c *WireConduit) Capabilities() Caps {
-	return Caps{Batch: c, Async: c, Resilient: c, Teams: c, Counters: c, Waker: c}
+	return Caps{Batch: c, Async: c, Resilient: c, Counters: c, Waker: c}
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
@@ -1175,32 +1153,33 @@ func (c *WireConduit) onLockRelease(_ *transport.TCPEndpoint, m transport.Messag
 	c.reply(m, rep[:])
 }
 
-// ---- Barrier and allgather rendezvous ----
+// ---- Team collectives ----
 
-// Barrier blocks until all ranks arrive, servicing requests meanwhile.
-func (c *WireConduit) Barrier() error {
-	_, err := c.AllGather(nil)
-	return err
-}
-
-// Collective payloads (a rank's contribution, rank 0's gathered table)
-// have no inherent size bound, so they travel as one or more fragments
-// of at most maxFragData bytes each, prefixed [total u64][offset u64];
-// TCP's per-connection ordering keeps one sender's fragments in order
-// and the (generation, sender) key separates interleaved senders.
+// Collective payloads (a member's contribution, the root's gathered
+// table) have no inherent size bound, so they travel as one or more
+// fragments prefixed [total u64][offset u64], every one but the last
+// carrying maxFragData bytes; TCP's per-connection ordering keeps one
+// sender's fragments in order and the (key, sender) pair separates
+// interleaved senders.
 const maxFragData = transport.MaxPayload - 16
+
+// maxCollectiveBytes bounds one collective payload: far above any table
+// the runtime gathers (the largest the tests move is two 17 MiB
+// contributions), it caps what a peer's fragment header can make this
+// rank allocate.
+const maxCollectiveBytes = 256 << 20
 
 // sendFragmented ships payload to rank `to` in bounded fragments (a
 // zero-length payload still sends one header-only fragment, so the
 // receiver always completes).
-func (c *WireConduit) sendFragmented(to int, handler uint16, gen uint64, payload []byte) error {
+func (c *WireConduit) sendFragmented(to int, handler uint16, key uint64, payload []byte) error {
 	total := uint64(len(payload))
+	if total > maxCollectiveBytes {
+		return fmt.Errorf("gasnet: %d-byte collective payload exceeds the %d-byte bound", total, maxCollectiveBytes)
+	}
 	off := uint64(0)
 	for {
-		n := total - off
-		if n > maxFragData {
-			n = maxFragData
-		}
+		n := min(total-off, maxFragData)
 		frame := frames.Get(int(16 + n))
 		putU64(frame[0:], total)
 		putU64(frame[8:], off)
@@ -1208,7 +1187,7 @@ func (c *WireConduit) sendFragmented(to int, handler uint16, gen uint64, payload
 		// The fragment buffer is pooled and handed to the transport,
 		// which recycles it after the writev (or on any error path).
 		if err := c.sendOwned(transport.Message{
-			To: int32(to), Handler: handler, Arg: gen, Payload: frame,
+			To: int32(to), Handler: handler, Arg: key, Payload: frame,
 		}); err != nil {
 			return err
 		}
@@ -1219,204 +1198,140 @@ func (c *WireConduit) sendFragmented(to int, handler uint16, gen uint64, payload
 	}
 }
 
-// accumFragment folds one fragment into its reassembly buffer and
-// returns the complete payload once every byte has arrived.
-func accumFragment(fb *fragBuf, payload []byte) ([]byte, bool) {
-	total := u64(payload[0:])
-	off := u64(payload[8:])
-	data := payload[16:]
-	if fb.buf == nil {
-		fb.buf = make([]byte, total)
+// reassemble folds fragment m into its sender's buffer for m's key in
+// frags and returns the complete payload once every byte has arrived.
+// A fragment sendFragmented would not have sent next — shorter than its
+// header, a total over maxCollectiveBytes or other than the first
+// fragment's, an offset other than the bytes received so far, short
+// before the last — is dropped and severs its sender. The buffer is
+// allocated only once a well-formed first fragment has arrived, so a
+// header alone cannot make this rank allocate more than the bytes that
+// came with it, times maxCollectiveBytes/maxFragData at most.
+func (c *WireConduit) reassemble(frags map[fragKey]*fragBuf, m transport.Message) ([]byte, bool) {
+	k := fragKey{key: m.Arg, from: m.From}
+	fb := frags[k]
+	if fb == nil {
+		fb = &fragBuf{}
+		frags[k] = fb
 	}
-	copy(fb.buf[off:], data)
-	fb.got += uint64(len(data))
-	if fb.got >= total {
-		return fb.buf, true
+	if err := fb.accum(m.Payload); err != nil {
+		delete(frags, k)
+		c.severMalformed(m, err)
+		return nil, false
 	}
-	return nil, false
+	if uint64(len(fb.buf)) < fb.total {
+		return nil, false
+	}
+	delete(frags, k)
+	return fb.buf, true
 }
 
-// AllGather deposits this rank's contribution with rank 0 and returns
-// the full table. Generations are implicit: collectives are SPMD-
-// ordered, so the i-th AllGather on every rank is the same collective.
-// Rank 0 buffers early arrivals of future generations.
-// In resilient mode a dead rank's slot in the gathered table is nil
-// (zero-length): rank 0 completes the collective once every rank has
-// either deposited or died, skips dead ranks when shipping the table
-// back, and a non-root rank fails with RankDeadError if rank 0 itself
-// dies (root death is not survivable — the rendezvous point is gone).
-func (c *WireConduit) AllGather(contrib []byte) ([][]byte, error) {
-	c.gen++
-	g := c.gen
-	n := c.Ranks()
-	if c.Rank() == 0 {
-		c.depositGather(g, 0, contrib)
-		if err := c.wait(func() bool { return c.gatherComplete(g, n) }); err != nil {
+// severMalformed cuts off the sender of a collective frame that breaks
+// the protocol, with a cause naming the handler — as the transport does
+// for a frame with a reserved handler id.
+func (c *WireConduit) severMalformed(m transport.Message, err error) {
+	c.tep.SeverPeer(int(m.From), fmt.Errorf("gasnet: rank %d: rank %d sent a malformed %s frame: %w",
+		c.Rank(), m.From, handlerNames[m.Handler], err))
+}
+
+// accum appends one fragment, or reports why sendFragmented would not
+// have sent it next.
+func (fb *fragBuf) accum(payload []byte) error {
+	if len(payload) < 16 {
+		return fmt.Errorf("%d-byte fragment, under its 16-byte header", len(payload))
+	}
+	total, off, data := u64(payload), u64(payload[8:]), payload[16:]
+	if fb.buf == nil {
+		if total > maxCollectiveBytes {
+			return fmt.Errorf("fragment of a %d-byte payload, over the %d-byte bound", total, maxCollectiveBytes)
+		}
+		fb.total = total
+	}
+	if total != fb.total || off != uint64(len(fb.buf)) || uint64(len(data)) != min(total-off, maxFragData) {
+		return fmt.Errorf("%d bytes at offset %d of %d, after %d of %d bytes", len(data), off, total, len(fb.buf), fb.total)
+	}
+	if fb.buf == nil {
+		fb.buf = make([]byte, 0, total)
+	}
+	fb.buf = append(fb.buf, data...)
+	return nil
+}
+
+// TeamAllGather deposits this rank's contribution with the team root
+// (members[0]) and returns every member's, indexed by team rank. The
+// rendezvous is keyed by the caller-chosen key, so independent teams
+// gather concurrently; contributions park by world rank at the root,
+// which may receive deposits before it enters the collective itself.
+//
+// In resilient mode the root completes once every member has either
+// deposited or been declared dead (a deposit that arrived before the
+// death notice still counts), a dead member's slot comes back empty
+// and no table is sent to it, and a member fails with RankDeadError if
+// the root dies — the rendezvous point is gone.
+func (c *WireConduit) TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
+	root := members[0]
+	if c.Rank() != root {
+		if err := c.deadErr(root); err != nil {
 			return nil, err
 		}
-		parts := c.gatherParts[g]
-		delete(c.gatherParts, g)
-		delete(c.gatherCount, g)
-		delete(c.gatherSeen, g)
-		c.gatherDone = g
-		enc := encodeParts(parts)
-		for r := 1; r < n; r++ {
-			if c.isDead(r) {
-				continue
+		if err := c.sendFragmented(root, hTeamGather, key, contrib); err != nil {
+			if derr := c.noteSendError(root, err); derr != nil {
+				return nil, derr
 			}
-			if err := c.sendFragmented(r, hResult, g, enc); err != nil {
-				if c.noteSendError(r, err) != nil {
-					continue // declared dead mid-broadcast; the rest still get the table
-				}
-				return nil, err
+			return nil, err
+		}
+		var enc []byte
+		found := false
+		if err := c.wait(func() bool {
+			enc, found = c.teamResult[key]
+			return found || c.isDead(root)
+		}); err != nil {
+			return nil, err
+		}
+		if !found {
+			return nil, c.deadErr(root)
+		}
+		delete(c.teamResult, key)
+		return decodeParts(enc, len(members))
+	}
+
+	c.depositTeam(key, int32(root), contrib)
+	if err := c.wait(func() bool { return c.teamArrived(key, members) }); err != nil {
+		return nil, err
+	}
+	byRank := c.teamParts[key]
+	delete(c.teamParts, key)
+	parts := make([][]byte, len(members))
+	for i, m := range members {
+		parts[i] = byRank[int32(m)] // nil: declared dead before depositing
+	}
+	enc := encodeParts(parts)
+	for _, m := range members[1:] {
+		if c.isDead(m) {
+			continue
+		}
+		if err := c.sendFragmented(m, hTeamResult, key, enc); err != nil {
+			if c.noteSendError(m, err) != nil {
+				continue // declared dead mid-broadcast; the rest still get the table
 			}
+			return nil, err
 		}
-		// The result frames were sent after this rank's wait completed;
-		// nothing downstream is guaranteed to block, so ship them now.
-		c.tep.Flush()
-		return parts, nil
 	}
-	if err := c.deadErr(0); err != nil {
-		return nil, err
-	}
-	if err := c.sendFragmented(0, hGather, g, contrib); err != nil {
-		if derr := c.noteSendError(0, err); derr != nil {
-			return nil, derr
-		}
-		return nil, err
-	}
-	var enc []byte
-	found := false
-	if err := c.wait(func() bool {
-		enc, found = c.gatherResult[g]
-		return found || c.isDead(0)
-	}); err != nil {
-		return nil, err
-	}
-	if !found {
-		return nil, c.deadErr(0)
-	}
-	delete(c.gatherResult, g)
-	return decodeParts(enc, n)
+	// Members may not block again on our traffic; ship the tables now.
+	c.tep.Flush()
+	return parts, nil
 }
 
-// gatherComplete is rank 0's completion predicate for generation g:
-// legacy, every rank deposited; resilient, every rank deposited or is
-// dead (a deposit that raced ahead of the death notification still
-// counts — the data is preserved).
-func (c *WireConduit) gatherComplete(g uint64, n int) bool {
-	if !c.resilient {
-		return c.gatherCount[g] == n
-	}
-	seen := c.gatherSeen[g]
-	if seen == nil {
-		return false
-	}
-	for r := 0; r < n; r++ {
-		if !seen[r] && !c.dead[r] {
+// teamArrived is the root's completion predicate: every member has
+// deposited or, in resilient mode, been declared dead.
+func (c *WireConduit) teamArrived(key uint64, members []int) bool {
+	byRank := c.teamParts[key]
+	for _, m := range members {
+		if _, ok := byRank[int32(m)]; !ok && !c.isDead(m) {
 			return false
 		}
 	}
 	return true
-}
-
-func (c *WireConduit) depositGather(g uint64, rank int32, contrib []byte) {
-	parts := c.gatherParts[g]
-	if parts == nil {
-		parts = make([][]byte, c.Ranks())
-		c.gatherParts[g] = parts
-	}
-	parts[rank] = contrib
-	c.gatherCount[g]++
-	seen := c.gatherSeen[g]
-	if seen == nil {
-		seen = make([]bool, c.Ranks())
-		c.gatherSeen[g] = seen
-	}
-	seen[rank] = true
-}
-
-func (c *WireConduit) onGather(_ *transport.TCPEndpoint, m transport.Message) {
-	if c.resilient && m.Arg <= c.gatherDone {
-		// A straggler deposit for a generation that already completed
-		// without this (since-revived? no — declared-dead) rank: drop
-		// it; the table was already shipped.
-		return
-	}
-	k := fragKey{gen: m.Arg, from: m.From}
-	fb := c.gatherFrags[k]
-	if fb == nil {
-		fb = &fragBuf{}
-		c.gatherFrags[k] = fb
-	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(c.gatherFrags, k)
-		c.depositGather(m.Arg, m.From, full)
-	}
-}
-
-func (c *WireConduit) onResult(_ *transport.TCPEndpoint, m transport.Message) {
-	fb := c.resultFrags[m.Arg]
-	if fb == nil {
-		fb = &fragBuf{}
-		c.resultFrags[m.Arg] = fb
-	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(c.resultFrags, m.Arg)
-		c.gatherResult[m.Arg] = full
-	}
-}
-
-// ---- Team (subset) collectives ----
-
-// TeamAllGather deposits this rank's contribution with the team root
-// (members[0]) and returns every member's, indexed by team rank. The
-// rendezvous is keyed by the caller-chosen key rather than the world
-// generation, so independent teams gather concurrently; contributions
-// park by world rank at the root, which may receive deposits before it
-// enters the collective itself. Fragmentation bounds every frame at
-// the transport payload limit, exactly as the world allgather does.
-func (c *WireConduit) TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
-	me := c.Rank()
-	root := members[0]
-	if me == root {
-		c.depositTeam(key, int32(me), contrib)
-		if err := c.wait(func() bool { return len(c.teamParts[key]) == len(members) }); err != nil {
-			return nil, err
-		}
-		byRank := c.teamParts[key]
-		delete(c.teamParts, key)
-		parts := make([][]byte, len(members))
-		for i, m := range members {
-			p, ok := byRank[int32(m)]
-			if !ok {
-				return nil, fmt.Errorf("gasnet: team collective %#x: deposit from non-member while awaiting rank %d", key, m)
-			}
-			parts[i] = p
-		}
-		enc := encodeParts(parts)
-		for _, m := range members[1:] {
-			if err := c.sendFragmented(m, hTeamResult, key, enc); err != nil {
-				return nil, err
-			}
-		}
-		// Members may not block again on our traffic; ship the tables now.
-		c.tep.Flush()
-		return parts, nil
-	}
-	if err := c.sendFragmented(root, hTeamGather, key, contrib); err != nil {
-		return nil, err
-	}
-	var enc []byte
-	found := false
-	if err := c.wait(func() bool {
-		enc, found = c.teamResult[key]
-		return found
-	}); err != nil {
-		return nil, err
-	}
-	delete(c.teamResult, key)
-	return decodeParts(enc, len(members))
 }
 
 // TeamBarrier is a payload-free team allgather.
@@ -1441,26 +1356,18 @@ func (c *WireConduit) depositTeam(key uint64, rank int32, contrib []byte) {
 }
 
 func (c *WireConduit) onTeamGather(_ *transport.TCPEndpoint, m transport.Message) {
-	k := fragKey{gen: m.Arg, from: m.From}
-	fb := c.teamFrags[k]
-	if fb == nil {
-		fb = &fragBuf{}
-		c.teamFrags[k] = fb
+	if c.isDead(int(m.From)) {
+		// The collective may already have completed without this rank;
+		// its late deposit must not park for a key nobody waits on.
+		return
 	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(c.teamFrags, k)
+	if full, done := c.reassemble(c.teamFrags, m); done {
 		c.depositTeam(m.Arg, m.From, full)
 	}
 }
 
 func (c *WireConduit) onTeamResult(_ *transport.TCPEndpoint, m transport.Message) {
-	fb := c.teamResultFrags[m.Arg]
-	if fb == nil {
-		fb = &fragBuf{}
-		c.teamResultFrags[m.Arg] = fb
-	}
-	if full, done := accumFragment(fb, m.Payload); done {
-		delete(c.teamResultFrags, m.Arg)
+	if full, done := c.reassemble(c.teamResultFrags, m); done {
 		c.teamResult[m.Arg] = full
 	}
 }

@@ -108,11 +108,11 @@ func TestPutGetChunkBoundaries(t *testing.T) {
 }
 
 // TestAllGatherFragmentBoundaries pins the collective fragmentation
-// path (sendFragmented/accumFragment, the substrate of the core's wire
+// path (sendFragmented/reassemble, the substrate of the core's wire
 // collectives) at the fragment-capacity edges: a zero-length
 // contribution, exactly one full fragment (maxFragData), one byte
 // over, and contributions at MaxPayload±1 — with asymmetric sizes per
-// rank so reassembly keys (generation, sender) are exercised.
+// rank so reassembly keys (collective key, sender) are exercised.
 func TestAllGatherFragmentBoundaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("gathers ~64 MiB of contributions")
@@ -126,7 +126,7 @@ func TestAllGatherFragmentBoundaries(t *testing.T) {
 		{transport.MaxPayload, transport.MaxPayload + 1}, // at and past the frame cap
 		{0, 0}, // pure barrier round after the heavy ones
 	}
-	for _, sizes := range rounds {
+	for round, sizes := range rounds {
 		contribs := make([][]byte, n)
 		for r, sz := range sizes {
 			contribs[r] = pattern(sz)
@@ -138,7 +138,7 @@ func TestAllGatherFragmentBoundaries(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				tables[i], errs[i] = cds[i].AllGather(contribs[i])
+				tables[i], errs[i] = cds[i].TeamAllGather(uint64(round+1), allRanks(n), contribs[i])
 			}(i)
 		}
 		wg.Wait()

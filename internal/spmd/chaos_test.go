@@ -2,6 +2,8 @@ package spmd
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +171,116 @@ func TestRetryRecoversDroppedReply(t *testing.T) {
 	}
 }
 
+// TestTeamCollectivesSurviveDeath: on a resilient wire job a team
+// collective whose member dies completes over the survivors, as the
+// world's does — the dead slot comes back as the zero value and folds
+// skip it — and one whose root dies fails typed on every member. Each
+// case runs under a deadline, so a collective that waits for a corpse
+// fails the test instead of hanging it.
+func TestTeamCollectivesSurviveDeath(t *testing.T) {
+	const n, bound, deadline = 4, 2 * time.Second, 10 * time.Second
+	cfg := core.Config{
+		Resilient:         true,
+		HeartbeatInterval: 15 * time.Millisecond,
+		HeartbeatTimeout:  120 * time.Millisecond,
+	}
+	val := func(rank int) float64 { return float64(rank + 1) } // positive: a zero folded in would show
+	sum := func(a, b float64) float64 { return a + b }
+
+	// run splits a 4-rank job into the ranks inTeam picks and the rest,
+	// has rank dies abort right after the split, and runs body on every
+	// other rank with its team; body must return within bound.
+	run := func(t *testing.T, inTeam func(rank int) bool, dies int, body func(me *core.Rank, tm *core.Team) error) {
+		errs := make([]error, n)
+		done := make(chan []any, 1)
+		go func() {
+			done <- runWireFaulty(t, n, 1<<16, cfg, func(me *core.Rank, eps []*transport.TCPEndpoint) {
+				color := 1
+				if inTeam(me.ID()) {
+					color = 0
+				}
+				tm := me.SplitTeam(color, me.ID())
+				if me.ID() == dies {
+					eps[dies].Abort()
+					return
+				}
+				start := time.Now()
+				err := body(me, tm)
+				if took := time.Since(start); err == nil && took > bound {
+					err = fmt.Errorf("collectives took %v, want under %v", took, bound)
+				}
+				errs[me.ID()] = err
+			})
+		}()
+		var panics []any
+		select {
+		case panics = <-done:
+		case <-time.After(deadline):
+			t.Fatalf("the job did not finish within %v: a collective waited for dead rank %d", deadline, dies)
+		}
+		for r := range n {
+			if r != dies && panics[r] != nil {
+				t.Errorf("survivor rank %d panicked: %v", r, panics[r])
+			}
+			if errs[r] != nil {
+				t.Errorf("rank %d: %v", r, errs[r])
+			}
+		}
+	}
+
+	// survive runs a barrier, an allgather and two reductions on tm,
+	// whose member dies is dead, and checks them against its survivors.
+	survive := func(dies int) func(me *core.Rank, tm *core.Team) error {
+		return func(me *core.Rank, tm *core.Team) error {
+			tm.Barrier()
+			all := core.TeamAllGather(tm, val(me.ID()))
+			wantMin, wantSum := math.Inf(1), 0.0
+			for i, w := range tm.Members() {
+				want := val(w)
+				if w == dies {
+					want = 0
+				} else {
+					wantMin, wantSum = math.Min(wantMin, want), wantSum+want
+				}
+				if all[i] != want {
+					return fmt.Errorf("TeamAllGather slot of rank %d = %v, want %v", w, all[i], want)
+				}
+			}
+			if got := core.TeamReduce(tm, val(me.ID()), math.Min); got != wantMin {
+				return fmt.Errorf("TeamReduce(min) = %v, want the survivors' %v", got, wantMin)
+			}
+			if got := core.TeamReduce(tm, val(me.ID()), sum); got != wantSum {
+				return fmt.Errorf("TeamReduce(sum) = %v, want the survivors' %v", got, wantSum)
+			}
+			return nil
+		}
+	}
+
+	t.Run("member dies", func(t *testing.T) {
+		run(t, func(r int) bool { return r <= 2 }, 2, survive(2))
+	})
+	t.Run("world member dies", func(t *testing.T) {
+		s := survive(2)
+		run(t, func(int) bool { return true }, 2, func(me *core.Rank, _ *core.Team) error { return s(me, me.World()) })
+	})
+	t.Run("root dies", func(t *testing.T) {
+		run(t, func(r int) bool { return r >= 1 }, 1, func(me *core.Rank, tm *core.Team) error {
+			if tm.Ranks() == 1 {
+				return nil // rank 0, alone in its team
+			}
+			var err error
+			func() {
+				defer func() { err, _ = recover().(error) }()
+				core.TeamReduce(tm, val(me.ID()), math.Min)
+			}()
+			if !errors.Is(err, core.ErrRankDead) {
+				return fmt.Errorf("TeamReduce with team root 1 dead: %v, want a panic satisfying errors.Is(err, ErrRankDead)", err)
+			}
+			return nil
+		})
+	})
+}
+
 var chaosEcho = core.RegisterTask("spmd.chaos.echo",
 	func(me *core.Rank, from int, args []byte) []byte { return args })
 
@@ -179,9 +291,9 @@ var chaosEcho = core.RegisterTask("spmd.chaos.echo",
 // future carrying the right bytes: a late ack is late, not lost.
 func TestDelayedAckAfterFinishWait(t *testing.T) {
 	const delay = 150 * time.Millisecond
-	// handler 11 = wire hBatch; rank 1's first batch to rank 0 is the
+	// handler 9 = wire hBatch; rank 1's first batch to rank 0 is the
 	// reply+done-ack of the task below.
-	plan := mustPlan(t, "delay:rank=1,peer=0,handler=11,op=1,delay=150ms")
+	plan := mustPlan(t, "delay:rank=1,peer=0,handler=9,op=1,delay=150ms")
 	cfg := core.Config{Fault: plan}
 	var elapsed time.Duration
 	panics := runWireFaulty(t, 2, 1<<20, cfg, func(me *core.Rank, _ []*transport.TCPEndpoint) {
