@@ -143,7 +143,7 @@ func main() {
 		fatalf("%v", err)
 	}
 	var sum uint64
-	_, err = spmd.RunWireChild(rdv, rank, ranks, svc.GateSegBytes(ranks, *scale),
+	_, err = spmd.RunChild(rdv, rank, ranks, 1, svc.GateSegBytes(ranks, *scale), "",
 		core.Config{Resilient: true}, func(me *core.Rank) {
 			sum = svc.GatewayMain(me, st, *scale)
 		})

@@ -534,17 +534,16 @@ func runChild(prog spmd.Prog, scale int, rankStr string, plan *fault.Plan) {
 			sum = s
 		}
 	}
-	if shmDir := os.Getenv(envShmDir); shmDir != "" {
-		// Hierarchical child: co-located ranks share mmap'd segments.
-		ppn, perr := strconv.Atoi(os.Getenv(envPPN))
-		if perr != nil || ppn < 1 {
+	// A shm directory makes this a hierarchical child: co-located ranks
+	// share mmap'd segments, packed ppn to a host.
+	shmDir, ppn := os.Getenv(envShmDir), 1
+	if shmDir != "" {
+		if ppn, err = strconv.Atoi(os.Getenv(envPPN)); err != nil || ppn < 1 {
 			fmt.Fprintf(os.Stderr, "upcxx-run: bad %s=%q\n", envPPN, os.Getenv(envPPN))
 			os.Exit(1)
 		}
-		_, err = spmd.RunHierChild(rdv, rank, n, ppn, prog.SegBytes(n, scale), shmDir, cfg, body)
-	} else {
-		_, err = spmd.RunWireChild(rdv, rank, n, prog.SegBytes(n, scale), cfg, body)
 	}
+	_, err = spmd.RunChild(rdv, rank, n, ppn, prog.SegBytes(n, scale), shmDir, cfg, body)
 	if traceDir != "" {
 		if derr := obs.DumpTraceFile(traceDir, rank); derr != nil {
 			fmt.Fprintf(os.Stderr, "upcxx-run: rank %d: trace dump: %v\n", rank, derr)

@@ -173,11 +173,13 @@ type destCtl struct {
 
 // Applier executes decoded batch operations against the receiving
 // rank's state: puts and xors against its registered segment, AMs
-// against its handler table. Handlers must not block.
+// against its handler table. Handlers must not block. An error rejects
+// an op the sender's bytes got wrong (an offset outside the segment, an
+// unregistered handler) and ends the batch.
 type Applier interface {
-	Put(off uint64, data []byte)
-	Xor64(off uint64, val uint64)
-	AM(id uint16, payload []byte)
+	Put(off uint64, data []byte) error
+	Xor64(off uint64, val uint64) error
+	AM(id uint16, payload []byte) error
 }
 
 // destBuf is one destination rank's open batch. dones holds only the
@@ -572,13 +574,14 @@ func (a *Aggregator) Counters() map[string]float64 {
 }
 
 // Apply decodes one batch payload and executes each op against ap, in
-// order, returning how many ops ran. A truncated or unknown op aborts
-// with an error (a correct peer never produces one).
+// order, returning how many ops ran. A truncated or unknown op, or one
+// ap rejects, aborts with an error (a correct peer never produces one).
 func Apply(batch []byte, ap Applier) (int, error) {
 	n := 0
 	for len(batch) > 0 {
 		kind := batch[0]
 		batch = batch[1:]
+		var err error
 		switch kind {
 		case opPut:
 			if len(batch) < 12 {
@@ -590,13 +593,13 @@ func Apply(batch []byte, ap Applier) (int, error) {
 			if len(batch) < ln {
 				return n, fmt.Errorf("agg: put data truncated: want %d, have %d", ln, len(batch))
 			}
-			ap.Put(off, batch[:ln])
+			err = ap.Put(off, batch[:ln])
 			batch = batch[ln:]
 		case opXor:
 			if len(batch) < 16 {
 				return n, fmt.Errorf("agg: truncated xor op")
 			}
-			ap.Xor64(binary.LittleEndian.Uint64(batch), binary.LittleEndian.Uint64(batch[8:]))
+			err = ap.Xor64(binary.LittleEndian.Uint64(batch), binary.LittleEndian.Uint64(batch[8:]))
 			batch = batch[16:]
 		case opAM:
 			if len(batch) < 6 {
@@ -608,10 +611,13 @@ func Apply(batch []byte, ap Applier) (int, error) {
 			if len(batch) < ln {
 				return n, fmt.Errorf("agg: am payload truncated: want %d, have %d", ln, len(batch))
 			}
-			ap.AM(id, batch[:ln])
+			err = ap.AM(id, batch[:ln])
 			batch = batch[ln:]
 		default:
 			return n, fmt.Errorf("agg: unknown op kind %d", kind)
+		}
+		if err != nil {
+			return n, fmt.Errorf("agg: op %d: %w", n, err)
 		}
 		n++
 	}

@@ -15,18 +15,27 @@ type memApplier struct {
 
 func newMemApplier() *memApplier { return &memApplier{mem: map[uint64][]byte{}} }
 
-func (m *memApplier) Put(off uint64, data []byte) {
+func (m *memApplier) Put(off uint64, data []byte) error {
 	m.mem[off] = append([]byte(nil), data...)
 	m.log = append(m.log, fmt.Sprintf("put %d %d", off, len(data)))
+	return nil
 }
 
-func (m *memApplier) Xor64(off uint64, val uint64) {
+func (m *memApplier) Xor64(off uint64, val uint64) error {
 	m.log = append(m.log, fmt.Sprintf("xor %d %x", off, val))
+	return nil
 }
 
-func (m *memApplier) AM(id uint16, payload []byte) {
+func (m *memApplier) AM(id uint16, payload []byte) error {
+	if id == rejectedAM {
+		return fmt.Errorf("no handler %d", id)
+	}
 	m.log = append(m.log, fmt.Sprintf("am %d %q", id, payload))
+	return nil
 }
+
+// rejectedAM is the handler id memApplier refuses.
+const rejectedAM = 0xBAD
 
 // capture is a Flusher that applies every batch to an Applier
 // immediately and records batch shapes; acks are delivered on demand.
@@ -206,6 +215,18 @@ func TestApplyRejectsCorruptBatches(t *testing.T) {
 	if _, err := Apply(nil, ap); err != nil {
 		t.Errorf("empty batch: %v", err)
 	}
+	// An op the applier rejects ends the batch: the ops before it ran,
+	// the ones after it do not.
+	ap = newMemApplier()
+	enc := New(1, Config{MaxOps: 100}, func(_ int, batch []byte, _ int, _ func()) {
+		if n, err := Apply(batch, ap); err == nil || n != 1 || len(ap.log) != 1 {
+			t.Errorf("batch with a rejected op: %d ops ran (log %v), error %v", n, ap.log, err)
+		}
+	})
+	enc.Send(0, 7, []byte("ok"), nil)
+	enc.Send(0, rejectedAM, nil, nil)
+	enc.Send(0, 7, []byte("late"), nil)
+	enc.Flush(0)
 }
 
 // TestSendPartsEqualsSend: a payload handed over in two pieces is the
@@ -261,9 +282,9 @@ func TestCallbacksOnlyForNonNil(t *testing.T) {
 // with its round trip.
 type recApplier struct{ a *Aggregator }
 
-func (r recApplier) Put(off uint64, data []byte)  { r.a.Put(0, off, data, nil) }
-func (r recApplier) Xor64(off, val uint64)        { r.a.Xor64(0, off, val, nil) }
-func (r recApplier) AM(id uint16, payload []byte) { r.a.Send(0, id, payload, nil) }
+func (r recApplier) Put(off uint64, data []byte) error  { r.a.Put(0, off, data, nil); return nil }
+func (r recApplier) Xor64(off, val uint64) error        { r.a.Xor64(0, off, val, nil); return nil }
+func (r recApplier) AM(id uint16, payload []byte) error { r.a.Send(0, id, payload, nil); return nil }
 
 // FuzzApply holds the batch decoder to: arbitrary bytes give an error
 // or decode to ops that re-encode to exactly the input; never a panic.

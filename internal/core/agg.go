@@ -86,33 +86,47 @@ func RegisterAMHandler(me *Rank, id uint16, fn AMHandler) {
 
 // rankApplier executes decoded batch ops against this rank's state:
 // puts and xors against the registered segment, AMs against the
-// handler table.
+// handler table. An op a correct peer never sends is an error.
 type rankApplier struct {
 	r    *Rank
 	from int
 }
 
-func (a rankApplier) Put(off uint64, data []byte) { a.r.seg.Write(off, data) }
-func (a rankApplier) Xor64(off, val uint64)       { a.r.seg.Xor64(off, val) }
-func (a rankApplier) AM(id uint16, payload []byte) {
-	var h AMHandler
+func (a rankApplier) Put(off uint64, data []byte) error {
+	if a.r.seg.Window(off, uint64(len(data))) == nil {
+		return fmt.Errorf("put of %d bytes at offset %d is outside the segment", len(data), off)
+	}
+	a.r.seg.Write(off, data)
+	return nil
+}
+
+func (a rankApplier) Xor64(off, val uint64) error {
+	if off%8 != 0 || a.r.seg.Window(off, 8) == nil {
+		return fmt.Errorf("xor at offset %d is unaligned or outside the segment", off)
+	}
+	a.r.seg.Xor64(off, val)
+	return nil
+}
+
+func (a rankApplier) AM(id uint16, payload []byte) error {
 	if id < reservedAMLimit {
-		h = sysAMs[id]
-	} else {
-		h = a.r.amHandlers[id]
+		if h := sysAMs[id]; h != nil {
+			return h(a.r, a.from, payload)
+		}
+	} else if h := a.r.amHandlers[id]; h != nil {
+		h(a.r, a.from, payload)
+		return nil
 	}
-	if h == nil {
-		panic(fmt.Sprintf("upcxx: rank %d received aggregated AM for unregistered handler %d",
-			a.r.id, id))
-	}
-	h(a.r, a.from, payload)
+	return fmt.Errorf("aggregated AM for unregistered handler %d", id)
 }
 
 // initAgg wires the aggregation layer over a batch-capable conduit:
 // outgoing batches ship through SendBatch, incoming ones decode
-// against this rank's segment and AM table. Called from RunWire; the
-// in-process backend never reaches here (ProcConduit does not
-// implement gasnet.BatchConduit), which is its no-op fast path.
+// against this rank's segment and AM table; a batch that does not
+// decode or apply is the conduit's to reject (it severs the sender).
+// Called from start; the in-process backend never reaches here
+// (ProcConduit does not implement gasnet.BatchConduit), which is its
+// no-op fast path.
 func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	r.aggBC = bc
 	r.agg = agg.New(r.Ranks(), cfg, func(dst int, batch []byte, ops int, done func()) {
@@ -138,17 +152,14 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	// them right now, possibly with this rank already inside a barrier
 	// drain. The done-acks this batch's tasks owe go with them, as one
 	// counted ack, and on the wire all of it shares the ack's writev.
-	bc.SetBatchHandler(func(from int, payload []byte) {
+	bc.SetBatchHandler(func(from int, payload []byte) error {
 		r.ring.Begin(obs.KAggApply, int32(from), uint32(len(payload)))
 		outer := r.applying
 		r.applying = true
 		_, err := agg.Apply(payload, rankApplier{r: r, from: from})
 		r.applying = outer
-		if err != nil {
-			panic(fmt.Errorf("upcxx: rank %d: corrupt aggregation batch from rank %d: %w",
-				r.id, from, err))
-		}
 		r.ring.End(obs.KAggApply)
+		return err
 	}, r.aggPreBlock)
 }
 
@@ -251,7 +262,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	me.ep.Stats.AMs++
 	if me.agg != nil {
 		if target == me.id {
-			rankApplier{r: me, from: me.id}.AM(id, payload)
+			me.mustCd(rankApplier{r: me, from: me.id}.AM(id, payload))
 			completeNow(done, me)
 			return
 		}
@@ -277,7 +288,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	arrival := job.model.AMArrival(t0, me.id, target, len(pl))
 	me.ep.SendAt(target, arrival, len(pl), func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
-		rankApplier{r: tgt, from: from}.AM(id, pl)
+		tgt.mustCd(rankApplier{r: tgt, from: from}.AM(id, pl))
 		t := tgt.Clock()
 		if done != nil {
 			done.compComplete(t, tgt)

@@ -29,6 +29,19 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
+// TestStatsFold: a job's statistics fold its ranks' — counts and
+// counters summed, the virtual clock and the segment peak the maximum.
+func TestStatsFold(t *testing.T) {
+	st := Stats{Counters: map[string]float64{}}
+	for r := range 3 {
+		st.fold(Stats{VirtualNs: float64(r) * 100, SegPeak: uint64(3 - r), AMs: 1, PutBytes: 8,
+			Counters: map[string]float64{"c": 1}})
+	}
+	if st.VirtualNs != 200 || st.SegPeak != 3 || st.AMs != 3 || st.PutBytes != 24 || st.Counters["c"] != 3 {
+		t.Fatalf("folded %+v", st)
+	}
+}
+
 func TestAllocateReadWriteLocal(t *testing.T) {
 	Run(testCfg(1), func(me *Rank) {
 		p := Allocate[int64](me, 0, 10)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"unsafe"
 
+	"upcxx/internal/gasnet"
 	"upcxx/internal/pad"
 )
 
@@ -43,7 +44,7 @@ func HotSpans(me *Rank) []HotSpan {
 			out = append(out, sliceSpan("agg ctls", ctls))
 		}
 	}
-	if me.onWire() {
+	if _, proc := me.cd.(*gasnet.ProcConduit); !proc {
 		cd := reflect.ValueOf(me.cd)
 		out = append(out, bracketSpans("conduit", cd.Interface())...)
 		if leg := cd.Elem().FieldByName("wire"); leg.IsValid() { // HierConduit: its wire leg

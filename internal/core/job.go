@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -147,7 +148,7 @@ type Stats struct {
 
 	// Counters carries backend-specific named metrics: the wire
 	// conduit's per-handler frame/byte counts and the aggregation
-	// layer's batch statistics (nil for in-process jobs). The bench
+	// layer's batch statistics (empty for in-process jobs). The bench
 	// harness folds them into its JSON artifact.
 	Counters map[string]float64
 }
@@ -161,10 +162,10 @@ func (s Stats) Seconds(virtual bool) float64 {
 	return s.Wall.Seconds()
 }
 
-// Job is the shared state of one SPMD run. On a wire-backed job (one
-// rank per OS process, see RunWire) only this process's slots of segs
-// and ranks are populated; everything cross-rank goes through the
-// conduit.
+// Job is the shared state of one SPMD run, built by newJob. On a
+// wire-backed job (one rank per OS process, see RunWire) only this
+// process's slots of segs and ranks are populated; everything cross-rank
+// goes through the conduit.
 type Job struct {
 	cfg   Config
 	model *sim.Model
@@ -224,7 +225,7 @@ type Rank struct {
 	mu sync.Mutex // Concurrent-mode serialization
 
 	// gid is the id of the goroutine this rank's SPMD main runs on
-	// (captured by Run/RunWire). Future consumption checks it in
+	// (captured by start). Future consumption checks it in
 	// Serialized mode: Get/Ready/Then from another rank's goroutine
 	// would drive the wrong progress engine. 0 = not yet bound.
 	gid uint64
@@ -234,7 +235,7 @@ type Rank struct {
 	// bracket keeps them off the cache lines of the read-mostly fields
 	// above (which peers' goroutines read in-process) and of whatever
 	// the allocator places after this Rank. finish and scopeFree start
-	// on pad.Slice backing arrays for the same reason (newRank).
+	// on pad.Slice backing arrays for the same reason (newJob).
 	_ pad.Line
 
 	finish []*finishScope
@@ -291,64 +292,123 @@ type Rank struct {
 	obsStop   func()
 }
 
-// onWire reports whether this rank belongs to a wire-backed job, where
-// peers live in other address spaces and closures cannot travel.
-func (r *Rank) onWire() bool { return r.cd.WireCapable() }
-
 // noWire panics if op — an operation that ships Go closures — targets a
-// remote rank of a wire-backed job. The portable alternative is a
-// registered function: RegisterTask once per process, then AsyncTask /
-// AsyncTaskFuture ship its index and POD-encoded arguments instead of
-// a closure (see rpc.go).
+// rank outside this address space, one the job holds no handle for. The
+// portable alternative is a registered function: RegisterTask once per
+// process, then AsyncTask / AsyncTaskFuture ship its index and
+// POD-encoded arguments instead of a closure (see rpc.go).
 func (r *Rank) noWire(op string, target int) {
-	if target != r.id && r.onWire() {
+	if r.job.ranks[target] == nil {
 		panic(fmt.Errorf("upcxx: %s targeting rank %d from rank %d ships a Go closure "+
 			"(use RegisterTask + AsyncTask for remote invocation over the wire): %w",
 			op, target, r.id, gasnet.ErrNotWireCapable))
 	}
 }
 
-func newJob(cfg Config) *Job {
-	cfg = cfg.withDefaults()
-	j := &Job{
-		cfg:   cfg,
-		model: sim.NewModel(cfg.Virtual, cfg.Machine, cfg.SW, cfg.Ranks),
-	}
-	j.eng = gasnet.New(j.model, cfg.Ranks)
-	j.segs = make([]*segment.Segment, cfg.Ranks)
-	j.ranks = make([]*Rank, cfg.Ranks)
-	mems := make([]gasnet.Memory, cfg.Ranks)
-	for i := 0; i < cfg.Ranks; i++ {
-		j.segs[i] = segment.New(cfg.SegmentBytes)
-		mems[i] = j.segs[i]
-	}
-	conduits := gasnet.NewProcGroup(j.eng, mems)
-	for i := 0; i < cfg.Ranks; i++ {
-		j.ranks[i] = newRank(j, i, conduits[i])
-	}
-	if cfg.Fault != nil {
-		j.chaos = &procChaos{plan: cfg.Fault}
-	}
-	return j
-}
-
 // scopeSlab is how many finish-stack slots a rank starts with and how
 // many task scopes one free-list refill carves (taskScope).
 const scopeSlab = 16
 
-// newRank builds rank id's handle over conduit cd; j.eng and j.segs[id]
-// must exist.
-func newRank(j *Job, id int, cd gasnet.Conduit) *Rank {
-	return &Rank{
-		id:        id,
-		job:       j,
-		ep:        j.eng.Endpoint(id),
-		seg:       j.segs[id],
-		cd:        cd,
-		caps:      cd.Capabilities(),
-		nodes:     jobNodes(j.cfg, cd),
-		finish:    pad.Slice[*finishScope](scopeSlab)[:0],
-		scopeFree: pad.Slice[*finishScope](scopeSlab)[:0],
+// newJob is the one job builder, shared by Run and RunWire: what
+// depends on where the ranks live is settled here, once, so no
+// operation asks. eng carries the job's cost model; segs holds the
+// segments of the ranks in this address space (nil elsewhere) and
+// conduits their conduits by rank id, and the job gets a Rank for
+// exactly those — which is all a closure needs to know about its reach
+// (noWire). shared says every rank lives here: the world team takes the
+// engine's shared slot, a fault plan runs on the in-process chaos
+// clock, and the ranks default to one host (otherwise to one host each;
+// see jobNodes).
+func newJob(cfg Config, eng *gasnet.Engine, shared bool, segs []*segment.Segment,
+	conduits map[int]gasnet.Conduit) *Job {
+	j := &Job{cfg: cfg, model: eng.Model, eng: eng, segs: segs, ranks: make([]*Rank, cfg.Ranks)}
+	if shared && cfg.Fault != nil {
+		j.chaos = &procChaos{plan: cfg.Fault}
+	}
+	world := make([]int, cfg.Ranks)
+	for i := range world {
+		world[i] = i
+	}
+	for id, cd := range conduits {
+		r := &Rank{
+			id:        id,
+			job:       j,
+			ep:        j.eng.Endpoint(id),
+			seg:       segs[id],
+			cd:        cd,
+			caps:      cd.Capabilities(),
+			nodes:     jobNodes(cfg, cd, shared),
+			finish:    pad.Slice[*finishScope](scopeSlab)[:0],
+			scopeFree: pad.Slice[*finishScope](scopeSlab)[:0],
+		}
+		r.world = &Team{r: r, id: worldTeamID, members: world, myIdx: id, slot: shared}
+		j.ranks[id] = r
+	}
+	return j
+}
+
+// start is every rank's one start-up path, on the goroutine that
+// becomes the rank's: aggregation over Caps.Batch, resilience over
+// Caps.Resilient when the job asks for it, obs, then main and quiesce.
+func (r *Rank) start(main func(me *Rank)) {
+	cfg := r.job.cfg
+	if bc := r.caps.Batch; bc != nil {
+		r.initAgg(bc, cfg.Agg)
+	}
+	if rc := r.caps.Resilient; rc != nil && (cfg.Resilient || cfg.Fault != nil) {
+		r.rcd = rc
+		r.resilient = true
+		r.deadRanks = make([]bool, cfg.Ranks)
+		rc.EnableResilience(gasnet.ResilienceConfig{
+			HeartbeatInterval: cfg.HeartbeatInterval,
+			HeartbeatTimeout:  cfg.HeartbeatTimeout,
+		}, r.markRankDead)
+	}
+	r.initObs()
+	r.gid = goid()
+	main(r)
+	r.quiesce()
+	r.obsStop()
+}
+
+// stats is the per-rank fold of a finished rank's measurements; Run
+// sums it over its ranks.
+func (r *Rank) stats() Stats {
+	s := r.ep.Stats
+	st := Stats{Ranks: r.Ranks(), VirtualNs: r.ep.Clock.Now(), AMs: s.AMs, Tasks: s.Tasks,
+		Puts: s.Puts, Gets: s.Gets, PutBytes: s.PutBytes, GetBytes: s.GetBytes,
+		SegPeak: r.seg.Peak(), Counters: map[string]float64{}}
+	for _, cs := range r.counterSources() {
+		maps.Copy(st.Counters, cs.Counters())
+	}
+	return st
+}
+
+// counterSources lists the rank's named meters: conduit and aggregator.
+func (r *Rank) counterSources() []gasnet.CounterSource {
+	var cs []gasnet.CounterSource
+	if r.caps.Counters != nil {
+		cs = append(cs, r.caps.Counters)
+	}
+	if r.agg != nil {
+		cs = append(cs, r.agg)
+	}
+	return cs
+}
+
+// fold adds one rank's statistics into a job total: counts and counters
+// sum, the clock and the segment peak take the maximum.
+func (s *Stats) fold(o Stats) {
+	s.VirtualNs = max(s.VirtualNs, o.VirtualNs)
+	s.SegPeak = max(s.SegPeak, o.SegPeak)
+	s.AMs += o.AMs
+	s.Tasks += o.Tasks
+	s.Puts += o.Puts
+	s.Gets += o.Gets
+	s.PutBytes += o.PutBytes
+	s.GetBytes += o.GetBytes
+	for k, v := range o.Counters {
+		s.Counters[k] += v
 	}
 }
 
@@ -374,19 +434,10 @@ func (r *Rank) initObs() {
 		so.SetObs(r.ring)
 	}
 	var removes []func()
-	if cs := r.caps.Counters; cs != nil {
+	for _, cs := range r.counterSources() {
 		removes = append(removes, obs.Reg().AddSource(r.id, func() map[string]int64 {
 			out := map[string]int64{}
 			for k, v := range cs.Counters() {
-				out[k] = int64(v)
-			}
-			return out
-		}))
-	}
-	if a := r.agg; a != nil {
-		removes = append(removes, obs.Reg().AddSource(r.id, func() map[string]int64 {
-			out := map[string]int64{}
-			for k, v := range a.Counters() {
 				out[k] = int64(v)
 			}
 			return out
@@ -405,119 +456,70 @@ func (r *Rank) initObs() {
 // whole job (matching the paper's process model, where a failed process
 // aborts the SPMD job).
 func Run(cfg Config, main func(me *Rank)) Stats {
-	j := newJob(cfg)
-	start := time.Now()
+	cfg = cfg.withDefaults()
+	segs := make([]*segment.Segment, cfg.Ranks)
+	mems := make([]gasnet.Memory, cfg.Ranks)
+	for i := range segs {
+		segs[i] = segment.New(cfg.SegmentBytes)
+		mems[i] = segs[i]
+	}
+	eng := gasnet.New(sim.NewModel(cfg.Virtual, cfg.Machine, cfg.SW, cfg.Ranks), cfg.Ranks)
+	cds := make(map[int]gasnet.Conduit, cfg.Ranks)
+	for i, cd := range gasnet.NewProcGroup(eng, mems) {
+		cds[i] = cd
+	}
+	j := newJob(cfg, eng, true, segs, cds)
+	begin := time.Now()
 	var wg sync.WaitGroup
 	for _, r := range j.ranks {
 		wg.Add(1)
-		go func(r *Rank) {
+		go func() {
 			defer wg.Done()
-			r.gid = goid()
-			r.initObs()
-			main(r)
-			r.quiesce()
-			r.obsStop()
-		}(r)
+			r.start(main)
+		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
-
-	st := Stats{Ranks: cfg.Ranks, Wall: wall, VirtualNs: j.eng.MaxClock()}
-	st.AMs, st.Tasks, st.Puts, st.Gets, st.PutBytes, st.GetBytes = j.eng.TotalStats()
-	for _, s := range j.segs {
-		if p := s.Peak(); p > st.SegPeak {
-			st.SegPeak = p
-		}
+	st := Stats{Ranks: cfg.Ranks, Wall: time.Since(begin), Counters: map[string]float64{}}
+	for _, r := range j.ranks {
+		st.fold(r.stats())
 	}
 	return st
 }
 
 // RunWire executes main as THIS process's single rank of an n-rank
-// multi-process job communicating through cd (normally a
-// gasnet.WireConduit over TCP; see cmd/upcxx-run for the launcher).
+// multi-process job communicating through cd (a gasnet.WireConduit or
+// HierConduit; spmd.RunChild builds both and is the one launcher).
 // seg must be the same segment cd serves remote requests against.
 // The rank count comes from the conduit; cfg.Ranks is ignored.
 //
-// All operations of the serializable vocabulary work exactly as
-// in-process: one-sided Read/Write/Copy/AsyncCopy, AtomicXor, remote
-// Allocate/Deallocate, Barrier, the typed collectives, shared
-// variables/arrays, and locks — and so does remote function invocation
-// in its registered form (RegisterTask + AsyncTask / AsyncTaskFuture,
-// with distributed Finish completion; see rpc.go). Raw closure-carrying
-// operations (Async, AsyncFuture, RMW, raw AMs) work only when
-// targeting this rank itself and panic with gasnet.ErrNotWireCapable
-// otherwise. Reported time is wall-clock; the virtual-time model does
-// not span address spaces, so the job's cost model is sim.NoCost and
-// Stats.VirtualNs holds only what the program charged itself (Lapse).
+// Every operation works as in-process except the closure-carrying ones
+// (Async, AsyncFuture, RMW, raw AMs), which panic with
+// gasnet.ErrNotWireCapable unless they target this rank itself; remote
+// invocation uses registered tasks (rpc.go). The virtual-time model
+// does not span address spaces: the cost model is sim.NoCost, time is
+// wall-clock, and Stats.VirtualNs holds only what the program charged
+// itself (Lapse). The job's engine serves this rank's clock, counters
+// and loopback task queue alone.
 func RunWire(cfg Config, cd gasnet.Conduit, seg *segment.Segment, main func(me *Rank)) Stats {
 	cfg.Ranks = cd.Ranks()
 	cfg = cfg.withDefaults()
+	cfg.Access = Direct // the AM-mediated path ships closures
 	id := cd.Rank()
-	// What a wire job cannot have is settled here, once, so the shared
-	// operation code asks no wire-or-not question about it: no virtual
-	// clock is read across address spaces, so the cost model is
-	// sim.NoCost; the AM-mediated access path ships closures, so every
-	// access is the conduit's.
-	cfg.Access = Direct
-	j := &Job{cfg: cfg, model: sim.NoCost(cfg.Ranks)}
-	// The local engine provides this rank's clock, counters and
-	// loopback task queue (self-targeted asyncs, events); cross-rank
-	// traffic never touches it.
-	j.eng = gasnet.New(j.model, cfg.Ranks)
-	j.segs = make([]*segment.Segment, cfg.Ranks)
-	j.segs[id] = seg
-	j.ranks = make([]*Rank, cfg.Ranks)
-	r := newRank(j, id, cd)
-	j.ranks[id] = r
-	if bc := r.caps.Batch; bc != nil {
-		r.initAgg(bc, cfg.Agg)
-	}
-	r.initObs()
-	if cfg.Resilient || cfg.Fault != nil {
-		if rc := r.caps.Resilient; rc != nil {
-			r.rcd = rc
-			r.resilient = true
-			r.deadRanks = make([]bool, cfg.Ranks)
-			rc.EnableResilience(gasnet.ResilienceConfig{
-				HeartbeatInterval: cfg.HeartbeatInterval,
-				HeartbeatTimeout:  cfg.HeartbeatTimeout,
-			}, r.markRankDead)
-		}
-	}
-
-	start := time.Now()
-	r.gid = goid()
-	main(r)
-	r.quiesce()
-	wall := time.Since(start)
-
-	st := Stats{Ranks: cfg.Ranks, Wall: wall, VirtualNs: r.ep.Clock.Now()}
-	st.AMs = r.ep.Stats.AMs
-	st.Tasks = r.ep.Stats.Tasks
-	st.Puts = r.ep.Stats.Puts
-	st.Gets = r.ep.Stats.Gets
-	st.PutBytes = r.ep.Stats.PutBytes
-	st.GetBytes = r.ep.Stats.GetBytes
-	st.SegPeak = seg.Peak()
-	st.Counters = map[string]float64{}
-	if cs := r.caps.Counters; cs != nil {
-		for k, v := range cs.Counters() {
-			st.Counters[k] = v
-		}
-	}
-	if r.agg != nil {
-		for k, v := range r.agg.Counters() {
-			st.Counters[k] = v
-		}
-	}
+	segs := make([]*segment.Segment, cfg.Ranks)
+	segs[id] = seg
+	eng := gasnet.New(sim.NoCost(cfg.Ranks), cfg.Ranks)
+	r := newJob(cfg, eng, false, segs, map[int]gasnet.Conduit{id: cd}).ranks[id]
+	begin := time.Now()
+	r.start(main)
+	st := r.stats()
+	st.Wall = time.Since(begin)
 	// Typed obs metrics (latency histograms and friends) fold into the
-	// same counter map the bench harness emits; sources are excluded —
-	// the conduit and aggregation counters are already merged above
-	// under their unlabeled names.
+	// same counter map the bench harness emits; SnapshotOwn leaves the
+	// sources out, because stats() already folded the conduit and
+	// aggregation counters in under their unlabeled names.
 	for k, v := range obs.Reg().SnapshotOwn() {
 		st.Counters[k] = float64(v)
 	}
-	r.obsStop()
 	return st
 }
 
@@ -529,9 +531,7 @@ func (r *Rank) quiesce() {
 	w := r.World()
 	w.barrier()
 	r.ep.Poll()
-	if r.onWire() {
-		r.cd.Poll()
-	}
+	r.cd.Poll()
 	w.barrier()
 }
 
@@ -581,10 +581,7 @@ func (r *Rank) Advance() int {
 	if r.agg != nil {
 		n += r.agg.Tick()
 	}
-	if r.onWire() {
-		n += r.cd.Poll()
-	}
-	return n
+	return n + r.cd.Poll()
 }
 
 // Work charges n floating-point operations of modeled compute time to this

@@ -49,8 +49,9 @@ const (
 
 // sysAMs is the dispatch table of the reserved ids: dense and fixed,
 // so the three protocol messages of every RPC skip the per-rank
-// handler map (rankApplier.AM).
-var sysAMs = [reservedAMLimit]AMHandler{
+// handler map (rankApplier.AM). Each returns an error for a message no
+// correct peer sends, which the conduit answers by severing the sender.
+var sysAMs = [reservedAMLimit]func(r *Rank, from int, payload []byte) error{
 	amRPCReq:  (*Rank).rpcRequest,
 	amRPCRep:  (*Rank).rpcReply,
 	amRPCDone: (*Rank).rpcDone,
@@ -104,10 +105,15 @@ type pendingCall struct {
 // this rank's SPMD goroutine, inside batch application. The protocol's
 // own messages go straight to the aggregator, with no finish/event
 // registration: the task protocol does its own accounting.
-func (r *Rank) rpcRequest(from int, payload []byte) {
+func (r *Rank) rpcRequest(from int, payload []byte) error {
 	req, err := rpc.DecodeRequest(payload)
+	var fn TaskBody
+	var name string
+	if err == nil {
+		fn, name, err = taskRegistry.Resolve(req.Task)
+	}
 	if err != nil {
-		panic(fmt.Errorf("upcxx: rank %d: corrupt task request from rank %d: %w", r.id, from, err))
+		return fmt.Errorf("corrupt task request: %w", err)
 	}
 	r.ep.Stats.Tasks++
 	var onBody func([]byte, float64)
@@ -118,14 +124,15 @@ func (r *Rank) rpcRequest(from int, payload []byte) {
 			r.agg.SendParts(from, amRPCRep, rpc.AppendReply(h[:0], callID, nil), reply, nil)
 		}
 	}
-	r.execTask(from, req.Task, req.Args, onBody, nil, req.DoneID)
+	r.execTask(from, fn, name, req.Args, onBody, nil, req.DoneID)
+	return nil
 }
 
 // rpcReply resolves one pending call with the body's return bytes.
-func (r *Rank) rpcReply(_ int, payload []byte) {
+func (r *Rank) rpcReply(_ int, payload []byte) error {
 	callID, data, err := rpc.DecodeReply(payload)
 	if err != nil {
-		panic(fmt.Errorf("upcxx: rank %d: corrupt task reply: %w", r.id, err))
+		return fmt.Errorf("corrupt task reply: %w", err)
 	}
 	pc := r.calls[callID]
 	if pc == nil {
@@ -134,9 +141,9 @@ func (r *Rank) rpcReply(_ int, payload []byte) {
 		// straggler for a call the failure path already failed. Expected
 		// under retries — drop it. Any other unknown id is corruption.
 		if _, void := r.voidCalls[callID]; void {
-			return
+			return nil
 		}
-		panic(fmt.Errorf("upcxx: rank %d: task reply for unknown call %d", r.id, callID))
+		return fmt.Errorf("task reply for unknown call %d", callID)
 	}
 	delete(r.calls, callID)
 	if pc.t0 != 0 {
@@ -162,6 +169,7 @@ func (r *Rank) rpcReply(_ int, payload []byte) {
 		// the (first) reply instead.
 		pc.fs.childDone(t, r)
 	}
+	return nil
 }
 
 // voidCall marks a retired call id whose late replies must be ignored.
@@ -198,19 +206,18 @@ func (r *Rank) failCall(callID uint64, err error) {
 
 // rpcDone credits one counted ack — count quiesced task subtrees — to
 // the scope it belongs to.
-func (r *Rank) rpcDone(from int, payload []byte) {
+func (r *Rank) rpcDone(from int, payload []byte) error {
 	id, count, err := rpc.DecodeDone(payload)
 	if err != nil {
-		panic(fmt.Errorf("upcxx: rank %d: corrupt done-ack from rank %d: %w", r.id, from, err))
+		return fmt.Errorf("corrupt done-ack: %w", err)
 	}
 	fs := r.doneTab[id]
 	if fs == nil {
-		panic(fmt.Errorf("upcxx: rank %d: done-ack from rank %d for unknown scope %d", r.id, from, id))
+		return fmt.Errorf("done-ack for unknown scope %d", id)
 	}
 	n := int(count)
 	if held := fs.outstanding.Load(); int64(n) > held {
-		panic(fmt.Errorf("upcxx: rank %d: done-ack from rank %d credits %d tasks to scope %d, which holds %d",
-			r.id, from, n, id, held))
+		return fmt.Errorf("done-ack credits %d tasks to scope %d, which holds %d", n, id, held)
 	}
 	if r.resilient {
 		// The acks arrived, so the sender no longer owes them: release
@@ -224,6 +231,7 @@ func (r *Rank) rpcDone(from int, payload []byte) {
 		}
 	}
 	fs.childDoneN(n, r.Clock(), r)
+	return nil
 }
 
 // doneIDFor lazily assigns fs an id in this rank's done-ack table, the
@@ -323,19 +331,15 @@ func (r *Rank) flushDone() {
 	r.agg.SendParts(r.ackTo, amRPCDone, msg, nil, nil)
 }
 
-// execTask runs one registered task on this rank's goroutine: resolve
-// the index, execute the body under an implicit finish scope (so tasks
+// execTask runs fn, the body of the task registered as name, on this
+// rank's goroutine: execute it under an implicit finish scope (so tasks
 // and aggregated ops the body issues defer the task's completion), fire
 // onBody when the body returns, and report to parent or (from, ackID)
 // when the whole subtree has quiesced — see taskScope. A panicking body
 // tears the job down wrapped with the task's name and route, following
 // the failed-process-aborts-the-job model.
-func (r *Rank) execTask(from int, idx uint16, args []byte,
+func (r *Rank) execTask(from int, fn TaskBody, name string, args []byte,
 	onBody func(reply []byte, t float64), parent *finishScope, ackID uint64) {
-	fn, name, err := taskRegistry.Resolve(idx)
-	if err != nil {
-		panic(fmt.Errorf("upcxx: rank %d: task request from rank %d: %w", r.id, from, err))
-	}
 	rec := r.taskScope(from, parent, ackID)
 	r.finish = append(r.finish, rec)
 	r.ring.Begin(obs.KRPCExec, int32(from), uint32(len(args)))
@@ -546,12 +550,13 @@ func (r *Rank) launchTasks(targets []int, idx uint16, args []byte, cfg *asyncCfg
 }
 
 // wireLaunch ships the launch as a request on the aggregation plane
-// (args are copied into the batch) when target is a remote rank of a
-// wire job, and reports whether it did. Anything else — the in-process
-// backend, a wire rank's self-targeted fast path — is engineTask's.
+// (args are copied into the batch) when target lives in another address
+// space — the job holds no handle for it — and reports whether it did.
+// A target with a handle (every rank in-process, a wire rank itself) is
+// engineTask's.
 func (r *Rank) wireLaunch(target int, idx uint16, args []byte, cfg *asyncCfg,
 	fut *Future[[]byte], fs *finishScope) bool {
-	if target == r.id || !r.onWire() {
+	if r.job.ranks[target] != nil {
 		return false
 	}
 	if fut != nil && cfg.retry != nil {
@@ -569,6 +574,10 @@ func (r *Rank) wireLaunch(target int, idx uint16, args []byte, cfg *asyncCfg,
 func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, args []byte,
 	cfg *asyncCfg, fut *Future[[]byte], fs *finishScope) {
 	job, flops, done := r.job, cfg.flops, cfg.done
+	fn, name, err := taskRegistry.Resolve(idx)
+	if err != nil {
+		panic(fmt.Errorf("upcxx: rank %d: task launch to rank %d: %w", r.id, target, err))
+	}
 	// The engine queues the launch, so it gets a copy — under a name of
 	// its own: were the parameter reassigned and captured, escape
 	// analysis would move every caller's args buffer to the heap, the
@@ -581,7 +590,7 @@ func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, a
 		if flops > 0 {
 			tgt.Work(flops)
 		}
-		tgt.execTask(r.id, idx, held, func(reply []byte, t float64) {
+		tgt.execTask(r.id, fn, name, held, func(reply []byte, t float64) {
 			if fut != nil {
 				repArrival := t + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
 				tgt.ep.SendAt(r.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {

@@ -288,7 +288,7 @@ func TestUnknownTaskIndexPanics(t *testing.T) {
 				t.Errorf("panic %q should explain the registration discipline", msg)
 			}
 		}()
-		me.execTask(0, 0xFFFF, nil, nil, nil, 0)
+		me.engineTask(me, 0, me.Clock(), 0xFFFF, nil, &asyncCfg{}, nil, nil)
 	})
 }
 
@@ -700,26 +700,29 @@ func TestCountedAcksExecutorDeath(t *testing.T) {
 	}
 }
 
-// TestDoneAckOverdrawPanics: a counted ack for more tasks than the
-// scope still holds is protocol corruption and must panic typed, like
-// an ack for an unknown scope.
-func TestDoneAckOverdrawPanics(t *testing.T) {
+// TestDoneAckOverdrawRejected: a counted ack for more tasks than the
+// scope still holds is protocol corruption, like an ack for an unknown
+// scope: it is rejected with an error naming the count (the conduit
+// then severs its sender) and credits nothing.
+func TestDoneAckOverdrawRejected(t *testing.T) {
 	Run(testCfg(1), func(me *Rank) {
 		fs := &finishScope{owner: me}
 		fs.add(2)
 		id := me.doneIDFor(fs)
-		me.rpcDone(0, rpc.AppendDone(nil, id, 2))
-		if !fs.empty() {
-			t.Fatalf("scope holds %d after a 2-count ack for 2 tasks", fs.outstanding.Load())
+		if err := me.rpcDone(0, rpc.AppendDone(nil, id, 2)); err != nil || !fs.empty() {
+			t.Fatalf("a 2-count ack for 2 tasks: error %v, scope holds %d", err, fs.outstanding.Load())
 		}
 		fs.add(1)
-		defer func() {
-			err, _ := recover().(error)
-			if err == nil || !strings.Contains(err.Error(), "credits 3") {
-				t.Errorf("overdrawing ack: recovered %v, want a typed panic naming the count", err)
-			}
-		}()
-		me.rpcDone(0, rpc.AppendDone(nil, id, 3))
+		err := me.rpcDone(0, rpc.AppendDone(nil, id, 3))
+		if err == nil || !strings.Contains(err.Error(), "credits 3") {
+			t.Errorf("overdrawing ack: %v, want an error naming the count", err)
+		}
+		if err := me.rpcDone(0, rpc.AppendDone(nil, id+1, 1)); err == nil {
+			t.Error("an ack for an unknown scope was accepted")
+		}
+		if got := fs.outstanding.Load(); got != 1 {
+			t.Errorf("scope holds %d after the rejected acks, want 1", got)
+		}
 	})
 }
 

@@ -32,9 +32,9 @@ type Team struct {
 	myIdx   int   // this rank's position in members
 	seq     uint64
 	splits  uint64
-	// slot marks the world team of an in-process job: its collectives
-	// take the engine's shared slot (coll.go), not the conduit's keyed
-	// rendezvous.
+	// slot marks the world team of an in-process job (set by newJob):
+	// its collectives take the engine's shared slot (coll.go), not the
+	// conduit's keyed rendezvous.
 	slot bool
 }
 
@@ -69,9 +69,9 @@ func log2up(n int) int {
 
 // jobNodes resolves the host topology of a job: the explicit
 // Config.Nodes when given, else the conduit's own locality knowledge,
-// else the backend default (in-process ranks genuinely share one host;
-// plain wire ranks are assumed one per host).
-func jobNodes(cfg Config, cd gasnet.Conduit) []int {
+// else the builder's default — ranks that all share this address space
+// (shared) genuinely share one host; others are assumed one per host.
+func jobNodes(cfg Config, cd gasnet.Conduit, shared bool) []int {
 	if cfg.Nodes != nil {
 		if len(cfg.Nodes) != cfg.Ranks {
 			panic(fmt.Sprintf("upcxx: Config.Nodes has %d entries for %d ranks",
@@ -83,7 +83,7 @@ func jobNodes(cfg Config, cd gasnet.Conduit) []int {
 		return append([]int(nil), lc.Nodes()...)
 	}
 	nodes := make([]int, cfg.Ranks)
-	if cd.WireCapable() {
+	if !shared {
 		for i := range nodes {
 			nodes[i] = i
 		}
@@ -91,19 +91,9 @@ func jobNodes(cfg Config, cd gasnet.Conduit) []int {
 	return nodes
 }
 
-// World returns the team of all ranks (team rank == world rank).
-func (r *Rank) World() *Team {
-	r.enter()
-	defer r.exit()
-	if r.world == nil {
-		members := make([]int, r.job.cfg.Ranks)
-		for i := range members {
-			members[i] = i
-		}
-		r.world = &Team{r: r, id: worldTeamID, members: members, myIdx: r.id, slot: !r.onWire()}
-	}
-	return r.world
-}
+// World returns the team of all ranks (team rank == world rank), built
+// with the rank by newJob.
+func (r *Rank) World() *Team { return r.world }
 
 // Local returns the team of ranks co-located with this one (same host
 // index in the job topology; see Config.Nodes). Membership is identical

@@ -17,13 +17,15 @@ import (
 // every shared object byte-serializable), so a conduit may ship them
 // over a wire; nothing in the vocabulary requires shared memory.
 //
-// Two implementations exist: ProcConduit runs over the in-process
+// Three implementations exist: ProcConduit runs over the in-process
 // Engine (ranks are goroutines; the virtual-time cost model applies),
-// and WireConduit runs over internal/transport's framed TCP messages
-// (ranks are OS processes). Closure-carrying asyncs are deliberately
-// NOT part of this interface — Go closures do not serialize — so they
-// remain an in-process fast path; the core rejects them on wire-backed
-// jobs with ErrNotWireCapable.
+// WireConduit runs over internal/transport's framed TCP messages (ranks
+// are OS processes), and HierConduit composes a shared-memory plane
+// with the wire. Closure-carrying asyncs are deliberately NOT part of
+// this interface — Go closures do not serialize. The core settles a
+// closure's reach when it builds the job, which holds rank handles only
+// for the ranks in its address space: a closure aimed at any other rank
+// fails with ErrNotWireCapable.
 //
 // A Conduit is driven by its rank's single SPMD goroutine: blocking
 // calls service incoming requests while waiting (the GASNet progress
@@ -76,11 +78,6 @@ type Conduit interface {
 	// Poll services queued requests without blocking and reports how
 	// many ran (the conduit half of the paper's advance()).
 	Poll() int
-
-	// WireCapable reports whether ranks live in separate address
-	// spaces (true for WireConduit). The core uses it to reject
-	// closure-shipping operations that cannot serialize.
-	WireCapable() bool
 
 	// Capabilities reports which optional extensions this conduit
 	// implements, as one discoverable probe (see Caps). The core runtime
@@ -177,8 +174,10 @@ type BatchConduit interface {
 	// the batch's acknowledgement, and only then runs after.
 	// The order is the contract: a batch's ack precedes the replies its
 	// handlers generated, so whatever after flushes leaves in the same
-	// vectored write as the ack.
-	SetBatchHandler(apply func(from int, payload []byte), after func())
+	// vectored write as the ack. An error from apply means the sender's
+	// bytes broke the protocol: the sender is severed, as for any other
+	// malformed frame, and neither the ack nor after follows.
+	SetBatchHandler(apply func(from int, payload []byte) error, after func())
 
 	// WaitFor blocks until pred() is true, servicing incoming requests
 	// and acknowledgements while waiting.
@@ -330,8 +329,10 @@ type Memory interface {
 // ErrNotWireCapable is returned (wrapped in a panic by the core, which
 // follows the paper's failed-process-aborts-the-job model) when an
 // operation that ships Go closures — a raw-closure Async or
-// AsyncFuture, RMW, raw AMs — targets a remote rank of a wire-backed
-// job. Closures do not serialize; remote invocation over the wire uses
+// AsyncFuture, RMW, raw AMs — targets a rank outside the caller's
+// address space: one the caller's job holds no handle for, which on a
+// wire or hierarchical job is every rank but the caller itself.
+// Closures do not serialize; remote invocation over the wire uses
 // registered functions instead (the core's RegisterTask + AsyncTask /
 // AsyncTaskFuture, which ship a registry index and POD-encoded
 // arguments), and data movement uses the encoded-argument operations

@@ -253,27 +253,6 @@ func TestWireConduitContract(t *testing.T) {
 	exerciseConduit(t, n, func(rank int) Conduit { return cds[rank] })
 }
 
-// TestWireCapableFlags pins the closure-shipping policy bit.
-func TestWireCapableFlags(t *testing.T) {
-	eng := New(sim.NewModel(true, sim.Local, sim.SWUPCXX, 1), 1)
-	pc := NewProcGroup(eng, []Memory{newTestMem(64)})[0]
-	if pc.WireCapable() {
-		t.Error("ProcConduit.WireCapable() = true, want false")
-	}
-	ep, err := transport.ListenTCP(0, 1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	if err := ep.Connect([]string{ep.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	wc := NewWireConduit(ep, newTestMem(64))
-	if !wc.WireCapable() {
-		t.Error("WireConduit.WireCapable() = false, want true")
-	}
-}
-
 // TestWireConduitBigTransfer moves a payload large enough to span many
 // TCP segments through Put/Get and checks integrity.
 func TestWireConduitBigTransfer(t *testing.T) {

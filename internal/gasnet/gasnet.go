@@ -93,32 +93,6 @@ func New(model *sim.Model, n int) *Engine {
 // Endpoint returns rank i's endpoint.
 func (g *Engine) Endpoint(i int) *Endpoint { return g.eps[i] }
 
-// TotalStats sums the counters across all endpoints; call it after the
-// ranks have joined.
-func (g *Engine) TotalStats() (ams, tasks, puts, gets, putB, getB int64) {
-	for _, e := range g.eps {
-		ams += e.Stats.AMs
-		tasks += e.Stats.Tasks
-		puts += e.Stats.Puts
-		gets += e.Stats.Gets
-		putB += e.Stats.PutBytes
-		getB += e.Stats.GetBytes
-	}
-	return
-}
-
-// MaxClock returns the maximum virtual clock across ranks (the job's
-// modeled makespan so far).
-func (g *Engine) MaxClock() float64 {
-	m := 0.0
-	for _, e := range g.eps {
-		if t := e.Clock.Now(); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // Endpoint is one rank's attachment to the engine. Rank, eng and Inbox
 // are read by every sender; Clock and Stats are written by the owning
 // rank on every operation, so they sit in a pad bracket of their own.

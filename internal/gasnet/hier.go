@@ -258,10 +258,6 @@ func (h *HierConduit) parkRepolling(armed func() bool) error {
 func (h *HierConduit) Rank() int  { return h.me }
 func (h *HierConduit) Ranks() int { return h.wire.Ranks() }
 
-// WireCapable reports true: ranks are separate processes even when
-// co-located — closures still do not cross.
-func (h *HierConduit) WireCapable() bool { return true }
-
 // Capabilities: batching, the async data plane, counters, locality and
 // external wakeup. No resilience (see type comment).
 func (h *HierConduit) Capabilities() Caps {
@@ -471,7 +467,7 @@ func (h *HierConduit) LockRelease(home int, id uint64) error {
 
 // SetBatchHandler installs the decoder and its after-ack hook on both
 // planes.
-func (h *HierConduit) SetBatchHandler(apply func(from int, payload []byte), after func()) {
+func (h *HierConduit) SetBatchHandler(apply func(from int, payload []byte) error, after func()) {
 	h.wire.SetBatchHandler(apply, after)
 }
 
@@ -499,7 +495,10 @@ func (h *HierConduit) onShmBatch(from int, tok uint64, payload []byte) {
 	if h.wire.batchHandler == nil {
 		panic("gasnet: shm aggregation batch received with no batch handler installed")
 	}
-	h.wire.batchHandler(h.locals[from], payload)
+	// A co-located peer writes our memory anyway: its bad batch aborts.
+	if err := h.wire.batchHandler(h.locals[from], payload); err != nil {
+		panic(fmt.Errorf("gasnet: rank %d: corrupt shm batch from rank %d: %w", h.me, h.locals[from], err))
+	}
 	h.shm.Send(from, shmReply, tok, nil)
 	h.wire.afterBatch()
 }
@@ -829,10 +828,6 @@ func (h *HierConduit) Counters() map[string]float64 {
 	}
 	return out
 }
-
-// Goodbye announces a clean close on the wire plane (the shm plane has
-// no connection state to say goodbye on).
-func (h *HierConduit) Goodbye() { h.wire.Goodbye() }
 
 // Close tears down both legs. Callers must have synchronized first.
 func (h *HierConduit) Close() error {

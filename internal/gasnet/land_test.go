@@ -3,6 +3,7 @@ package gasnet
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func waitCounter(t *testing.T, cd *WireConduit, name string, want float64) {
 func TestLongPutKeepsSenderOrder(t *testing.T) {
 	cds := wireFleet(t, 2, 1<<16)
 	mem := cds[1].mem.(*testMem)
-	cds[1].SetBatchHandler(func(_ int, p []byte) { mem.Write(u64(p), p[8:16]) }, func() {})
+	cds[1].SetBatchHandler(func(_ int, p []byte) error { mem.Write(u64(p), p[8:16]); return nil }, func() {})
 	const x = 64
 	word := func() []byte {
 		mem.mu.Lock()
@@ -132,15 +133,16 @@ func TestNestedLongGets(t *testing.T) {
 		cds[1].mem.Write(8192, b)
 		outer, inner := make([]byte, len(a)), make([]byte, len(b))
 		innerErr := errors.New("the batch handler never ran")
-		cds[0].SetBatchHandler(func(int, []byte) {
+		cds[0].SetBatchHandler(func(int, []byte) error {
 			// Rank 0's goroutine, inside the outer Get's wait.
 			for deadline := time.Now().Add(10 * time.Second); afterLanding && cds[0].Counters()["net_rx_landed"] < 1; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					innerErr = errors.New("the outer reply never landed")
-					return
+					return nil
 				}
 			}
 			innerErr = cds[0].Get(1, 8192, inner)
+			return nil
 		}, func() {})
 		done := make(chan error, 1)
 		go func() { done <- cds[0].Get(1, 0, outer) }()
@@ -170,6 +172,51 @@ func TestNestedLongGets(t *testing.T) {
 		}
 		if c := cds[0].Counters(); c["net_rx_landed"] != 1 {
 			t.Fatalf("afterLanding %v: net_rx_landed %v, want 1 (the outer reply)", afterLanding, c["net_rx_landed"])
+		}
+	}
+}
+
+// TestMalformedBatchSevers: a batch the installed handler rejects (core
+// rejects one carrying an op no correct peer sends) severs its sender
+// with a cause naming the batch handler, goes unacknowledged, and does
+// not run the after hook. On a resilient rank the same sever is the
+// sender's death, typed.
+func TestMalformedBatchSevers(t *testing.T) {
+	for _, resilient := range []bool{false, true} {
+		cds := wireFleet(t, 2, 1<<12)
+		after := false
+		cds[1].SetBatchHandler(func(int, []byte) error { return errors.New("hostile op") }, func() { after = true })
+		var dead error
+		if resilient {
+			cds[1].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)
+		}
+		served := make(chan error, 1)
+		go func() {
+			served <- cds[1].WaitFor(func() bool {
+				dead = cds[1].deadErr(0)
+				return dead != nil
+			})
+		}()
+		acked := false
+		if err := cds[0].SendBatch(1, frames.Get(8), func() { acked = true }); err != nil {
+			t.Fatal(err)
+		}
+		if err := cds[0].WaitFor(func() bool { return acked }); err == nil || acked {
+			t.Fatalf("resilient %v: sender's wait ended with %v, acked %v; want the severed connection", resilient, err, acked)
+		}
+		err := <-served
+		if resilient {
+			var rd *RankDeadError
+			if err != nil || !errors.As(dead, &rd) || rd.Rank != 0 {
+				t.Fatalf("resilient target: wait %v, rank 0's death %v; want a RankDeadError", err, dead)
+			}
+			err = dead
+		}
+		if err == nil || !strings.Contains(err.Error(), "malformed batch frame: hostile op") {
+			t.Fatalf("resilient %v: target's error %v, want one naming the malformed batch frame", resilient, err)
+		}
+		if after {
+			t.Errorf("resilient %v: the after hook ran for a rejected batch", resilient)
 		}
 	}
 }

@@ -58,10 +58,6 @@ func (c *ProcConduit) Rank() int { return c.ep.Rank }
 // Ranks returns the job size.
 func (c *ProcConduit) Ranks() int { return c.ep.N() }
 
-// WireCapable reports false: ranks share one address space, so closure
-// asyncs are allowed.
-func (c *ProcConduit) WireCapable() bool { return false }
-
 // Capabilities: none. Batch and async stay nil because an in-process
 // remote access is already a direct segment load/store — coalescing or
 // splitting initiation from completion would only add latency; the
@@ -247,8 +243,9 @@ func (c *ProcConduit) LockRelease(home int, id uint64) error {
 	return nil
 }
 
-// Poll services queued engine tasks without blocking.
-func (c *ProcConduit) Poll() int { return c.ep.Poll() }
+// Poll returns 0: a proc rank's incoming traffic is its engine queue,
+// which the core polls itself.
+func (c *ProcConduit) Poll() int { return 0 }
 
 // Close is a no-op: the engine owns no external resources.
 func (c *ProcConduit) Close() error { return nil }

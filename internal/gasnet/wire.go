@@ -121,7 +121,7 @@ type WireConduit struct {
 	// batchHandler decodes and applies one aggregation batch and
 	// afterBatch runs once its ack is queued; installed by the layer
 	// above (core) via SetBatchHandler.
-	batchHandler func(from int, payload []byte)
+	batchHandler func(from int, payload []byte) error
 	afterBatch   func()
 
 	locks      map[uint64]*wireLockState
@@ -329,10 +329,6 @@ func (c *WireConduit) Rank() int { return c.tep.Rank() }
 
 // Ranks returns the job size.
 func (c *WireConduit) Ranks() int { return c.tep.Ranks() }
-
-// WireCapable reports true: ranks are separate processes, closures do
-// not cross.
-func (c *WireConduit) WireCapable() bool { return true }
 
 // Capabilities: the full extension set — batching, the async data
 // plane, resilience, traffic counters and external wakeup. No
@@ -787,9 +783,10 @@ func (c *WireConduit) onXor(_ *transport.TCPEndpoint, m transport.Message) {
 // soon as apply returns, which is what completes the sender's events
 // and Finish scopes, and then runs after — so the flush after makes
 // ships the ack and the replies apply generated in one vectored write.
-// apply must not block; both are required. internal/core installs the internal/agg decoder
-// and its cut-through flush here.
-func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte), after func()) {
+// apply must not block; both are required. An error from apply severs
+// the sender and the batch goes unacknowledged. internal/core installs
+// the internal/agg decoder and its cut-through flush here.
+func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte) error, after func()) {
 	c.batchHandler = apply
 	c.afterBatch = after
 }
@@ -845,7 +842,10 @@ func (c *WireConduit) onBatch(_ *transport.TCPEndpoint, m transport.Message) {
 	if c.batchHandler == nil {
 		panic("gasnet: aggregation batch received with no batch handler installed")
 	}
-	c.batchHandler(int(m.From), m.Payload)
+	if err := c.batchHandler(int(m.From), m.Payload); err != nil {
+		c.severMalformed(m, err)
+		return
+	}
 	c.reply(m, nil)
 	c.afterBatch()
 }
@@ -1226,9 +1226,9 @@ func (c *WireConduit) reassemble(frags map[fragKey]*fragBuf, m transport.Message
 	return fb.buf, true
 }
 
-// severMalformed cuts off the sender of a collective frame that breaks
-// the protocol, with a cause naming the handler — as the transport does
-// for a frame with a reserved handler id.
+// severMalformed cuts off the sender of a collective or batch frame that
+// breaks the protocol, with a cause naming the handler — as the
+// transport does for a frame with a reserved handler id.
 func (c *WireConduit) severMalformed(m transport.Message, err error) {
 	c.tep.SeverPeer(int(m.From), fmt.Errorf("gasnet: rank %d: rank %d sent a malformed %s frame: %w",
 		c.Rank(), m.From, handlerNames[m.Handler], err))

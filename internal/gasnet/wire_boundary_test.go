@@ -162,11 +162,12 @@ type recorder struct {
 	froms   []int
 }
 
-func (r *recorder) handle(from int, payload []byte) {
+func (r *recorder) handle(from int, payload []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.batches = append(r.batches, append([]byte(nil), payload...))
 	r.froms = append(r.froms, from)
+	return nil
 }
 
 // TestSendBatchAckAndCounters exercises the aggregation batch plane:
@@ -234,9 +235,9 @@ func TestSendBatchAckAndCounters(t *testing.T) {
 func TestBatchAckSharesFlush(t *testing.T) {
 	cds := wireFleet(t, 2, 64)
 	var order []string // sender's goroutine only
-	cds[0].SetBatchHandler(func(int, []byte) { order = append(order, "reply") }, func() {})
+	cds[0].SetBatchHandler(func(int, []byte) error { order = append(order, "reply"); return nil }, func() {})
 	applied := false
-	cds[1].SetBatchHandler(func(int, []byte) { applied = true }, func() {
+	cds[1].SetBatchHandler(func(int, []byte) error { applied = true; return nil }, func() {
 		if !applied {
 			t.Error("after hook ran before apply")
 		}

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -15,10 +17,12 @@ import (
 	"upcxx/internal/transport"
 )
 
-// RendezvousTimeout bounds the whole address exchange. A rank that dies
-// before registering (or a parent that dies before answering) would
-// otherwise hang every surviving process forever; localhost rendezvous
-// completes in milliseconds, so expiry always means a lost peer. The
+// RendezvousTimeout bounds the whole address exchange, and separately
+// the mesh connect after it. A rank that dies before registering (or a
+// parent that dies before answering), or after registering but before
+// dialing, would otherwise hang every surviving process forever;
+// localhost rendezvous and connect complete in milliseconds, so expiry
+// always means a lost peer. The
 // default suits localhost; launchers spawning ranks across slow or
 // congested hosts may raise it (upcxx-run's -rendezvous-timeout flag),
 // and tests may shrink it. Set it before any rendezvous begins.
@@ -134,12 +138,46 @@ func DialRendezvous(rendezvous string, rank, n int, amAddr string) ([]string, er
 	return addrs, nil
 }
 
-// RunWireChild is one OS process's half of a wire job: rendezvous,
-// full-mesh connect, then run main as rank `rank` of n over the TCP
-// conduit. segBytes sizes this rank's shared segment.
-func RunWireChild(rendezvous string, rank, n, segBytes int, cfg core.Config, main func(me *core.Rank)) (core.Stats, error) {
+// HierNodes returns the host index of every rank under a
+// procs-per-node packing: rank r lives on host r/ppn. This is the one
+// topology function shared by all backends (upcxx-run passes it to the
+// in-process backend as Config.Nodes), which is what makes LocalTeam
+// membership identical across proc, tcp and hier runs of the same
+// shape.
+func HierNodes(n, ppn int) []int {
+	if ppn < 1 || ppn > n {
+		panic(fmt.Sprintf("spmd: procs-per-node %d out of range for %d ranks", ppn, n))
+	}
+	nodes := make([]int, n)
+	for r := range nodes {
+		nodes[r] = r / ppn
+	}
+	return nodes
+}
+
+// RunChild is one rank's half of a launched job — what every upcxx-run
+// and upcxx-gate child process runs, and RunWireLocal and RunHierLocal
+// once per goroutine: listen, register with the rendezvous, connect the
+// mesh (bounded by RendezvousTimeout), build the conduit, and run main
+// as rank `rank` of n with a segBytes segment. A setup failure closes
+// whatever setup opened.
+//
+// An empty shmDir selects the flat wire conduit, every rank its own
+// host. Otherwise ranks are packed ppn to a host (HierNodes) over the
+// two-level conduit, each rank's segment a window of a file it creates
+// under the job-wide shmDir/node<k>/ before the rendezvous — which is
+// what guarantees every co-located file exists before anyone attaches.
+func RunChild(rendezvous string, rank, n, ppn, segBytes int, shmDir string, cfg core.Config, main func(me *core.Rank)) (core.Stats, error) {
 	tep, err := transport.ListenTCP(rank, n, "127.0.0.1:0")
 	if err != nil {
+		return core.Stats{}, err
+	}
+	var shm *gasnet.ShmConduit
+	fail := func(err error) (core.Stats, error) {
+		if shm != nil {
+			shm.Close()
+		}
+		tep.Close()
 		return core.Stats{}, err
 	}
 	if cfg.Fault != nil {
@@ -148,73 +186,101 @@ func RunWireChild(rendezvous string, rank, n, segBytes int, cfg core.Config, mai
 		// program arms them.
 		tep.SetFault(cfg.Fault.ForRank(rank))
 	}
+	var nodes []int
+	if shmDir != "" {
+		nodes = HierNodes(n, ppn)
+		node := nodes[rank]
+		dir := filepath.Join(shmDir, fmt.Sprintf("node%d", node))
+		if err = os.MkdirAll(dir, 0o777); err == nil {
+			shm, err = gasnet.CreateShm(dir, rank-node*ppn, min(ppn, n-node*ppn), gasnet.DefaultShmRingBytes, segBytes)
+		}
+		if err != nil {
+			return fail(err)
+		}
+	}
 	obs.Logf(1, rank, "spmd: listening on %s, dialing rendezvous %s", tep.Addr(), rendezvous)
 	addrs, err := DialRendezvous(rendezvous, rank, n, tep.Addr())
 	if err != nil {
-		tep.Close()
-		return core.Stats{}, err
+		return fail(err)
 	}
-	if err := tep.Connect(addrs); err != nil {
-		tep.Close()
-		return core.Stats{}, err
+	if err := tep.ConnectBy(addrs, time.Now().Add(RendezvousTimeout)); err != nil {
+		return fail(err)
 	}
 	obs.Logf(1, rank, "spmd: mesh connected (%d ranks)", n)
-	seg := segment.New(segBytes)
-	cd := gasnet.NewWireConduit(tep, seg)
+	var seg *segment.Segment
+	if shm == nil {
+		seg = segment.New(segBytes)
+	} else if err := shm.Attach(); err != nil {
+		return fail(err)
+	} else {
+		seg = segment.NewExtern(shm.Seg())
+	}
+	wire := gasnet.NewWireConduit(tep, seg)
+	var cd gasnet.Conduit = wire
+	if shm != nil {
+		cd = gasnet.NewHierConduit(wire, shm, nodes)
+	}
 	defer cd.Close()
 	st := core.RunWire(cfg, cd, seg, main)
 	// Reached only when main completed: a panicking rank skips the
 	// goodbye, so its peers see the close as peer loss and abort.
-	cd.Goodbye()
+	wire.Goodbye()
 	return st, nil
 }
 
 // RunWireLocal runs an n-rank wire job inside ONE process, one
-// goroutine per rank, each with its own transport endpoint, segment and
-// conduit over localhost TCP — no shared runtime state beyond the
-// sockets. This exercises the entire wire protocol (it is the conduit
-// test harness) while keeping tests free of subprocess management; the
-// upcxx-run launcher provides true multi-process isolation.
+// goroutine per rank, sharing no runtime state beyond the sockets: the
+// whole wire protocol without subprocess management (upcxx-run gives
+// true multi-process isolation).
 func RunWireLocal(n, segBytes int, cfg core.Config, main func(me *core.Rank)) ([]core.Stats, error) {
-	eps := make([]*transport.TCPEndpoint, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		tep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
-		if err != nil {
-			for _, e := range eps[:i] {
-				e.Close()
-			}
-			return nil, err
-		}
-		eps[i] = tep
-		addrs[i] = tep.Addr()
+	return runLocal(n, 1, segBytes, "", cfg, main)
+}
+
+// RunHierLocal runs an n-rank hierarchical job inside ONE process, one
+// goroutine per rank, sharing real mmap'd files in a temp directory —
+// the multi-process data path (the OS maps the same pages at n
+// addresses) without subprocess management.
+func RunHierLocal(n, ppn, segBytes int, cfg core.Config, main func(me *core.Rank)) ([]core.Stats, error) {
+	dir, err := os.MkdirTemp("", "upcxx-shm-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
+	return runLocal(n, ppn, segBytes, dir, cfg, main)
+}
+
+// runLocal is a launch inside one process: a rendezvous on a loopback
+// port plus n goroutines, each running exactly what a launched child
+// process runs (RunChild).
+func runLocal(n, ppn, segBytes int, shmDir string, cfg core.Config, main func(me *core.Rank)) ([]core.Stats, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	rdvErr := make(chan error, 1)
+	go func() { rdvErr <- Rendezvous(ln, n) }()
 	stats := make([]core.Stats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if cfg.Fault != nil {
-				eps[i].SetFault(cfg.Fault.ForRank(i))
-			}
-			if err := eps[i].Connect(addrs); err != nil {
-				errs[i] = err
-				return
-			}
-			seg := segment.New(segBytes)
-			cd := gasnet.NewWireConduit(eps[i], seg)
-			defer cd.Close()
-			stats[i] = core.RunWire(cfg, cd, seg, main)
-			cd.Goodbye()
-		}(i)
+			stats[i], errs[i] = RunChild(ln.Addr().String(), i, n, ppn, segBytes, shmDir, cfg, main)
+		}()
 	}
 	wg.Wait()
+	// A rank that failed before registering leaves the rendezvous
+	// waiting; closing the listener ends it, and the rank's own error is
+	// the one to report.
+	ln.Close()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("spmd: rank %d: %w", i, err)
 		}
+	}
+	if err := <-rdvErr; err != nil {
+		return nil, err
 	}
 	return stats, nil
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"upcxx/internal/core"
 	"upcxx/internal/gasnet"
@@ -153,46 +155,108 @@ func TestClosureOpsRejectedOnWire(t *testing.T) {
 }
 
 // TestRendezvousProtocol drives the launcher's address-exchange path —
-// Rendezvous on the parent side, RunWireChild on the child side — with
-// goroutines standing in for the spawned processes.
+// Rendezvous on the parent side, RunChild on the child side — with
+// goroutines standing in for the spawned processes, on the flat wire
+// conduit and the hierarchical one. The checksum must equal proc's at
+// the same topology.
 func TestRendezvousProtocol(t *testing.T) {
-	const n = 3
+	p, _ := Lookup("teams") // topology-sensitive: its LocalTeam folds see the hosts
+	for _, tc := range []struct {
+		name   string
+		n, ppn int
+		shm    bool
+	}{
+		{"flat", 3, 1, false},
+		{"hier", 4, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, scale := tc.n, p.DefaultScale
+			shmDir := ""
+			if tc.shm {
+				shmDir = t.TempDir()
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			rdvErr := make(chan error, 1)
+			go func() { rdvErr <- Rendezvous(ln, n) }()
+
+			sums := make([]uint64, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for rank := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, errs[rank] = RunChild(ln.Addr().String(), rank, n, tc.ppn,
+						p.SegBytes(n, scale), shmDir, core.Config{}, func(me *core.Rank) {
+							sums[me.ID()] = p.Run(me, scale)
+						})
+				}()
+			}
+			wg.Wait()
+			if err := <-rdvErr; err != nil {
+				t.Fatalf("rendezvous: %v", err)
+			}
+			for r := range n {
+				if errs[r] != nil {
+					t.Fatalf("child %d: %v", r, errs[r])
+				}
+				if sums[r] != sums[0] {
+					t.Fatalf("child %d checksum %x != child 0 %x", r, sums[r], sums[0])
+				}
+			}
+			if want := runProcTopoChecksum(t, p, n, tc.ppn, scale); sums[0] != want {
+				t.Fatalf("rendezvous-launched checksum %x != proc %x", sums[0], want)
+			}
+		})
+	}
+}
+
+// TestConnectDeadline: rank 0 of a 3-rank job registers an address
+// nobody listens on and dies without dialing its peers. Ranks 1 and 2,
+// which wait for rank 0 to dial in, must fail within the rendezvous
+// timeout with an error naming rank 0, instead of blocking forever.
+func TestConnectDeadline(t *testing.T) {
+	const n, timeout = 3, 300 * time.Millisecond
+	defer func(old time.Duration) { RendezvousTimeout = old }(RendezvousTimeout)
+	RendezvousTimeout = timeout
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	rdvErr := make(chan error, 1)
-	go func() { rdvErr <- Rendezvous(ln, n) }()
+	rdv := ln.Addr().String()
+	go Rendezvous(ln, n)
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	go DialRendezvous(rdv, 0, n, dead.Addr().String())
 
-	p, _ := Lookup("ring")
-	sums := make([]uint64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			_, errs[rank] = RunWireChild(ln.Addr().String(), rank, n,
-				p.SegBytes(n, 64), core.Config{}, func(me *core.Rank) {
-					sums[me.ID()] = p.Run(me, 64)
-				})
-		}(i)
+	errs := make(chan error, n-1)
+	for rank := 1; rank < n; rank++ {
+		go func() {
+			_, err := RunChild(rdv, rank, n, 1, 1<<16, "", core.Config{}, func(*core.Rank) {
+				t.Errorf("rank %d ran its main without rank 0", rank)
+			})
+			errs <- err
+		}()
 	}
-	wg.Wait()
-	if err := <-rdvErr; err != nil {
-		t.Fatalf("rendezvous: %v", err)
-	}
-	for r := 0; r < n; r++ {
-		if errs[r] != nil {
-			t.Fatalf("child %d: %v", r, errs[r])
+	bound := time.After(10 * timeout)
+	for range n - 1 {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "ranks [0] never dialed") {
+				t.Errorf("connect error %v, want one naming rank 0 as never dialed", err)
+			}
+		case <-bound:
+			t.Fatalf("ranks still connecting %v after a %v rendezvous timeout", 10*timeout, timeout)
 		}
-		if sums[r] != sums[0] {
-			t.Fatalf("child %d checksum %x != child 0 %x", r, sums[r], sums[0])
-		}
-	}
-	if want := runProcChecksum(t, p, n, 64); sums[0] != want {
-		t.Fatalf("rendezvous-launched checksum %x != proc %x", sums[0], want)
 	}
 }
 

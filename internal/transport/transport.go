@@ -1045,32 +1045,49 @@ func (ep *TCPEndpoint) Register(idx uint16, h Handler) { ep.handlers[idx] = h }
 // Connect wires the full mesh: ranks below us dial in, we dial ranks
 // above us (a deterministic pairing that avoids duplicate connections).
 // addrs is indexed by rank.
-func (ep *TCPEndpoint) Connect(addrs []string) error {
+func (ep *TCPEndpoint) Connect(addrs []string) error { return ep.ConnectBy(addrs, time.Time{}) }
+
+// ConnectBy is Connect bounded by deadline (zero: unbounded): a peer
+// that died before dialing fails it, naming every rank that never did.
+func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time) error {
 	var wg sync.WaitGroup
 	var acceptErr error
 	expect := int(ep.rank) // ranks 0..rank-1 dial us
+	if d, ok := ep.ln.(interface{ SetDeadline(time.Time) error }); ok {
+		d.SetDeadline(deadline)
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < expect; i++ {
 			c, err := ep.ln.Accept()
 			if err != nil {
-				acceptErr = err
+				var missing []int // this goroutine alone writes conns[:expect]
+				for r, c := range ep.conns[:expect] {
+					if c == nil {
+						missing = append(missing, r)
+					}
+				}
+				acceptErr = fmt.Errorf("transport: rank %d: ranks %v never dialed: %w", ep.rank, missing, err)
 				return
 			}
 			// The dialer announces itself with one frame.
+			c.SetReadDeadline(deadline)
 			m, err := readFrame(c)
 			if err != nil {
+				c.Close()
 				acceptErr = err
 				return
 			}
+			c.SetReadDeadline(time.Time{})
 			ep.mu.Lock()
 			ep.conns[m.From] = c
 			ep.mu.Unlock()
 		}
 	}()
+	dialer := net.Dialer{Deadline: deadline}
 	for r := int(ep.rank) + 1; r < int(ep.n); r++ {
-		c, err := net.Dial("tcp", addrs[r])
+		c, err := dialer.Dial("tcp", addrs[r])
 		if err != nil {
 			return fmt.Errorf("transport: rank %d dialing %d: %w", ep.rank, r, err)
 		}
