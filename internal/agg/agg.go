@@ -17,6 +17,13 @@
 // keeps a no-op fast path on the in-process backend, where a remote
 // access is already a direct segment load/store.
 //
+// Request/reply, as with GASNet active messages: when a batch from rank
+// s has just been applied here, TakeReply hands over whatever is
+// buffered for s, provided no op in it awaits a completion, and the
+// conduit carries those bytes inside the batch's acknowledgement — one
+// frame instead of a batch and its own ack. A reply is never
+// acknowledged, which is why only completion-free ops may ride one.
+//
 // Flush policy: a destination's batch is shipped when it reaches
 // Config.MaxOps operations or Config.MaxBytes encoded bytes, when the
 // oldest buffered operation exceeds Config.MaxAge at a Tick (the
@@ -245,6 +252,7 @@ type Aggregator struct {
 	// debug endpoint pulls them live from another goroutine while the
 	// SPMD goroutine flushes.
 	batches    atomic.Int64
+	replies    atomic.Int64 // open batches handed over by TakeReply
 	opsTotal   atomic.Int64
 	batchBytes atomic.Int64
 	savedBytes atomic.Int64
@@ -443,6 +451,28 @@ func (a *Aggregator) flushReason(dst int, reason uint64) {
 	a.flush(dst, batch, ops, sh.ack)
 }
 
+// TakeReply hands over dst's open batch to travel inside the
+// acknowledgement of the batch dst just had applied here, and returns
+// nil instead when nothing is buffered for dst or any buffered op
+// carries a completion callback: a reply is never acknowledged, so
+// such a batch ships whole through the Flusher as usual — never split,
+// so issue order holds. The returned buffer is the encoder's pooled
+// one, in the Apply encoding; its ops leave the buffered count and are
+// never in flight.
+func (a *Aggregator) TakeReply(dst int) []byte {
+	b := &a.bufs[dst]
+	if b.ops == 0 || len(b.dones) > 0 {
+		return nil
+	}
+	reply, ops := b.buf, b.ops
+	b.buf, b.ops = nil, 0
+	a.buffered -= ops
+	a.replies.Add(1)
+	a.opsTotal.Add(int64(ops))
+	a.ring.Instant(obs.KAggFlush, int32(dst), uint32(len(reply)), obs.FlushReply)
+	return reply
+}
+
 // adapt feeds one threshold-triggered flush into dst's controller and
 // retunes the knobs when the classification window fills. See the law
 // above the adaptWindow constants.
@@ -538,14 +568,16 @@ func (a *Aggregator) Buffered() int { return a.buffered }
 func (a *Aggregator) Pending() int { return a.buffered + a.inflight }
 
 // Counters reports the aggregation metrics for the bench harness:
-// batches shipped, ops coalesced, encoded batch bytes, the estimated
-// wire bytes saved versus one frame pair per op, and the realized
-// ops-per-batch ratio.
+// batches shipped, replies handed to acknowledgements, ops coalesced
+// (both kinds), encoded batch bytes, the estimated wire bytes saved
+// versus one frame pair per op, and the realized ops per shipment.
 func (a *Aggregator) Counters() map[string]float64 {
 	batches := a.batches.Load()
+	replies := a.replies.Load()
 	ops := a.opsTotal.Load()
 	c := map[string]float64{
 		"agg_batches":        float64(batches),
+		"agg_ack_replies":    float64(replies),
 		"agg_ops":            float64(ops),
 		"agg_batch_bytes":    float64(a.batchBytes.Load()),
 		"agg_saved_bytes":    float64(a.savedBytes.Load()),
@@ -555,8 +587,8 @@ func (a *Aggregator) Counters() map[string]float64 {
 		"agg_flush_explicit": float64(a.byReason[obs.FlushExplicit].Load()),
 		"agg_flush_barrier":  float64(a.byReason[obs.FlushBarrier].Load()),
 	}
-	if batches > 0 {
-		c["agg_ops_per_batch"] = float64(ops) / float64(batches)
+	if batches+replies > 0 {
+		c["agg_ops_per_batch"] = float64(ops) / float64(batches+replies)
 	}
 	if a.ctls != nil {
 		c["agg_adaptive_raises"] = float64(a.raises.Load())

@@ -182,6 +182,48 @@ func TestCompletionCallbacks(t *testing.T) {
 	}
 }
 
+// TestTakeReply: a destination's open batch is handed over whole, in the
+// Apply encoding, only while none of its ops carries a completion; a
+// handed-over reply is neither buffered nor in flight, and counts as a
+// reply, not a batch.
+func TestTakeReply(t *testing.T) {
+	c := &capture{ap: newMemApplier()}
+	a := New(2, Config{MaxOps: 100}, c.flush(t))
+	if rep := a.TakeReply(1); rep != nil {
+		t.Fatalf("empty destination handed over %x", rep)
+	}
+	a.Put(1, 8, []byte("hi"), nil)
+	a.Send(1, 7, []byte("answer"), nil)
+	a.Xor64(0, 16, 1, nil) // another destination's op stays
+	rep := a.TakeReply(1)
+	ap := newMemApplier()
+	if n, err := Apply(rep, ap); err != nil || n != 2 || fmt.Sprint(ap.log) != `[put 8 2 am 7 "answer"]` {
+		t.Fatalf("reply applied %d ops %v (%v), want the put and the AM in issue order", n, ap.log, err)
+	}
+	if a.Pending() != 1 || a.Buffered() != 1 {
+		t.Fatalf("Pending %d, Buffered %d after the reply, want only rank 0's op", a.Pending(), a.Buffered())
+	}
+
+	fired := false
+	a.Send(1, 7, []byte("plain"), nil)
+	a.Send(1, 7, []byte("tracked"), func() { fired = true })
+	if rep := a.TakeReply(1); rep != nil {
+		t.Fatalf("a buffer holding a completion was handed over: %x", rep)
+	}
+	a.FlushAll()
+	if len(c.batches) != 2 || c.batches[1] != 2 {
+		t.Fatalf("batches %v, want rank 0's op and rank 1's two ops whole", c.batches)
+	}
+	c.ackAll()
+	if !fired {
+		t.Fatal("the completion did not fire on its batch's ack")
+	}
+	got := a.Counters()
+	if got["agg_batches"] != 2 || got["agg_ack_replies"] != 1 || got["agg_ops"] != 5 || got["agg_ops_per_batch"] != 5.0/3 {
+		t.Errorf("counters = %v", got)
+	}
+}
+
 func TestCounters(t *testing.T) {
 	c := &capture{ap: newMemApplier()}
 	a := New(1, Config{MaxOps: 4}, c.flush(t))

@@ -121,37 +121,31 @@ func (a rankApplier) AM(id uint16, payload []byte) error {
 }
 
 // initAgg wires the aggregation layer over a batch-capable conduit:
-// outgoing batches ship through SendBatch, incoming ones decode
-// against this rank's segment and AM table; a batch that does not
-// decode or apply is the conduit's to reject (it severs the sender).
-// Called from start; the in-process backend never reaches here
-// (ProcConduit does not implement gasnet.BatchConduit), which is its
-// no-op fast path.
+// outgoing batches ship through SendBatch, incoming ones — and the
+// replies riding our own batches' acks — decode against this rank's
+// segment and AM table; a batch that does not decode or apply is the
+// conduit's to reject (it severs the sender). Called from start; the
+// in-process backend never reaches here (ProcConduit does not implement
+// gasnet.BatchConduit), which is its no-op fast path.
 func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	r.aggBC = bc
-	r.agg = agg.New(r.Ranks(), cfg, func(dst int, batch []byte, ops int, done func()) {
-		r.mustCd(bc.SendBatch(dst, batch, func() {
-			done()
-			// Ack cut-through: the completions this acknowledgement just
-			// delivered may themselves have buffered new ops — a task
-			// subtree quiescing sends its done-ack, a firing event
-			// launches deferred asyncs. Ship them now: the rank able to
-			// consume them may already be blocked waiting (a Finish, a
-			// barrier drain) with no further frame coming our way to
-			// trigger an age flush. A done-ack held because the rank is
-			// inside batch application goes too: the conduit wait that
-			// delivered this acknowledgement may be a task body's own.
-			// O(1) when nothing was buffered.
-			r.aggPreBlock()
-		}))
+	r.agg = agg.New(r.Ranks(), cfg, func(dst int, batch []byte, _ int, done func()) {
+		r.mustCd(bc.SendBatch(dst, batch, done))
 	})
-	// The conduit queues the batch's ack between the two: apply, ack,
-	// then the cut-through flush — ops the applied handlers just
-	// buffered (e.g. a DHT lookup's reply) must not wait for this rank's
-	// next explicit progress call, because a peer may be blocked on
-	// them right now, possibly with this rank already inside a barrier
-	// drain. The done-acks this batch's tasks owe go with them, as one
-	// counted ack, and on the wire all of it shares the ack's writev.
+	// After a batch from s is applied, the reply hook folds the done-acks
+	// its tasks owe into one counted ack and hands what the handlers
+	// buffered for s (a DHT lookup's answer, that done-ack) to ride the
+	// batch's ack — GASNet's request/reply — unless an op there awaits a
+	// completion, which a never-acked reply cannot deliver.
+	//
+	// after — aggPreBlock, the cut-through flush — runs once that ack is
+	// queued and again after each acknowledgement of ours: buffered ops
+	// (for other ranks, or released by the completions an ack delivered)
+	// must not wait for this rank's next progress call, because the rank
+	// able to consume them may be blocked right now — a Finish, a barrier
+	// drain — with no further frame coming our way to trigger an age
+	// flush. On the wire they share the ack's writev. O(1) when nothing
+	// is buffered.
 	bc.SetBatchHandler(func(from int, payload []byte) error {
 		r.ring.Begin(obs.KAggApply, int32(from), uint32(len(payload)))
 		outer := r.applying
@@ -160,6 +154,9 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 		r.applying = outer
 		r.ring.End(obs.KAggApply)
 		return err
+	}, func(to int) []byte {
+		r.flushDone()
+		return r.agg.TakeReply(to)
 	}, r.aggPreBlock)
 }
 
@@ -172,9 +169,10 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 // blocking request's frame, so aggregated ops issued before a direct
 // operation to the same destination are applied before it. It is also
 // the runtime's one "ship everything" step — the end of a batch
-// application and the start of every progress wait go through it — and
-// so the one place a held counted done-ack (flushDone) joins the
-// flush. O(1) when nothing is buffered.
+// application, every acknowledgement and the start of every progress
+// wait go through it — so a held counted done-ack (flushDone) the
+// batch's reply did not take joins the flush here. O(1) when nothing
+// is buffered.
 func (r *Rank) aggPreBlock() {
 	if r.agg != nil {
 		r.flushDone()
@@ -184,9 +182,13 @@ func (r *Rank) aggPreBlock() {
 
 // aggDefer registers a buffered op with the surrounding Finish scope
 // and completion object, returning the completion callback the
-// aggregator fires on acknowledgement.
+// aggregator fires on acknowledgement — nil when there is neither, so
+// the op may ride a batch ack as a reply.
 func (r *Rank) aggDefer(done Completer) func() {
 	fs := r.currentFinish()
+	if fs == nil && done == nil {
+		return nil
+	}
 	if fs != nil {
 		fs.add(1)
 	}

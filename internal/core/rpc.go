@@ -316,11 +316,12 @@ func (r *Rank) oweDone(caller int, id uint64) {
 	}
 }
 
-// flushDone ships the accumulated counted done-ack, if any. aggPreBlock
-// calls it — the end of every batch application, every path into a
-// blocking wait, the batch-ack cut-through — so a held ack can never
-// outlive the batch application that produced it, nor sit through a
-// wait nested in it.
+// flushDone ships the accumulated counted done-ack, if any. The batch
+// plane's reply hook calls it at the end of every batch application, so
+// an ack owed to the batch's sender rides the batch's acknowledgement;
+// aggPreBlock calls it on every path into a blocking wait and after
+// every acknowledgement — so a held ack can never outlive the batch
+// application that produced it, nor sit through a wait nested in it.
 func (r *Rank) flushDone() {
 	if r.ackN == 0 {
 		return

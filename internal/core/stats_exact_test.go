@@ -174,12 +174,15 @@ func TestStatsCountsExact(t *testing.T) {
 			if !tc.wire {
 				return
 			}
-			// Per rank the aggregator carries the requests in one batch, the
-			// one counted ack of the neighbour's batch in another, and the
-			// puts in a third.
+			// Per rank the aggregator carries the requests in one batch and
+			// the puts in another; the one counted done-ack the neighbour's
+			// request batch earns rides that batch's ack as its reply — on
+			// hier the shm ack (ranks 0-1, 2-3) as well as the wire ack
+			// (1-2, 3-0).
 			for name, want := range map[string]float64{
-				"agg_ops":     float64(n * (stormTasks + 1 + stormPuts)),
-				"agg_batches": float64(n * 3),
+				"agg_ops":         float64(n * (stormTasks + 1 + stormPuts)),
+				"agg_batches":     float64(n * 2),
+				"agg_ack_replies": float64(n),
 			} {
 				if got := st.Counters[name]; got != want {
 					t.Errorf("counter %s = %v, want %v", name, got, want)

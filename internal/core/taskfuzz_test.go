@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"upcxx/internal/agg"
+	"upcxx/internal/frames"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/rpc"
 	"upcxx/internal/segment"
@@ -30,16 +31,17 @@ const fuzzAM = reservedAMLimit
 // handlerConduit is a wire conduit that also hands the test the batch
 // handler the rank installs on it: apply is what the conduit runs on
 // every incoming batch, and on an error the conduit severs the sender
-// (gasnet's TestMalformedBatchSevers) and runs no after.
+// (gasnet's TestMalformedBatchSevers) and runs neither reply nor after.
 type handlerConduit struct {
 	*gasnet.WireConduit
 	apply func(from int, payload []byte) error
+	reply func(to int) []byte
 	after func()
 }
 
-func (c *handlerConduit) SetBatchHandler(apply func(int, []byte) error, after func()) {
-	c.apply, c.after = apply, after
-	c.WireConduit.SetBatchHandler(apply, after)
+func (c *handlerConduit) SetBatchHandler(apply func(int, []byte) error, reply func(int) []byte, after func()) {
+	c.apply, c.reply, c.after = apply, reply, after
+	c.WireConduit.SetBatchHandler(apply, reply, after)
 }
 
 func (c *handlerConduit) Capabilities() gasnet.Caps {
@@ -80,7 +82,7 @@ func newTaskPair(t testing.TB, segBytes int) *taskPair {
 		}
 	}
 	raw := gasnet.NewWireConduit(eps[0], segment.New(64))
-	raw.SetBatchHandler(func(int, []byte) error { return nil }, func() {})
+	raw.SetBatchHandler(func(int, []byte) error { return nil }, func(int) []byte { return nil }, func() {})
 	var quit atomic.Bool
 	served := make(chan error, 1)
 	go func() { served <- raw.WaitFor(quit.Load) }()
@@ -107,13 +109,17 @@ func newTaskPair(t testing.TB, segBytes int) *taskPair {
 }
 
 // deliver runs one batch from rank 0 through rank 1 as its conduit
-// does: apply, then — for an applied batch — the after hook, which
-// ships what the batch's ops buffered. Acknowledgements of earlier
-// batches are taken in first.
+// does: apply, then — for an applied batch — the reply hook, whose
+// bytes (the ack's reply, which rank 0 awaits none of) are dropped, and
+// the after hook, which ships whatever else the batch's ops buffered.
+// Acknowledgements of earlier batches are taken in first.
 func (p *taskPair) deliver(batch []byte) error {
 	p.cd.Poll()
 	if err := p.cd.apply(0, batch); err != nil {
 		return err
+	}
+	if rep := p.cd.reply(0); rep != nil {
+		frames.Put(rep)
 	}
 	p.cd.after()
 	return nil

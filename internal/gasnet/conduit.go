@@ -163,21 +163,31 @@ type BatchConduit interface {
 	Conduit
 
 	// SendBatch ships an encoded batch (internal/agg's op encoding) to
-	// rank `to` without blocking; onAck runs on the calling rank's
-	// goroutine once the target has applied every op in it.
+	// rank `to` without blocking and takes ownership of payload (a
+	// frames pool buffer). The target answers with one acknowledgement,
+	// which may carry a reply: ops the target sends back, in the same
+	// encoding. On the calling rank's goroutine the conduit then applies
+	// the reply with the installed apply, runs onAck — the target has
+	// applied every op of the batch — and runs after. A reply is never
+	// acknowledged. A batch to a dead rank completes as lost: onAck and
+	// after run, and no reply is applied.
 	SendBatch(to int, payload []byte, onAck func()) error
 
-	// SetBatchHandler installs the decoder incoming batches dispatch
-	// to, and the hook run after each one (both required). Both run on
-	// the receiving rank's SPMD goroutine. apply must apply the whole
-	// batch before returning and must not block; the conduit then queues
-	// the batch's acknowledgement, and only then runs after.
-	// The order is the contract: a batch's ack precedes the replies its
-	// handlers generated, so whatever after flushes leaves in the same
-	// vectored write as the ack. An error from apply means the sender's
-	// bytes broke the protocol: the sender is severed, as for any other
-	// malformed frame, and neither the ack nor after follows.
-	SetBatchHandler(apply func(from int, payload []byte) error, after func())
+	// SetBatchHandler installs the layer above's three batch hooks, all
+	// run on this rank's SPMD goroutine. On an incoming batch from rank
+	// s the conduit calls apply(s, payload), which must apply every op
+	// before returning and must not block; then reply(s), whose result
+	// (nil, or a frames pool buffer the conduit takes over) travels
+	// inside the batch's acknowledgement; then it queues that ack, and
+	// only then runs after, so whatever after flushes leaves in the same
+	// vectored write as the ack and behind it. reply must hand over only
+	// ops that need no acknowledgement of their own. apply also decodes
+	// the replies that come back on this rank's own batches' acks, and
+	// after also follows every acknowledgement delivered to onAck. An
+	// error from apply means the sender's bytes broke the protocol: the
+	// sender is severed, as for any other malformed frame, and neither
+	// reply, the ack nor after follows an incoming batch.
+	SetBatchHandler(apply func(from int, payload []byte) error, reply func(to int) []byte, after func())
 
 	// WaitFor blocks until pred() is true, servicing incoming requests
 	// and acknowledgements while waiting.

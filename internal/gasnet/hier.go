@@ -384,13 +384,24 @@ func (h *HierConduit) shmRequest(li int, handler uint16, payload []byte) ([]byte
 	return out, err
 }
 
+// onShmReply parks a control-plane reply for its requester, or
+// completes a batch: the reply its ack carries is applied first, then
+// onAck and the after hook run, as on the wire.
 func (h *HierConduit) onShmReply(from int, tok uint64, payload []byte) {
-	if fn, ok := h.shmAcks[tok]; ok {
-		delete(h.shmAcks, tok)
-		fn()
+	onAck, ok := h.shmAcks[tok]
+	if !ok {
+		h.replies[tok] = payload
 		return
 	}
-	h.replies[tok] = payload
+	delete(h.shmAcks, tok)
+	if len(payload) > 0 {
+		// A co-located peer writes our memory anyway: its bad reply aborts.
+		if err := h.wire.batchApply(h.locals[from], payload); err != nil {
+			panic(fmt.Errorf("gasnet: rank %d: corrupt shm batch reply from rank %d: %w", h.me, h.locals[from], err))
+		}
+	}
+	onAck()
+	h.wire.batchAfter()
 }
 
 // Alloc runs on the owner's allocator: self directly, co-located via a
@@ -465,15 +476,16 @@ func (h *HierConduit) LockRelease(home int, id uint64) error {
 
 // ---- Aggregation batch plane ----
 
-// SetBatchHandler installs the decoder and its after-ack hook on both
-// planes.
-func (h *HierConduit) SetBatchHandler(apply func(from int, payload []byte) error, after func()) {
-	h.wire.SetBatchHandler(apply, after)
+// SetBatchHandler installs the batch hooks on both planes: the wire
+// leg holds them, and the shm handlers call the same three.
+func (h *HierConduit) SetBatchHandler(apply func(from int, payload []byte) error, reply func(to int) []byte, after func()) {
+	h.wire.SetBatchHandler(apply, reply, after)
 }
 
 // SendBatch routes one aggregation batch by locality: co-located
-// batches ride the shm ring (one record, one shm ack — no wire frames
-// at all), remote ones the wire's batch plane.
+// batches ride the shm ring (one record, one shm ack that may carry
+// the reply — no wire frames at all), remote ones the wire's batch
+// plane.
 func (h *HierConduit) SendBatch(to int, payload []byte, onAck func()) error {
 	li, ok := h.colocated(to)
 	if !ok {
@@ -492,15 +504,17 @@ func (h *HierConduit) SendBatch(to int, payload []byte, onAck func()) error {
 }
 
 func (h *HierConduit) onShmBatch(from int, tok uint64, payload []byte) {
-	if h.wire.batchHandler == nil {
-		panic("gasnet: shm aggregation batch received with no batch handler installed")
-	}
+	w := h.locals[from]
 	// A co-located peer writes our memory anyway: its bad batch aborts.
-	if err := h.wire.batchHandler(h.locals[from], payload); err != nil {
-		panic(fmt.Errorf("gasnet: rank %d: corrupt shm batch from rank %d: %w", h.me, h.locals[from], err))
+	if err := h.wire.batchApply(w, payload); err != nil {
+		panic(fmt.Errorf("gasnet: rank %d: corrupt shm batch from rank %d: %w", h.me, w, err))
 	}
-	h.shm.Send(from, shmReply, tok, nil)
-	h.wire.afterBatch()
+	rep := h.wire.batchReply(w)
+	h.shm.Send(from, shmReply, tok, rep)
+	if rep != nil {
+		frames.Put(rep) // copied into the ring
+	}
+	h.wire.batchAfter()
 }
 
 // WaitFor blocks until pred() is true, servicing both planes.

@@ -31,7 +31,7 @@ func waitCounter(t *testing.T, cd *WireConduit, name string, want float64) {
 func TestLongPutKeepsSenderOrder(t *testing.T) {
 	cds := wireFleet(t, 2, 1<<16)
 	mem := cds[1].mem.(*testMem)
-	cds[1].SetBatchHandler(func(_ int, p []byte) error { mem.Write(u64(p), p[8:16]); return nil }, func() {})
+	cds[1].SetBatchHandler(func(_ int, p []byte) error { mem.Write(u64(p), p[8:16]); return nil }, noReply, func() {})
 	const x = 64
 	word := func() []byte {
 		mem.mu.Lock()
@@ -143,7 +143,7 @@ func TestNestedLongGets(t *testing.T) {
 			}
 			innerErr = cds[0].Get(1, 8192, inner)
 			return nil
-		}, func() {})
+		}, noReply, func() {})
 		done := make(chan error, 1)
 		go func() { done <- cds[0].Get(1, 0, outer) }()
 
@@ -185,7 +185,7 @@ func TestMalformedBatchSevers(t *testing.T) {
 	for _, resilient := range []bool{false, true} {
 		cds := wireFleet(t, 2, 1<<12)
 		after := false
-		cds[1].SetBatchHandler(func(int, []byte) error { return errors.New("hostile op") }, func() { after = true })
+		cds[1].SetBatchHandler(func(int, []byte) error { return errors.New("hostile op") }, noReply, func() { after = true })
 		var dead error
 		if resilient {
 			cds[1].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)

@@ -101,6 +101,8 @@ type WireConduit struct {
 	// PutAsync chunks). Tokens without a callback park in replies for
 	// the blocking request path.
 	acks map[uint64]*wireAck
+	// ackFree recycles batch-token records (see batchAck).
+	ackFree []*wireAck
 	// void marks tokens whose requester gave up (rank death, deadline
 	// expiry): a late reply for one is dropped instead of parking in
 	// the replies map forever.
@@ -113,16 +115,19 @@ type WireConduit struct {
 	onRankDeath func(rank int)
 	dead        []bool
 	deadCause   []error
-	lastHeard   []time.Time // last frame received per peer
+	heard       []bool      // a frame arrived from the peer since the last tick
+	lastHeard   []time.Time // the tick that last found heard set, per peer
 	pingOut     []bool      // heartbeat probe outstanding per peer
 	timers      []wireTimer // After callbacks, swept on tick
 	lostBatches int64       // batches completed-as-lost to dead ranks
 
-	// batchHandler decodes and applies one aggregation batch and
-	// afterBatch runs once its ack is queued; installed by the layer
-	// above (core) via SetBatchHandler.
-	batchHandler func(from int, payload []byte) error
-	afterBatch   func()
+	// The batch plane's hooks, installed by the layer above (core) via
+	// SetBatchHandler: batchApply decodes and applies one batch or reply,
+	// batchReply hands over what rides a batch's ack, and batchAfter
+	// runs once the ack is queued or an ack delivered.
+	batchApply func(from int, payload []byte) error
+	batchReply func(to int) []byte
+	batchAfter func()
 
 	locks      map[uint64]*wireLockState
 	nextLockID uint64
@@ -152,17 +157,18 @@ type wireStat struct {
 	bytes  atomic.Int64 // payload bytes (the fixed 26-byte frame header is not included)
 }
 
-// wireAck is one registered non-blocking reply callback.
+// wireAck is one registered non-blocking reply callback: fn for the
+// async data plane and heartbeats, onAck for an aggregation batch.
 type wireAck struct {
-	to int // target rank, so rank death can fail matching tokens
-	// lossy marks aggregation-plane tokens: on target death the ack
-	// completes as success ("the batch is lost, not pending") so
-	// events and Finish scopes drain — replication above the batch
-	// plane is what preserves the data. Data-plane tokens instead fail
-	// with RankDeadError.
-	lossy    bool
+	to       int       // target rank, so rank death can fail matching tokens
 	deadline time.Time // zero: no reply deadline
 	fn       func(payload []byte, err error)
+	// onAck marks an aggregation-plane token. Its record is pooled
+	// (batchAck), and on target death it completes as success ("the
+	// batch is lost, not pending") so events and Finish scopes drain —
+	// replication above the batch plane is what preserves the data.
+	// Data-plane tokens instead fail with RankDeadError.
+	onAck func()
 }
 
 // wireTimer is one After callback.
@@ -220,6 +226,9 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 		c.rx[h] = &wireStat{}
 	}
 	c.wait = c.tep.WaitFor
+	c.SetBatchHandler(func(int, []byte) error {
+		return fmt.Errorf("rank %d has no batch handler installed", c.Rank())
+	}, func(int) []byte { return nil }, func() {})
 	c.register(hReply, c.onReply)
 	c.register(hGet, c.onGet)
 	c.register(hPut, c.onPut)
@@ -238,7 +247,8 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 
 // register installs a handler wrapped with receive-side counting (and,
 // in resilient mode, liveness bookkeeping: any frame from a peer is
-// proof of life).
+// proof of life, noted as a flag the next tick folds into lastHeard —
+// no clock read per frame).
 func (c *WireConduit) register(h uint16, fn transport.Handler) {
 	if c.rx[h] == nil {
 		panic(fmt.Sprintf("gasnet: wire handler %d registered above hLast (%d): its frames would go uncounted", h, hLast))
@@ -247,8 +257,8 @@ func (c *WireConduit) register(h uint16, fn transport.Handler) {
 		n := len(m.Payload) + int(m.Landed)
 		c.count(c.rx, m.Handler, n)
 		c.ring.Instant(obs.KWireRx, m.From, uint32(n), uint64(m.Handler))
-		if c.lastHeard != nil {
-			c.lastHeard[m.From] = time.Now()
+		if c.heard != nil {
+			c.heard[m.From] = true
 		}
 		fn(ep, m)
 	})
@@ -439,14 +449,26 @@ func (c *WireConduit) onReply(ep *transport.TCPEndpoint, m transport.Message) {
 	}
 	// Batch acknowledgements and async-data-plane replies carry a
 	// callback instead of a parked requester; the callback consumes the
-	// payload synchronously (GetAsync copies into its destination), so
-	// the buffer recycles on return. Everything else parks in the
-	// replies map past this dispatch: retain the pooled buffer —
-	// ownership passes to the blocked requester, which releases it once
-	// consumed (see request).
+	// payload synchronously (GetAsync copies into its destination, a
+	// batch ack's reply is applied), so the buffer recycles on return.
+	// Everything else parks in the replies map past this dispatch:
+	// retain the pooled buffer — ownership passes to the blocked
+	// requester, which releases it once consumed (see request).
 	if a, ok := c.acks[m.Arg]; ok {
 		delete(c.acks, m.Arg)
-		a.fn(m.Payload, nil)
+		if a.onAck == nil {
+			a.fn(m.Payload, nil)
+			return
+		}
+		// The reply is applied before the batch completes, so whatever
+		// the batch's completion releases sees it. A reply that does not
+		// apply severs its sender; the batch itself was applied.
+		if len(m.Payload) > 0 {
+			if err := c.batchApply(int(m.From), m.Payload); err != nil {
+				c.severMalformed(m, err)
+			}
+		}
+		c.batchAcked(a)
 		return
 	}
 	ep.Retain()
@@ -775,27 +797,26 @@ func (c *WireConduit) onXor(_ *transport.TCPEndpoint, m transport.Message) {
 
 // ---- Aggregation batch plane ----
 
-// SetBatchHandler installs the decoder for incoming aggregation
-// batches (hBatch frames) and the hook that follows each one. apply
-// executes on this rank's SPMD goroutine, inside Poll or a blocking
-// call's wait loop, and must apply every operation in the payload
-// before returning: the conduit queues the batch's acknowledgement as
-// soon as apply returns, which is what completes the sender's events
-// and Finish scopes, and then runs after — so the flush after makes
-// ships the ack and the replies apply generated in one vectored write.
-// apply must not block; both are required. An error from apply severs
-// the sender and the batch goes unacknowledged. internal/core installs
-// the internal/agg decoder and its cut-through flush here.
-func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte) error, after func()) {
-	c.batchHandler = apply
-	c.afterBatch = after
+// SetBatchHandler installs the batch plane's hooks (see
+// BatchConduit.SetBatchHandler): all three run on this rank's SPMD
+// goroutine, inside Poll or a blocking call's wait loop. An incoming
+// hBatch frame is applied, then its hReply ack is queued carrying what
+// reply hands over, then after runs — so the flush after makes ships
+// the ack and the batches apply generated in one vectored write, ack
+// first. An ack that carries a reply is applied with the same apply
+// before the batch's onAck. internal/core installs the internal/agg
+// decoder, agg.TakeReply and its cut-through flush here.
+func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte) error, reply func(to int) []byte, after func()) {
+	c.batchApply, c.batchReply, c.batchAfter = apply, reply, after
 }
 
 // SendBatch ships one encoded aggregation batch to rank `to` without
-// blocking; onAck runs on this rank's goroutine once the target has
-// applied every operation in the batch. This is the transport half of
-// the aggregation layer: many small operations travel as one frame and
-// are acknowledged by one reply, instead of a frame pair each.
+// blocking. Once the target has applied every operation in it, its
+// acknowledgement arrives; the reply it may carry is applied, then
+// onAck and the after hook run, on this rank's goroutine. This is the
+// transport half of the aggregation layer: many small operations
+// travel as one frame and are acknowledged by one reply, instead of a
+// frame pair each.
 // Aggregation batches to a dead rank complete as LOST rather than
 // failing: the ack fires (so events and Finish scopes drain) and the
 // loss is counted — replication above the batch plane is what
@@ -805,15 +826,16 @@ func (c *WireConduit) SendBatch(to int, payload []byte, onAck func()) error {
 	if onAck == nil {
 		onAck = func() {} // the ack must still be consumed, or it parks in the replies map forever
 	}
+	a := c.batchAck(to, onAck)
 	if c.isDead(to) {
 		frames.Put(payload) // ownership arrived with the call; the frame never ships
 		c.lostBatches++
-		onAck()
+		c.batchAcked(a)
 		return nil
 	}
 	c.nextToken++
 	tok := c.nextToken
-	c.acks[tok] = &wireAck{to: to, lossy: true, fn: func([]byte, error) { onAck() }}
+	c.acks[tok] = a
 	// The batch buffer comes from the aggregation encoder's frame pool
 	// and is owned by this call: the transport recycles it once the
 	// frame ships (or on a failed send).
@@ -824,7 +846,7 @@ func (c *WireConduit) SendBatch(to int, payload []byte, onAck func()) error {
 		delete(c.acks, tok)
 		if c.noteSendError(to, err) != nil {
 			c.lostBatches++
-			onAck()
+			c.batchAcked(a)
 			return nil
 		}
 		return err
@@ -838,16 +860,42 @@ func (c *WireConduit) SendBatch(to int, payload []byte, onAck func()) error {
 	return nil
 }
 
-func (c *WireConduit) onBatch(_ *transport.TCPEndpoint, m transport.Message) {
-	if c.batchHandler == nil {
-		panic("gasnet: aggregation batch received with no batch handler installed")
+// batchAck returns a pooled batch-token record, so a batch in steady
+// state allocates neither a record nor a closure.
+func (c *WireConduit) batchAck(to int, onAck func()) *wireAck {
+	var a *wireAck
+	if n := len(c.ackFree); n > 0 {
+		a, c.ackFree = c.ackFree[n-1], c.ackFree[:n-1]
+	} else {
+		a = new(wireAck)
 	}
-	if err := c.batchHandler(int(m.From), m.Payload); err != nil {
+	a.to, a.onAck = to, onAck
+	return a
+}
+
+// batchAcked completes one batch — acknowledged, or lost to its
+// target's death — and recycles its record: onAck, then the after hook.
+func (c *WireConduit) batchAcked(a *wireAck) {
+	onAck := a.onAck
+	a.onAck = nil
+	c.ackFree = append(c.ackFree, a)
+	onAck()
+	c.batchAfter()
+}
+
+func (c *WireConduit) onBatch(_ *transport.TCPEndpoint, m transport.Message) {
+	from := int(m.From)
+	if err := c.batchApply(from, m.Payload); err != nil {
 		c.severMalformed(m, err)
 		return
 	}
-	c.reply(m, nil)
-	c.afterBatch()
+	if rep := c.batchReply(from); rep != nil {
+		// A pooled buffer, owned from here on: the transport recycles it.
+		_ = c.sendOwned(transport.Message{To: m.From, Handler: hReply, Arg: m.Arg, Payload: rep})
+	} else {
+		c.reply(m, nil)
+	}
+	c.batchAfter()
 }
 
 // WaitFor blocks until pred() is true, dispatching incoming requests
@@ -877,6 +925,7 @@ func (c *WireConduit) EnableResilience(rc ResilienceConfig, onRankDeath func(ran
 	n := c.Ranks()
 	c.dead = make([]bool, n)
 	c.deadCause = make([]error, n)
+	c.heard = make([]bool, n)
 	c.lastHeard = make([]time.Time, n)
 	now := time.Now()
 	for i := range c.lastHeard {
@@ -946,12 +995,17 @@ func (c *WireConduit) onTick() {
 			fn()
 		}
 	}
-	// Heartbeats: ping any live peer silent past the interval. The
-	// probe rides the normal ack plane with a deadline, so an
+	// Heartbeats: ping any live peer silent past the interval. A peer
+	// heard from since the last sweep was heard from now, to within one
+	// tick. The probe rides the normal ack plane with a deadline, so an
 	// unanswered ping surfaces right here as a TimeoutError, which is
 	// what severs the peer.
 	me := c.Rank()
 	for r := 0; r < c.Ranks(); r++ {
+		if c.heard[r] {
+			c.heard[r] = false
+			c.lastHeard[r] = now
+		}
 		if r == me || c.dead[r] || c.pingOut[r] {
 			continue
 		}
@@ -1004,9 +1058,9 @@ func (c *WireConduit) markDead(rank int, cause error) {
 		}
 		delete(c.acks, tok)
 		c.void[tok] = struct{}{}
-		if a.lossy {
+		if a.onAck != nil {
 			c.lostBatches++
-			a.fn(nil, nil)
+			c.batchAcked(a)
 		} else {
 			a.fn(nil, derr)
 		}

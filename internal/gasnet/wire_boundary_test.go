@@ -3,7 +3,7 @@ package gasnet
 import (
 	"bytes"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,6 +155,9 @@ func TestAllGatherFragmentBoundaries(t *testing.T) {
 	}
 }
 
+// noReply is a batch plane reply hook that never hands a reply over.
+func noReply(int) []byte { return nil }
+
 // recorder collects applied batches on the receiving side.
 type recorder struct {
 	mu      sync.Mutex
@@ -177,7 +180,7 @@ func (r *recorder) handle(from int, payload []byte) error {
 func TestSendBatchAckAndCounters(t *testing.T) {
 	cds := wireFleet(t, 2, 64)
 	rec := &recorder{}
-	cds[1].SetBatchHandler(rec.handle, func() {})
+	cds[1].SetBatchHandler(rec.handle, noReply, func() {})
 	stop := servePoll(cds[1])
 
 	const batches = 5
@@ -226,45 +229,45 @@ func TestSendBatchAckAndCounters(t *testing.T) {
 	}
 }
 
-// TestBatchAckSharesFlush pins the order of the batch plane's receive
-// side: apply, queue the ack, then the after hook. A batch whose
-// handling produces a reply batch therefore costs its target exactly
-// one vectored write for ack and reply together, and the sender
-// dispatches the ack before the reply — the ordering rule "a batch's
-// ack precedes the replies its handlers generated".
+// TestBatchAckSharesFlush pins the batch plane's request/reply rule: a
+// one-op batch whose handler answers is answered by exactly one frame —
+// its ack, carrying the reply — in one vectored write, and the sender
+// applies the reply before the batch's completion fires, then runs the
+// after hook. A reply is never acknowledged: the sender's only frame is
+// the batch.
 func TestBatchAckSharesFlush(t *testing.T) {
 	cds := wireFleet(t, 2, 64)
 	var order []string // sender's goroutine only
-	cds[0].SetBatchHandler(func(int, []byte) error { order = append(order, "reply"); return nil }, func() {})
+	cds[0].SetBatchHandler(func(_ int, p []byte) error {
+		order = append(order, "reply "+string(p))
+		return nil
+	}, noReply, func() { order = append(order, "after") })
 	applied := false
-	cds[1].SetBatchHandler(func(int, []byte) error { applied = true; return nil }, func() {
-		if !applied {
-			t.Error("after hook ran before apply")
+	cds[1].SetBatchHandler(func(int, []byte) error { applied = true; return nil }, func(to int) []byte {
+		if !applied || to != 0 {
+			t.Errorf("reply hook for rank %d ran with the batch applied %v", to, applied)
 		}
-		// What core's cut-through flush does when an applied handler
-		// buffered an answer: ship it as a batch of its own.
-		if err := cds[1].SendBatch(0, frames.Get(3), nil); err != nil {
-			t.Error(err)
-		}
-	})
-	before := cds[1].Counters()["net_tx_writevs"]
+		return append(frames.Get(3)[:0], "ans"...)
+	}, func() {})
+	before := cds[1].Counters()
 	stop := servePoll(cds[1])
 	if err := cds[0].SendBatch(1, frames.Get(2), func() { order = append(order, "ack") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := cds[0].WaitFor(func() bool { return len(order) == 2 }); err != nil {
+	if err := cds[0].WaitFor(func() bool { return len(order) == 3 }); err != nil {
 		t.Fatal(err)
 	}
-	// The reply batch's own ack must reach rank 1 before its counters
-	// are final; it is rank 0's write, not rank 1's.
-	for cds[1].Counters()["wire_rx_frames_reply"] < 1 {
-		runtime.Gosched()
-	}
 	stop()
-	if order[0] != "ack" || order[1] != "reply" {
-		t.Errorf("sender dispatched %v, want the ack before the reply batch", order)
+	if want := []string{"reply ans", "ack", "after"}; !slices.Equal(order, want) {
+		t.Errorf("sender ran %q, want %q", order, want)
 	}
-	if got := cds[1].Counters()["net_tx_writevs"] - before; got != 1 {
-		t.Errorf("target made %v vectored writes for ack + reply batch, want 1", got)
+	after := cds[1].Counters()
+	for name, want := range map[string]float64{"net_tx_writevs": 1, "wire_tx_frames": 1, "wire_tx_frames_reply": 1} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("target %s grew by %v, want %v", name, got, want)
+		}
+	}
+	if got := cds[0].Counters()["wire_tx_frames"]; got != 1 {
+		t.Errorf("sender sent %v frames, want 1 (the batch; a reply is never acked)", got)
 	}
 }

@@ -18,6 +18,9 @@ const (
 	FlushMaxAge
 	FlushExplicit
 	FlushBarrier
+	// FlushReply marks a batch handed over to ride an acknowledgement
+	// (agg.TakeReply) rather than shipped as a batch of its own.
+	FlushReply
 )
 
 // FlushReasonName names a KAggFlush arg value.
@@ -33,6 +36,8 @@ func FlushReasonName(r uint64) string {
 		return "explicit"
 	case FlushBarrier:
 		return "barrier"
+	case FlushReply:
+		return "reply"
 	}
 	return "unknown"
 }

@@ -284,17 +284,19 @@ func TestTeamCollectivesSurviveDeath(t *testing.T) {
 var chaosEcho = core.RegisterTask("spmd.chaos.echo",
 	func(me *core.Rank, from int, args []byte) []byte { return args })
 
-// TestDelayedAckAfterFinishWait: the executor's reply batch — carrying
-// both the task's return value and the done-ack Finish waits for — is
-// delayed after Finish has already entered its wait. Finish must stay
-// blocked for the full delay and then complete normally, with the
-// future carrying the right bytes: a late ack is late, not lost.
+// TestDelayedAckAfterFinishWait: the executor's ack of the request
+// batch — carrying as its reply both the task's return value and the
+// done-ack Finish waits for — is delayed after Finish has already
+// entered its wait. Finish must stay blocked for the full delay and
+// then complete normally, with the future carrying the right bytes: a
+// late ack is late, not lost.
 func TestDelayedAckAfterFinishWait(t *testing.T) {
 	const delay = 150 * time.Millisecond
-	// handler 9 = wire hBatch; rank 1's first batch to rank 0 is the
-	// reply+done-ack of the task below.
-	plan := mustPlan(t, "delay:rank=1,peer=0,handler=9,op=1,delay=150ms")
-	cfg := core.Config{Fault: plan}
+	// handler 1 = wire hReply; rank 1's first one to rank 0 is the ack of
+	// the task's request batch. Heartbeats, whose answers are hReply
+	// frames too, stay out of the window.
+	plan := mustPlan(t, "delay:rank=1,peer=0,handler=1,op=1,delay=150ms")
+	cfg := core.Config{Fault: plan, HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}
 	var elapsed time.Duration
 	panics := runWireFaulty(t, 2, 1<<20, cfg, func(me *core.Rank, _ []*transport.TCPEndpoint) {
 		me.Barrier()

@@ -33,11 +33,10 @@ func netCalls() (reads, writevs, landed int64) {
 // 1, which sits in the closing barrier. reads/op and writevs/op are
 // both ranks' system calls per operation over the timed loop: an
 // 8-byte put or get is a request and a reply (2 writevs, 2 reads,
-// exact); batch1-reply is a one-op aggregation batch whose handler
-// answers — the batch, the target's ack and answer batch in one writev,
-// and the ack of that answer (3 writevs, exact; 3 reads at most, fewer
-// whenever the answer's ack and the next batch reach the target
-// together). put32k and get32k are WriteSlice and ReadSlice of 32 KiB:
+// exact); batch1-reply is an AsyncTaskFuture round trip, a one-op
+// aggregation batch whose handler answers — the batch, and the target's
+// ack carrying the answer as its reply, which is never acked (2 writevs
+// and 2 reads, exact). put32k and get32k are WriteSlice and ReadSlice of 32 KiB:
 // a request and a reply each (2 writevs; 3 reads, the long frame's
 // header buffer and its remainder plus the short one), and landed/op —
 // frames read straight into the segment or the caller's slice — exactly
