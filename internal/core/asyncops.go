@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"upcxx/internal/gasnet"
-)
+import "time"
 
 // Futures-first one-sided operations: the non-blocking counterparts of
 // Read/Write/Copy/ReadSlice returning a chainable *Future instead of
@@ -13,17 +9,15 @@ import (
 // time) and register with the enclosing Finish, so a Finish over a
 // chain of ReadAsync→Then links waits for all of it.
 //
-// Backend behavior:
-//
-//   - On the wire conduit the request frames leave immediately and the
-//     future resolves from progress dispatch when the last reply
-//     lands (gasnet.AsyncConduit) — genuine communication/computation
-//     overlap in wall-clock time, which TestFuturesOverlapBeatsBlocking
-//     (internal/spmd) holds.
-//   - In-process a remote access is a direct segment move, so the data
-//     is staged eagerly and the future resolves immediately carrying
-//     the modeled completion time; Get/continuation timestamps keep
-//     the virtual-time overlap accounting exact, mirroring AsyncCopy.
+// Every one of them is one conduit GetAsync or PutAsync (xferAsync),
+// whatever the backend: on the wire the request frames leave now and
+// the future resolves from progress dispatch when the last reply lands
+// — genuine communication/computation overlap in wall-clock time, which
+// TestFuturesOverlapBeatsBlocking (internal/spmd) holds; in-process, and
+// to a co-located rank, the copy completes inside the call and the
+// future resolves at once carrying the modeled completion time, so
+// Get/continuation timestamps keep the virtual-time overlap accounting
+// exact, mirroring AsyncCopy.
 //
 // Failure behavior (resilient wire jobs, Config.Resilient): an
 // operation whose target dies fails its future with a typed
@@ -60,13 +54,31 @@ func nbFuture[T any](me *Rank) (f *Future[T], settle func(v T, t float64), fail 
 	return
 }
 
-// asyncCd returns the conduit's non-blocking extension when the target
-// is remote on a wire job, nil otherwise.
-func (r *Rank) asyncCd(target int) gasnet.AsyncConduit {
-	if target == r.id {
-		return nil
-	}
-	return r.caps.Async
+// xferAsync moves buf between this rank and rank's segment at off — a
+// get into buf, or a put of it — under pol, and runs ok or fail exactly
+// once with the op's settle time: its modeled completion, or later if
+// the wire took longer. Aggregated ops buffered before it ship first.
+func (r *Rank) xferAsync(pol *RetryPolicy, get bool, rank int, off uint64, buf []byte,
+	completion float64, ok func(t float64), fail func(err error, t float64)) {
+	r.aggPreBlock()
+	r.startAsync(pol,
+		func(timeout time.Duration, done func(error)) error {
+			if get {
+				return r.cd.GetAsync(rank, off, buf, timeout, done)
+			}
+			return r.cd.PutAsync(rank, off, buf, timeout, done)
+		},
+		func() {
+			ok(maxTime(completion, r.Clock()))
+			// Cut-through: continuations the resolution just ran may
+			// have buffered aggregated ops; ship them before the wait
+			// loop blocks again (see initAgg's ack cut-through).
+			r.aggPreBlock()
+		},
+		func(err error) {
+			fail(err, maxTime(completion, r.Clock()))
+			r.aggPreBlock() // cut-through for failure continuations too
+		})
 }
 
 // ReadAsync starts a non-blocking one-sided read of the element at p
@@ -88,31 +100,9 @@ func ReadAsync[T any](me *Rank, p GlobalPtr[T], opts ...AsyncOpt) *Future[T] {
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
 
 	f, settle, fail := nbFuture[T](me)
-	me.aggPreBlock()
-	if ac := me.asyncCd(int(p.rank)); ac != nil {
-		buf := make([]byte, n)
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return ac.GetAsync(int(p.rank), p.Offset(), buf, timeout, done)
-			},
-			func() {
-				var v T
-				copy(valueBytes(&v), buf)
-				settle(v, maxTime(completion, me.Clock()))
-				// Cut-through: continuations the resolution just ran may
-				// have buffered aggregated ops; ship them before the wait
-				// loop blocks again (see initAgg's ack cut-through).
-				me.aggPreBlock()
-			},
-			func(err error) {
-				fail(err, maxTime(completion, me.Clock()))
-				me.aggPreBlock() // cut-through for failure continuations too
-			})
-		return f
-	}
-	var v T
-	me.mustCd(me.cd.Get(int(p.rank), p.Offset(), valueBytes(&v)))
-	settle(v, completion)
+	v := new(T)
+	me.xferAsync(cfg.retry, true, int(p.rank), p.Offset(), valueBytes(v), completion,
+		func(t float64) { settle(*v, t) }, fail)
 	return f
 }
 
@@ -133,25 +123,8 @@ func WriteAsync[T any](me *Rank, p GlobalPtr[T], v T, opts ...AsyncOpt) *Future[
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
 
 	f, settle, fail := nbFuture[struct{}](me)
-	me.aggPreBlock()
-	if ac := me.asyncCd(int(p.rank)); ac != nil {
-		buf := append([]byte(nil), valueBytes(&v)...)
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return ac.PutAsync(int(p.rank), p.Offset(), buf, timeout, done)
-			},
-			func() {
-				settle(struct{}{}, maxTime(completion, me.Clock()))
-				me.aggPreBlock() // cut-through, as in ReadAsync
-			},
-			func(err error) {
-				fail(err, maxTime(completion, me.Clock()))
-				me.aggPreBlock()
-			})
-		return f
-	}
-	me.mustCd(me.cd.Put(int(p.rank), p.Offset(), valueBytes(&v)))
-	settle(struct{}{}, completion)
+	me.xferAsync(cfg.retry, false, int(p.rank), p.Offset(), valueBytes(&v), completion,
+		func(t float64) { settle(struct{}{}, t) }, fail)
 	return f
 }
 
@@ -177,24 +150,8 @@ func ReadSliceAsync[T any](me *Rank, src GlobalPtr[T], dst []T, opts ...AsyncOpt
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(src.rank), bytes)
 
-	me.aggPreBlock()
-	if ac := me.asyncCd(int(src.rank)); ac != nil {
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return ac.GetAsync(int(src.rank), src.Offset(), sliceBytes(dst), timeout, done)
-			},
-			func() {
-				settle(dst, maxTime(completion, me.Clock()))
-				me.aggPreBlock() // cut-through, as in ReadAsync
-			},
-			func(err error) {
-				fail(err, maxTime(completion, me.Clock()))
-				me.aggPreBlock()
-			})
-		return f
-	}
-	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), sliceBytes(dst)))
-	settle(dst, completion)
+	me.xferAsync(cfg.retry, true, int(src.rank), src.Offset(), sliceBytes(dst), completion,
+		func(t float64) { settle(dst, t) }, fail)
 	return f
 }
 
@@ -220,33 +177,17 @@ func WriteSliceFuture[T any](me *Rank, dst GlobalPtr[T], src []T, opts ...AsyncO
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, int(dst.rank), bytes)
 
-	me.aggPreBlock()
-	if ac := me.asyncCd(int(dst.rank)); ac != nil {
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return ac.PutAsync(int(dst.rank), dst.Offset(), sliceBytes(src), timeout, done)
-			},
-			func() {
-				settle(struct{}{}, maxTime(completion, me.Clock()))
-				me.aggPreBlock() // cut-through, as in ReadAsync
-			},
-			func(err error) {
-				fail(err, maxTime(completion, me.Clock()))
-				me.aggPreBlock()
-			})
-		return f
-	}
-	me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), sliceBytes(src)))
-	settle(struct{}{}, completion)
+	me.xferAsync(cfg.retry, false, int(dst.rank), dst.Offset(), sliceBytes(src), completion,
+		func(t float64) { settle(struct{}{}, t) }, fail)
 	return f
 }
 
 // CopyAsync starts a non-blocking bulk transfer of count elements from
 // src to dst and returns its completion future — the future-returning
-// async_copy. Fully remote pairs stage through the initiator: on the
-// wire the get and the put pipeline through progress dispatch, so the
-// initiator never stalls. Accepts WithRetry; the policy applies to
-// each leg independently.
+// async_copy. The bytes stage through a private buffer: the put is
+// issued from the get's completion, so on the wire the two legs
+// pipeline through progress dispatch and the initiator never stalls.
+// Accepts WithRetry; the policy applies to each leg independently.
 func CopyAsync[T any](me *Rank, src, dst GlobalPtr[T], count int, opts ...AsyncOpt) *Future[struct{}] {
 	var cfg asyncCfg
 	for _, o := range opts {
@@ -273,45 +214,11 @@ func CopyAsync[T any](me *Rank, src, dst GlobalPtr[T], count int, opts ...AsyncO
 	me.ep.Clock.Advance(mo.NBInitCost())
 	completion := me.Clock() + mo.NBCompleteCost(me.id, peer, bytes)
 
-	me.aggPreBlock()
-	srcAC, dstAC := me.asyncCd(int(src.rank)), me.asyncCd(int(dst.rank))
-	if srcAC == nil && dstAC == nil {
-		moveBytes(me, src, dst, bytes)
-		settle(struct{}{}, completion)
-		return f
-	}
-	// Wire path: stage through a private buffer, chaining the put off
-	// the get's completion so neither leg blocks the initiator.
 	tmp := make([]byte, bytes)
-	onBad := func(err error) {
-		fail(err, maxTime(completion, me.Clock()))
-		me.aggPreBlock()
-	}
-	finishPut := func() {
-		if dstAC != nil {
-			me.startAsync(cfg.retry,
-				func(timeout time.Duration, done func(error)) error {
-					return dstAC.PutAsync(int(dst.rank), dst.Offset(), tmp, timeout, done)
-				},
-				func() {
-					settle(struct{}{}, maxTime(completion, me.Clock()))
-					me.aggPreBlock() // cut-through, as in ReadAsync
-				}, onBad)
-			return
-		}
-		me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), tmp))
-		settle(struct{}{}, maxTime(completion, me.Clock()))
-	}
-	if srcAC != nil {
-		me.startAsync(cfg.retry,
-			func(timeout time.Duration, done func(error)) error {
-				return srcAC.GetAsync(int(src.rank), src.Offset(), tmp, timeout, done)
-			},
-			finishPut, onBad)
-		return f
-	}
-	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), tmp))
-	finishPut()
+	me.xferAsync(cfg.retry, true, int(src.rank), src.Offset(), tmp, completion, func(float64) {
+		me.xferAsync(cfg.retry, false, int(dst.rank), dst.Offset(), tmp, completion,
+			func(t float64) { settle(struct{}{}, t) }, fail)
+	}, fail)
 	return f
 }
 

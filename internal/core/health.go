@@ -85,6 +85,12 @@ func (r *Rank) markRankDead(rank int) {
 	for _, id := range doomed {
 		r.failCall(id, r.deadErrFor(rank))
 	}
+	// Nor will the answers to its retired calls' other attempts.
+	for id, v := range r.voidCalls {
+		if v.target == rank {
+			delete(r.voidCalls, id)
+		}
+	}
 	// Done-acks the dead rank's task subtrees would have sent: credit
 	// their scopes so a surrounding Finish drains instead of hanging.
 	if m := r.remoteSlots[rank]; m != nil {

@@ -271,14 +271,15 @@ type Rank struct {
 	// declared deaths; deathCbs are OnRankDeath registrations.
 	// remoteSlots[target][fs] counts done-acks target owes fs, the
 	// credits markRankDead restores when target dies; voidCalls holds
-	// retired call ids whose late/duplicate replies must be dropped
-	// rather than treated as protocol corruption.
+	// retired call ids with attempts still unanswered, whose late or
+	// duplicate replies must be dropped rather than treated as protocol
+	// corruption (see voidCall).
 	rcd         gasnet.ResilientConduit
 	resilient   bool
 	deadRanks   []bool
 	deathCbs    []func(rank int)
 	remoteSlots map[int]map[*finishScope]int
-	voidCalls   map[uint64]struct{}
+	voidCalls   map[uint64]voidCall
 
 	// Observability (internal/obs). ring is this rank's span ring —
 	// nil while tracing is disabled, making every span call site a

@@ -75,7 +75,7 @@ func (r *Rank) afterCd(d time.Duration, fn func()) {
 
 // startAsync drives one non-blocking conduit transfer to completion
 // under pol (nil = single attempt): start issues one attempt with the
-// per-attempt timeout and must honor the AsyncConduit contract (a
+// per-attempt timeout and must honor the Conduit.GetAsync contract (a
 // non-nil return means its callback never fires; otherwise it fires
 // exactly once). ok or bad runs exactly once, on this rank's
 // goroutine, possibly before startAsync returns.

@@ -89,17 +89,22 @@ func RegisterTask(name string, fn TaskBody) Task {
 // completion, or both. target is the executor rank, so a death sweep
 // can fail exactly the calls the corpse owed. A retried call (launched
 // under a RetryPolicy) carries its finish scope here instead of a
-// done-ack id — the credit rides the reply, see wireTaskRetry.
+// done-ack id — the credit rides the reply, see wireTaskRetry. sent
+// counts the attempts shipped, each of which may be answered.
 type pendingCall struct {
-	fut     *Future[[]byte]
-	done    Completer
-	target  int
-	fs      *finishScope
-	retried bool
+	fut    *Future[[]byte]
+	done   Completer
+	target int
+	fs     *finishScope
+	sent   int
 	// t0 is the obs-clock issue time, captured only while tracing is
 	// on; the reply observes the round trip into the rtt histogram.
 	t0 uint64
 }
+
+// voidCall is a retired call id's entry in voidCalls: its executor and
+// how many of its attempts may still be answered.
+type voidCall struct{ target, left int }
 
 // rpcRequest executes one incoming registered-task request. It runs on
 // this rank's SPMD goroutine, inside batch application. The protocol's
@@ -129,7 +134,7 @@ func (r *Rank) rpcRequest(from int, payload []byte) error {
 }
 
 // rpcReply resolves one pending call with the body's return bytes.
-func (r *Rank) rpcReply(_ int, payload []byte) error {
+func (r *Rank) rpcReply(from int, payload []byte) error {
 	callID, data, err := rpc.DecodeReply(payload)
 	if err != nil {
 		return fmt.Errorf("corrupt task reply: %w", err)
@@ -137,10 +142,19 @@ func (r *Rank) rpcReply(_ int, payload []byte) error {
 	pc := r.calls[callID]
 	if pc == nil {
 		// A reply for a call that was already retired: a duplicate from
-		// a retried request whose earlier attempt also got through, or a
-		// straggler for a call the failure path already failed. Expected
-		// under retries — drop it. Any other unknown id is corruption.
-		if _, void := r.voidCalls[callID]; void {
+		// a retried request whose earlier attempt also got through, a
+		// straggler for a call the failure path already failed, or one
+		// a dead executor sent before it died. Expected under retries —
+		// drop it. Any other unknown id is corruption.
+		if v, void := r.voidCalls[callID]; void {
+			if v.left--; v.left == 0 {
+				delete(r.voidCalls, callID)
+			} else {
+				r.voidCalls[callID] = v
+			}
+			return nil
+		}
+		if r.rankDead(from) {
 			return nil
 		}
 		return fmt.Errorf("task reply for unknown call %d", callID)
@@ -150,11 +164,9 @@ func (r *Rank) rpcReply(_ int, payload []byte) error {
 		r.rpcRTT.Observe(int64(obs.NowNs() - pc.t0))
 	}
 	t := r.Clock()
-	if pc.retried {
-		// Further attempts may still be in flight; their replies must be
-		// dropped, not panicked on.
-		r.voidCall(callID)
-	}
+	// Further attempts may still be in flight; their replies must be
+	// dropped, not panicked on.
+	r.voidCall(callID, pc, 1)
 	if pc.fut != nil {
 		// The payload aliases the batch buffer; the future outlives it.
 		// Resolution fires attached continuations here, inside batch
@@ -164,7 +176,7 @@ func (r *Rank) rpcReply(_ int, payload []byte) error {
 	if pc.done != nil {
 		pc.done.compComplete(t, r)
 	}
-	if pc.retried && pc.fs != nil {
+	if pc.fs != nil {
 		// Retried calls carry no done-ack id; the finish credit rides
 		// the (first) reply instead.
 		pc.fs.childDone(t, r)
@@ -172,12 +184,18 @@ func (r *Rank) rpcReply(_ int, payload []byte) error {
 	return nil
 }
 
-// voidCall marks a retired call id whose late replies must be ignored.
-func (r *Rank) voidCall(callID uint64) {
-	if r.voidCalls == nil {
-		r.voidCalls = make(map[uint64]struct{})
+// voidCall retires callID, `answered` of whose pc.sent attempts have
+// been answered: while the rest may still reply from a live executor,
+// the id stays in voidCalls so their replies are dropped, and the last
+// of them deletes it (markRankDead drops a dead executor's ids).
+func (r *Rank) voidCall(callID uint64, pc *pendingCall, answered int) {
+	if pc.sent <= answered || r.rankDead(pc.target) {
+		return
 	}
-	r.voidCalls[callID] = struct{}{}
+	if r.voidCalls == nil {
+		r.voidCalls = make(map[uint64]voidCall)
+	}
+	r.voidCalls[callID] = voidCall{target: pc.target, left: pc.sent - answered}
 }
 
 // failCall retires one pending call with a failure: the future fails
@@ -191,7 +209,7 @@ func (r *Rank) failCall(callID uint64, err error) {
 		return
 	}
 	delete(r.calls, callID)
-	r.voidCall(callID)
+	r.voidCall(callID, pc, 0)
 	t := r.Clock()
 	if pc.fut != nil {
 		pc.fut.fail(err, t, r)
@@ -199,7 +217,7 @@ func (r *Rank) failCall(callID uint64, err error) {
 	if pc.done != nil {
 		pc.done.compComplete(t, r)
 	}
-	if pc.retried && pc.fs != nil {
+	if pc.fs != nil {
 		pc.fs.childDone(t, r)
 	}
 }
@@ -390,7 +408,7 @@ func (r *Rank) wireTask(target int, idx uint16, args []byte,
 		if r.calls == nil {
 			r.calls = make(map[uint64]*pendingCall)
 		}
-		pc := &pendingCall{fut: fut, done: done, target: target}
+		pc := &pendingCall{fut: fut, done: done, target: target, sent: 1}
 		if r.ring != nil {
 			pc.t0 = obs.NowNs()
 		}
@@ -439,7 +457,7 @@ func (r *Rank) wireTaskRetry(target int, idx uint16, args []byte,
 	if r.calls == nil {
 		r.calls = make(map[uint64]*pendingCall)
 	}
-	pc := &pendingCall{fut: fut, done: done, target: target, fs: fs, retried: true}
+	pc := &pendingCall{fut: fut, done: done, target: target, fs: fs}
 	if r.ring != nil {
 		pc.t0 = obs.NowNs()
 	}
@@ -452,13 +470,15 @@ func (r *Rank) wireTaskRetry(target int, idx uint16, args []byte,
 // policy carries a per-attempt deadline, arms the timer that either
 // re-sends or fails the call if the reply has not landed by then.
 func (r *Rank) sendCallAttempt(callID uint64, target int, payload []byte, pol RetryPolicy, attempt int) {
-	if r.calls[callID] == nil {
+	pc := r.calls[callID]
+	if pc == nil {
 		return // completed (or failed) while the retry timer was pending
 	}
 	if !r.RankAlive(target) {
 		r.failCall(callID, r.deadErrFor(target))
 		return
 	}
+	pc.sent++
 	r.ep.Stats.AMs++
 	r.agg.Send(target, amRPCReq, payload, nil)
 	// Ship now: the attempt deadline measures the network round trip,

@@ -86,9 +86,11 @@ func FuzzBatchReply(f *testing.F) {
 			_, err := agg.Apply(p, got)
 			return err
 		}, noReply, func() { order = append(order, "after") })
-		c.nextToken++
-		tok := c.nextToken
-		c.acks[tok] = c.batchAck(1, func() { order = append(order, "ack") })
+		x := c.newReq(hBatch, 1, 1, 0, nil)
+		x.onAck = func() { order = append(order, "ack") }
+		tok := x.tok
+		c.acks[tok] = x
+		x.n, x.left = 1, 1
 
 		c.onReply(tep, transport.Message{From: 1, To: 0, Handler: hReply, Arg: tok, Payload: payload})
 

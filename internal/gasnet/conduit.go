@@ -21,11 +21,14 @@ import (
 // Engine (ranks are goroutines; the virtual-time cost model applies),
 // WireConduit runs over internal/transport's framed TCP messages (ranks
 // are OS processes), and HierConduit composes a shared-memory plane
-// with the wire. Closure-carrying asyncs are deliberately NOT part of
-// this interface — Go closures do not serialize. The core settles a
-// closure's reach when it builds the job, which holds rank handles only
-// for the ranks in its address space: a closure aimed at any other rank
-// fails with ErrNotWireCapable.
+// with the wire. Every one of them moves data non-blockingly (GetAsync,
+// PutAsync) — on the wire the frames leave now and onDone fires from
+// progress dispatch, in-process the copy is the completed transfer —
+// so the runtime never asks which conduit it has. Closure-carrying
+// asyncs are deliberately NOT part of this interface — Go closures do
+// not serialize. The core settles a closure's reach when it builds the
+// job, which holds rank handles only for the ranks in its address
+// space: a closure aimed at any other rank fails with ErrNotWireCapable.
 //
 // A Conduit is driven by its rank's single SPMD goroutine: blocking
 // calls service incoming requests while waiting (the GASNet progress
@@ -36,8 +39,24 @@ type Conduit interface {
 	Rank() int
 	Ranks() int
 
-	// Get copies len(p) bytes from rank's segment at off into p.
-	// Put copies p into rank's segment at off.
+	// GetAsync starts copying len(p) bytes from rank's segment at off
+	// into p and returns without waiting; onDone runs on the calling
+	// rank's goroutine once every byte has landed (err nil), or with the
+	// failure: a refusal (the range lies outside the target's segment),
+	// a reply deadline expiry (timeout > 0, resilient conduits only) or
+	// the target's death. p must stay untouched until then. A non-nil
+	// return means onDone never runs; otherwise it runs exactly once,
+	// possibly before GetAsync returns (a co-located or in-process
+	// transfer completes inside the call).
+	GetAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error
+	// PutAsync starts copying p into rank's segment at off; onDone runs
+	// once the target has applied every byte, or with the failure. p is
+	// the caller's again when PutAsync returns. Same timeout and
+	// exactly-once contract as GetAsync.
+	PutAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error
+
+	// Get and Put are GetAsync and PutAsync waited on, with no deadline
+	// — the paper's copy as async_copy plus a wait (§III-D).
 	Get(rank int, off uint64, p []byte) error
 	Put(rank int, off uint64, p []byte) error
 
@@ -108,9 +127,6 @@ type Caps struct {
 	// WaitFor); nil on backends where a remote access is already a
 	// direct load/store (ProcConduit).
 	Batch BatchConduit
-	// Async is the non-blocking data plane (GetAsync/PutAsync); nil on
-	// backends whose transfers complete in the same instruction stream.
-	Async AsyncConduit
 	// Resilient is the survivable-peer-loss extension; nil on backends
 	// without a failure detector.
 	Resilient ResilientConduit
@@ -192,37 +208,6 @@ type BatchConduit interface {
 	// WaitFor blocks until pred() is true, servicing incoming requests
 	// and acknowledgements while waiting.
 	WaitFor(pred func() bool) error
-}
-
-// AsyncConduit is the optional extension the futures-based one-sided
-// operations (core.ReadAsync, WriteAsync, CopyAsync, ReadSliceAsync)
-// use for genuinely non-blocking data movement: the request frames
-// leave now, the initiating rank keeps computing, and onDone fires
-// from the rank's progress dispatch (Poll or a blocking call's wait
-// loop) when the last reply arrives. Only conduits whose transfers
-// have real wire latency implement it — WireConduit does; ProcConduit
-// does not, because an in-process access completes in the same
-// instruction stream and the core's virtual-time path models the
-// overlap instead. The core probes for it through
-// Capabilities().Async and falls back to the
-// eager-move-plus-modeled-completion path when absent.
-type AsyncConduit interface {
-	Conduit
-
-	// GetAsync starts copying len(p) bytes from rank's segment at off
-	// into p without blocking; onDone runs on the calling rank's
-	// goroutine once every byte has landed (err nil), or with the
-	// failure — a reply deadline expiry (timeout > 0 and resilience
-	// enabled) or the target rank's death. p must stay untouched until
-	// then. Contract: a non-nil return means onDone was not and will
-	// not be invoked; otherwise onDone runs exactly once.
-	GetAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error
-
-	// PutAsync starts copying p into rank's segment at off without
-	// blocking; onDone runs on the calling rank's goroutine once the
-	// target has applied every byte, or with the failure. Same timeout
-	// and exactly-once contract as GetAsync.
-	PutAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error
 }
 
 // ResilienceConfig tunes the heartbeat failure detector of a conduit

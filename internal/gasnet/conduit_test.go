@@ -3,8 +3,11 @@ package gasnet
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"upcxx/internal/sim"
 	"upcxx/internal/transport"
@@ -89,9 +92,10 @@ func allRanks(n int) []int {
 }
 
 // exerciseConduit runs the same cross-rank script over any conduit
-// fleet: remote put/get/xor, remote alloc/free, a contended lock, an
-// allgather and barriers over all ranks. It is the contract every
-// backend must satisfy.
+// fleet: remote put/get/xor, the same transfers non-blocking (8 B,
+// 4 KiB, empty, to self, and out of range, refused), remote
+// alloc/free, a contended lock, an allgather and barriers over all
+// ranks. It is the contract every backend must satisfy.
 func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 	t.Helper()
 	world := allRanks(n)
@@ -158,6 +162,60 @@ func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 				fail(fmt.Errorf("xor64: got %x, want %x", v, want^0xFF))
 			}
 
+			// Non-blocking data plane. xfer issues one GetAsync (get) or
+			// PutAsync and polls until onDone has run; its error is the
+			// call's or onDone's. onDone never runs after an error
+			// return, and otherwise exactly once (ran is checked again
+			// after the closing barrier).
+			var ran []*int
+			xfer := func(get bool, to int, off uint64, p []byte) error {
+				n, got := new(int), error(nil)
+				ran = append(ran, n)
+				onDone := func(err error) { *n++; got = err }
+				var err error
+				if get {
+					err = c.GetAsync(to, off, p, 0, onDone)
+				} else {
+					err = c.PutAsync(to, off, p, 0, onDone)
+				}
+				if err != nil {
+					*n-- // onDone must never run: checked as -1
+					return err
+				}
+				for deadline := time.Now().Add(10 * time.Second); *n == 0 && time.Now().Before(deadline); {
+					if c.Poll() == 0 {
+						runtime.Gosched()
+					}
+				}
+				return got
+			}
+			bulk, err := c.Alloc(right, 4096)
+			fail(err)
+			for _, size := range []int{8, 4096, 0} {
+				src := bytes.Repeat([]byte{byte(rank + size)}, size)
+				fail(xfer(false, right, bulk, src))
+				dst := make([]byte, size)
+				fail(xfer(true, right, bulk, dst))
+				if !bytes.Equal(dst, src) {
+					fail(fmt.Errorf("%d-byte GetAsync after PutAsync: the bytes differ", size))
+				}
+			}
+			mine, err := c.Alloc(rank, 8)
+			fail(err)
+			fail(xfer(false, rank, mine, pattern[:8]))
+			self := make([]byte, 8)
+			fail(xfer(true, rank, mine, self))
+			if !bytes.Equal(self, pattern[:8]) {
+				fail(fmt.Errorf("GetAsync from self after PutAsync: %v, want %v", self, pattern[:8]))
+			}
+			for _, get := range []bool{true, false} {
+				if err := xfer(get, right, 1<<40, make([]byte, 8)); err == nil || !strings.Contains(err.Error(), "refused") {
+					fail(fmt.Errorf("out-of-range transfer (get %v): %v, want a refusal", get, err))
+				}
+			}
+			fail(c.Free(right, bulk))
+			fail(c.Free(rank, mine))
+
 			// Lock-protected counter: a non-atomic read-modify-write on
 			// rank 0's memory, made safe only by the conduit's lock
 			// service — lost updates mean mutual exclusion failed.
@@ -200,6 +258,11 @@ func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 			}
 			fail(c.Free(right, off))
 			fail(c.TeamBarrier(3, world))
+			for i, n := range ran {
+				if *n != 1 && *n != -1 {
+					fail(fmt.Errorf("non-blocking transfer %d: onDone ran %d times", i, *n))
+				}
+			}
 		}(i)
 	}
 	wg.Wait()

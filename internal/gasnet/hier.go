@@ -83,7 +83,7 @@ const (
 // mutual blocking.
 //
 // Like its legs, a HierConduit is driven by its rank's single SPMD
-// goroutine. It advertises Batch, Async, Counters, Locality and Waker;
+// goroutine. It advertises Batch, Counters, Locality and Waker;
 // NOT Resilient — the shm plane has no failure detector, so the
 // composed conduit cannot honor survivable peer loss even though its
 // wire leg could.
@@ -258,10 +258,10 @@ func (h *HierConduit) parkRepolling(armed func() bool) error {
 func (h *HierConduit) Rank() int  { return h.me }
 func (h *HierConduit) Ranks() int { return h.wire.Ranks() }
 
-// Capabilities: batching, the async data plane, counters, locality and
-// external wakeup. No resilience (see type comment).
+// Capabilities: batching, counters, locality and external wakeup. No
+// resilience (see type comment).
 func (h *HierConduit) Capabilities() Caps {
-	return Caps{Batch: h, Async: h, Counters: h, Locality: h, Waker: h}
+	return Caps{Batch: h, Counters: h, Locality: h, Waker: h}
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
@@ -297,8 +297,8 @@ func (h *HierConduit) colocated(rank int) (int, bool) {
 func (h *HierConduit) Get(rank int, off uint64, p []byte) error {
 	if li, ok := h.colocated(rank); ok {
 		seg := h.shm.PeerSeg(li)
-		if off+uint64(len(p)) > uint64(len(seg)) {
-			return fmt.Errorf("gasnet: shm get of %d bytes at %d overruns %d-byte segment", len(p), off, len(seg))
+		if off > uint64(len(seg)) || uint64(len(p)) > uint64(len(seg))-off {
+			return refused("get", rank, off, len(p))
 		}
 		copy(p, seg[off:])
 		return nil
@@ -310,8 +310,8 @@ func (h *HierConduit) Get(rank int, off uint64, p []byte) error {
 func (h *HierConduit) Put(rank int, off uint64, p []byte) error {
 	if li, ok := h.colocated(rank); ok {
 		seg := h.shm.PeerSeg(li)
-		if off+uint64(len(p)) > uint64(len(seg)) {
-			return fmt.Errorf("gasnet: shm put of %d bytes at %d overruns %d-byte segment", len(p), off, len(seg))
+		if off > uint64(len(seg)) || uint64(len(p)) > uint64(len(seg))-off {
+			return refused("put", rank, off, len(p))
 		}
 		copy(seg[off:], p)
 		return nil

@@ -92,30 +92,49 @@ func TestLongPutKeepsSenderOrder(t *testing.T) {
 // landing armed when the target dies without answering. Get returns a
 // RankDeadError, and its destination is untouched — not before Get
 // returns (nothing arrived) and not after (the landing is disarmed, so a
-// reader can never write it again). CI runs it -race -count=20.
+// reader can never write it again). The same holds for GetAsync, whose
+// onDone reports the RankDeadError. CI runs it -race -count=20.
 func TestGetLandingAbandoned(t *testing.T) {
-	cds := wireFleet(t, 2, 1<<16)
-	cds[0].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)
-	dst := make([]byte, 4096)
-	done := make(chan error, 1)
-	go func() { done <- cds[0].Get(1, 0, dst) }()
-	// Rank 1 never polls: once its reader has the request, it dies.
-	waitCounter(t, cds[1], "net_rx_frames", 1)
-	cds[1].Abort()
-	err := <-done
-	var dead *RankDeadError
-	if !errors.As(err, &dead) || dead.Rank != 1 {
-		t.Fatalf("Get = %v, want a RankDeadError for rank 1", err)
-	}
-	if !bytes.Equal(dst, make([]byte, len(dst))) {
-		t.Fatal("Get wrote its destination although no reply arrived")
-	}
-	for i := range dst {
-		dst[i] = 0xEE
-	}
-	cds[0].Close() // waits for the reader goroutines
-	if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
-		t.Fatal("the destination was written after Get returned")
+	for _, async := range []bool{false, true} {
+		cds := wireFleet(t, 2, 1<<16)
+		cds[0].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)
+		dst := make([]byte, 4096)
+		done := make(chan error, 1)
+		go func() {
+			if !async {
+				done <- cds[0].Get(1, 0, dst)
+				return
+			}
+			var got error
+			ran := 0
+			if err := cds[0].GetAsync(1, 0, dst, 0, func(err error) { got = err; ran++ }); err != nil {
+				done <- err
+				return
+			}
+			if err := cds[0].WaitFor(func() bool { return ran > 0 }); err != nil {
+				done <- err
+				return
+			}
+			done <- got
+		}()
+		// Rank 1 never polls: once its reader has the request, it dies.
+		waitCounter(t, cds[1], "net_rx_frames", 1)
+		cds[1].Abort()
+		err := <-done
+		var dead *RankDeadError
+		if !errors.As(err, &dead) || dead.Rank != 1 {
+			t.Fatalf("async %v: Get = %v, want a RankDeadError for rank 1", async, err)
+		}
+		if !bytes.Equal(dst, make([]byte, len(dst))) {
+			t.Fatalf("async %v: Get wrote its destination although no reply arrived", async)
+		}
+		for i := range dst {
+			dst[i] = 0xEE
+		}
+		cds[0].Close() // waits for the reader goroutines
+		if !bytes.Equal(dst, bytes.Repeat([]byte{0xEE}, len(dst))) {
+			t.Fatalf("async %v: the destination was written after Get completed", async)
+		}
 	}
 }
 
@@ -259,7 +278,6 @@ func FuzzOneSidedHandlers(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer frames.Put(rep)
 		in := func(off, n uint64) bool { return off <= memBytes && n <= memBytes-off }
 		var want []byte
 		switch h {

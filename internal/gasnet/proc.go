@@ -1,6 +1,9 @@
 package gasnet
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // ProcConduit is the in-process Conduit: ranks are goroutines of one
 // address space, data moves by direct segment access (the RDMA analog),
@@ -58,11 +61,10 @@ func (c *ProcConduit) Rank() int { return c.ep.Rank }
 // Ranks returns the job size.
 func (c *ProcConduit) Ranks() int { return c.ep.N() }
 
-// Capabilities: none. Batch and async stay nil because an in-process
-// remote access is already a direct segment load/store — coalescing or
-// splitting initiation from completion would only add latency; the
-// core's virtual-time path models the overlap instead. Resilience is
-// simulated above the conduit (core's chaos plane).
+// Capabilities: none. Batch stays nil because an in-process remote
+// access is already a direct segment load/store — coalescing would only
+// add latency. Resilience is simulated above the conduit (core's chaos
+// plane).
 func (c *ProcConduit) Capabilities() Caps { return Caps{} }
 
 // TeamAllGather rides the engine's subset rendezvous; contributions are
@@ -89,14 +91,43 @@ func (c *ProcConduit) TeamBarrier(key uint64, members []int) error {
 
 // Get copies from the target segment under its lock — the one-sided
 // RDMA analog. The caller charges get costs; no messages are involved.
+// A range outside the segment is refused, as the wire's target would.
 func (c *ProcConduit) Get(rank int, off uint64, p []byte) error {
-	c.group.mems[rank].Read(off, p)
+	mem := c.group.mems[rank]
+	if mem.Window(off, uint64(len(p))) == nil {
+		return refused("get", rank, off, len(p))
+	}
+	mem.Read(off, p)
 	return nil
 }
 
 // Put copies into the target segment under its lock.
 func (c *ProcConduit) Put(rank int, off uint64, p []byte) error {
-	c.group.mems[rank].Write(off, p)
+	mem := c.group.mems[rank]
+	if mem.Window(off, uint64(len(p))) == nil {
+		return refused("put", rank, off, len(p))
+	}
+	mem.Write(off, p)
+	return nil
+}
+
+// GetAsync is Get: the copy is the completed transfer, so onDone runs
+// before GetAsync returns. No in-process transfer is lost, so timeout
+// has nothing to bound.
+func (c *ProcConduit) GetAsync(rank int, off uint64, p []byte, _ time.Duration, onDone func(err error)) error {
+	if err := c.Get(rank, off, p); err != nil {
+		return err
+	}
+	onDone(nil)
+	return nil
+}
+
+// PutAsync is Put, completed inside the call like GetAsync.
+func (c *ProcConduit) PutAsync(rank int, off uint64, p []byte, _ time.Duration, onDone func(err error)) error {
+	if err := c.Put(rank, off, p); err != nil {
+		return err
+	}
+	onDone(nil)
 	return nil
 }
 

@@ -89,23 +89,20 @@ type WireConduit struct {
 	// reads tep from foreign goroutines) and of neighbouring objects.
 	_         pad.Line
 	nextToken uint64
-	// reqHdr holds a blocking get's or put's argument words while they
-	// are sent; 16 bytes are inlined into the transport's slab at the
-	// call, so one buffer serves every request without escaping.
+	// reqHdr holds a request's argument words while they are sent; 16
+	// bytes are inlined into the transport's slab at the call, so one
+	// buffer serves every request without escaping.
 	reqHdr [16]byte
 	_      pad.Line
 
-	replies map[uint64][]byte
-	// acks holds reply callbacks for tokens whose requester did not
-	// block: aggregation batches and the async data plane (GetAsync /
-	// PutAsync chunks). Tokens without a callback park in replies for
-	// the blocking request path.
-	acks map[uint64]*wireAck
-	// ackFree recycles batch-token records (see batchAck).
-	ackFree []*wireAck
+	// acks maps every outstanding request token to its record (every
+	// chunk of a transfer points at the transfer's one record); reqFree
+	// recycles records (see newReq).
+	acks    map[uint64]*wireReq
+	reqFree []*wireReq
 	// void marks tokens whose requester gave up (rank death, deadline
-	// expiry): a late reply for one is dropped instead of parking in
-	// the replies map forever.
+	// expiry, an earlier chunk's failure): a late reply for one is
+	// dropped.
 	void map[uint64]struct{}
 
 	// Resilient mode (EnableResilience): nil slices mean legacy
@@ -157,18 +154,35 @@ type wireStat struct {
 	bytes  atomic.Int64 // payload bytes (the fixed 26-byte frame header is not included)
 }
 
-// wireAck is one registered non-blocking reply callback: fn for the
-// async data plane and heartbeats, onAck for an aggregation batch.
-type wireAck struct {
+// wireReq is one tokened request in flight — every chunk of a get or
+// put, a control request (xor, alloc, free, lock), a heartbeat ping or
+// an aggregation batch — and the record each of its reply tokens points
+// at. Its n frames carry tokens tok..tok+n-1. Records are pooled
+// (newReq), so no request allocates a record or a closure.
+type wireReq struct {
+	h        uint16    // the request's handler: what its replies mean
 	to       int       // target rank, so rank death can fail matching tokens
 	deadline time.Time // zero: no reply deadline
-	fn       func(payload []byte, err error)
-	// onAck marks an aggregation-plane token. Its record is pooled
-	// (batchAck), and on target death it completes as success ("the
-	// batch is lost, not pending") so events and Finish scopes drain —
-	// replication above the batch plane is what preserves the data.
-	// Data-plane tokens instead fail with RankDeadError.
-	onAck func()
+	tok      uint64
+	n        int // frames sent
+	left     int // of them, replies outstanding
+	// off and p are a get's destination or a put's source (chunk i
+	// covers p[i*maxChunk:]; nil for any other request); land is the
+	// token whose reply may land in p, 0 once disarmed.
+	off  uint64
+	p    []byte
+	land uint64
+	rep  []byte // a control request's reply, copied (capacity kept)
+	done bool
+	err  error
+	// onDone is a transfer's completion callback; nil when the issuer
+	// waits (await). onAck is a batch's: on target death it completes as
+	// success ("the batch is lost, not pending") so events and Finish
+	// scopes drain — replication above the batch plane is what preserves
+	// the data.
+	onDone func(err error)
+	onAck  func()
+	isDone func() bool // bound once per record: await's predicate
 }
 
 // wireTimer is one After callback.
@@ -207,8 +221,7 @@ func NewWireConduit(tep *transport.TCPEndpoint, mem Memory) *WireConduit {
 	c := &WireConduit{
 		tep:             tep,
 		mem:             mem,
-		replies:         make(map[uint64][]byte),
-		acks:            make(map[uint64]*wireAck),
+		acks:            make(map[uint64]*wireReq),
 		void:            make(map[uint64]struct{}),
 		locks:           make(map[uint64]*wireLockState),
 		teamParts:       make(map[uint64]map[int32][]byte),
@@ -340,11 +353,11 @@ func (c *WireConduit) Rank() int { return c.tep.Rank() }
 // Ranks returns the job size.
 func (c *WireConduit) Ranks() int { return c.tep.Ranks() }
 
-// Capabilities: the full extension set — batching, the async data
-// plane, resilience, traffic counters and external wakeup. No
-// locality: a flat wire mesh encodes no co-location.
+// Capabilities: the full extension set — batching, resilience, traffic
+// counters and external wakeup. No locality: a flat wire mesh encodes
+// no co-location.
 func (c *WireConduit) Capabilities() Caps {
-	return Caps{Batch: c, Async: c, Resilient: c, Counters: c, Waker: c}
+	return Caps{Batch: c, Resilient: c, Counters: c, Waker: c}
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
@@ -352,61 +365,143 @@ func (c *WireConduit) Capabilities() Caps {
 // when its inbox is full.
 func (c *WireConduit) Wake() { c.tep.Wake() }
 
-// request sends one encoded-argument message and blocks until its
-// tokened reply arrives, dispatching incoming requests while waiting.
-// In resilient mode the wait also completes — with a RankDeadError —
-// if the target is declared dead first, so a blocked requester never
-// hangs on a lost peer.
-//
-// The returned reply buffer is a retained frame-pool buffer: the caller
-// owns it and must hand it to frames.Put once consumed.
-func (c *WireConduit) request(to int, handler uint16, payload []byte) ([]byte, error) {
-	rep, _, err := c.requestLong(to, handler, payload, nil, nil)
+// newReq takes a pooled record for a request of frames frames to `to`
+// under handler h and reserves their tokens. A non-zero timeout is a
+// reply deadline, which only a resilient conduit's tick sweep enforces;
+// a nil onDone means the issuer awaits the record.
+func (c *WireConduit) newReq(h uint16, to, frames int, timeout time.Duration, onDone func(error)) *wireReq {
+	var x *wireReq
+	if n := len(c.reqFree); n > 0 {
+		x, c.reqFree = c.reqFree[n-1], c.reqFree[:n-1]
+	} else {
+		x = new(wireReq)
+		x.isDone = func() bool { return x.done }
+	}
+	x.h, x.to, x.onDone = h, to, onDone
+	if timeout > 0 && c.resilient {
+		x.deadline = time.Now().Add(timeout)
+	}
+	x.tok = c.nextToken + 1
+	c.nextToken += uint64(frames)
+	return x
+}
+
+// free returns a record to the pool, dropping every reference it holds
+// to callers' memory and callbacks.
+func (c *WireConduit) free(x *wireReq) {
+	*x = wireReq{rep: x.rep[:0], isDone: x.isDone}
+	c.reqFree = append(c.reqFree, x)
+}
+
+// post sends x's next frame — payload, then data as its borrowed second
+// part — and registers its token. Nothing is dispatched in between, so
+// no reply can arrive before the token is registered.
+func (c *WireConduit) post(x *wireReq, payload, data []byte) error {
+	tok := x.tok + uint64(x.n)
+	if err := c.sendLong(transport.Message{To: int32(x.to), Handler: x.h, Arg: tok, Payload: payload}, data); err != nil {
+		return err
+	}
+	c.acks[tok] = x
+	x.n++
+	x.left++
+	return nil
+}
+
+// sendFailed unwinds a send error on x's next frame. The frames already
+// posted are retired first, so the death sweep a peer-down error starts
+// cannot complete x behind this call. With none posted nothing is in
+// flight: x is released and the (typed) error returned, and onDone never
+// runs. Otherwise x completes with the failure and nil is returned.
+func (c *WireConduit) sendFailed(x *wireReq, err error) error {
+	c.drop(x)
+	if derr := c.noteSendError(x.to, err); derr != nil {
+		err = derr
+	}
+	if x.n == 0 {
+		c.free(x)
+		return err
+	}
+	c.complete(x, err)
+	return nil
+}
+
+// drop retires x's outstanding tokens, so a late reply for one is
+// dropped, and disarms its landing — waiting out a read into it — so no
+// reader writes x's destination again.
+func (c *WireConduit) drop(x *wireReq) {
+	for i := 0; x.left > 0 && i < x.n; i++ {
+		tok := x.tok + uint64(i)
+		if c.acks[tok] == x {
+			delete(c.acks, tok)
+			c.void[tok] = struct{}{}
+			x.left--
+		}
+	}
+	if x.land != 0 {
+		c.tep.DisarmLanding(x.to, hReply, x.land)
+		x.land = 0
+	}
+}
+
+// complete ends x once: err is nil after its last reply, or the first
+// failure. A batch then runs onAck and the after hook, a ping clears its
+// probe (and severs a live peer that let it expire), a transfer runs
+// onDone — each releasing x first. An awaited record stays for await.
+func (c *WireConduit) complete(x *wireReq, err error) {
+	if x.done {
+		return
+	}
+	c.drop(x)
+	x.done, x.err = true, err
+	switch {
+	case x.h == hBatch:
+		onAck := x.onAck
+		c.free(x)
+		if onAck != nil {
+			onAck()
+		}
+		c.batchAfter()
+	case x.h == hPing:
+		peer := x.to
+		c.free(x)
+		c.pingOut[peer] = false
+		if err != nil && !c.dead[peer] {
+			c.tep.SeverPeer(peer, fmt.Errorf("gasnet: rank %d unresponsive: %w", peer, err))
+		}
+	case x.onDone != nil:
+		onDone := x.onDone
+		c.free(x)
+		onDone(err)
+	}
+}
+
+// await blocks until x completes, dispatching incoming requests while
+// waiting, and releases it. In resilient mode the target's death
+// completes x — with a RankDeadError — so a blocked requester never
+// hangs on a lost peer. rep is a control request's reply, valid until
+// the next request.
+func (c *WireConduit) await(x *wireReq) (rep []byte, err error) {
+	if err := c.wait(x.isDone); err != nil {
+		c.complete(x, err)
+	}
+	rep, err = x.rep, x.err
+	c.free(x)
 	return rep, err
 }
 
-// requestLong is request for the one-sided bulk plane. A non-empty data
-// follows payload as the frame's borrowed second part and is flushed
-// before the wait, so the borrow ends before any handler runs. A
-// non-nil land is armed for the reply — and disarmed on every way out —
-// and landed reports that the reply arrived in it (rep is then nil).
-// When an outer request to the same peer holds the landing (this one
-// was issued from a handler its wait dispatched), the reply takes the
-// pooled path.
-func (c *WireConduit) requestLong(to int, handler uint16, payload, data, land []byte) (rep []byte, landed bool, err error) {
+// request sends one encoded-argument control request and waits for its
+// reply (see await).
+func (c *WireConduit) request(to int, h uint16, payload []byte) ([]byte, error) {
 	if err := c.deadErr(to); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	c.nextToken++
-	tok := c.nextToken
-	if land != nil && c.tep.ArmLanding(to, hReply, tok, land) {
-		defer func() { landed = c.tep.DisarmLanding(to, hReply, tok) }()
-	}
-	if err := c.sendLong(transport.Message{To: int32(to), Handler: handler, Arg: tok, Payload: payload}, data); err != nil {
-		if derr := c.noteSendError(to, err); derr != nil {
-			return nil, false, derr
+	x := c.newReq(h, to, 1, 0, nil)
+	if err := c.post(x, payload, nil); err != nil {
+		if err := c.sendFailed(x, err); err != nil {
+			return nil, err
 		}
-		return nil, false, err
 	}
-	if len(data) > 0 {
-		c.tep.Flush()
-	}
-	var out []byte
-	found := false
-	if err := c.wait(func() bool {
-		out, found = c.replies[tok]
-		return found || c.isDead(to)
-	}); err != nil {
-		return nil, false, err
-	}
-	if !found {
-		// The target died while we waited. A reply may still surface
-		// from the inbox backlog; void the token so it is dropped.
-		c.void[tok] = struct{}{}
-		return nil, false, c.deadErr(to)
-	}
-	delete(c.replies, tok)
-	return out, false, nil
+	return c.await(x)
 }
 
 // isDead reports resilient-mode death state (always false otherwise).
@@ -439,40 +534,46 @@ func (c *WireConduit) reply(m transport.Message, payload []byte) {
 	_ = c.send(transport.Message{To: m.From, Handler: hReply, Arg: m.Arg, Payload: payload})
 }
 
-func (c *WireConduit) onReply(ep *transport.TCPEndpoint, m transport.Message) {
-	// A voided token's requester gave up (death sweep, deadline): the
-	// late reply is dropped, not parked (its pooled payload recycles
-	// when this handler returns).
+// onReply is the one reply path: a voided token's reply is dropped, any
+// other finds its record. A get chunk's bytes have landed in the
+// destination or are copied there, a put chunk's reply is empty unless
+// refused, a batch's ack may carry a reply to apply, and a control
+// reply is copied into the record, so the pooled payload recycles when
+// this handler returns. The record completes on its first failure or
+// its last reply.
+func (c *WireConduit) onReply(_ *transport.TCPEndpoint, m transport.Message) {
 	if _, gone := c.void[m.Arg]; gone {
 		delete(c.void, m.Arg)
 		return
 	}
-	// Batch acknowledgements and async-data-plane replies carry a
-	// callback instead of a parked requester; the callback consumes the
-	// payload synchronously (GetAsync copies into its destination, a
-	// batch ack's reply is applied), so the buffer recycles on return.
-	// Everything else parks in the replies map past this dispatch:
-	// retain the pooled buffer — ownership passes to the blocked
-	// requester, which releases it once consumed (see request).
-	if a, ok := c.acks[m.Arg]; ok {
-		delete(c.acks, m.Arg)
-		if a.onAck == nil {
-			a.fn(m.Payload, nil)
-			return
-		}
+	x := c.acks[m.Arg]
+	if x == nil {
+		return
+	}
+	delete(c.acks, m.Arg)
+	x.left--
+	var err error
+	switch {
+	case x.h == hBatch:
 		// The reply is applied before the batch completes, so whatever
 		// the batch's completion releases sees it. A reply that does not
 		// apply severs its sender; the batch itself was applied.
 		if len(m.Payload) > 0 {
-			if err := c.batchApply(int(m.From), m.Payload); err != nil {
-				c.severMalformed(m, err)
+			if aerr := c.batchApply(int(m.From), m.Payload); aerr != nil {
+				c.severMalformed(m, aerr)
 			}
 		}
-		c.batchAcked(a)
-		return
+	case x.p == nil:
+		x.rep = append(x.rep[:0], m.Payload...)
+	case x.h == hGet:
+		err = c.gotChunk(x, m)
+	case len(m.Payload) != 0:
+		at := int(m.Arg-x.tok) * maxChunk
+		err = refused("put", x.to, x.off+uint64(at), min(len(x.p)-at, maxChunk))
 	}
-	ep.Retain()
-	c.replies[m.Arg] = m.Payload
+	if err != nil || x.left == 0 {
+		c.complete(x, err)
+	}
 }
 
 func (c *WireConduit) onPing(_ *transport.TCPEndpoint, m transport.Message) {
@@ -500,40 +601,104 @@ var putRefused = []byte{0}
 
 // refused is the error a requester returns for a failure reply.
 func refused(op string, rank int, off uint64, n int) error {
-	return fmt.Errorf("gasnet: rank %d refused a wire %s of %d bytes at offset %d", rank, op, n, off)
+	return fmt.Errorf("gasnet: rank %d refused a %s of %d bytes at offset %d", rank, op, n, off)
 }
 
-// Get copies len(p) bytes from rank's segment at off into p. A long
-// chunk's reply is read by the transport straight into p (ArmLanding);
-// a short one is copied out of its pooled frame.
+// Get copies len(p) bytes from rank's segment at off into p: the
+// transfer GetAsync issues, waited on.
 func (c *WireConduit) Get(rank int, off uint64, p []byte) error {
-	if rank == c.Rank() {
-		c.mem.Read(off, p)
+	return c.issue(hGet, rank, off, p, 0, nil)
+}
+
+// GetAsync is the non-blocking Get (see Conduit.GetAsync).
+func (c *WireConduit) GetAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error {
+	return c.issue(hGet, rank, off, p, timeout, onDone)
+}
+
+// Put copies p into rank's segment at off: the transfer PutAsync
+// issues, waited on.
+func (c *WireConduit) Put(rank int, off uint64, p []byte) error {
+	return c.issue(hPut, rank, off, p, 0, nil)
+}
+
+// PutAsync is the non-blocking Put (see Conduit.PutAsync).
+func (c *WireConduit) PutAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error {
+	return c.issue(hPut, rank, off, p, timeout, onDone)
+}
+
+// issue is the data plane's one chunk loop: it sends every chunk of a
+// get (h == hGet, into p) or a put (of p) at rank to's offset off, all
+// under one record, and with a nil onDone waits for it — the blocking
+// form. A get chunk longer than transport.LongPayload arms the peer's
+// reply landing on its part of p when the slot is free; every way the
+// chunk ends (its reply, the death sweep, a deadline, a send failure)
+// disarms it first. A put chunk leaves as its offset followed by the
+// caller's bytes, borrowed; a put longer than the transport inlines is
+// flushed here, so p is the caller's again on return. A transfer to
+// self is a direct memory access. The error contract is GetAsync's:
+// non-nil means onDone never runs.
+func (c *WireConduit) issue(h uint16, to int, off uint64, p []byte, timeout time.Duration, onDone func(error)) error {
+	if to == c.Rank() {
+		if h == hGet {
+			c.mem.Read(off, p)
+		} else {
+			c.mem.Write(off, p)
+		}
+		if onDone != nil {
+			onDone(nil)
+		}
 		return nil
 	}
-	for len(p) > 0 {
-		n := min(len(p), maxChunk)
-		putU64(c.reqHdr[0:], off)
-		putU64(c.reqHdr[8:], uint64(n))
-		var land []byte
-		if n > transport.LongPayload {
-			land = p[:n]
+	if err := c.deadErr(to); err != nil {
+		return err
+	}
+	x := c.newReq(h, to, (len(p)+maxChunk-1)/maxChunk, timeout, onDone)
+	x.off, x.p = off, p
+	var err error
+	for at := 0; at < len(p) && err == nil; at += maxChunk {
+		chunk := p[at:min(len(p), at+maxChunk)]
+		putU64(c.reqHdr[:], off+uint64(at))
+		if h == hPut {
+			err = c.post(x, c.reqHdr[:8], chunk)
+			continue
 		}
-		rep, landed, err := c.requestLong(rank, hGet, c.reqHdr[:], nil, land)
-		if err != nil {
+		putU64(c.reqHdr[8:], uint64(len(chunk)))
+		if tok := x.tok + uint64(x.n); x.land == 0 && len(chunk) > transport.LongPayload && c.tep.ArmLanding(to, hReply, tok, chunk) {
+			x.land = tok
+		}
+		err = c.post(x, c.reqHdr[:], nil)
+	}
+	if h == hPut && len(p) > transport.InlineMax {
+		c.tep.Flush()
+	}
+	if err != nil {
+		if err = c.sendFailed(x, err); err != nil {
 			return err
 		}
-		if !landed {
-			if len(rep) != n {
-				frames.Put(rep)
-				return refused("get", rank, off, n)
-			}
-			copy(p, rep)
-			frames.Put(rep)
-		}
-		p = p[n:]
-		off += uint64(n)
+	} else if x.left == 0 {
+		c.complete(x, nil) // empty
 	}
+	if onDone == nil {
+		_, err = c.await(x)
+	}
+	return err
+}
+
+// gotChunk places one get chunk's reply: landed straight in the
+// destination, or copied out of its frame.
+func (c *WireConduit) gotChunk(x *wireReq, m transport.Message) error {
+	at := int(m.Arg-x.tok) * maxChunk
+	dst := x.p[at:min(len(x.p), at+maxChunk)]
+	if x.land == m.Arg {
+		x.land = 0
+		if c.tep.DisarmLanding(x.to, hReply, m.Arg) {
+			return nil
+		}
+	}
+	if len(m.Payload) != len(dst) {
+		return refused("get", x.to, x.off+uint64(at), len(dst))
+	}
+	copy(dst, m.Payload)
 	return nil
 }
 
@@ -556,32 +721,6 @@ func (c *WireConduit) onGet(_ *transport.TCPEndpoint, m transport.Message) {
 		}
 	}
 	c.reply(m, view) // nil view: refused
-}
-
-// Put copies p into rank's segment at off. The request leaves as the
-// offset followed by p itself, one borrowed iovec, flushed before Put
-// waits for the acknowledgement.
-func (c *WireConduit) Put(rank int, off uint64, p []byte) error {
-	if rank == c.Rank() {
-		c.mem.Write(off, p)
-		return nil
-	}
-	for len(p) > 0 {
-		n := min(len(p), maxChunk)
-		putU64(c.reqHdr[:], off)
-		rep, _, err := c.requestLong(rank, hPut, c.reqHdr[:8], p[:n], nil)
-		if err != nil {
-			return err
-		}
-		ok := len(rep) == 0
-		frames.Put(rep)
-		if !ok {
-			return refused("put", rank, off, n)
-		}
-		p = p[n:]
-		off += uint64(n)
-	}
-	return nil
 }
 
 // landPut is hPut's lander: a long put's data is read straight into the
@@ -609,175 +748,17 @@ func (c *WireConduit) onPut(_ *transport.TCPEndpoint, m transport.Message) {
 	c.reply(m, nil)
 }
 
-// asyncXfer tracks one multi-chunk non-blocking transfer: the first
-// failure (death sweep, deadline expiry, mid-transfer send error)
-// reports and suppresses its siblings, so onDone runs exactly once.
-type asyncXfer struct {
-	remaining int
-	failed    bool
-	onDone    func(err error)
-}
-
-func (x *asyncXfer) complete(err error) {
-	if x.failed {
-		return
-	}
-	if err != nil {
-		x.failed = true
-		x.onDone(err)
-		return
-	}
-	x.remaining--
-	if x.remaining == 0 {
-		x.onDone(nil)
-	}
-}
-
-// ackDeadline converts a caller timeout into a wireAck deadline;
-// deadlines only fire in resilient mode (the tick sweep drives them).
-func (c *WireConduit) ackDeadline(timeout time.Duration) time.Time {
-	if timeout <= 0 || !c.resilient {
-		return time.Time{}
-	}
-	return time.Now().Add(timeout)
-}
-
-// GetAsync is the non-blocking Get: every chunk request leaves now and
-// onDone runs, on this rank's goroutine, when the last chunk's reply
-// has been copied into p — or with the failure (reply deadline expiry,
-// target death). Replies ride the same tokened hReply path as blocking
-// requests — the callback registered per token is what makes the
-// requester free to keep working instead of parking in WaitFor.
-func (c *WireConduit) GetAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error {
-	if err := c.deadErr(rank); err != nil {
-		return err
-	}
-	if rank == c.Rank() {
-		c.mem.Read(off, p)
-		onDone(nil)
-		return nil
-	}
-	if len(p) == 0 {
-		onDone(nil)
-		return nil
-	}
-	st := &asyncXfer{remaining: (len(p) + maxChunk - 1) / maxChunk, onDone: onDone}
-	deadline := c.ackDeadline(timeout)
-	issued := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		dst, chunkOff := p[:n], off
-		var req [16]byte
-		putU64(req[0:], off)
-		putU64(req[8:], uint64(n))
-		c.nextToken++
-		c.acks[c.nextToken] = &wireAck{to: rank, deadline: deadline, fn: func(rep []byte, err error) {
-			if err != nil {
-				st.complete(err)
-				return
-			}
-			if len(rep) != len(dst) {
-				st.complete(refused("get", rank, chunkOff, len(dst)))
-				return
-			}
-			copy(dst, rep)
-			st.complete(nil)
-		}}
-		if err := c.send(transport.Message{
-			To: int32(rank), Handler: hGet, Arg: c.nextToken, Payload: req[:],
-		}); err != nil {
-			return c.failAsyncSend(st, c.nextToken, rank, issued, err)
-		}
-		issued++
-		p = p[n:]
-		off += uint64(n)
-	}
-	return nil
-}
-
-// PutAsync is the non-blocking Put: chunked requests leave now, and
-// onDone runs when the target has acknowledged the last chunk, or with
-// the failure.
-func (c *WireConduit) PutAsync(rank int, off uint64, p []byte, timeout time.Duration, onDone func(err error)) error {
-	if err := c.deadErr(rank); err != nil {
-		return err
-	}
-	if rank == c.Rank() {
-		c.mem.Write(off, p)
-		onDone(nil)
-		return nil
-	}
-	if len(p) == 0 {
-		onDone(nil)
-		return nil
-	}
-	st := &asyncXfer{remaining: (len(p) + maxChunk - 1) / maxChunk, onDone: onDone}
-	deadline := c.ackDeadline(timeout)
-	issued := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		req := frames.Get(8 + n)
-		putU64(req, off)
-		copy(req[8:], p[:n])
-		chunkOff := off
-		c.nextToken++
-		c.acks[c.nextToken] = &wireAck{to: rank, deadline: deadline, fn: func(rep []byte, err error) {
-			if err == nil && len(rep) != 0 {
-				err = refused("put", rank, chunkOff, n)
-			}
-			st.complete(err)
-		}}
-		if err := c.sendOwned(transport.Message{
-			To: int32(rank), Handler: hPut, Arg: c.nextToken, Payload: req,
-		}); err != nil {
-			return c.failAsyncSend(st, c.nextToken, rank, issued, err)
-		}
-		issued++
-		p = p[n:]
-		off += uint64(n)
-	}
-	return nil
-}
-
-// failAsyncSend unwinds a mid-transfer send failure for chunk number
-// `issued` (0-based). The failed chunk's own ack is retired first. If
-// no earlier chunk was issued there are no callbacks in flight, so the
-// plain error return applies (onDone never runs). Otherwise the
-// transfer already has observable callbacks, so the failure is
-// delivered through onDone exactly once — directly, or already done by
-// the markDead sweep a peer-down send error triggers — and nil is
-// returned per the AsyncConduit contract.
-func (c *WireConduit) failAsyncSend(st *asyncXfer, tok uint64, rank, issued int, err error) error {
-	delete(c.acks, tok)
-	if derr := c.noteSendError(rank, err); derr != nil {
-		err = derr // markDead has already failed the earlier chunks' acks
-	}
-	if issued == 0 && !st.failed {
-		return err
-	}
-	st.complete(err)
-	return nil
-}
-
 // Xor64 performs the remote atomic update and returns the new value.
 func (c *WireConduit) Xor64(rank int, off uint64, val uint64) (uint64, error) {
 	if rank == c.Rank() {
 		return c.mem.Xor64(off, val), nil
 	}
-	var req [16]byte
-	putU64(req[0:], off)
-	putU64(req[8:], val)
-	rep, err := c.request(rank, hXor, req[:])
+	putU64(c.reqHdr[0:], off)
+	putU64(c.reqHdr[8:], val)
+	rep, err := c.request(rank, hXor, c.reqHdr[:])
 	if err != nil {
 		return 0, err
 	}
-	defer frames.Put(rep)
 	if len(rep) != 8 {
 		return 0, refused("xor", rank, off, 8)
 	}
@@ -823,34 +804,31 @@ func (c *WireConduit) SetBatchHandler(apply func(from int, payload []byte) error
 // preserves the data. This is the complete-as-lost semantics the
 // replicated DHT's write fan-out relies on.
 func (c *WireConduit) SendBatch(to int, payload []byte, onAck func()) error {
-	if onAck == nil {
-		onAck = func() {} // the ack must still be consumed, or it parks in the replies map forever
-	}
-	a := c.batchAck(to, onAck)
+	x := c.newReq(hBatch, to, 1, 0, nil)
+	x.onAck = onAck
 	if c.isDead(to) {
 		frames.Put(payload) // ownership arrived with the call; the frame never ships
 		c.lostBatches++
-		c.batchAcked(a)
+		c.complete(x, nil)
 		return nil
 	}
-	c.nextToken++
-	tok := c.nextToken
-	c.acks[tok] = a
 	// The batch buffer comes from the aggregation encoder's frame pool
 	// and is owned by this call: the transport recycles it once the
 	// frame ships (or on a failed send).
 	err := c.sendOwned(transport.Message{
-		To: int32(to), Handler: hBatch, Arg: tok, Payload: payload,
+		To: int32(to), Handler: hBatch, Arg: x.tok, Payload: payload,
 	})
 	if err != nil {
-		delete(c.acks, tok)
 		if c.noteSendError(to, err) != nil {
 			c.lostBatches++
-			c.batchAcked(a)
+			c.complete(x, nil)
 			return nil
 		}
+		c.free(x)
 		return err
 	}
+	c.acks[x.tok] = x
+	x.n, x.left = 1, 1
 	// Ship eagerly: the batch is itself the coalescing unit, so parking
 	// it in the transport's tx queue until the next progress call would
 	// re-batch the already-batched and charge every op a poll-cadence
@@ -858,29 +836,6 @@ func (c *WireConduit) SendBatch(to int, payload []byte, onAck func()) error {
 	// batch must not pay.
 	c.tep.Flush()
 	return nil
-}
-
-// batchAck returns a pooled batch-token record, so a batch in steady
-// state allocates neither a record nor a closure.
-func (c *WireConduit) batchAck(to int, onAck func()) *wireAck {
-	var a *wireAck
-	if n := len(c.ackFree); n > 0 {
-		a, c.ackFree = c.ackFree[n-1], c.ackFree[:n-1]
-	} else {
-		a = new(wireAck)
-	}
-	a.to, a.onAck = to, onAck
-	return a
-}
-
-// batchAcked completes one batch — acknowledged, or lost to its
-// target's death — and recycles its record: onAck, then the after hook.
-func (c *WireConduit) batchAcked(a *wireAck) {
-	onAck := a.onAck
-	a.onAck = nil
-	c.ackFree = append(c.ackFree, a)
-	onAck()
-	c.batchAfter()
 }
 
 func (c *WireConduit) onBatch(_ *transport.TCPEndpoint, m transport.Message) {
@@ -964,19 +919,18 @@ func (c *WireConduit) Abort() { c.tep.Abort() }
 // callbacks, and drive the heartbeat probe state machine.
 func (c *WireConduit) onTick() {
 	now := time.Now()
-	// Expired reply deadlines: fail the ack, void the token so a late
-	// reply is dropped rather than parked.
+	// Expired reply deadlines fail their requests (complete voids the
+	// rest of their tokens, so a late reply is dropped).
 	var expired []uint64
-	for tok, a := range c.acks {
-		if !a.deadline.IsZero() && now.After(a.deadline) {
+	for tok, x := range c.acks {
+		if !x.deadline.IsZero() && now.After(x.deadline) {
 			expired = append(expired, tok)
 		}
 	}
 	for _, tok := range expired {
-		a := c.acks[tok]
-		delete(c.acks, tok)
-		c.void[tok] = struct{}{}
-		a.fn(nil, &TimeoutError{Rank: a.to, After: now.Sub(a.deadline)})
+		if x := c.acks[tok]; x != nil {
+			c.complete(x, &TimeoutError{Rank: x.to, After: now.Sub(x.deadline)})
+		}
 	}
 	// Due After callbacks (fn may schedule more; those wait for the
 	// next sweep).
@@ -1012,22 +966,13 @@ func (c *WireConduit) onTick() {
 		if now.Sub(c.lastHeard[r]) <= c.hb.HeartbeatInterval {
 			continue
 		}
-		peer := r
-		c.pingOut[peer] = true
-		c.ring.Instant(obs.KPing, int32(peer), 0, 0)
-		c.nextToken++
-		c.acks[c.nextToken] = &wireAck{to: peer, deadline: now.Add(c.hb.HeartbeatTimeout),
-			fn: func(_ []byte, err error) {
-				c.pingOut[peer] = false
-				if err != nil && !c.dead[peer] {
-					c.tep.SeverPeer(peer, fmt.Errorf("gasnet: rank %d unresponsive: %w", peer, err))
-				}
-			}}
-		if err := c.send(transport.Message{To: int32(peer), Handler: hPing, Arg: c.nextToken}); err != nil {
-			delete(c.acks, c.nextToken)
-			c.pingOut[peer] = false
-			c.noteSendError(peer, err)
+		c.ring.Instant(obs.KPing, int32(r), 0, 0)
+		x := c.newReq(hPing, r, 1, c.hb.HeartbeatTimeout, nil)
+		if err := c.post(x, nil, nil); err != nil {
+			_ = c.sendFailed(x, err)
+			continue
 		}
+		c.pingOut[r] = true
 	}
 }
 
@@ -1045,24 +990,21 @@ func (c *WireConduit) markDead(rank int, cause error) {
 	obs.Logf(1, c.Rank(), "wire: declaring rank %d dead: %v", rank, cause)
 	// Collect first: the callbacks may register new tokens.
 	var toks []uint64
-	for tok, a := range c.acks {
-		if a.to == rank {
+	for tok, x := range c.acks {
+		if x.to == rank {
 			toks = append(toks, tok)
 		}
 	}
 	derr := &RankDeadError{Rank: rank, Cause: cause}
 	for _, tok := range toks {
-		a, ok := c.acks[tok]
-		if !ok {
-			continue
-		}
-		delete(c.acks, tok)
-		c.void[tok] = struct{}{}
-		if a.onAck != nil {
+		x := c.acks[tok]
+		switch {
+		case x == nil: // completed with an earlier token of its request
+		case x.h == hBatch:
 			c.lostBatches++
-			c.batchAcked(a)
-		} else {
-			a.fn(nil, derr)
+			c.complete(x, nil)
+		default:
+			c.complete(x, derr)
 		}
 	}
 	if c.onRankDeath != nil {
@@ -1078,18 +1020,15 @@ func (c *WireConduit) Alloc(rank int, size uint64) (uint64, error) {
 	if rank == c.Rank() {
 		return c.mem.Alloc(size)
 	}
-	var req [8]byte
-	putU64(req[:], size)
-	rep, err := c.request(rank, hAlloc, req[:])
+	putU64(c.reqHdr[:], size)
+	rep, err := c.request(rank, hAlloc, c.reqHdr[:8])
 	if err != nil {
 		return 0, err
 	}
-	v := u64(rep)
-	frames.Put(rep)
-	if v == 0 {
-		return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
+	if v := u64(rep); v != 0 {
+		return v - 1, nil
 	}
-	return v - 1, nil
+	return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
 }
 
 func (c *WireConduit) onAlloc(_ *transport.TCPEndpoint, m transport.Message) {
@@ -1105,15 +1044,12 @@ func (c *WireConduit) Free(rank int, off uint64) error {
 	if rank == c.Rank() {
 		return c.mem.Free(off)
 	}
-	var req [8]byte
-	putU64(req[:], off)
-	rep, err := c.request(rank, hFree, req[:])
+	putU64(c.reqHdr[:], off)
+	rep, err := c.request(rank, hFree, c.reqHdr[:8])
 	if err != nil {
 		return err
 	}
-	ok := u64(rep) != 0
-	frames.Put(rep)
-	if !ok {
+	if u64(rep) == 0 {
 		return fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
 	}
 	return nil
@@ -1141,18 +1077,16 @@ func (c *WireConduit) LockNew() uint64 {
 // or parks the requester's token; the release handler answers parked
 // tokens, so the waiter's blocked request completes on handoff.
 func (c *WireConduit) LockAcquire(home int, id uint64, try bool) (bool, error) {
-	req := make([]byte, 9)
-	putU64(req, id)
+	putU64(c.reqHdr[:], id)
+	c.reqHdr[8] = 0
 	if try {
-		req[8] = 1
+		c.reqHdr[8] = 1
 	}
-	rep, err := c.request(home, hLockAcq, req)
+	rep, err := c.request(home, hLockAcq, c.reqHdr[:9])
 	if err != nil {
 		return false, err
 	}
-	got := u64(rep) == 1
-	frames.Put(rep)
-	return got, nil
+	return u64(rep) == 1, nil
 }
 
 func (c *WireConduit) onLockAcquire(_ *transport.TCPEndpoint, m transport.Message) {
@@ -1177,10 +1111,8 @@ func (c *WireConduit) onLockAcquire(_ *transport.TCPEndpoint, m transport.Messag
 
 // LockRelease releases the lock homed on home.
 func (c *WireConduit) LockRelease(home int, id uint64) error {
-	var req [8]byte
-	putU64(req[:], id)
-	rep, err := c.request(home, hLockRel, req[:])
-	frames.Put(rep)
+	putU64(c.reqHdr[:], id)
+	_, err := c.request(home, hLockRel, c.reqHdr[:8])
 	return err
 }
 

@@ -79,7 +79,8 @@ func pattern(n int) []byte {
 // chunked requests), plus the degenerate zero-length transfer, must
 // all round-trip intact and never exceed transport.MaxPayload per
 // frame (the transport rejects oversized sends, so success here proves
-// the chunker's arithmetic).
+// the chunker's arithmetic) — blocking, and as GetAsync/PutAsync
+// waited on.
 func TestPutGetChunkBoundaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("moves several 16 MiB payloads")
@@ -87,21 +88,48 @@ func TestPutGetChunkBoundaries(t *testing.T) {
 	cds := wireFleet(t, 2, transport.MaxPayload+(1<<20))
 	stop := servePoll(cds[1])
 	defer stop()
+	c := cds[0]
+	wait := func(start func(onDone func(error)) error) error {
+		var got error
+		done := false
+		if err := start(func(err error) { got, done = err, true }); err != nil {
+			return err
+		}
+		if err := c.WaitFor(func() bool { return done }); err != nil {
+			return err
+		}
+		return got
+	}
+	forms := []struct {
+		name     string
+		get, put func(p []byte) error
+	}{
+		{"blocking", func(p []byte) error { return c.Get(1, 0, p) }, func(p []byte) error { return c.Put(1, 0, p) }},
+		{"async",
+			func(p []byte) error {
+				return wait(func(onDone func(error)) error { return c.GetAsync(1, 0, p, 0, onDone) })
+			},
+			func(p []byte) error {
+				return wait(func(onDone func(error)) error { return c.PutAsync(1, 0, p, 0, onDone) })
+			}},
+	}
 
 	sizes := []int{0, maxChunk - 1, maxChunk, maxChunk + 1,
 		transport.MaxPayload - 1, transport.MaxPayload, transport.MaxPayload + 1}
 	for _, n := range sizes {
 		t.Run(fmt.Sprintf("size=%d", n), func(t *testing.T) {
 			src := pattern(n)
-			if err := cds[0].Put(1, 0, src); err != nil {
-				t.Fatalf("put %d bytes: %v", n, err)
-			}
-			got := make([]byte, n)
-			if err := cds[0].Get(1, 0, got); err != nil {
-				t.Fatalf("get %d bytes: %v", n, err)
-			}
-			if !bytes.Equal(got, src) {
-				t.Fatalf("%d-byte round trip corrupted payload", n)
+			for _, op := range forms {
+				if err := op.put(src); err != nil {
+					t.Fatalf("%s put %d bytes: %v", op.name, n, err)
+				}
+				got := make([]byte, n)
+				if err := op.get(got); err != nil {
+					t.Fatalf("%s get %d bytes: %v", op.name, n, err)
+				}
+				if !bytes.Equal(got, src) {
+					t.Fatalf("%s %d-byte round trip corrupted payload", op.name, n)
+				}
 			}
 		})
 	}

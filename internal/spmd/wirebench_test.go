@@ -40,7 +40,9 @@ func netCalls() (reads, writevs, landed int64) {
 // a request and a reply each (2 writevs; 3 reads, the long frame's
 // header buffer and its remainder plus the short one), and landed/op —
 // frames read straight into the segment or the caller's slice — exactly
-// 1.
+// 1. get32k-async and put32k-async are ReadSliceAsync and
+// WriteSliceFuture of 32 KiB, waited on: the same transfer, so the same
+// 3 reads, 2 writevs and landed/op 1.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	const bulkWords = 4096 // 32 KiB
 	src, dst := make([]uint64, bulkWords), make([]uint64, bulkWords)
@@ -64,6 +66,13 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 				panic(fmt.Sprintf("get32k %d: last word %#x, want %#x", i, dst[bulkWords-1], src[bulkWords-1]))
 			}
 		}},
+		{"get32k-async", func(me *core.Rank, p core.GlobalPtr[uint64], i int) {
+			core.ReadSliceAsync(me, p.Add(1), dst).Wait()
+			if dst[bulkWords-1] != src[bulkWords-1] {
+				panic(fmt.Sprintf("get32k-async %d: last word %#x, want %#x", i, dst[bulkWords-1], src[bulkWords-1]))
+			}
+		}},
+		{"put32k-async", func(me *core.Rank, p core.GlobalPtr[uint64], i int) { core.WriteSliceFuture(me, p.Add(1), src).Wait() }},
 		{"batch1-reply", func(me *core.Rank, _ core.GlobalPtr[uint64], i int) {
 			arg := uint64(i)
 			if got := core.AsyncTaskFuture(me, 1, twEcho, rpc.U64s(arg)).Get(); len(got) != 8 {

@@ -108,12 +108,13 @@ const (
 	// frameHdrLen is the fixed frame header: [to u32][from u32]
 	// [handler u16][arg u64][len u64].
 	frameHdrLen = 26
-	// inlineMax is the largest payload copied into the header slab
+	// InlineMax is the largest payload copied into the header slab
 	// instead of queued by reference: small control payloads (tokens,
 	// offsets, stack-allocated request encodings) cost less to copy 26
 	// bytes away from their header than to spend an iovec entry on, and
-	// the copy ends the caller's borrow at Send return.
-	inlineMax = 64
+	// the copy ends the caller's borrow at Send return. A borrowed part
+	// longer than this stays referenced until the flush that ships it.
+	InlineMax = 64
 	// slabCap sizes the pooled header/inline slabs (a frames size
 	// class; ~500 header+small-payload runs per slab).
 	slabCap = 16 << 10
@@ -202,7 +203,7 @@ func (q *outQ) enqueue(m Message, tail []byte, owned bool) {
 func (q *outQ) part(p []byte, owned bool) {
 	switch {
 	case len(p) == 0:
-	case len(p) <= inlineMax:
+	case len(p) <= InlineMax:
 		q.slabAppend(p)
 		if owned {
 			frames.Put(p)
@@ -601,10 +602,9 @@ func (ep *TCPEndpoint) Counters() map[string]float64 {
 
 // Retain transfers ownership of the payload being dispatched to the
 // calling handler: the transport will not recycle it when the handler
-// returns. Handlers that park a payload past their return (the wire
-// conduit's reply map) must call it; handlers that consume or copy the
-// payload synchronously must not. Valid only while a handler executes,
-// on the dispatch goroutine.
+// returns. Handlers that park a payload past their return must call
+// it; handlers that consume or copy the payload synchronously must not.
+// Valid only while a handler executes, on the dispatch goroutine.
 func (ep *TCPEndpoint) Retain() { ep.retained = true }
 
 // dispatch routes one message to its handler, tolerating bogus indices.
@@ -1183,7 +1183,7 @@ func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
 // that sends and then stops making progress calls must Flush.
 //
 // Ownership: Send BORROWS the payload until the flush that ships it
-// (payloads of at most inlineMax bytes are copied at the call, ending
+// (payloads of at most InlineMax bytes are copied at the call, ending
 // the borrow immediately). Callers that mutate or recycle the payload
 // before then must use SendOwned. Payloads over MaxPayload and sends on
 // a closed endpoint are rejected up front.
