@@ -34,8 +34,13 @@
 // surrounding Finish waits for whole continuation chains. Operations
 // complete into any completion object through one seam (Completer):
 // a *Promise (NewPromise/Finalize), a legacy *Event, an Onto(...)
-// combination, or the enclosing Finish via ToFinish(). See DESIGN.md
-// §3 "Completion model" for execution-context and quiescence rules.
+// combination, or the enclosing Finish via ToFinish(); a nil one means
+// the rank's implicit handle for copies, which AsyncCopyFence waits
+// on. A Promise counts with an Event, so both follow one rule: it
+// fires once every registered operation completes. Outstanding
+// non-blocking operations are unordered, and their buffers stay
+// untouched until completion. See DESIGN.md §3 "Completion model" for
+// execution-context and quiescence rules.
 //
 // The API is a facade over internal/core (the paper's programming
 // constructs) and internal/ndarray (the multidimensional array library);

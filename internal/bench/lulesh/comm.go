@@ -183,20 +183,17 @@ func newLanding(me *core.Rank, d *Domain, maxFields int) ([2][]landing, [2]landi
 // exchangeUPCXX performs the same accumulate with one-sided puts into
 // the neighbors' landing buffers (set chosen by iteration parity), a
 // single handle-less fence, and one barrier (the paper's async_copy +
-// async_copy_fence structure, §V-E).
-//
-// WriteSliceAsync moves the data eagerly under the hood, so reusing
-// sendBuf across directions is safe here; a real UPC++ program would
-// keep one buffer per direction until the fence.
+// async_copy_fence structure, §V-E). A put's source must stay untouched
+// until it completes, so each direction packs into its own buffer, kept
+// until the fence.
 func exchangeUPCXX(me *core.Rank, d *Domain, fs fields, all []landing, mine landing) {
 	nf := len(fs.arrs)
-	sendBuf := make([]float64, 0, d.N*d.N*nf)
 	for di, dd := range dirs26 {
 		nb := d.neighborRank(dd)
 		if nb < 0 {
 			continue
 		}
-		sendBuf = d.pack(dd, fs, sendBuf)
+		sendBuf := d.pack(dd, fs, nil)
 		me.MemWork(float64(len(sendBuf) * 8))
 		// My direction di lands in the neighbor's opposite(di) buffer.
 		core.WriteSliceAsync(me, all[nb].bufs[opposite(di)], sendBuf, nil)

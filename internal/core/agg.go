@@ -221,7 +221,7 @@ func AggPut[T any](me *Rank, p GlobalPtr[T], v T, done Completer) {
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), n))
 	if me.agg == nil || int(p.rank) == me.id {
 		me.mustCd(me.cd.Put(int(p.rank), p.Offset(), valueBytes(&v)))
-		completeNow(done, me)
+		CompleteNow(done, me)
 		return
 	}
 	me.agg.Put(int(p.rank), p.Offset(), valueBytes(&v), me.aggDefer(done))
@@ -241,7 +241,7 @@ func AggXor64(me *Rank, p GlobalPtr[uint64], val uint64, done Completer) {
 	if me.agg == nil || int(p.rank) == me.id {
 		_, err := me.cd.Xor64(int(p.rank), p.Offset(), val)
 		me.mustCd(err)
-		completeNow(done, me)
+		CompleteNow(done, me)
 		return
 	}
 	me.agg.Xor64(int(p.rank), p.Offset(), val, me.aggDefer(done))
@@ -265,7 +265,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	if me.agg != nil {
 		if target == me.id {
 			me.mustCd(rankApplier{r: me, from: me.id}.AM(id, payload))
-			completeNow(done, me)
+			CompleteNow(done, me)
 			return
 		}
 		me.agg.Send(target, id, payload, me.aggDefer(done))

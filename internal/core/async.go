@@ -131,15 +131,7 @@ func Async(me *Rank, place Place, fn TaskFn, opts ...AsyncOpt) {
 	for _, t := range place.ranks {
 		me.noWire("Async", t)
 	}
-	me.enter()
-	fs := me.currentFinish()
-	if fs != nil {
-		fs.add(len(place.ranks))
-	}
-	if cfg.done != nil {
-		cfg.done.compRegister(me, len(place.ranks))
-	}
-	me.exit()
+	fs := me.registerLaunch(cfg.done, len(place.ranks))
 
 	job := me.job
 	me.fanOut(place, cfg, func(from *Rank, target int, arrival float64) {
@@ -186,15 +178,7 @@ func AsyncFuture[T any](me *Rank, target int, fn func(me *Rank) T, opts ...Async
 	}
 	me.noWire("AsyncFuture", target)
 	f := newFuture[T](me)
-	me.enter()
-	fs := me.currentFinish()
-	if fs != nil {
-		fs.add(1)
-	}
-	if cfg.done != nil {
-		cfg.done.compRegister(me, 1)
-	}
-	me.exit()
+	fs := me.registerLaunch(cfg.done, 1)
 	job := me.job
 	repBytes := int(sizeOf[T]())
 

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Futures-first one-sided operations: the non-blocking counterparts of
 // Read/Write/Copy/ReadSlice returning a chainable *Future instead of
@@ -17,7 +20,8 @@ import "time"
 // to a co-located rank, the copy completes inside the call and the
 // future resolves at once carrying the modeled completion time, so
 // Get/continuation timestamps keep the virtual-time overlap accounting
-// exact, mirroring AsyncCopy.
+// exact. The Completer-taking AsyncCopy and WriteSliceAsync (copy.go)
+// run the same transfer bodies, copyXfer and writeSliceXfer.
 //
 // Failure behavior (resilient wire jobs, Config.Resilient): an
 // operation whose target dies fails its future with a typed
@@ -81,24 +85,31 @@ func (r *Rank) xferAsync(pol *RetryPolicy, get bool, rank int, off uint64, buf [
 		})
 }
 
+// nbCharge books one non-blocking get or put of n bytes toward peer —
+// the stats, and the NB initiation cost now — and returns its modeled
+// completion time.
+func (r *Rank) nbCharge(get bool, peer, n int) float64 {
+	if get {
+		r.ep.Stats.Gets++
+		r.ep.Stats.GetBytes += int64(n)
+	} else {
+		r.ep.Stats.Puts++
+		r.ep.Stats.PutBytes += int64(n)
+	}
+	mo := r.job.model
+	r.ep.Clock.Advance(mo.NBInitCost())
+	return r.Clock() + mo.NBCompleteCost(r.id, peer, n)
+}
+
 // ReadAsync starts a non-blocking one-sided read of the element at p
 // and returns its future — the rvalue use of a shared object without
 // the round-trip stall. Chain with Then to consume the value when it
 // arrives. Accepts WithRetry.
 func ReadAsync[T any](me *Rank, p GlobalPtr[T], opts ...AsyncOpt) *Future[T] {
-	var cfg asyncCfg
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
+	cfg := applyOpts(asyncCfg{}, opts)
 	me.enter()
 	defer me.exit()
-	n := int(sizeOf[T]())
-	me.ep.Stats.Gets++
-	me.ep.Stats.GetBytes += int64(n)
-	mo := me.job.model
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
-
+	completion := me.nbCharge(true, int(p.rank), int(sizeOf[T]()))
 	f, settle, fail := nbFuture[T](me)
 	v := new(T)
 	me.xferAsync(cfg.retry, true, int(p.rank), p.Offset(), valueBytes(v), completion,
@@ -109,19 +120,10 @@ func ReadAsync[T any](me *Rank, p GlobalPtr[T], opts ...AsyncOpt) *Future[T] {
 // WriteAsync starts a non-blocking one-sided write of v to p and
 // returns its completion future. Accepts WithRetry.
 func WriteAsync[T any](me *Rank, p GlobalPtr[T], v T, opts ...AsyncOpt) *Future[struct{}] {
-	var cfg asyncCfg
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
+	cfg := applyOpts(asyncCfg{}, opts)
 	me.enter()
 	defer me.exit()
-	n := int(sizeOf[T]())
-	me.ep.Stats.Puts++
-	me.ep.Stats.PutBytes += int64(n)
-	mo := me.job.model
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, int(p.rank), n)
-
+	completion := me.nbCharge(false, int(p.rank), int(sizeOf[T]()))
 	f, settle, fail := nbFuture[struct{}](me)
 	me.xferAsync(cfg.retry, false, int(p.rank), p.Offset(), valueBytes(&v), completion,
 		func(t float64) { settle(struct{}{}, t) }, fail)
@@ -132,10 +134,7 @@ func WriteAsync[T any](me *Rank, p GlobalPtr[T], v T, opts ...AsyncOpt) *Future[
 // at src into dst; the future resolves with dst once every element has
 // landed. dst must stay untouched until then. Accepts WithRetry.
 func ReadSliceAsync[T any](me *Rank, src GlobalPtr[T], dst []T, opts ...AsyncOpt) *Future[[]T] {
-	var cfg asyncCfg
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
+	cfg := applyOpts(asyncCfg{}, opts)
 	me.enter()
 	defer me.exit()
 	bytes := len(dst) * int(sizeOf[T]())
@@ -144,12 +143,7 @@ func ReadSliceAsync[T any](me *Rank, src GlobalPtr[T], dst []T, opts ...AsyncOpt
 		settle(dst, me.Clock())
 		return f
 	}
-	me.ep.Stats.Gets++
-	me.ep.Stats.GetBytes += int64(bytes)
-	mo := me.job.model
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, int(src.rank), bytes)
-
+	completion := me.nbCharge(true, int(src.rank), bytes)
 	me.xferAsync(cfg.retry, true, int(src.rank), src.Offset(), sliceBytes(dst), completion,
 		func(t float64) { settle(dst, t) }, fail)
 	return f
@@ -157,69 +151,67 @@ func ReadSliceAsync[T any](me *Rank, src GlobalPtr[T], dst []T, opts ...AsyncOpt
 
 // WriteSliceFuture starts the non-blocking WriteSlice and returns its
 // completion future (the futures-first spelling of WriteSliceAsync).
-// Accepts WithRetry.
+// src must stay untouched until then. Accepts WithRetry.
 func WriteSliceFuture[T any](me *Rank, dst GlobalPtr[T], src []T, opts ...AsyncOpt) *Future[struct{}] {
-	var cfg asyncCfg
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
+	cfg := applyOpts(asyncCfg{}, opts)
 	me.enter()
 	defer me.exit()
-	bytes := len(src) * int(sizeOf[T]())
 	f, settle, fail := nbFuture[struct{}](me)
-	if bytes == 0 {
-		settle(struct{}{}, me.Clock())
-		return f
-	}
-	me.ep.Stats.Puts++
-	me.ep.Stats.PutBytes += int64(bytes)
-	mo := me.job.model
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, int(dst.rank), bytes)
-
-	me.xferAsync(cfg.retry, false, int(dst.rank), dst.Offset(), sliceBytes(src), completion,
-		func(t float64) { settle(struct{}{}, t) }, fail)
+	writeSliceXfer(me, cfg.retry, dst, src, func(t float64) { settle(struct{}{}, t) }, fail)
 	return f
+}
+
+// writeSliceXfer is the one transfer body of WriteSliceFuture and
+// WriteSliceAsync: it charges the put and runs ok or fail once with
+// the settle time.
+func writeSliceXfer[T any](me *Rank, pol *RetryPolicy, dst GlobalPtr[T], src []T,
+	ok func(t float64), fail func(err error, t float64)) {
+	bytes := len(src) * int(sizeOf[T]())
+	if bytes == 0 {
+		ok(me.Clock())
+		return
+	}
+	completion := me.nbCharge(false, int(dst.rank), bytes)
+	me.xferAsync(pol, false, int(dst.rank), dst.Offset(), sliceBytes(src), completion, ok, fail)
 }
 
 // CopyAsync starts a non-blocking bulk transfer of count elements from
 // src to dst and returns its completion future — the future-returning
-// async_copy. The bytes stage through a private buffer: the put is
-// issued from the get's completion, so on the wire the two legs
-// pipeline through progress dispatch and the initiator never stalls.
-// Accepts WithRetry; the policy applies to each leg independently.
+// async_copy. Accepts WithRetry; the policy applies to each leg
+// independently.
 func CopyAsync[T any](me *Rank, src, dst GlobalPtr[T], count int, opts ...AsyncOpt) *Future[struct{}] {
-	var cfg asyncCfg
-	for _, o := range opts {
-		o.applyAsync(&cfg)
-	}
+	cfg := applyOpts(asyncCfg{}, opts)
 	me.enter()
 	defer me.exit()
 	f, settle, fail := nbFuture[struct{}](me)
+	copyXfer(me, cfg.retry, src, dst, count, func(t float64) { settle(struct{}{}, t) }, fail)
+	return f
+}
+
+// copyXfer is the one transfer body of CopyAsync and AsyncCopy. The
+// bytes stage through a private buffer: the put is issued from the
+// get's completion, so on the wire the two legs pipeline through
+// progress dispatch and the initiator never stalls. It runs ok or fail
+// once with the settle time.
+func copyXfer[T any](me *Rank, pol *RetryPolicy, src, dst GlobalPtr[T], count int,
+	ok func(t float64), fail func(err error, t float64)) {
 	if count < 0 {
-		panic("upcxx: CopyAsync with negative count")
+		panic(fmt.Sprintf("upcxx: async copy with negative count %d", count))
 	}
 	if count == 0 {
-		settle(struct{}{}, me.Clock())
-		return f
+		ok(me.Clock())
+		return
 	}
 	bytes := count * int(sizeOf[T]())
-	mo := me.job.model
 	peer := int(src.rank)
 	if peer == me.id {
 		peer = int(dst.rank)
 	}
-	me.ep.Stats.Puts++
-	me.ep.Stats.PutBytes += int64(bytes)
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, peer, bytes)
-
+	completion := me.nbCharge(false, peer, bytes)
 	tmp := make([]byte, bytes)
-	me.xferAsync(cfg.retry, true, int(src.rank), src.Offset(), tmp, completion, func(float64) {
-		me.xferAsync(cfg.retry, false, int(dst.rank), dst.Offset(), tmp, completion,
-			func(t float64) { settle(struct{}{}, t) }, fail)
+	me.xferAsync(pol, true, int(src.rank), src.Offset(), tmp, completion, func(float64) {
+		me.xferAsync(pol, false, int(dst.rank), dst.Offset(), tmp, completion, ok, fail)
 	}, fail)
-	return f
 }
 
 // maxTime keeps completion timestamps monotone.

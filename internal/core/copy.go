@@ -15,7 +15,9 @@ import (
 //
 // An Event with no registrations is considered fired, so Wait on a fresh
 // or fully-drained event returns immediately — this makes events reusable
-// across iterations, the common LULESH-style pattern.
+// across iterations, the common LULESH-style pattern. A completion with
+// nothing registered panics. A Promise counts with an Event, and the
+// rank's implicit copy handle is one.
 type Event struct {
 	mu      sync.Mutex
 	pending int
@@ -37,23 +39,28 @@ type eventWaiter struct {
 // NewEvent returns an event ready for registrations.
 func NewEvent() *Event { return &Event{} }
 
-// register records one more operation that must signal before the event
-// fires. Registering on a drained event un-fires it: any still-blocked
-// waiters re-arm so the next firing wakes them again.
-func (ev *Event) register(n int) {
+// register records n more operations that must signal before the event
+// fires, and returns how many were pending before. Registering on a
+// drained event un-fires it: any still-blocked waiters re-arm so the
+// next firing wakes them again.
+func (ev *Event) register(n int) (was int) {
 	ev.mu.Lock()
-	if ev.pending == 0 && n > 0 {
+	was = ev.pending
+	if was == 0 && n > 0 {
 		for i := range ev.waiters {
 			ev.waiters[i].woken = false
 		}
 	}
 	ev.pending += n
 	ev.mu.Unlock()
+	return was
 }
 
-// signal marks one registered operation complete at virtual time done.
-// from is the rank on whose goroutine the signal executes; it is used to
-// route wakeups and to inject deferred async_after launches.
+// signal marks one registered operation complete at virtual time done
+// and reports whether that fired the event, and at what time. from is
+// the rank on whose goroutine the signal executes; it is used to route
+// wakeups and to inject deferred async_after launches. A completion
+// with nothing registered panics: the count must never go negative.
 //
 // Waiters stay registered until their Wait returns, and each firing
 // wakes every not-yet-woken waiter: a blocked waiter's progress loop
@@ -63,16 +70,20 @@ func (ev *Event) register(n int) {
 // must wake the waiter again, or it sleeps forever on an event that is
 // done. The woken flag (re-armed by register when the event un-fires)
 // keeps the common single-fire case at exactly one modeled wake.
-func (ev *Event) signal(done float64, from *Rank) {
+func (ev *Event) signal(done float64, from *Rank) (fired bool, fireTime float64) {
 	ev.mu.Lock()
+	if ev.pending <= 0 {
+		ev.mu.Unlock()
+		panic("upcxx: more completions than registrations (an operation " +
+			"completed twice, or a Promise finalized twice)")
+	}
 	ev.pending--
 	if done > ev.maxDone {
 		ev.maxDone = done
 	}
-	fired := ev.pending == 0
+	fired = ev.pending == 0
 	var wake []*Rank
 	var after []func(float64, *Rank)
-	var fireTime float64
 	if fired {
 		for i := range ev.waiters {
 			if !ev.waiters[i].woken {
@@ -86,7 +97,7 @@ func (ev *Event) signal(done float64, from *Rank) {
 	}
 	ev.mu.Unlock()
 	if !fired {
-		return
+		return false, 0
 	}
 	for _, w := range wake {
 		from.ep.Wake(w.id, fireTime+from.job.model.Lat(from.id, w.id))
@@ -94,6 +105,7 @@ func (ev *Event) signal(done float64, from *Rank) {
 	for _, f := range after {
 		f(fireTime, from)
 	}
+	return true, fireTime
 }
 
 // done reports whether the event has fired (no pending registrations).
@@ -198,16 +210,11 @@ func Copy[T any](me *Rank, src, dst GlobalPtr[T], count int) {
 		me.ep.Stats.PutBytes += int64(bytes)
 		me.ep.Clock.Advance(mo.GetCost(me.id, srcR, bytes) + mo.PutCost(me.id, dstR, bytes))
 	}
-	moveBytes(me, src, dst, bytes)
-}
-
-// moveBytes performs the actual data movement between segments through
-// the conduit's one-sided data plane, staged through a private buffer so
-// that at most one segment lock is held at a time (no lock-ordering
-// deadlocks, and overlapping same-segment ranges behave like memmove).
-// On a wire conduit this is a get off the source followed by a put to
-// the destination, both initiated here.
-func moveBytes[T any](me *Rank, src, dst GlobalPtr[T], bytes int) {
+	// The bytes stage through a private buffer so that at most one
+	// segment lock is held at a time (no lock-ordering deadlocks, and
+	// overlapping same-segment ranges behave like memmove): a get off
+	// the source followed by a put to the destination, both initiated
+	// here.
 	me.aggPreBlock()
 	tmp := make([]byte, bytes)
 	me.mustCd(me.cd.Get(int(src.rank), src.Offset(), tmp))
@@ -217,57 +224,51 @@ func moveBytes[T any](me *Rank, src, dst GlobalPtr[T], bytes int) {
 // AsyncCopy initiates a non-blocking one-sided bulk transfer (the paper's
 // async_copy). If done is non-nil — an *Event (the legacy handle), a
 // *Promise, or an Onto(...) combination — the operation registers with
-// it and completes into it; otherwise completion attaches to the rank's
-// implicit handle set, synchronized by AsyncCopyFence / Fence. The data
-// movement itself is performed eagerly (so program results are ready at
-// synchronization); the cost model accounts initiation now and transfer
-// completion at the modeled finish time, which is what enables
-// communication/computation overlap in virtual time. For a future-
-// returning variant with real wire overlap see CopyAsync.
+// it and completes into it; otherwise it registers with the rank's
+// implicit handle, which AsyncCopyFence / Fence wait on. The transfer
+// is CopyAsync's: on the wire both legs pipeline through progress
+// dispatch, so neither segment may be touched until completion;
+// in-process and to a co-located rank it completes inside the call at
+// the modeled finish time. Outstanding non-blocking operations are
+// unordered with respect to each other.
 func AsyncCopy[T any](me *Rank, src, dst GlobalPtr[T], count int, done Completer) {
-	me.enter()
-	defer me.exit()
-	done = normCompleter(done)
-	if count <= 0 {
-		completeNow(done, me)
-		return
-	}
-	bytes := count * int(sizeOf[T]())
-	mo := me.job.model
-	peer := int(src.rank)
-	if peer == me.id {
-		peer = int(dst.rank)
-	}
-	me.ep.Stats.Puts++
-	me.ep.Stats.PutBytes += int64(bytes)
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, peer, bytes)
+	me.issueInto(done, func(ok func(t float64), fail func(err error, t float64)) {
+		copyXfer(me, nil, src, dst, count, ok, fail)
+	})
+}
 
-	if done != nil {
-		done.compRegister(me, 1)
+// issueInto runs one transfer body under the rank lock, registered with
+// done — the rank's implicit handle when nil — and credits done when the
+// transfer completes. A completion inside the call is credited after the
+// lock is released, so what it fires (AsyncAfter launches, promise
+// continuations) may re-enter the runtime in Concurrent mode. A failed
+// transfer aborts the rank with the conduit's cause, from the progress
+// call that observes the failure.
+func (r *Rank) issueInto(done Completer, xfer func(ok func(t float64), fail func(err error, t float64))) {
+	if done = normCompleter(done); done == nil {
+		done = &r.implicit
 	}
-	moveBytes(me, src, dst, bytes)
-
-	if done != nil {
-		done.compComplete(completion, me)
-	} else {
-		if completion > me.implicitMax {
-			me.implicitMax = completion
+	r.enter()
+	done.compRegister(r, 1)
+	issuing, early, at := true, false, 0.0
+	xfer(func(t float64) {
+		if issuing {
+			early, at = true, t
+			return
 		}
-		me.implicitN++
+		done.compComplete(t, r)
+	}, func(err error, _ float64) { r.mustCd(err) })
+	issuing = false
+	r.exit()
+	if early {
+		done.compComplete(at, r)
 	}
 }
 
 // AsyncCopyFence completes all outstanding implicit-handle async copies
 // issued by this rank (the paper's async_copy_fence: "handle-less"
 // non-blocking communication, §V-E).
-func AsyncCopyFence(me *Rank) {
-	me.enter()
-	defer me.exit()
-	me.ep.Clock.AdvanceTo(me.implicitMax)
-	me.implicitMax = 0
-	me.implicitN = 0
-}
+func AsyncCopyFence(me *Rank) { me.implicit.Wait(me) }
 
 // Fence orders this rank's outstanding shared-memory operations (the
 // upc_fence equivalent): it completes all implicit non-blocking operations
@@ -309,30 +310,12 @@ func WriteSlice[T any](me *Rank, dst GlobalPtr[T], src []T) {
 	me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), sliceBytes(src)))
 }
 
-// WriteSliceAsync is the non-blocking WriteSlice: initiation is charged
-// now, completion attaches to done — any completion object — or the
-// implicit set when done is nil.
+// WriteSliceAsync is the non-blocking WriteSlice: the transfer is
+// WriteSliceFuture's, completing into done — any completion object — or
+// the implicit handle when done is nil. src must stay untouched until
+// completion: on the wire its bytes may still be in flight.
 func WriteSliceAsync[T any](me *Rank, dst GlobalPtr[T], src []T, done Completer) {
-	me.enter()
-	done = normCompleter(done)
-	bytes := len(src) * int(sizeOf[T]())
-	mo := me.job.model
-	me.ep.Stats.Puts++
-	me.ep.Stats.PutBytes += int64(bytes)
-	me.ep.Clock.Advance(mo.NBInitCost())
-	completion := me.Clock() + mo.NBCompleteCost(me.id, int(dst.rank), bytes)
-	if done != nil {
-		done.compRegister(me, 1)
-	}
-	me.aggPreBlock()
-	me.mustCd(me.cd.Put(int(dst.rank), dst.Offset(), sliceBytes(src)))
-	me.exit()
-	if done != nil {
-		done.compComplete(completion, me)
-	} else {
-		if completion > me.implicitMax {
-			me.implicitMax = completion
-		}
-		me.implicitN++
-	}
+	me.issueInto(done, func(ok func(t float64), fail func(err error, t float64)) {
+		writeSliceXfer(me, nil, dst, src, ok, fail)
+	})
 }

@@ -344,11 +344,59 @@ func TestAsyncCopyFenceCompletesImplicit(t *testing.T) {
 			if me.Clock() <= before {
 				t.Error("fence should advance the clock past transfer completion")
 			}
-			if me.implicitN != 0 {
-				t.Error("fence should clear implicit handles")
+			if drained, _ := me.implicit.done(); !drained {
+				t.Error("fence should complete the implicit handle")
 			}
 		}
 		me.Barrier()
+	})
+}
+
+// TestEventOverdrawPanics: a completion with nothing registered must
+// panic for an Event as it does for a Promise. A count that went
+// negative instead would leave the next Wait blocked forever.
+func TestEventOverdrawPanics(t *testing.T) {
+	Run(testCfg(1), func(me *Rank) {
+		for _, c := range []struct {
+			name string
+			done Completer
+		}{{"event", NewEvent()}, {"promise", NewPromise(me)}} {
+			RegisterWith(c.done, me, 1)
+			CompleteAt(c.done, me.Now(), me)
+			if p, ok := c.done.(*Promise); ok {
+				p.Finalize()
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a completion beyond the registrations did not panic", c.name)
+					}
+				}()
+				CompleteAt(c.done, me.Now(), me)
+			}()
+		}
+	})
+}
+
+// TestCopyNegativeCountPanics: every copy form rejects a negative
+// count, the Completer-taking one included.
+func TestCopyNegativeCountPanics(t *testing.T) {
+	Run(testCfg(1), func(me *Rank) {
+		p := Allocate[int64](me, 0, 4)
+		for name, copyFn := range map[string]func(){
+			"Copy":      func() { Copy(me, p, p.Add(2), -1) },
+			"CopyAsync": func() { CopyAsync(me, p, p.Add(2), -1) },
+			"AsyncCopy": func() { AsyncCopy(me, p, p.Add(2), -1, NewEvent()) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s with a negative count did not panic", name)
+					}
+				}()
+				copyFn()
+			}()
+		}
 	})
 }
 

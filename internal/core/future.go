@@ -475,22 +475,21 @@ func (ev *Event) compComplete(t float64, sig *Rank) {
 
 // Promise is the producer half of a future: operations complete into
 // it, and Finalize returns the future of the whole set — the paper
-// lineage's promise/require pattern. A fresh promise holds one
-// anticipated completion for its creator, so operations may be added
-// one by one (each registering and completing in any order) without
-// the future resolving early; Finalize drops the creator's slot and
-// arms resolution.
+// lineage's promise/require pattern. It counts with an Event, whose
+// fire resolves the future. A fresh promise holds one anticipated
+// completion for its creator, so operations may be added one by one
+// (each registering and completing in any order) without the future
+// resolving early; Finalize drops the creator's slot and arms
+// resolution.
 type Promise struct {
-	me   *Rank
-	fut  *Future[struct{}]
-	mu   sync.Mutex
-	pend int
-	maxT float64
+	ev  Event
+	me  *Rank
+	fut *Future[struct{}]
 }
 
 // NewPromise creates a promise owned by the calling rank.
 func NewPromise(me *Rank) *Promise {
-	return &Promise{me: me, fut: newFuture[struct{}](me), pend: 1}
+	return &Promise{ev: Event{pending: 1}, me: me, fut: newFuture[struct{}](me)}
 }
 
 // Future returns the promise's future (unresolved until Finalize has
@@ -508,31 +507,14 @@ func (p *Promise) Finalize() *Future[struct{}] {
 }
 
 func (p *Promise) compRegister(_ *Rank, n int) {
-	p.mu.Lock()
-	if p.pend <= 0 {
-		p.mu.Unlock()
+	if p.ev.register(n) == 0 {
 		panic("upcxx: operation completing into an already-finalized, drained Promise")
 	}
-	p.pend += n
-	p.mu.Unlock()
 }
 
 func (p *Promise) compComplete(t float64, sig *Rank) {
-	p.mu.Lock()
-	if p.pend <= 0 {
-		p.mu.Unlock()
-		panic("upcxx: completion of an already-drained Promise (Finalize called twice, " +
-			"or more completions than registrations)")
-	}
-	p.pend--
-	if t > p.maxT {
-		p.maxT = t
-	}
-	drained := p.pend == 0
-	maxT := p.maxT
-	p.mu.Unlock()
-	if drained {
-		p.fut.resolve(struct{}{}, maxT, sig)
+	if fired, at := p.ev.signal(t, sig); fired {
+		p.fut.resolve(struct{}{}, at, sig)
 	}
 }
 
@@ -639,15 +621,4 @@ func chainCompleter(a, b Completer) Completer {
 		return a
 	}
 	return &Completion{targets: []Completer{a, b}}
-}
-
-// completeNow registers and immediately completes one operation — the
-// degenerate "operation was a no-op" case (Completer analog of
-// SignalNow).
-func completeNow(c Completer, me *Rank) {
-	if c = normCompleter(c); c == nil {
-		return
-	}
-	c.compRegister(me, 1)
-	c.compComplete(me.Now(), me)
 }

@@ -258,10 +258,10 @@ type Rank struct {
 	ackID     uint64
 	ackN      uint32
 
-	// Implicit-handle non-blocking operation state (async_copy without an
-	// event; completed by Fence / AsyncCopyFence).
-	implicitMax float64
-	implicitN   int
+	// implicit is the handle of non-blocking copies issued without a
+	// completion object (async_copy without an event); AsyncCopyFence
+	// and Fence wait on it.
+	implicit Event
 
 	_ pad.Line
 

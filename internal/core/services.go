@@ -67,28 +67,9 @@ func (r *Rank) Now() float64 { return r.ep.Clock.Now() }
 // backwards).
 func (r *Rank) AdvanceTo(t float64) { r.ep.Clock.AdvanceTo(t) }
 
-// Register adds n pending completions to ev, for substrates implementing
-// their own event-completing protocols (e.g. the array library's
-// asynchronous ghost copies).
-func Register(ev *Event, n int) { ev.register(n) }
-
-// SignalAt marks one registered completion of ev at virtual time done;
-// from is the rank whose goroutine delivers the signal.
-func SignalAt(ev *Event, done float64, from *Rank) { ev.signal(done, from) }
-
-// SignalNow registers and immediately signals one completion of ev — the
-// degenerate "operation was a no-op" case.
-func SignalNow(ev *Event, from *Rank) {
-	if ev == nil {
-		return
-	}
-	ev.register(1)
-	ev.signal(from.Now(), from)
-}
-
-// The Completer analogs, for substrates whose protocols complete into
-// any completion object (event, promise, Onto set) — the ndarray
-// library's asynchronous ghost copies use these.
+// Completion services, for substrates implementing their own protocols
+// that complete into any completion object (event, promise, Onto set) —
+// the ndarray library's asynchronous ghost copies use these.
 
 // RegisterWith records n more pending operations with the completion
 // object (nil-safe).
@@ -108,4 +89,9 @@ func CompleteAt(c Completer, t float64, sig *Rank) {
 
 // CompleteNow registers and immediately completes one operation — the
 // no-op-operation case (nil-safe).
-func CompleteNow(c Completer, me *Rank) { completeNow(c, me) }
+func CompleteNow(c Completer, me *Rank) {
+	if c = normCompleter(c); c != nil {
+		c.compRegister(me, 1)
+		c.compComplete(me.Now(), me)
+	}
+}

@@ -106,7 +106,8 @@ func Copy[T any](me *Rank, src, dst GlobalPtr[T], count int) { core.Copy(me, src
 
 // AsyncCopy is the non-blocking bulk transfer async_copy, completing into
 // done — an *Event, a *Promise, or an Onto(...) combination — or the
-// implicit handle set when done is nil.
+// rank's implicit handle when done is nil. Neither buffer may be
+// touched until it completes.
 func AsyncCopy[T any](me *Rank, src, dst GlobalPtr[T], count int, done Completer) {
 	core.AsyncCopy(me, src, dst, count, done)
 }
@@ -118,7 +119,8 @@ func ReadSlice[T any](me *Rank, src GlobalPtr[T], dst []T) { core.ReadSlice(me, 
 func WriteSlice[T any](me *Rank, dst GlobalPtr[T], src []T) { core.WriteSlice(me, dst, src) }
 
 // WriteSliceAsync is the non-blocking WriteSlice, completing into done
-// (or the implicit handle set when done is nil).
+// (or the rank's implicit handle when done is nil); src stays untouched
+// until then.
 func WriteSliceAsync[T any](me *Rank, dst GlobalPtr[T], src []T, done Completer) {
 	core.WriteSliceAsync(me, dst, src, done)
 }
