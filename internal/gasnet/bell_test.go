@@ -13,13 +13,27 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"upcxx/internal/transport"
 )
 
-// The doorbell's carrier: a FIFO per rank beside its shm file. The
-// protocol that decides when to ring is park_test.go's; here are what a
-// ring does when it cannot be delivered, the descriptors' lifecycle,
-// what is left on the wire once bells are off it, and the one path no
+// The doorbell's carriers: a direct wake between ranks of one process,
+// a FIFO per rank beside its shm file between processes. The protocol
+// that decides when to ring is park_test.go's; here are what a ring
+// does when it cannot be delivered, the descriptors' lifecycle, what is
+// left on the wire once bells are off it, and the one path no
 // in-process test takes — a bell between two OS processes.
+
+// foreignNonces stamps every rank's header with a nonce that is not
+// this process's, so that each rank Attached afterwards takes its peers
+// for other processes and rings them through their FIFOs — the carrier
+// the FIFO tests below are about, which an in-process fleet would
+// otherwise not take.
+func foreignNonces(cds []*ShmConduit) {
+	for _, c := range cds {
+		putU64(c.files[c.me][shmProcOff:], shmProc+1)
+	}
+}
 
 // nudge returns a wake for ShmConduit.Listen that never blocks: it
 // leaves one token in ch (capacity 1) if there is none.
@@ -80,6 +94,7 @@ func TestBellLost(t *testing.T) {
 				defer c.Close()
 				cds[i] = c
 			}
+			foreignNonces(cds[:])
 			if tc.before {
 				cds[1].Close()
 			}
@@ -102,7 +117,7 @@ func TestBellLost(t *testing.T) {
 // (64 KiB on Linux); every ring past that is dropped — a wake is queued
 // already — and none blocks or counts as lost.
 func TestBellFullFIFO(t *testing.T) {
-	cds := buildShmFleet(t, 2, minShmRingBytes, 1<<12)
+	cds := buildShmFleet(t, 2, minShmRingBytes, 1<<12, foreignNonces)
 	queued := 0
 	for {
 		_, err := syscall.Write(cds[0].bellTx[1], []byte{0})
@@ -146,6 +161,7 @@ func TestBellLifecycle(t *testing.T) {
 		defer c.Close()
 		cds[i] = c
 	}
+	foreignNonces(cds[:])
 	for i := range cds {
 		if fi, err := os.Stat(bellPath(dir, i)); err != nil || fi.Mode() != os.ModeNamedPipe|0o600 {
 			t.Fatalf("local rank %d's stale bell was not replaced by a FIFO of its own: %v, %v", i, fi, err)
@@ -170,6 +186,135 @@ func TestBellLifecycle(t *testing.T) {
 	within(t, "reader goroutine exit", cds[0].BellReaderDone())
 	if err := cds[0].Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// TestBellNeverBlocks: a bell between two ranks of one process is a
+// call into the peer's TCPEndpoint.Wake, made from inside the ringer's
+// Send or Poll. Two ranks whose inboxes are full ring each other from
+// shm handlers: both rings return at once — a Wake that waited for room
+// would leave each rank waiting on the other — and both ranks still
+// wake for every record after. A ring to a closed peer of this process
+// is counted lost, as TestBellLost pins for EPIPE on the FIFO.
+func TestBellNeverBlocks(t *testing.T) {
+	t.Run("full-inboxes", func(t *testing.T) {
+		hs := hierPair(t, minShmRingBytes)
+		const filler = 200 // a wire handler id no conduit uses
+		var got [2]int
+		var bad [2]error
+		for me, h := range hs {
+			seqHandler(h, &got[me], &bad[me])
+			// Handler 10 answers with record 0 of handler 9, ringing the
+			// sender if it is armed.
+			h.shm.Register(10, func(from int, _ uint64, _ []byte) { h.shm.Send(from, 9, 0, nil) })
+			h.wire.tep.Register(filler, func(*transport.TCPEndpoint, transport.Message) {})
+			for range transport.InboxSlots {
+				if err := h.wire.tep.Send(transport.Message{To: int32(me), Handler: filler}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Each rank has a record of handler 10 waiting, and is armed as
+		// if parked: the answer its handler sends the other way rings.
+		for me, h := range hs {
+			h.shm.Send(1-me, 10, 0, nil)
+		}
+		for me, h := range hs {
+			atomic.StoreUint32(h.shm.wake(me), 1)
+		}
+		rang := make(chan struct{}, 2)
+		for _, h := range hs {
+			go func() {
+				h.shm.Poll()
+				rang <- struct{}{}
+			}()
+		}
+		for range hs {
+			within(t, "a ring into a full inbox", rang)
+		}
+		for me, h := range hs {
+			if c := h.Counters(); c["shm_bells_tx"] != 1 || c["shm_bells_rx"] != 1 {
+				t.Fatalf("rank %d: shm_bells_tx %v, shm_bells_rx %v, want 1 and 1", me, c["shm_bells_tx"], c["shm_bells_rx"])
+			}
+		}
+		const records = 1000
+		runRanks(t, func(me int) error {
+			h := hs[me]
+			for i := 0; i < records; i++ {
+				if me == 0 && i > 0 {
+					h.shm.Send(1, 9, uint64(i), nil)
+				}
+				if err := h.WaitFor(func() bool { return got[me] > i }); err != nil {
+					return err
+				}
+				if me == 1 && i > 0 {
+					h.shm.Send(0, 9, uint64(i), nil)
+				}
+			}
+			return bad[me]
+		})
+		for me, h := range hs {
+			if lost := h.Counters()["shm_bells_lost"]; lost != 0 {
+				t.Errorf("rank %d lost %v bells to a live peer", me, lost)
+			}
+		}
+	})
+	t.Run("closed-peer", func(t *testing.T) {
+		cds := buildShmFleet(t, 2, minShmRingBytes, 1<<12)
+		cds[1].Listen(nudge(make(chan struct{}, 1)))
+		cds[1].Close()
+		// The peer closed armed: its word is still set in our mapping.
+		atomic.StoreUint32(cds[0].wake(1), 1)
+		cds[0].Send(1, 9, 0, nil)
+		c := cds[0].Counters()
+		if c["shm_bells_tx"] != 1 || c["shm_bells_lost"] != 1 {
+			t.Errorf("rang a closed peer: shm_bells_tx %v, shm_bells_lost %v, want 1 and 1", c["shm_bells_tx"], c["shm_bells_lost"])
+		}
+	})
+}
+
+// TestBellInProcessPingPong bounces records between two ranks of one
+// process with no poll budget. Every wait parks; every bell is a call,
+// received (shm_bells_rx) before the ringer's Send returns, so the two
+// counts agree exactly with no reader to wait for; and neither rank
+// started a FIFO reader.
+func TestBellInProcessPingPong(t *testing.T) {
+	const records = 10_000
+	hs := hierPair(t, DefaultShmRingBytes)
+	var got [2]int
+	var bad [2]error
+	for me, h := range hs {
+		seqHandler(h, &got[me], &bad[me])
+	}
+	runRanks(t, func(me int) error {
+		h := hs[me]
+		for i := 0; i < records/2; i++ {
+			if me == 0 {
+				h.shm.Send(1, 9, uint64(i), nil)
+			}
+			if err := h.WaitFor(func() bool { return got[me] > i }); err != nil {
+				return err
+			}
+			if me == 1 {
+				h.shm.Send(0, 9, uint64(i), nil)
+			}
+		}
+		return bad[me]
+	})
+	for me, h := range hs {
+		c, peer := h.Counters(), hs[1-me].Counters()
+		if c["shm_parks"] != records/2 {
+			t.Errorf("rank %d parked %v times in %d waits with no poll budget", me, c["shm_parks"], records/2)
+		}
+		if c["shm_bells_tx"] == 0 || c["shm_bells_tx"] != peer["shm_bells_rx"] {
+			t.Errorf("rank %d rang %v bells, rank %d received %v", me, c["shm_bells_tx"], 1-me, peer["shm_bells_rx"])
+		}
+		if c["shm_bells_lost"] != 0 {
+			t.Errorf("rank %d lost %v bells to a live peer", me, c["shm_bells_lost"])
+		}
+		if h.shm.BellReaderDone() != nil {
+			t.Errorf("rank %d, whose only peer shares its process, started a FIFO reader", me)
+		}
 	}
 }
 

@@ -42,14 +42,16 @@ const (
 	pollsBeforePark = 4
 	// A job of goroutines of one process on one host (RunHierLocal(n,
 	// n)): the yield runs the neighbour that resolves the wait (1x4
-	// barrier 45 us at 4, 6-7 at 64 as on the parent), but a doorbell
-	// is read (by the netpoller) only once a P runs dry, which the
-	// neighbours' poll loops prevent — a parked rank stays parked until
-	// they all give up, at any budget (TestHierBeatsFlatBarrier under a
-	// parallel go test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536).
-	// So here alone a parked rank also re-polls on a timer, which busy
-	// Ps do serve: 0 failures of 16. The timer is armed only while the
-	// rank is parked; a rank that is polling or computing pays nothing.
+	// barrier 45 us at 4, 6-7 at 64 as on the parent). Its bells are
+	// direct calls, but a wire frame (locks ride the wire) is read by
+	// the netpoller only once a P runs dry, which the neighbours' poll
+	// loops prevent: a rank parked on one stays parked until they all
+	// give up, at any budget (TestHierBeatsFlatBarrier under a parallel
+	// go test ./... failed 3 runs of 5 at 64, 1 of 8 at 65536, measured
+	// while bells too went through the netpoller). So here alone a
+	// parked rank also re-polls on a timer, which busy Ps do serve: 0
+	// failures of 16. The timer is armed only while the rank is parked;
+	// a rank that is polling or computing pays nothing.
 	pollsBeforeParkGoroutines = 64
 	repollParkedGoroutines    = 20 * time.Microsecond
 )
@@ -184,8 +186,9 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		h.polls = pollsBeforePark
 	}
 
-	// One wait for both planes, parked on the wire endpoint's inbox: a
-	// byte on this rank's doorbell becomes a wake message there.
+	// One wait for both planes, parked on the wire endpoint's inbox:
+	// every bell to this rank — a call from a peer of this process, a
+	// byte on its FIFO from any other — becomes a wake message there.
 	wire.wait = h.waitFor
 	shm.wait = h.waitFor
 	shm.Listen(wire.tep.Wake)
@@ -212,12 +215,15 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 // event-driven inbox wait, the one the flat wire conduit blocks in,
 // behind the shm wake protocol (ShmConduit.Park): cross-host frames
 // arrive in the inbox by themselves, and a co-located neighbour that
-// publishes into our rings while we are armed writes a byte to our
-// doorbell FIFO, whose reader wakes the same inbox — no frame and no
-// TCP between two ranks of one host. One protocol for goroutine ranks
-// and process ranks (the one shape in which the doorbell alone is not
-// enough also re-polls on a timer while parked: parkRepolling); a rank alone on its host parks at once,
-// and its wake word is never read.
+// publishes into our rings while we are armed rings our bell, which
+// wakes the same inbox — directly if the neighbour is a goroutine of
+// this process, through our doorbell FIFO and its reader if it is
+// another process; no frame and no TCP between two ranks of one host.
+// One protocol for goroutine ranks and process ranks, only the
+// carrier of the bell differs (the one shape in which the inbox alone
+// is not enough also re-polls on a timer while parked: parkRepolling);
+// a rank alone on its host parks at once, and its wake word is never
+// read.
 // Wire polls and the inbox wait both flush, so a peer is never left
 // waiting on a frame parked in our write buffer.
 func (h *HierConduit) waitFor(pred func() bool) error {
@@ -238,8 +244,10 @@ func (h *HierConduit) waitFor(pred func() bool) error {
 // parkRepolling is the block of the all-goroutines shape (see
 // pollsBeforeParkGoroutines): the inbox wait, with every false
 // evaluation of armed — each of which has just re-polled the rings —
-// arming one timer whose firing is a Wake like the doorbell's. The
-// timer runs only between a failed re-poll and the end of the park.
+// arming one timer whose firing is a Wake like a bell's. It rescues
+// what the netpoller starves in this shape (a wire frame; a bell is a
+// direct call here and needs no rescue). The timer runs only between
+// a failed re-poll and the end of the park.
 func (h *HierConduit) parkRepolling(armed func() bool) error {
 	if h.repollTimer == nil {
 		h.repollTimer = time.AfterFunc(h.repoll, h.wire.tep.Wake)

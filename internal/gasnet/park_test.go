@@ -198,9 +198,9 @@ func TestParkTwoProducersOneBell(t *testing.T) {
 	r.expectBells(t, 0, 1)
 }
 
-// hierPair builds two co-located HierConduits (one host, real doorbell
-// FIFOs between them) with the poll phase removed, so every wait that
-// does not find its predicate true parks.
+// hierPair builds two co-located HierConduits (one host, one process:
+// each rings the other by a direct wake) with the poll phase removed,
+// so every wait that does not find its predicate true parks.
 func hierPair(t *testing.T, ringBytes int) [2]*HierConduit {
 	t.Helper()
 	cds := buildHierFleet(t, 2, 2, ringBytes, 1<<12)

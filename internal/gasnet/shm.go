@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -54,19 +55,25 @@ import (
 // caches until the owner actually parks. Park and ringIfArmed are the
 // two halves of the protocol.
 //
-// The bell itself is a named FIFO beside the file, rank<i>.bell: its
-// owner holds it open for reading and writing (so a read never sees
-// EOF) through the runtime's poller, every co-located peer holds a
-// non-blocking write end, and ringing is the write of one byte. A
-// reader goroutine (Listen) turns arriving bytes into the composer's
-// wake. It is a descriptor Go's scheduler knows — the reader blocks in
-// the netpoller, not on a P — and the same code whether the peer is a
-// goroutine or another process.
+// What a bell is depends on where the peer runs, and Attach chooses it
+// per peer from the nonce in the peer's header (proc, drawn once per
+// OS process). A peer in this process is rung by a call: the composer's
+// wake that Listen registered for it, found through a process-local
+// table from shm file path to conduit (ringNear). A peer in another
+// process is rung through a named FIFO beside its file, rank<i>.bell:
+// its owner holds it open for reading and writing (so a read never
+// sees EOF) through the runtime's poller, every co-located peer in
+// another process holds a non-blocking write end, and ringing is the
+// write of one byte (ringBell). A reader goroutine (Listen) turns
+// arriving bytes into the same wake; it blocks in the netpoller, not
+// on a P, and a rank whose peers all share its process starts none.
+// Either way a ring never blocks its publisher and counts the same:
+// shm_bells_tx at the ringer, shm_bells_rx at the rung.
 //
-// proc is a nonce drawn once per OS process: a rank whose peers all
-// carry its own is one goroutine among goroutines (RunHierLocal), and
-// only then does a runtime.Gosched in its poll loop hand the CPU to the
-// neighbour it is waiting for (PeersAreGoroutines).
+// The nonce also tells a rank whose peers all carry its own that it is
+// one goroutine among goroutines (RunHierLocal), and only then does a
+// runtime.Gosched in its poll loop hand the CPU to the neighbour it is
+// waiting for (PeersAreGoroutines).
 //
 // Setup is two-phase to avoid a filesystem race: every rank Creates its
 // own file before the job rendezvous, then Attaches to its peers' files
@@ -84,12 +91,16 @@ type ShmConduit struct {
 
 	files  [][]byte // mmap per local rank's file (files[me] created, rest attached)
 	closed bool
-	// The doorbell: bellRx is this rank's FIFO, bellTx[j] the write end
-	// of co-located rank j's (-1 for self, and for a peer whose reader
-	// was already gone at Attach). bellDone closes when the reader
-	// goroutine Listen started has exited.
+	// The doorbell: bells[j] rings co-located rank j, as Attach chose
+	// it. bellRx is this rank's FIFO, bellTx[j] the write end of rank
+	// j's (-1 for self, for a peer in this process, and for one whose
+	// reader was already gone at Attach). woken is the wake Listen was
+	// given, which both carriers end in; bellDone closes when the FIFO
+	// reader Listen started has exited (nil if it started none).
+	bells    []func()
 	bellRx   *os.File
 	bellTx   []int
+	woken    func()
 	bellDone chan struct{}
 	// goroutines: every attached peer's file was created by this process.
 	goroutines bool
@@ -102,8 +113,8 @@ type ShmConduit struct {
 	// one wait loop, so a stalled producer parks (and keeps serving
 	// both planes) exactly like any other blocked operation. bell wakes
 	// co-located rank `local` out of its Park; it may be called from
-	// inside Send or Poll. It is ringBell unless a protocol test has put
-	// its own counter in the seam.
+	// inside Send or Poll. It calls bells[local] unless a protocol test
+	// has put its own counter in the seam.
 	wait func(pred func() bool) error
 	bell func(local int)
 	// parked counts the Parks in progress: a handler run by a park's
@@ -141,6 +152,11 @@ const (
 // shmProc identifies this OS process in the files it creates (a pid
 // would repeat across pid namespaces sharing one shm directory).
 var shmProc = rand.Uint64()
+
+// shmNear maps the shm file path of every listening conduit of this
+// process to that conduit: Listen adds it, Close removes it, and a bell
+// to a peer of this process looks its target up here.
+var shmNear sync.Map // string -> *ShmConduit
 
 // ShmPath returns rank me's shm file path inside dir.
 func ShmPath(dir string, me int) string {
@@ -193,6 +209,7 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 		ringBytes:  ringBytes,
 		segBytes:   segBytes,
 		files:      make([][]byte, n),
+		bells:      make([]func(), n),
 		bellRx:     bell,
 		bellTx:     make([]int, n),
 		goroutines: true,
@@ -203,7 +220,7 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 	for j := range c.bellTx {
 		c.bellTx[j] = -1
 	}
-	c.bell = c.ringBell
+	c.bell = func(j int) { c.bells[j]() }
 	return c, nil
 }
 
@@ -222,9 +239,10 @@ func createBell(path string) (*os.File, error) {
 	return os.OpenFile(path, os.O_RDWR|syscall.O_NONBLOCK, 0)
 }
 
-// Attach maps every peer's shm file and opens the write end of its
-// doorbell. All ranks must have Created theirs first (the launcher's
-// rendezvous provides that ordering).
+// Attach maps every peer's shm file and chooses its bell: a call for a
+// peer of this process, the write end of its FIFO for any other. All
+// ranks must have Created theirs first (the launcher's rendezvous
+// provides that ordering).
 func (c *ShmConduit) Attach() error {
 	size := shmFileSize(c.n, c.ringBytes, c.segBytes)
 	for j := 0; j < c.n; j++ {
@@ -241,8 +259,14 @@ func (c *ShmConduit) Attach() error {
 			binary.LittleEndian.Uint64(buf[24:]) != uint64(c.segBytes) {
 			return fmt.Errorf("gasnet: shm file %s disagrees on geometry", ShmPath(c.dir, j))
 		}
-		c.goroutines = c.goroutines && binary.LittleEndian.Uint64(buf[shmProcOff:]) == shmProc
 		c.files[j] = buf
+		if binary.LittleEndian.Uint64(buf[shmProcOff:]) == shmProc {
+			path := ShmPath(c.dir, j)
+			c.bells[j] = func() { c.ringNear(path) }
+			continue
+		}
+		c.goroutines = false
+		c.bells[j] = func() { c.ringBell(j) }
 		// A raw descriptor, written on the rank's goroutine only: a full
 		// FIFO must fail the write, not park it in the poller. ENXIO is a
 		// FIFO nobody reads — the peer is gone already; ringBell counts
@@ -352,12 +376,32 @@ func (c *ShmConduit) ringIfArmed(j int) {
 	}
 }
 
-// ringBell is the doorbell: one byte into co-located rank j's FIFO. It
-// cannot fail the publisher. EAGAIN is 64 KiB of bells nobody has read
-// yet, so a wake is queued already; EPIPE (the signal that comes with
-// it is one Go ignores on any descriptor but 1 and 2) means the peer
-// has closed its conduit or died, which is counted and left to whoever
-// is waiting on that peer to report.
+// ringNear is the bell of a peer in this process: it calls the wake the
+// peer's Listen registered, the TCPEndpoint.Wake its FIFO reader would
+// end in, which never blocks — two ranks ringing each other from
+// handlers cannot wait on each other. A peer that has closed its
+// conduit is no longer in the table; the ring is counted lost, as an
+// EPIPE is on the FIFO.
+func (c *ShmConduit) ringNear(path string) {
+	if p, ok := shmNear.Load(path); ok {
+		p.(*ShmConduit).rung(1)
+		return
+	}
+	c.bellsLost.Add(1)
+}
+
+// rung counts n bells received and wakes the composer.
+func (c *ShmConduit) rung(n int) {
+	c.bellsRx.Add(int64(n))
+	c.woken()
+}
+
+// ringBell is the bell of a peer in another process: one byte into its
+// FIFO. It cannot fail the publisher. EAGAIN is 64 KiB of bells nobody
+// has read yet, so a wake is queued already; EPIPE (the signal that
+// comes with it is one Go ignores on any descriptor but 1 and 2) means
+// the peer has closed its conduit or died, which is counted and left
+// to whoever is waiting on that peer to report.
 func (c *ShmConduit) ringBell(j int) {
 	var one [1]byte
 	switch _, err := syscall.Write(c.bellTx[j], one[:]); err {
@@ -367,11 +411,18 @@ func (c *ShmConduit) ringBell(j int) {
 	}
 }
 
-// Listen starts the goroutine that reads this rank's doorbell and calls
-// wake — which must not block — for every batch of bytes that arrives,
-// until Close. The composer calls it once, with what unblocks the wait
-// its Park blocks in.
+// Listen makes wake — which must not block, and must be safe from any
+// goroutine — what every bell to this rank ends in, until Close: peers
+// of this process call it directly, and if any peer runs in another
+// process a goroutine reads this rank's FIFO and calls it for every
+// batch of bytes that arrives. The composer calls it once, after
+// Attach, with what unblocks the wait its Park blocks in.
 func (c *ShmConduit) Listen(wake func()) {
+	c.woken = wake
+	shmNear.Store(ShmPath(c.dir, c.me), c)
+	if c.goroutines {
+		return
+	}
 	c.bellDone = make(chan struct{})
 	go func() {
 		defer close(c.bellDone)
@@ -379,8 +430,7 @@ func (c *ShmConduit) Listen(wake func()) {
 		for {
 			n, err := c.bellRx.Read(buf[:])
 			if n > 0 {
-				c.bellsRx.Add(int64(n))
-				wake()
+				c.rung(n)
 			}
 			if err != nil {
 				return
@@ -559,9 +609,9 @@ func (c *ShmConduit) SetObs(ring *obs.Ring) { c.obsRing = ring }
 
 // Counters reports shm-plane traffic (complete messages, payload bytes)
 // and how often this rank ran out of poll budget and parked
-// (shm_parks), rang a parked neighbour's doorbell (shm_bells_tx), read
-// a byte off its own (shm_bells_rx) and rang one whose reader was gone
-// (shm_bells_lost).
+// (shm_parks), rang a parked neighbour's doorbell (shm_bells_tx), was
+// rung (shm_bells_rx: a call from a peer of this process, or a byte
+// read off its FIFO) and rang one that was gone (shm_bells_lost).
 func (c *ShmConduit) Counters() map[string]float64 {
 	return map[string]float64{
 		"shm_tx_msgs":    float64(c.txMsgs.Load()),
@@ -575,15 +625,16 @@ func (c *ShmConduit) Counters() map[string]float64 {
 	}
 }
 
-// Close unmaps every mapping and closes both ends of the doorbells,
-// returning once the reader goroutine has exited. The launcher owns the
-// directory (and removes it after the job); Close only releases this
-// process's views.
+// Close takes this rank out of the in-process bell table, unmaps every
+// mapping and closes both ends of the FIFOs, returning once the reader
+// goroutine (if any) has exited. The launcher owns the directory (and
+// removes it after the job); Close only releases this process's views.
 func (c *ShmConduit) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
+	shmNear.CompareAndDelete(ShmPath(c.dir, c.me), c)
 	first := c.bellRx.Close()
 	if c.bellDone != nil {
 		<-c.bellDone

@@ -13,7 +13,8 @@ import (
 // fragmentation, not just the easy path. No composer installs the wait
 // seam here, so the fleet gets the simplest one that is correct without
 // a wire: a full-ring wait that polls (nobody parks, so nobody rings).
-func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
+// Each beforeAttach runs on the created fleet before any rank attaches.
+func buildShmFleet(t *testing.T, n, ringBytes, segBytes int, beforeAttach ...func([]*ShmConduit)) []*ShmConduit {
 	t.Helper()
 	dir := t.TempDir()
 	cds := make([]*ShmConduit, n)
@@ -30,6 +31,9 @@ func buildShmFleet(t *testing.T, n, ringBytes, segBytes int) []*ShmConduit {
 			return nil
 		}
 		cds[i] = shm
+	}
+	for _, f := range beforeAttach {
+		f(cds)
 	}
 	for _, shm := range cds {
 		if err := shm.Attach(); err != nil {

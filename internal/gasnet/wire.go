@@ -361,8 +361,9 @@ func (c *WireConduit) Capabilities() Caps {
 }
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
-// (WakerConduit) — never the rank's own, which would wait on itself
-// when its inbox is full.
+// (WakerConduit). It never blocks (TCPEndpoint.Wake), which is what
+// lets a co-located rank of this process ring it from inside its own
+// Send or Poll.
 func (c *WireConduit) Wake() { c.tep.Wake() }
 
 // newReq takes a pooled record for a request of frames frames to `to`

@@ -56,6 +56,12 @@ type Message struct {
 // corrupt or hostile streams).
 const MaxPayload = 16 << 20
 
+// InboxSlots is how many delivered messages an endpoint holds for its
+// rank: enough to let the readers run ahead of a rank that is
+// computing. A full inbox blocks them (and, through TCP, the senders),
+// which is the transport's only flow control.
+const InboxSlots = 1024
+
 // ErrClosed is returned by operations on a closed endpoint.
 var ErrClosed = errors.New("transport: endpoint closed")
 
@@ -289,9 +295,7 @@ type TCPEndpoint struct {
 
 	// inbox is the one thing a rank blocks on: frames from the reader
 	// goroutines, loopback sends, and the synthetic peerDown and wake
-	// messages. Its 1,024 slots let the readers run ahead of a rank that
-	// is computing; a full inbox blocks them (and, through TCP, the
-	// senders), which is the transport's only flow control.
+	// messages, InboxSlots of them.
 	inbox     chan Message
 	done      chan struct{}
 	closeOnce sync.Once
@@ -490,12 +494,12 @@ func (ep *TCPEndpoint) deliver(m Message) bool {
 }
 
 // Wake makes a WaitFor blocked on this endpoint re-evaluate its
-// predicate by enqueueing a synthetic message through the inbox. Safe
-// to call from any goroutine but the rank's own (which a full inbox
-// would leave waiting on itself), any number of times: it is how
-// non-SPMD threads (an HTTP server, a signal handler, the
-// shm doorbell reader, the tick timer) nudge the rank's progress loop
-// after publishing work for it.
+// predicate by enqueueing a synthetic message through the inbox. It
+// never blocks, so it is safe from any goroutine, any number of times:
+// it is how non-SPMD threads (an HTTP server, a signal handler, the
+// shm doorbell reader, the tick timer) and co-located ranks of this
+// process (an shm bell, rung from inside their own Send or Poll) nudge
+// the rank's progress loop after publishing work for it.
 //
 // At most one wake message is ever queued. The caller publishes its
 // state, then sets wakeQueued; the dispatch goroutine clears
@@ -504,15 +508,22 @@ func (ep *TCPEndpoint) deliver(m Message) bool {
 // Wake that finds the word set is covered by a message the rank has
 // not acted on yet, and returns without touching the inbox — which is
 // why neither a 20 us re-poll timer nor a burst of HTTP handlers can
-// fill it. The Wake that sets the word must get its message in: with
-// the inbox full of frames it waits for room rather than drop the wake
-// others may have coalesced into.
+// fill it. The Wake that sets the word must get its message in, since
+// others may have coalesced into it; with the inbox full of frames it
+// hands the send to a goroutine of its own rather than wait for room
+// itself — two ranks that ring each other from handlers would
+// otherwise each wait for the other to drain.
 func (ep *TCPEndpoint) Wake() {
 	if ep.wakeQueued.Swap(true) {
 		ep.wakesCoalesced.Add(1)
 		return
 	}
-	ep.deliver(Message{From: ep.rank, To: ep.rank, Handler: wakeHandler})
+	m := Message{From: ep.rank, To: ep.rank, Handler: wakeHandler}
+	select {
+	case ep.inbox <- m:
+	default:
+		go ep.deliver(m)
+	}
 }
 
 // SeverPeer forcibly closes the connection to peer, as if the link had
@@ -1016,7 +1027,7 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		ln:         ln,
 		handlers:   make([]Handler, 256),
 		conns:      make([]net.Conn, n),
-		inbox:      make(chan Message, 1024),
+		inbox:      make(chan Message, InboxSlots),
 		done:       make(chan struct{}),
 		rxs:        make([]*frameReader, n),
 		sites:      make([]*rxLanding, n),

@@ -144,3 +144,46 @@ func TestCloseUnblocksPlainReceive(t *testing.T) {
 		t.Fatalf("WaitFor after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestWakeIntoFullInbox: the Wake that sets the wake word finds the
+// inbox full and still returns at once (a co-located rank rings from
+// inside its own Send or Poll, and two such ranks must not wait on each
+// other). Its message goes in once the rank has made room, which
+// clears the word for the next Wake — the one that reaches a WaitFor
+// blocked after the drain.
+func TestWakeIntoFullInbox(t *testing.T) {
+	eps := mesh(t, 2)
+	eps[0].Register(7, func(*TCPEndpoint, Message) {})
+	for len(eps[0].inbox) < cap(eps[0].inbox) {
+		eps[0].inbox <- Message{From: 0, To: 0, Handler: 7}
+	}
+	returned := make(chan struct{})
+	go func() {
+		eps[0].Wake()
+		close(returned)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wake into a full inbox did not return")
+	}
+	for deadline := time.Now().Add(5 * time.Second); eps[0].wakeQueued.Load(); eps[0].Poll() {
+		if time.Now().After(deadline) {
+			t.Fatal("the wake message never followed the drain: the word stays set and every later Wake coalesces into nothing")
+		}
+	}
+
+	var flag atomic.Bool
+	done := make(chan error, 1)
+	go func() { done <- eps[0].WaitFor(flag.Load) }()
+	flag.Store(true)
+	eps[0].Wake()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("WaitFor: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitFor did not observe the flag after Wake")
+	}
+}
