@@ -147,6 +147,7 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	// flush. On the wire they share the ack's writev. O(1) when nothing
 	// is buffered.
 	bc.SetBatchHandler(func(from int, payload []byte) error {
+		defer r.taskPanic(len(r.finish))
 		r.ring.Begin(obs.KAggApply, int32(from), uint32(len(payload)))
 		outer := r.applying
 		r.applying = true
@@ -210,7 +211,8 @@ func (r *Rank) aggDefer(done Completer) func() {
 // layer: buffered per destination, applied when the batch ships, and
 // complete (visible at the owner) when done completes — an *Event, a
 // *Promise, or an Onto(...) set; with nil, by the next barrier. See
-// the package notes above for ordering.
+// the package notes above for ordering. Aimed at the calling rank it is
+// a store into the rank's own segment, complete on return.
 func AggPut[T any](me *Rank, p GlobalPtr[T], v T, done Completer) {
 	me.enter()
 	defer me.exit()
@@ -219,18 +221,26 @@ func AggPut[T any](me *Rank, p GlobalPtr[T], v T, done Completer) {
 	me.ep.Stats.Puts++
 	me.ep.Stats.PutBytes += int64(n)
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), n))
-	if me.agg == nil || int(p.rank) == me.id {
+	switch {
+	case int(p.rank) == me.id:
+		me.mustCd(rankApplier{r: me, from: me.id}.Put(p.Offset(), valueBytes(&v)))
+	case me.agg == nil:
 		me.mustCd(me.cd.Put(int(p.rank), p.Offset(), valueBytes(&v)))
-		CompleteNow(done, me)
+	default:
+		me.agg.Put(int(p.rank), p.Offset(), valueBytes(&v), me.aggDefer(done))
 		return
 	}
-	me.agg.Put(int(p.rank), p.Offset(), valueBytes(&v), me.aggDefer(done))
+	if done != nil {
+		CompleteNow(done, me)
+	}
 }
 
 // AggXor64 xors val into the shared word at p through the aggregation
 // layer. Unlike AtomicXor the updated value does not travel back —
 // aggregated xors are fire-and-forget updates (the GUPS access
-// pattern), which is exactly what lets them coalesce.
+// pattern), which is exactly what lets them coalesce. Aimed at the
+// calling rank it is an atomic xor into the rank's own segment,
+// complete on return.
 func AggXor64(me *Rank, p GlobalPtr[uint64], val uint64, done Completer) {
 	me.enter()
 	defer me.exit()
@@ -238,13 +248,19 @@ func AggXor64(me *Rank, p GlobalPtr[uint64], val uint64, done Completer) {
 	me.ep.Stats.Puts++
 	me.ep.Stats.PutBytes += 8
 	me.ep.Clock.Advance(me.job.model.PutCost(me.id, int(p.rank), 8))
-	if me.agg == nil || int(p.rank) == me.id {
+	switch {
+	case int(p.rank) == me.id:
+		me.seg.Xor64(p.Offset(), val)
+	case me.agg == nil:
 		_, err := me.cd.Xor64(int(p.rank), p.Offset(), val)
 		me.mustCd(err)
-		CompleteNow(done, me)
+	default:
+		me.agg.Xor64(int(p.rank), p.Offset(), val, me.aggDefer(done))
 		return
 	}
-	me.agg.Xor64(int(p.rank), p.Offset(), val, me.aggDefer(done))
+	if done != nil {
+		CompleteNow(done, me)
+	}
 }
 
 // AggSend delivers payload to the AM handler registered under id on

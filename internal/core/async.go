@@ -214,9 +214,10 @@ func AsyncFuture[T any](me *Rank, target int, fn func(me *Rank) T, opts ...Async
 // spawn/done accounting behind the paper's X10-style finish. Closure
 // asyncs count only tasks spawned directly in the block's dynamic
 // scope on the initiating rank (paper §III-G); registered tasks are
-// tracked transitively — each remote task runs under an implicit scope
-// of its own whose completion cascades up the spawn tree as done-acks,
-// so a Finish over AsyncTask launches blocks until every descendant,
+// tracked transitively — each remote task that issues tracked work runs
+// under an implicit scope of its own (a leaf reports as it returns)
+// whose completion cascades up the spawn tree as done-acks, so a Finish
+// over AsyncTask launches blocks until every descendant,
 // including RPCs spawned by RPCs on other address spaces, and every
 // aggregated operation they issued, has quiesced.
 type finishScope struct {
@@ -263,12 +264,32 @@ func (fs *finishScope) childDoneN(n int, doneTime float64, child *Rank) {
 
 func (fs *finishScope) empty() bool { return fs.outstanding.Load() == 0 }
 
-// currentFinish returns the innermost active finish scope, if any.
+// finishEntry is one level of a rank's finish stack: the scope of a
+// Finish block (or of a continuation re-pushed by runUnder), or a task
+// executing here (execTask). A task entry starts with no scope — just
+// the task and its completion target, parent or (caller, ackID) — and
+// gets one from the free list only when its body first asks
+// (currentFinish), so a leaf task costs no scope at all.
+type finishEntry struct {
+	fs     *finishScope
+	parent *finishScope
+	ackID  uint64
+	caller int32
+	task   uint16 // 1 + the executing task's registry index; 0 for a Finish scope
+}
+
+// currentFinish returns the innermost active finish scope, if any,
+// first giving a task entry on top of the stack its scope.
 func (r *Rank) currentFinish() *finishScope {
-	if n := len(r.finish); n > 0 {
-		return r.finish[n-1]
+	n := len(r.finish)
+	if n == 0 {
+		return nil
 	}
-	return nil
+	e := &r.finish[n-1]
+	if e.fs == nil {
+		e.fs = r.taskScope(int(e.caller), e.parent, e.ackID)
+	}
+	return e.fs
 }
 
 // Finish runs body and then blocks until every async launched in body's
@@ -281,7 +302,7 @@ func (r *Rank) currentFinish() *finishScope {
 func Finish(me *Rank, body func()) {
 	me.ring.Begin(obs.KFinish, -1, 0)
 	fs := &finishScope{owner: me}
-	me.finish = append(me.finish, fs)
+	me.finish = append(me.finish, finishEntry{fs: fs})
 	body()
 	me.finish = me.finish[:len(me.finish)-1]
 	me.ring.Instant(obs.KFinishDrain, -1, 0, 0)

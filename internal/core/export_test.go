@@ -20,14 +20,17 @@ type HotSpan struct {
 // external isolation test (package core_test, which can import the
 // wire and hier launchers of internal/spmd without a cycle): every pad
 // bracket of the rank handle, its endpoint, aggregator, conduit(s) and
-// transport endpoint, the pad.Slice backing arrays, and the recycled
-// task scopes. The structs of other packages are walked by reflection,
-// by field name; a struct that lost its bracket, or a renamed field,
-// panics rather than shrinking the list.
+// transport endpoint (its send side), the pad.Slice backing arrays —
+// the finish stack whose entries carry the executing tasks, the scope
+// free list, the aggregator's, and the transport endpoint's per-peer
+// dispatched counts, the one word its dispatch goroutine writes per
+// frame — and the recycled task scopes. The structs of other packages
+// are walked by reflection, by field name; a struct that lost its
+// bracket, or a renamed field, panics rather than shrinking the list.
 func HotSpans(me *Rank) []HotSpan {
 	out := bracketSpans("rank", me)
 	out = append(out, bracketSpans("endpoint", me.ep)...)
-	out = append(out, sliceSpan("finish stack", reflect.ValueOf(me.finish)),
+	out = append(out, sliceSpan("finish/task stack", reflect.ValueOf(me.finish)),
 		sliceSpan("scope free list", reflect.ValueOf(me.scopeFree)))
 	if len(me.scopeFree) == 0 {
 		panic("core: HotSpans before any task scope was recycled on this rank")
@@ -51,10 +54,16 @@ func HotSpans(me *Rank) []HotSpan {
 			cd = ptrTo(leg)
 			out = append(out, bracketSpans("wire leg", cd.Interface())...)
 		}
-		out = append(out, bracketSpans("transport endpoint", ptrTo(field(cd.Elem(), "tep")).Interface())...)
+		tep := ptrTo(field(cd.Elem(), "tep"))
+		out = append(out, bracketSpans("transport endpoint", tep.Interface())...)
+		out = append(out, sliceSpan("transport dispatched counts", field(tep.Elem(), "dispatched")))
 	}
 	return out
 }
+
+// TaskScopes is how many task scopes rank me has taken so far: the
+// core_task_scopes counter, read live.
+func TaskScopes(me *Rank) int64 { return me.scopesTaken.Load() }
 
 // bracketSpans returns the range between each pair of pad.Line fields
 // of the struct p points to.

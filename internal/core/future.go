@@ -336,7 +336,7 @@ func runUnder[U any](me *Rank, fs *finishScope, body func() U) U {
 		return body()
 	}
 	me.enter()
-	me.finish = append(me.finish, fs)
+	me.finish = append(me.finish, finishEntry{fs: fs})
 	me.exit()
 	defer func() {
 		me.enter()

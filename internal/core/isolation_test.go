@@ -13,10 +13,12 @@ import (
 // 64-byte line holds per-operation-written words of two different
 // ranks. It lists each rank's words (core.HotSpans: endpoint clock and
 // counters, the rank handle's launch/execute/ack state, the finish
-// stack and scope free list arrays, recycled task scopes, aggregator
-// header and per-destination buffers, conduit token words, transport
-// dispatch words) after the fixed storm, so lazily allocated state
-// exists, and while every rank is still alive.
+// stack — whose entries carry the executing tasks — and scope free list
+// arrays, recycled task scopes, aggregator header and per-destination
+// buffers, conduit token words, the transport endpoint's send side and
+// per-peer dispatched counts) after the fixed storm, so lazily allocated state exists (its
+// relay task is what takes and recycles a scope: the other bodies are
+// leaves, which take none), and while every rank is still alive.
 func TestRankHotWordsIsolated(t *testing.T) {
 	adaptive := core.Config{Agg: agg.Config{Adaptive: true}}
 	for _, tc := range []struct {

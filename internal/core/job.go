@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"upcxx/internal/agg"
@@ -238,25 +239,28 @@ type Rank struct {
 	// on pad.Slice backing arrays for the same reason (newJob).
 	_ pad.Line
 
-	finish []*finishScope
+	finish []finishEntry
 
 	// Registered-task RPC state (rpc.go). scopeFree recycles the implicit
-	// scopes of tasks executed here (both backends). The rest is for
+	// scopes of tasks executed here (both backends), and scopesTaken
+	// counts how many a task body asked for (an atomic only so Counters
+	// may read it from another goroutine). The rest is for
 	// wire jobs only: calls awaits executors' replies (futures, signal
 	// events) by call id; doneTab holds finish scopes awaiting remote
 	// done-acks by scope id; applying is set while this rank is directly
 	// inside a batch application (not in a wait nested in one), during
 	// which done-acks owed to one caller scope accumulate in (ackTo,
 	// ackID, ackN) and ship as one counted ack (oweDone).
-	calls     map[uint64]*pendingCall
-	nextCall  uint64
-	doneTab   map[uint64]*finishScope
-	nextDone  uint64
-	scopeFree []*finishScope
-	applying  bool
-	ackTo     int
-	ackID     uint64
-	ackN      uint32
+	calls       map[uint64]*pendingCall
+	nextCall    uint64
+	doneTab     map[uint64]*finishScope
+	nextDone    uint64
+	scopeFree   []*finishScope
+	scopesTaken atomic.Int64
+	applying    bool
+	ackTo       int
+	ackID       uint64
+	ackN        uint32
 
 	// implicit is the handle of non-blocking copies issued without a
 	// completion object (async_copy without an event); AsyncCopyFence
@@ -339,7 +343,7 @@ func newJob(cfg Config, eng *gasnet.Engine, shared bool, segs []*segment.Segment
 			cd:        cd,
 			caps:      cd.Capabilities(),
 			nodes:     jobNodes(cfg, cd, shared),
-			finish:    pad.Slice[*finishScope](scopeSlab)[:0],
+			finish:    pad.Slice[finishEntry](scopeSlab)[:0],
 			scopeFree: pad.Slice[*finishScope](scopeSlab)[:0],
 		}
 		r.world = &Team{r: r, id: worldTeamID, members: world, myIdx: id, slot: shared}
@@ -385,9 +389,10 @@ func (r *Rank) stats() Stats {
 	return st
 }
 
-// counterSources lists the rank's named meters: conduit and aggregator.
+// counterSources lists the rank's named meters: its own, the conduit's
+// and the aggregator's.
 func (r *Rank) counterSources() []gasnet.CounterSource {
-	var cs []gasnet.CounterSource
+	cs := []gasnet.CounterSource{rankCounters{r}}
 	if r.caps.Counters != nil {
 		cs = append(cs, r.caps.Counters)
 	}
@@ -395,6 +400,15 @@ func (r *Rank) counterSources() []gasnet.CounterSource {
 		cs = append(cs, r.agg)
 	}
 	return cs
+}
+
+// rankCounters meters the rank's own runtime: core_task_scopes is how
+// many task bodies executed here needed a scope of their own (leaf
+// bodies take none; see execTask).
+type rankCounters struct{ r *Rank }
+
+func (c rankCounters) Counters() map[string]float64 {
+	return map[string]float64{"core_task_scopes": float64(c.r.scopesTaken.Load())}
 }
 
 // fold adds one rank's statistics into a job total: counts and counters

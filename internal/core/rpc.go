@@ -111,25 +111,25 @@ type voidCall struct{ target, left int }
 // own messages go straight to the aggregator, with no finish/event
 // registration: the task protocol does its own accounting.
 func (r *Rank) rpcRequest(from int, payload []byte) error {
-	req, err := rpc.DecodeRequest(payload)
+	idx, flags, callID, doneID, args, err := rpc.ParseRequest(payload)
 	var fn TaskBody
-	var name string
 	if err == nil {
-		fn, name, err = taskRegistry.Resolve(req.Task)
+		if fn = taskRegistry.Fn(idx); fn == nil {
+			_, _, err = taskRegistry.Resolve(idx)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("corrupt task request: %w", err)
 	}
 	r.ep.Stats.Tasks++
 	var onBody func([]byte, float64)
-	if req.Flags&rpc.FlagReply != 0 {
-		callID := req.CallID
+	if flags&rpc.FlagReply != 0 {
 		onBody = func(reply []byte, _ float64) {
 			var h [rpc.RepHeaderBytes]byte
 			r.agg.SendParts(from, amRPCRep, rpc.AppendReply(h[:0], callID, nil), reply, nil)
 		}
 	}
-	r.execTask(from, fn, name, req.Args, onBody, nil, req.DoneID)
+	r.execTask(from, idx, fn, args, onBody, nil, doneID)
 	return nil
 }
 
@@ -275,12 +275,12 @@ func (r *Rank) doneDrop(fs *finishScope) {
 	}
 }
 
-// taskScope returns the implicit scope of one task about to execute
-// here, from this rank's free list: the body holds the first slot, and
-// the completion target is parent (engine launches) or rank caller's
-// scope ackID (wire requests). An empty list refills from one
-// pad.Slice slab, so a task scope shares cache lines only with other
-// scopes of this rank.
+// taskScope returns the implicit scope of a task executing here, taken
+// from this rank's free list the first time its body asks for a scope
+// (currentFinish): the body holds the first slot, and the completion
+// target is parent (engine launches) or rank caller's scope ackID (wire
+// requests). An empty list refills from one pad.Slice slab, so a task
+// scope shares cache lines only with other scopes of this rank.
 func (r *Rank) taskScope(caller int, parent *finishScope, ackID uint64) *finishScope {
 	if len(r.scopeFree) == 0 {
 		slab := pad.Slice[finishScope](scopeSlab)
@@ -294,6 +294,7 @@ func (r *Rank) taskScope(caller int, parent *finishScope, ackID uint64) *finishS
 	r.scopeFree = r.scopeFree[:n]
 	fs.parent, fs.caller, fs.ackID = parent, caller, ackID
 	fs.outstanding.Store(1)
+	r.scopesTaken.Add(1)
 	return fs
 }
 
@@ -350,35 +351,65 @@ func (r *Rank) flushDone() {
 	r.agg.SendParts(r.ackTo, amRPCDone, msg, nil, nil)
 }
 
-// execTask runs fn, the body of the task registered as name, on this
-// rank's goroutine: execute it under an implicit finish scope (so tasks
-// and aggregated ops the body issues defer the task's completion), fire
-// onBody when the body returns, and report to parent or (from, ackID)
-// when the whole subtree has quiesced — see taskScope. A panicking body
-// tears the job down wrapped with the task's name and route, following
-// the failed-process-aborts-the-job model.
-func (r *Rank) execTask(from int, fn TaskBody, name string, args []byte,
+// execTask runs fn, the body of the task registered at index idx, on
+// this rank's goroutine: fire onBody when the body returns, and report to
+// parent or (from, ackID) when the whole subtree has quiesced. The task
+// enters the finish stack as an entry holding only that target; a body
+// that issues tracked work (a launch, a remote aggregated op, a future)
+// turns it into a scope of its own on first use (currentFinish), which
+// defers the report until the scope drains. A leaf body never does, and
+// reports as soon as it returns. A panicking body tears the job down
+// wrapped with the task's name and route (taskPanic, deferred by
+// whoever runs the task), following the failed-process-aborts-the-job
+// model.
+func (r *Rank) execTask(from int, idx uint16, fn TaskBody, args []byte,
 	onBody func(reply []byte, t float64), parent *finishScope, ackID uint64) {
-	rec := r.taskScope(from, parent, ackID)
-	r.finish = append(r.finish, rec)
+	// Filled field by field: a composite literal is built on the stack
+	// and copied in 16 bytes at a time, a store-forwarding stall per task.
+	r.finish = append(r.finish, finishEntry{})
+	e := &r.finish[len(r.finish)-1]
+	e.parent, e.ackID, e.caller, e.task = parent, ackID, int32(from), idx+1
 	r.ring.Begin(obs.KRPCExec, int32(from), uint32(len(args)))
-	var reply []byte
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				r.finish = r.finish[:len(r.finish)-1]
-				panic(fmt.Errorf("upcxx: task %q from rank %d panicked on rank %d: %v",
-					name, from, r.id, p))
-			}
-		}()
-		reply = fn(r, from, args)
-	}()
+	reply := fn(r, from, args)
 	r.ring.End(obs.KRPCExec)
-	r.finish = r.finish[:len(r.finish)-1]
+	n := len(r.finish) - 1
+	fs := r.finish[n].fs
+	r.finish = r.finish[:n]
 	if onBody != nil {
 		onBody(reply, r.Clock())
 	}
-	rec.childDone(r.Clock(), r) // release the body's slot; reports when the subtree is dry
+	switch {
+	case fs != nil:
+		fs.childDone(r.Clock(), r) // release the body's slot; reports when the subtree is dry
+	case parent != nil: // a leaf reports as taskQuiesced would have
+		parent.childDone(r.Clock(), r)
+	case ackID != 0:
+		r.oweDone(from, ackID)
+	}
+}
+
+// taskPanic is deferred around code that runs task bodies — a batch
+// application, an engine delivery — with depth the finish stack's
+// height on entry, where a normal return leaves it. A panic raised
+// while a task entry sits above depth is re-raised wrapped with the
+// innermost such task's name and route; any other panic passes through
+// untouched.
+func (r *Rank) taskPanic(depth int) {
+	if len(r.finish) == depth {
+		return
+	}
+	for i := len(r.finish) - 1; i >= depth; i-- {
+		if e := r.finish[i]; e.task != 0 {
+			p := recover()
+			if p == nil {
+				return // runtime.Goexit unwinding, not a panic
+			}
+			r.finish = r.finish[:depth]
+			_, name, _ := taskRegistry.Resolve(e.task - 1)
+			panic(fmt.Errorf("upcxx: task %q from rank %d panicked on rank %d: %v",
+				name, e.caller, r.id, p))
+		}
+	}
 }
 
 // mustTask validates a launch handle.
@@ -595,7 +626,7 @@ func (r *Rank) wireLaunch(target int, idx uint16, args []byte, cfg *asyncCfg,
 func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, args []byte,
 	cfg *asyncCfg, fut *Future[[]byte], fs *finishScope) {
 	job, flops, done := r.job, cfg.flops, cfg.done
-	fn, name, err := taskRegistry.Resolve(idx)
+	fn, _, err := taskRegistry.Resolve(idx)
 	if err != nil {
 		panic(fmt.Errorf("upcxx: rank %d: task launch to rank %d: %w", r.id, target, err))
 	}
@@ -607,11 +638,12 @@ func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, a
 	from.ring.Instant(obs.KTaskDispatch, int32(target), uint32(len(args)), uint64(idx))
 	from.ep.SendAt(target, arrival, cfg.payload, func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
+		defer tgt.taskPanic(len(tgt.finish))
 		tep.Clock.Advance(job.model.TaskDispatchCost())
 		if flops > 0 {
 			tgt.Work(flops)
 		}
-		tgt.execTask(r.id, fn, name, held, func(reply []byte, t float64) {
+		tgt.execTask(r.id, idx, fn, held, func(reply []byte, t float64) {
 			if fut != nil {
 				repArrival := t + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
 				tgt.ep.SendAt(r.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {

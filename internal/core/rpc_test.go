@@ -407,13 +407,16 @@ func TestBatchingReducesFrames(t *testing.T) {
 // wire path: one op is one RPC issued, executed at the peer and
 // acknowledged, both ranks storming each other in epochs of 10,000
 // under one Finish each (so ns/op covers two RPCs' worth of work on a
-// box with fewer than two idle cores).
+// box with fewer than two idle cores). scopes/op is how many task
+// scopes rank 0's executor took per RPC it ran: the storm's bodies are
+// leaves, which take none.
 func BenchmarkAsyncTaskWire(b *testing.B) {
 	const perEpoch = 10000
 	b.ReportAllocs()
 	stormJob(b, func(me *Rank, peerCell GlobalPtr[uint64]) (sent uint64) {
 		args := make([]byte, 0, 24)
 		sent ^= stormEpoch(me, peerCell, perEpoch, 1<<40, args) // warm pools, free lists, the controller
+		scopes0 := me.scopesTaken.Load()
 		if me.ID() == 0 {
 			b.ResetTimer()
 		}
@@ -422,6 +425,7 @@ func BenchmarkAsyncTaskWire(b *testing.B) {
 		}
 		if me.ID() == 0 {
 			b.StopTimer()
+			b.ReportMetric(float64(me.scopesTaken.Load()-scopes0)/float64(b.N), "scopes/op")
 		}
 		return sent
 	})
@@ -468,7 +472,7 @@ func BenchmarkAsyncTaskWireJobs(b *testing.B) {
 // predicate of their own. The caller ends with me.doneDrop(fs).
 func openScope(me *Rank, body func()) *finishScope {
 	fs := &finishScope{owner: me}
-	me.finish = append(me.finish, fs)
+	me.finish = append(me.finish, finishEntry{fs: fs})
 	body()
 	me.finish = me.finish[:len(me.finish)-1]
 	return fs
@@ -759,4 +763,63 @@ func TestRegisterTaskWhileResolving(t *testing.T) {
 		me.Barrier()
 	})
 	wg.Wait()
+}
+
+// ---- The task panic guard ----
+
+// TestLeafTaskScopeRemotePanic is TestLeafTaskScope's panic case for a
+// body run on another rank's behalf: a batch application on a wire
+// conduit and an engine delivery in-process each re-raise the body's
+// panic naming the task and its route, and leave the finish stack as
+// they found it; a panicking AM handler outside any task passes through
+// the batch guard untouched.
+func TestLeafTaskScopeRemotePanic(t *testing.T) {
+	want := `upcxx: task "core_test.boom" from rank 0 panicked on rank 1: boom`
+	t.Run("tcp", func(t *testing.T) {
+		p := newTaskPair(t, 64)
+		defer p.stop()
+		const rawAM = fuzzAM + 1
+		RegisterAMHandler(p.me, rawAM, func(*Rank, int, []byte) { panic("raw") })
+		var batches [][]byte
+		enc := agg.New(2, agg.Config{}, func(_ int, batch []byte, _ int, done func()) {
+			batches = append(batches, append([]byte(nil), batch...))
+			done()
+		})
+		enc.Send(1, amRPCReq, rpc.AppendRequest(nil, ttBoom.Index(), 0, 0, 0, nil), nil)
+		enc.Flush(1)
+		enc.Send(1, rawAM, nil, nil)
+		enc.Flush(1)
+		for i, wantPanic := range []string{want, "raw"} {
+			depth := len(p.me.finish)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				return p.deliver(batches[i])
+			}()
+			if fmt.Sprint(got) != wantPanic {
+				t.Errorf("batch %d panicked with %v, want %s", i, got, wantPanic)
+			}
+			if len(p.me.finish) != depth {
+				t.Errorf("batch %d left the finish stack %d deep, found %d deep", i, len(p.me.finish), depth)
+			}
+		}
+	})
+	t.Run("proc", func(t *testing.T) {
+		Run(testCfg(2), func(me *Rank) {
+			if me.ID() == 0 {
+				AsyncTask(me, On(1), ttBoom, nil)
+			} else {
+				var got any
+				for got == nil {
+					func() {
+						defer func() { got = recover() }()
+						me.Advance()
+					}()
+				}
+				if fmt.Sprint(got) != want || len(me.finish) != 0 {
+					t.Errorf("panic %v with the finish stack %d deep, want %s and empty", got, len(me.finish), want)
+				}
+			}
+			me.Barrier()
+		})
+	})
 }

@@ -14,7 +14,9 @@ import (
 // The fixed storm both backend-matrix tests of this package run: every
 // rank launches stormTasks registered tasks at its right neighbour
 // under one Finish (each body xors into the executor's own cell with
-// AggXor64), then stormPuts AggPuts and stormRW blocking Write/Read
+// AggXor64 — except the last, a relay whose body launches that xor as a
+// child task on its own rank, so one task per rank takes a scope and
+// recycles it), then stormPuts AggPuts and stormRW blocking Write/Read
 // pairs at the neighbour. The aggregation thresholds are set so batches
 // ship only where the program says (the Finish wait, the barrier), which
 // makes every count below exact.
@@ -30,6 +32,11 @@ var extMark = core.RegisterTask("core_test.ext.mark", func(me *core.Rank, _ int,
 	off, rest := rpc.U64(args)
 	val, _ := rpc.U64(rest)
 	core.AggXor64(me, core.PtrAt[uint64](me.ID(), off), val, nil)
+	return nil
+})
+
+var extRelay = core.RegisterTask("core_test.ext.relay", func(me *core.Rank, _ int, args []byte) []byte {
+	core.AsyncTask(me, core.On(me.ID()), extMark, args)
 	return nil
 })
 
@@ -53,7 +60,11 @@ func fixedStorm(t *testing.T, me *core.Rank, helpers int) (tasks int) {
 		tasks = stormTasks
 		core.Finish(me, func() {
 			for i := 0; i < tasks; i++ {
-				core.AsyncTask(me, core.On(next), extMark, rpc.U64s(cells[next].Offset(), stormVal(me.ID(), i)))
+				task := extMark
+				if i == tasks-1 {
+					task = extRelay
+				}
+				core.AsyncTask(me, core.On(next), task, rpc.U64s(cells[next].Offset(), stormVal(me.ID(), i)))
 			}
 		})
 	}
@@ -162,14 +173,22 @@ func TestStatsCountsExact(t *testing.T) {
 				t.Errorf("puts/gets/bytes %d/%d/%d/%d, want %d/%d/%d/%d", st.Puts, st.Gets, st.PutBytes, st.GetBytes,
 					want.Puts, want.Gets, want.PutBytes, want.GetBytes)
 			}
-			// One AM and one executed task per launch, plus one wake each
-			// time a Finish count reaches zero: once per Finish on the wire,
-			// where acks arrive only during the wait; in-process, where the
-			// neighbour executes while the body still launches, any number of
-			// times up to once per task.
-			wakes := st.AMs - n*tasks
+			// One AM and one executed task per launch — the storm's, and the
+			// relay's child — plus one wake each time a Finish count reaches
+			// zero: once per Finish on the wire, where acks arrive only during
+			// the wait; in-process, where the neighbour executes while the body
+			// still launches, any number of times up to once per task.
+			launches := tasks
+			if tasks > 0 {
+				launches++
+			}
+			wakes := st.AMs - n*launches
 			if st.AMs != st.Tasks || wakes < min(n, tasks) || wakes > tasks || (tc.wire && wakes != n) {
-				t.Errorf("AMs %d, Tasks %d (%d wakes) for %d launches on %d ranks", st.AMs, st.Tasks, wakes, n*tasks, n)
+				t.Errorf("AMs %d, Tasks %d (%d wakes) for %d launches on %d ranks", st.AMs, st.Tasks, wakes, n*launches, n)
+			}
+			// The relay is the one body per rank that takes a task scope.
+			if got, want := st.Counters["core_task_scopes"], float64(n*(launches-tasks)); got != want {
+				t.Errorf("core_task_scopes = %v, want %v", got, want)
 			}
 			if !tc.wire {
 				return

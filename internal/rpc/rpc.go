@@ -137,6 +137,16 @@ func (r *Registry[H]) Resolve(idx uint16) (Fn[H], string, error) {
 	return s.fns[idx], s.tags[idx], nil
 }
 
+// Fn returns the function registered at idx, or nil if there is none
+// (Resolve says why). Unlike Resolve it is small enough to inline into
+// the executor's per-task dispatch.
+func (r *Registry[H]) Fn(idx uint16) Fn[H] {
+	if s := r.snap.Load(); int(idx) < len(s.fns) {
+		return s.fns[idx]
+	}
+	return nil
+}
+
 // Len reports how many tasks are registered.
 func (r *Registry[H]) Len() int { return len(r.snap.Load().fns) }
 
@@ -210,16 +220,22 @@ type Request struct {
 
 // DecodeRequest parses a request message.
 func DecodeRequest(p []byte) (Request, error) {
+	var q Request
+	var err error
+	q.Task, q.Flags, q.CallID, q.DoneID, q.Args, err = ParseRequest(p)
+	return q, err
+}
+
+// ParseRequest is DecodeRequest returning the fields one by one, for the
+// executor's per-task decode: a returned Request is spilled from
+// registers word by word and then copied 16 bytes at a time, a
+// store-forwarding stall on every task. args aliases p.
+func ParseRequest(p []byte) (task uint16, flags byte, callID, doneID uint64, args []byte, err error) {
 	if len(p) < ReqHeaderBytes {
-		return Request{}, fmt.Errorf("rpc: truncated task request (%d bytes)", len(p))
+		return 0, 0, 0, 0, nil, fmt.Errorf("rpc: truncated task request (%d bytes)", len(p))
 	}
-	return Request{
-		Task:   binary.LittleEndian.Uint16(p[0:]),
-		Flags:  p[2],
-		CallID: binary.LittleEndian.Uint64(p[3:]),
-		DoneID: binary.LittleEndian.Uint64(p[11:]),
-		Args:   p[ReqHeaderBytes:],
-	}, nil
+	return binary.LittleEndian.Uint16(p[0:]), p[2], binary.LittleEndian.Uint64(p[3:]),
+		binary.LittleEndian.Uint64(p[11:]), p[ReqHeaderBytes:], nil
 }
 
 // AppendReply appends a reply message carrying the body's return bytes.

@@ -36,8 +36,7 @@ type Message struct {
 
 	// pooled marks a payload owned by the transport (rx-loop buffers
 	// from internal/frames, SendOwned loopbacks): dispatch releases it
-	// back to the pool after the handler returns unless the handler
-	// called Retain.
+	// back to the pool after the handler returns.
 	pooled bool
 
 	// Landed is set on a received frame whose payload the reader placed
@@ -271,27 +270,24 @@ type TCPEndpoint struct {
 	ln       net.Listener
 	handlers []Handler
 
-	mu    sync.Mutex
-	conns []net.Conn // by peer rank; nil for self
-	qs    []*outQ    // vectored send queue per peer, same indexing
-	// txFrames and txWritevs count frames queued for a peer and vectored
-	// writes made (one writev each unless the kernel takes a partial
-	// write); plain words, every writer holds mu.
+	// Guarded by mu.
+	conns  []net.Conn  // by peer rank; nil for self
+	qs     []*outQ     // vectored send queue per peer, same indexing
+	ticker *time.Timer // one-shot; marks the periodic tick due (SetTick)
+
+	// The send side's words, written on every send and flush by the
+	// goroutine driving the rank, bracketed away from the fields above
+	// and from inbox and done below, which every reader goroutine reads
+	// per frame. mu serializes the senders; txFrames and txWritevs count
+	// frames queued for a peer and vectored writes made (one writev each
+	// unless the kernel takes a partial write), plain words every writer
+	// holds mu for; txPending is set (under mu) whenever a frame is left
+	// queued, so a flush with nothing to ship returns before taking mu.
+	_                   pad.Line
+	mu                  sync.Mutex
 	txFrames, txWritevs int64
-	ticker              *time.Timer // one-shot; marks the periodic tick due (SetTick)
-
-	// txPending is set (under mu) whenever a frame is left queued, so a
-	// flush with nothing to ship returns before taking mu.
-	txPending atomic.Bool
-
-	// The dispatch goroutine's own word, written per frame, bracketed
-	// away from inbox and done below, which every reader goroutine reads
-	// per frame. retained is the dispatch-scope flag Retain sets: the
-	// handler currently executing keeps the pooled payload alive past
-	// its return.
-	_        pad.Line
-	retained bool
-	_        pad.Line
+	txPending           atomic.Bool
+	_                   pad.Line
 
 	// inbox is the one thing a rank blocks on: frames from the reader
 	// goroutines, loopback sends, and the synthetic peerDown and wake
@@ -611,18 +607,11 @@ func (ep *TCPEndpoint) Counters() map[string]float64 {
 	}
 }
 
-// Retain transfers ownership of the payload being dispatched to the
-// calling handler: the transport will not recycle it when the handler
-// returns. Handlers that park a payload past their return must call
-// it; handlers that consume or copy the payload synchronously must not.
-// Valid only while a handler executes, on the dispatch goroutine.
-func (ep *TCPEndpoint) Retain() { ep.retained = true }
-
 // dispatch routes one message to its handler, tolerating bogus indices.
 // Pooled payloads (rx-loop buffers, owned loopbacks) return to the
-// frame pool when the handler does — unless it called Retain — which is
-// what keeps the steady-state receive loop at zero allocations per
-// frame.
+// frame pool when the handler does — a handler that needs the bytes
+// past its return copies them — which is what keeps the steady-state
+// receive loop at zero allocations per frame.
 func (ep *TCPEndpoint) dispatch(m Message) {
 	if m.Handler == wakeHandler {
 		// Delivery itself was the point: WaitFor re-runs its predicate.
@@ -647,9 +636,8 @@ func (ep *TCPEndpoint) dispatch(m Message) {
 			frames.Put(m.Payload)
 		}
 	} else {
-		ep.retained = false
 		ep.handlers[m.Handler](ep, m)
-		if m.pooled && !ep.retained {
+		if m.pooled {
 			frames.Put(m.Payload)
 		}
 	}
@@ -729,8 +717,8 @@ func readFrame(r io.Reader) (Message, error) {
 // frameReader is one peer connection's receive side: a small buffer
 // filled by one Read per wake-up, out of which every complete frame is
 // parsed. Each payload is copied into its own size-classed pooled
-// frame, so ownership downstream (dispatch's release, Retain) is what
-// it was when every frame was read into its pooled buffer directly; a
+// frame, so ownership downstream (dispatch's release) is what it was
+// when every frame was read into its pooled buffer directly; a
 // payload that runs past the buffer gets its pooled frame, the
 // buffered prefix, and the remainder read straight into it — unless it
 // is long and its site places it: then the buffered part is copied to
