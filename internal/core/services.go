@@ -41,17 +41,19 @@ func (r *Rank) WaitUntil(pred func() bool) { r.waitProgress(pred) }
 // the given modeled arrival time.
 func (r *Rank) WakeAt(target int, arrival float64) { r.ep.Wake(target, arrival) }
 
-// ExternalWaker returns a function that, called from any goroutine
-// BUT this rank's own, makes this rank's blocked WaitUntil re-evaluate
-// its predicate promptly. It is the handoff seam between non-SPMD
-// threads (an HTTP server's handler goroutines, a signal handler) and
-// the rank's progress loop: publish work where the predicate can see
-// it, then call the waker. The rank's own goroutine has no use for it
-// (it re-evaluates the predicate after every message anyway) and must
-// not call it: with the rank's inbox full the waker waits for room,
-// which only that goroutine can make. On backends without the wakeup extension
-// (ProcConduit) it returns a harmless no-op — those backends' waits
-// are driven by modeled messages (WakeAt) instead.
+// ExternalWaker returns a function that, called from another goroutine,
+// makes this rank's blocked WaitUntil re-evaluate its predicate
+// promptly. It is the handoff seam between non-SPMD threads (an HTTP
+// server's handler goroutines, a signal handler) and the rank's
+// progress loop: publish work where the predicate can see it, then call
+// the waker. The rank's own goroutine has no use for it: it
+// re-evaluates the predicate after every message anyway. The waker
+// never blocks — a wake that finds one already pending coalesces into
+// it, and one that meets a full inbox hands its message to a goroutine
+// — so any number of callers may use it, whether the rank is parked on
+// its inbox or in a read of a peer's socket. On backends without the
+// wakeup extension (ProcConduit) it returns a harmless no-op — those
+// backends' waits are driven by modeled messages (WakeAt) instead.
 func (r *Rank) ExternalWaker() func() {
 	if w := r.caps.Waker; w != nil {
 		return w.Wake

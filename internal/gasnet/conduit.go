@@ -144,10 +144,11 @@ type Caps struct {
 
 // WakerConduit is the optional extension that lets a goroutine OTHER
 // than the rank's progress goroutine unblock a WaitFor on this
-// conduit. Wake must be safe to call from any goroutine but the
-// rank's own (it may wait for room in a full inbox that only the rank
-// drains), any number of times, and must cause a concurrently blocked WaitFor on this
-// conduit's own rank to re-evaluate its predicate promptly. Spurious
+// conduit. Wake must never block, must be safe to call from any
+// goroutine any number of times, and must cause a concurrently blocked
+// WaitFor on this conduit's own rank to re-evaluate its predicate
+// promptly — whether that wait is parked on the inbox or in a read of
+// a peer's socket. Spurious
 // wakes (nobody waiting) must be harmless. This is the seam the
 // service plane uses to hand work from HTTP handler goroutines to the
 // SPMD progress loop without polling latency.

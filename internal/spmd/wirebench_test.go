@@ -10,22 +10,33 @@ import (
 	"upcxx/internal/rpc"
 )
 
-// netCalls sums the transport's system-call counters, and the frames
-// read straight to their destination, over every rank of the running
+// netCalls sums the transport's system-call counters, the frames read
+// straight to their destination, the frames the waiting rank read
+// itself and the read-side handovers, over every rank of the running
 // job, from the live metrics registry (the source /debug/metrics
 // serves).
-func netCalls() (reads, writevs, landed int64) {
+func netCalls() (c netCounts) {
 	for k, v := range obs.Reg().Snapshot() {
 		switch {
 		case strings.HasPrefix(k, "net_rx_reads{"):
-			reads += v
+			c.reads += v
 		case strings.HasPrefix(k, "net_tx_writevs{"):
-			writevs += v
+			c.writevs += v
 		case strings.HasPrefix(k, "net_rx_landed{"):
-			landed += v
+			c.landed += v
+		case strings.HasPrefix(k, "net_rx_direct{"):
+			c.direct += v
+		case strings.HasPrefix(k, "net_rx_handovers{"):
+			c.handovers += v
 		}
 	}
 	return
+}
+
+type netCounts struct{ reads, writevs, landed, direct, handovers int64 }
+
+func (c netCounts) sub(d netCounts) netCounts {
+	return netCounts{c.reads - d.reads, c.writevs - d.writevs, c.landed - d.landed, c.direct - d.direct, c.handovers - d.handovers}
 }
 
 // BenchmarkWireRoundTrip is the wire conduit's layer benchmark: rank 0
@@ -42,7 +53,12 @@ func netCalls() (reads, writevs, landed int64) {
 // frames read straight into the segment or the caller's slice — exactly
 // 1. get32k-async and put32k-async are ReadSliceAsync and
 // WriteSliceFuture of 32 KiB, waited on: the same transfer, so the same
-// 3 reads, 2 writevs and landed/op 1.
+// 3 reads, 2 writevs and landed/op 1. direct/op is the frames a
+// waiting rank read from its peer's socket itself, not through a
+// reader goroutine, and handovers/op the read sides passed between the
+// two: after the warm-up each rank owns its peer's read side, so an
+// 8-byte put or get is 2 direct frames — the request read by rank 1
+// in its barrier wait, the reply by rank 0 — and 0 handovers, exact.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	const bulkWords = 4096 // 32 KiB
 	src, dst := make([]uint64, bulkWords), make([]uint64, bulkWords)
@@ -83,7 +99,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	for _, o := range ops {
 		b.Run(o.name, func(b *testing.B) {
 			b.ReportAllocs()
-			var reads, writevs, landed int64
+			var c netCounts
 			// Word 0 for the 8-byte ops, words 1..bulkWords for the slices.
 			_, err := RunWireLocal(2, 1<<17, core.Config{}, func(me *core.Rank) {
 				p := core.TeamBroadcast(me.World(), core.Allocate[uint64](me, 1, 1+bulkWords), 0)
@@ -95,14 +111,13 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 						o.op(me, p, i)
 					}
 					core.Write(me, p, 42)
-					r0, w0, l0 := netCalls()
+					c0 := netCalls()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						o.op(me, p, i)
 					}
 					b.StopTimer()
-					reads, writevs, landed = netCalls()
-					reads, writevs, landed = reads-r0, writevs-w0, landed-l0
+					c = netCalls().sub(c0)
 					core.Write(me, p, 42)
 				}
 				me.Barrier()
@@ -110,9 +125,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
-			b.ReportMetric(float64(writevs)/float64(b.N), "writevs/op")
-			b.ReportMetric(float64(landed)/float64(b.N), "landed/op")
+			b.ReportMetric(float64(c.reads)/float64(b.N), "reads/op")
+			b.ReportMetric(float64(c.writevs)/float64(b.N), "writevs/op")
+			b.ReportMetric(float64(c.landed)/float64(b.N), "landed/op")
+			b.ReportMetric(float64(c.direct)/float64(b.N), "direct/op")
+			b.ReportMetric(float64(c.handovers)/float64(b.N), "handovers/op")
 		})
 	}
 }

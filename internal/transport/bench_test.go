@@ -13,6 +13,10 @@ import (
 // endpoints' system calls per round trip, from the endpoints' own
 // counters (exact: 2 and 2 up to the rx buffer's payload room, a third
 // and fourth read once the payload no longer fits beside its header).
+// direct/op is the frames the waiting rank read from the socket
+// itself — 2 once each endpoint owns its peer's read side, which the
+// warm-up round trips settle — and handovers/op the read sides passed
+// between a reader goroutine and a rank in the timed loop (0).
 func BenchmarkLoopbackRTT(b *testing.B) {
 	for _, s := range []struct {
 		name string
@@ -45,7 +49,9 @@ func BenchmarkLoopbackRTT(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			rtt(0)
+			for i := 0; i < 100; i++ {
+				rtt(i)
+			}
 			pongs = 0
 			before := sumCounters(eps)
 			b.ReportAllocs()
@@ -57,6 +63,8 @@ func BenchmarkLoopbackRTT(b *testing.B) {
 			after := sumCounters(eps)
 			b.ReportMetric((after["net_rx_reads"]-before["net_rx_reads"])/float64(b.N), "reads/op")
 			b.ReportMetric((after["net_tx_writevs"]-before["net_tx_writevs"])/float64(b.N), "writevs/op")
+			b.ReportMetric((after["net_rx_direct"]-before["net_rx_direct"])/float64(b.N), "direct/op")
+			b.ReportMetric((after["net_rx_handovers"]-before["net_rx_handovers"])/float64(b.N), "handovers/op")
 			stop.Store(true)
 			eps[1].Wake()
 			if err := <-served; err != nil {

@@ -39,7 +39,7 @@ type Message struct {
 	// back to the pool after the handler returns.
 	pooled bool
 
-	// Landed is set on a received frame whose payload the reader placed
+	// Landed is set on a received frame whose payload its read placed
 	// straight at its destination (a Lander's window, or the buffer
 	// ArmLanding named) instead of in Payload, which is then nil: it is
 	// that payload's length. Zero on every other frame.
@@ -93,14 +93,16 @@ type Handler func(ep *TCPEndpoint, m Message)
 // clean close, so the EOF that follows it is teardown, not peer loss.
 // peerDown is synthesized locally (never sent on the wire): when a
 // survivable endpoint loses a peer, its reader goroutine enqueues one
-// peerDown message through the inbox, so the loss is observed on the
+// peerDown message through the inbox (a rank reading that peer's
+// socket itself dispatches it at once), so the loss is observed on the
 // dispatch goroutine strictly after every frame that peer delivered.
 // wake is also synthesized locally: Wake enqueues one through the
 // inbox so a blocked WaitFor re-runs its predicate. It carries no
 // payload; the periodic tick and endpoint close reach a blocked rank as
-// the same message, so the inbox is the only thing a rank ever blocks
-// on. wake is the lowest of them: readLoop refuses every id from it up,
-// bye excepted, once Connect is done.
+// the same message — and end the read, if the rank is blocked in a read
+// of its peer's socket rather than on the inbox. wake is the lowest of
+// them: recv refuses every id from it up, bye excepted, once Connect is
+// done.
 const (
 	helloHandler    uint16 = 0xFFFF
 	byeHandler      uint16 = 0xFFFE
@@ -289,9 +291,10 @@ type TCPEndpoint struct {
 	txPending           atomic.Bool
 	_                   pad.Line
 
-	// inbox is the one thing a rank blocks on: frames from the reader
-	// goroutines, loopback sends, and the synthetic peerDown and wake
-	// messages, InboxSlots of them.
+	// inbox holds frames from the reader goroutines, loopback sends, and
+	// the synthetic peerDown and wake messages, InboxSlots of them: what
+	// a rank blocks on, unless it reads its affinity peer's socket
+	// itself (readOwned).
 	inbox     chan Message
 	done      chan struct{}
 	closeOnce sync.Once
@@ -318,6 +321,18 @@ type TCPEndpoint struct {
 	wakeQueued     atomic.Bool
 	tickDue        atomic.Bool
 	wakesCoalesced atomic.Int64
+	// direct is the peer whose socket the rank is blocked reading, -1
+	// when it is in no such read: what a Wake or a delivery interrupts.
+	direct atomic.Int32
+
+	// The rank's read-side affinity (readOwned, vote), the rank
+	// goroutine's own: the peer whose read side it takes when it parks;
+	// a candidate and the parks it has ended with no other peer's frame
+	// between (votes); the parks in a row the affinity peer has not
+	// ended (misses); whether the next message dispatched ended a park.
+	aff, cand     int32
+	votes, misses int
+	woke          bool
 
 	failMu  sync.Mutex
 	failure error // first peer-connection loss; endpoint is torn down
@@ -451,8 +466,17 @@ func (ep *TCPEndpoint) peerLost(peer int32, cause error) {
 // the synthetic peerDown message behind everything the peer already
 // delivered.
 func (ep *TCPEndpoint) markPeerDown(peer int32, cause error) {
+	if ep.retire(peer, cause) {
+		ep.deliver(Message{From: peer, To: ep.rank, Handler: peerDownHandler})
+	}
+}
+
+// retire closes peer's connection and drops its send queue, and reports
+// whether this call was the one that did: the caller then has the
+// peerDown message to hand to dispatch.
+func (ep *TCPEndpoint) retire(peer int32, cause error) bool {
 	if ep.downed[peer].Swap(true) {
-		return
+		return false
 	}
 	ep.failMu.Lock()
 	ep.downCause[peer] = cause
@@ -468,30 +492,33 @@ func (ep *TCPEndpoint) markPeerDown(peer int32, cause error) {
 		ep.qs[peer] = nil
 	}
 	ep.mu.Unlock()
-	ep.deliver(Message{From: peer, To: ep.rank, Handler: peerDownHandler})
+	return true
 }
 
 // deliver puts m in the inbox, blocking while it is full, and reports
-// false if the endpoint closed first. The common case — room in the
+// false if the endpoint closed first; a rank blocked reading a peer's
+// socket is interrupted to look at it. The common case — room in the
 // inbox — is one non-blocking channel send; only a full inbox pays for
 // the two-way select.
 func (ep *TCPEndpoint) deliver(m Message) bool {
 	select {
 	case ep.inbox <- m:
-		return true
 	default:
+		select {
+		case ep.inbox <- m:
+		case <-ep.done:
+			return false
+		}
 	}
-	select {
-	case ep.inbox <- m:
-		return true
-	case <-ep.done:
-		return false
-	}
+	ep.interrupt()
+	return true
 }
 
 // Wake makes a WaitFor blocked on this endpoint re-evaluate its
-// predicate by enqueueing a synthetic message through the inbox. It
-// never blocks, so it is safe from any goroutine, any number of times:
+// predicate by enqueueing a synthetic message through the inbox, and
+// ends the read a rank blocked on its peer's socket is in (a read
+// deadline in the past). It never blocks, so it is safe from any
+// goroutine, any number of times:
 // it is how non-SPMD threads (an HTTP server, a signal handler, the
 // shm doorbell reader, the tick timer) and co-located ranks of this
 // process (an shm bell, rung from inside their own Send or Poll) nudge
@@ -517,6 +544,7 @@ func (ep *TCPEndpoint) Wake() {
 	m := Message{From: ep.rank, To: ep.rank, Handler: wakeHandler}
 	select {
 	case ep.inbox <- m:
+		ep.interrupt()
 	default:
 		go ep.deliver(m)
 	}
@@ -576,19 +604,25 @@ func (ep *TCPEndpoint) Ranks() int { return int(ep.n) }
 func (ep *TCPEndpoint) Dropped() int64 { return ep.dropped.Load() }
 
 // Counters reports the endpoint's exact system-call accounting:
-// net_rx_reads and net_rx_frames (Reads the per-peer readers made and
-// frames they parsed), net_rx_landed (frames read straight to their
-// destination) and net_rx_land_fallbacks (long frames the per-sender
-// order rule sent down the pooled path), net_tx_frames and
-// net_tx_writevs (frames queued for a peer and vectored writes that
-// shipped them), and net_wakes_coalesced (Wakes that found a wake
-// already queued). Safe from any goroutine.
+// net_rx_reads and net_rx_frames (Reads made on the peer sockets —
+// those a deadline interrupted before any byte came excepted — and
+// frames parsed), net_rx_direct (frames the rank read itself in
+// WaitFor, not through a reader goroutine), net_rx_handovers (read
+// sides passed between a reader goroutine and the rank), net_rx_landed
+// (frames read straight to their destination) and
+// net_rx_land_fallbacks (long frames the per-sender order rule sent
+// down the pooled path), net_tx_frames and net_tx_writevs (frames
+// queued for a peer and vectored writes that shipped them), and
+// net_wakes_coalesced (Wakes that found a wake already queued). Safe
+// from any goroutine.
 func (ep *TCPEndpoint) Counters() map[string]float64 {
-	var reads, frames, landed, fallbacks int64
+	var reads, frames, direct, handovers, landed, fallbacks int64
 	for r, rx := range ep.rxs {
 		if rx != nil {
 			reads += rx.reads.Load()
 			frames += rx.frames.Load()
+			direct += rx.direct.Load()
+			handovers += rx.handovers.Load()
 			landed += rx.landed.Load()
 			fallbacks += ep.sites[r].fallbacks.Load()
 		}
@@ -599,6 +633,8 @@ func (ep *TCPEndpoint) Counters() map[string]float64 {
 	return map[string]float64{
 		"net_rx_reads":          float64(reads),
 		"net_rx_frames":         float64(frames),
+		"net_rx_direct":         float64(direct),
+		"net_rx_handovers":      float64(handovers),
 		"net_rx_landed":         float64(landed),
 		"net_rx_land_fallbacks": float64(fallbacks),
 		"net_tx_frames":         float64(txFrames),
@@ -642,7 +678,7 @@ func (ep *TCPEndpoint) dispatch(m Message) {
 		}
 	}
 	if m.From != ep.rank {
-		// A reader's frame (readLoop stamps From with its peer) is done
+		// A peer's frame (recv stamps From with its sender) is done
 		// with: its sender's next long frame may land.
 		ep.dispatched[m.From].Add(1)
 	}
@@ -690,7 +726,7 @@ func parseHeader(hdr []byte) (Message, int, error) {
 // readFrame deserializes one message with a read for the header and a
 // read for the payload: the Connect hello exchange, and the reference
 // decoder the rx parser is fuzzed against. Steady-state traffic goes
-// through frameReader.
+// through frameReader.next.
 func readFrame(r io.Reader) (Message, error) {
 	var hdr [frameHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -714,293 +750,6 @@ func readFrame(r io.Reader) (Message, error) {
 	return m, nil
 }
 
-// frameReader is one peer connection's receive side: a small buffer
-// filled by one Read per wake-up, out of which every complete frame is
-// parsed. Each payload is copied into its own size-classed pooled
-// frame, so ownership downstream (dispatch's release) is what it was
-// when every frame was read into its pooled buffer directly; a
-// payload that runs past the buffer gets its pooled frame, the
-// buffered prefix, and the remainder read straight into it — unless it
-// is long and its site places it: then the buffered part is copied to
-// the destination the site names and the rest is read straight there.
-//
-// Every field is the reader goroutine's own; reads, frames and landed
-// are atomics only so Counters may fold them from another goroutine.
-type frameReader struct {
-	_         pad.Line
-	buf       [rxBufLen]byte
-	r, w      int         // buf[r:w] is received and not yet parsed
-	site      landingSite // nil: every payload takes the pooled path
-	delivered int64       // frames readLoop has put in the inbox
-	reads     atomic.Int64
-	frames    atomic.Int64
-	landed    atomic.Int64
-	_         pad.Line
-}
-
-// landingSite is what a frameReader asks, for each long frame, whether
-// and where its payload lands. The endpoint's is rxLanding; tests plug
-// in their own.
-type landingSite interface {
-	// prefix reports how many leading payload bytes claim must see to
-	// decide on a frame for handler h, or -1 for the pooled path.
-	// delivered is how many frames the reader has delivered before it.
-	prefix(h uint16, delivered int64) int
-	// claim returns where the rest bytes after prefix go, with head —
-	// the part of them that arrived with the header — already copied
-	// into its start, or nil to decline (the whole payload then takes
-	// the pooled path).
-	claim(h uint16, arg uint64, prefix, head []byte, rest int) []byte
-	// release ends a claim: ok reports that the payload arrived whole.
-	release(ok bool)
-}
-
-// LanderPrefix is how many leading payload bytes the Lander sees before
-// it decides: the offset word a one-sided put leads with.
-const LanderPrefix = 8
-
-// Lander places the payload of a long frame at its destination: it runs
-// on the connection's reader goroutine with the payload's first
-// LanderPrefix bytes and head — the part of the remaining rest bytes
-// that arrived with the header. It returns the rest-byte window the
-// payload goes to, with head already copied into its start, or nil to
-// decline (the frame then takes the pooled path, and its handler sees
-// the whole payload). The reader fills the window before the frame —
-// with Landed set and no Payload — reaches the handler.
-type Lander func(prefix, head []byte, rest int) []byte
-
-type lander struct {
-	h  uint16
-	fn Lander
-}
-
-// rxLanding is the endpoint's landing site for one peer's reader: the
-// endpoint's lander, under the per-sender order rule, and the one reply
-// landing a blocked requester may hold.
-type rxLanding struct {
-	ep        *TCPEndpoint
-	peer      int32
-	placing   Lander       // the lander whose claim is in progress; reader-own
-	fallbacks atomic.Int64 // long frames the order rule sent down the pooled path
-
-	mu    sync.Mutex
-	ended sync.Cond // broadcast when a reply claim ends
-	reply replySlot // guarded by mu
-}
-
-// replySlot is the reply landing one requester holds from ArmLanding to
-// DisarmLanding. While it is held — armed, being read into, or holding
-// its result — no other requester can arm it, so a wait nested inside
-// the holder's (a task body that reads from the same peer) can neither
-// overwrite nor consume it.
-type replySlot struct {
-	held   bool
-	h      uint16
-	arg    uint64
-	dst    []byte // where the reply lands; nil once a claim has ended
-	busy   bool   // the reader is reading into dst
-	landed bool   // the reply arrived whole in dst
-}
-
-// prefix applies the order rule: the lander may place this peer's frame
-// only when every frame the peer delivered before it has been
-// dispatched, so nothing still queued (an aggregated put to the same
-// words, say) can apply after it. Any other frame looks for the held
-// reply landing, which needs no prefix.
-func (s *rxLanding) prefix(h uint16, delivered int64) int {
-	s.placing = nil
-	if l := s.ep.lander.Load(); l != nil && l.h == h {
-		if delivered != s.ep.dispatched[s.peer].Load() {
-			s.fallbacks.Add(1)
-			return -1
-		}
-		s.placing = l.fn
-		return LanderPrefix
-	}
-	return 0
-}
-
-func (s *rxLanding) claim(h uint16, arg uint64, prefix, head []byte, rest int) []byte {
-	if s.placing != nil {
-		return s.placing(prefix, head, rest)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := &s.reply
-	if r.dst == nil || r.busy || r.h != h || r.arg != arg || len(r.dst) != rest {
-		return nil
-	}
-	r.busy = true
-	copy(r.dst, head)
-	return r.dst
-}
-
-// release ends a reply claim. The slot is still its holder's — ArmLanding
-// refuses a held slot and DisarmLanding waits out a busy one — so only
-// the outcome changes.
-func (s *rxLanding) release(ok bool) {
-	if s.placing != nil {
-		return
-	}
-	s.mu.Lock()
-	s.reply.busy, s.reply.dst, s.reply.landed = false, nil, ok
-	s.mu.Unlock()
-	s.ended.Broadcast()
-}
-
-// SetLander installs fn (nil removes it) as the lander for handler h's
-// long frames: it is offered every one whose sender's earlier frames
-// have all been dispatched. An endpoint has one lander. Safe while
-// traffic flows: a frame that arrives before it takes the pooled path.
-func (ep *TCPEndpoint) SetLander(h uint16, fn Lander) {
-	var l *lander
-	if fn != nil {
-		l = &lander{h: h, fn: fn}
-	}
-	ep.lander.Store(l)
-}
-
-// ArmLanding names dst as where the reply (h, arg) from peer lands: if
-// it arrives as a long frame of exactly len(dst) payload bytes, the
-// reader reads it straight into dst and delivers it with Landed set
-// and no Payload. A peer has one landing: ArmLanding reports false, and
-// arms nothing, while another requester holds it — that reply then
-// takes the pooled path. After a true, the caller must
-// DisarmLanding(peer, h, arg) before it next touches dst.
-func (ep *TCPEndpoint) ArmLanding(peer int, h uint16, arg uint64, dst []byte) bool {
-	s := ep.sites[peer]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.reply.held {
-		return false
-	}
-	s.reply = replySlot{held: true, h: h, arg: arg, dst: dst}
-	return true
-}
-
-// DisarmLanding gives up the landing (h, arg) armed on peer and reports
-// whether the reply arrived whole in it; for any other token it does
-// nothing and reports false. If the reader is reading into the landing,
-// DisarmLanding waits until it is done — which a closed or severed
-// connection ends — so dst is never written after it returns.
-func (ep *TCPEndpoint) DisarmLanding(peer int, h uint16, arg uint64) bool {
-	s := ep.sites[peer]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := &s.reply
-	if !r.held || r.h != h || r.arg != arg {
-		return false
-	}
-	for r.busy {
-		s.ended.Wait()
-	}
-	landed := r.landed
-	*r = replySlot{}
-	return landed
-}
-
-// fill reads from src into p until at least min bytes have arrived,
-// counting each Read. An EOF before min is io.ErrUnexpectedEOF when it
-// cuts a frame (partial is true or some bytes arrived) and a bare
-// io.EOF at a frame boundary.
-func (rx *frameReader) fill(src io.Reader, p []byte, min int, partial bool) (int, error) {
-	n := 0
-	for n < min {
-		k, err := src.Read(p[n:])
-		rx.reads.Add(1)
-		n += k
-		if err != nil && n < min {
-			if err == io.EOF && (partial || n > 0) {
-				err = io.ErrUnexpectedEOF
-			}
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// next returns the next frame of the stream, reading only when the
-// buffer holds less than the frame needs.
-func (rx *frameReader) next(src io.Reader) (Message, error) {
-	if have := rx.w - rx.r; have < frameHdrLen {
-		// Move the partial header to the front so the one Read that
-		// completes it can also bring in whatever follows.
-		copy(rx.buf[:], rx.buf[rx.r:rx.w])
-		rx.r, rx.w = 0, have
-		n, err := rx.fill(src, rx.buf[have:], frameHdrLen-have, have > 0)
-		rx.w += n
-		if err != nil {
-			return Message{}, err
-		}
-	}
-	m, n, err := parseHeader(rx.buf[rx.r:])
-	if err != nil {
-		return Message{}, err
-	}
-	rx.r += frameHdrLen
-	if n > LongPayload && rx.site != nil {
-		if landed, err := rx.land(src, m.Handler, m.Arg, n); err != nil {
-			return Message{}, err
-		} else if landed {
-			m.Landed = int32(n)
-			return m, nil
-		}
-	}
-	if n > 0 {
-		m.Payload = frames.Get(n)
-		m.pooled = true
-		got := copy(m.Payload, rx.buf[rx.r:rx.w])
-		rx.r += got
-		if got < n {
-			if _, err := rx.fill(src, m.Payload[got:], n-got, true); err != nil {
-				frames.Put(m.Payload)
-				return Message{}, err
-			}
-		}
-	}
-	rx.frames.Add(1)
-	return m, nil
-}
-
-// land offers the long frame (h, arg) with an n-byte payload, whose
-// header next has just consumed, to the site, and reads the payload to
-// the destination the site names. A decline (false, nil) leaves the
-// payload — prefix included, however much of it a Read had to bring
-// in — unconsumed for the pooled path.
-func (rx *frameReader) land(src io.Reader, h uint16, arg uint64, n int) (bool, error) {
-	pre := rx.site.prefix(h, rx.delivered)
-	if pre < 0 {
-		return false, nil
-	}
-	if have := rx.w - rx.r; have < pre {
-		copy(rx.buf[:], rx.buf[rx.r:rx.w])
-		rx.r, rx.w = 0, have
-		k, err := rx.fill(src, rx.buf[have:], pre-have, true)
-		rx.w += k
-		if err != nil {
-			return false, err
-		}
-	}
-	at := rx.r + pre
-	head := rx.buf[at:min(rx.w, rx.r+n)]
-	dst := rx.site.claim(h, arg, rx.buf[rx.r:at], head, n-pre)
-	if dst == nil {
-		return false, nil
-	}
-	rx.r = at + len(head)
-	var err error
-	if len(head) < len(dst) {
-		_, err = rx.fill(src, dst[len(head):], len(dst)-len(head), true)
-	}
-	rx.site.release(err == nil)
-	if err != nil {
-		return false, err
-	}
-	rx.frames.Add(1)
-	rx.landed.Add(1)
-	return true, nil
-}
-
 // ListenTCP creates an endpoint for the given rank of an n-rank job,
 // listening on addr (use "127.0.0.1:0" to pick a free port). Connect must
 // be called with everyone's advertised addresses before sending.
@@ -1022,13 +771,18 @@ func ListenTCP(rank, n int, addr string) (*TCPEndpoint, error) {
 		dispatched: pad.Slice[atomic.Int64](n),
 		downed:     make([]atomic.Bool, n),
 		downCause:  make([]error, n),
+		aff:        -1,
+		cand:       -1,
 	}
+	ep.direct.Store(-1)
 	for r := range ep.rxs {
 		if r != rank {
 			s := &rxLanding{ep: ep, peer: int32(r)}
 			s.ended.L = &s.mu
 			ep.sites[r] = s
-			ep.rxs[r] = &frameReader{site: s}
+			rx := &frameReader{site: s, resume: make(chan struct{}, 1)}
+			rx.span = time.AfterFunc(handbackSpan, func() { ep.spanElapsed(rx) })
+			ep.rxs[r] = rx
 		}
 	}
 	return ep, nil
@@ -1116,62 +870,20 @@ func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time) error {
 			ep.qs[r] = &outQ{run: -1}
 		}
 	}
-	// One reader goroutine per peer feeds the inbox. A read error with
-	// the endpoint still open means the peer died mid-job: surface it
-	// and tear down, so ranks blocked on that peer fail loudly instead
-	// of hanging (and a launcher's smoke run exits instead of timing out).
+	// One reader goroutine per peer feeds the inbox whenever the rank
+	// does not read that socket itself. A read error with the endpoint
+	// still open means the peer died mid-job: surface it and tear down,
+	// so ranks blocked on that peer fail loudly instead of hanging (and
+	// a launcher's smoke run exits instead of timing out).
 	for r := int32(0); r < ep.n; r++ {
 		if r == ep.rank {
 			continue
 		}
+		ep.rxs[r].c, ep.rxs[r].rank = ep.conns[r], ep.newRankReader(ep.conns[r])
 		ep.wg.Add(1)
-		go ep.readLoop(r, ep.conns[r], ep.rxs[r])
+		go ep.readLoop(r, ep.rxs[r])
 	}
 	return nil
-}
-
-// readLoop is peer's reader goroutine: every frame rx parses off c goes
-// to the inbox, in order. An EOF inside a frame is io.ErrUnexpectedEOF
-// and, like any other read error, peer loss — unless the peer said bye
-// first, or this side is closing.
-func (ep *TCPEndpoint) readLoop(peer int32, c net.Conn, rx *frameReader) {
-	defer ep.wg.Done()
-	sawBye := false
-	for {
-		m, err := rx.next(c)
-		if err != nil {
-			if sawBye {
-				return // peer announced a clean close
-			}
-			select {
-			case <-ep.done: // deliberate Close on our side
-			default:
-				ep.peerLost(peer, fmt.Errorf("transport: rank %d lost connection to rank %d: %w",
-					ep.rank, peer, err))
-			}
-			return
-		}
-		if m.Handler >= wakeHandler {
-			if m.Handler == byeHandler {
-				sawBye = true
-				continue
-			}
-			// hello belongs to Connect; peer-down and wake only this
-			// endpoint may synthesize. From the wire they are a framing
-			// error, like an over-limit length.
-			if m.pooled {
-				frames.Put(m.Payload)
-			}
-			ep.peerLost(peer, fmt.Errorf("transport: rank %d: rank %d sent a frame with reserved handler id %#x",
-				ep.rank, peer, m.Handler))
-			return
-		}
-		m.From = peer // what the order rule's dispatched count is kept by
-		if !ep.deliver(m) {
-			return
-		}
-		rx.delivered++
-	}
 }
 
 // Send queues a message for the target rank (loopback is delivered
@@ -1281,12 +993,22 @@ func (ep *TCPEndpoint) enqueue(m Message, tail []byte, owned bool) error {
 }
 
 // ship writes peer's queue out, counting the write. Caller holds mu.
+//
+// A write to a peer whose read side the rank owns may block on the peer
+// — which may be blocked writing to us — so the side goes back to its
+// reader goroutine first when the write looks like a stream's: a queue
+// past flushThreshold, or the streamShips-th write since the rank last
+// read the peer. A round trip writes once per read and keeps the side.
 func (ep *TCPEndpoint) ship(peer int) error {
-	if ep.qs[peer].qn == 0 {
+	q := ep.qs[peer]
+	if q.qn == 0 {
 		return nil
 	}
+	if rx := ep.rxs[peer]; rx.own.Load() == rxRank && (q.qn >= flushThreshold || rx.shipped.Add(1) >= streamShips) {
+		ep.handBack(rx)
+	}
 	ep.txWritevs++
-	return ep.qs[peer].ship(ep.conns[peer])
+	return q.ship(ep.conns[peer])
 }
 
 // flushFailed routes a failed vectored write into the peer-loss path
@@ -1341,12 +1063,22 @@ func (ep *TCPEndpoint) Flush() { ep.flushOut() }
 // whole-endpoint teardown otherwise) after ep.mu is released — so a
 // dead peer surfaces at flush time instead of waiting for the reader
 // goroutine to notice, and a flush error is never silently swallowed.
-func (ep *TCPEndpoint) flushOut() {
+func (ep *TCPEndpoint) flushOut() { ep.routeFailures(ep.shipAll()) }
+
+// shipFailure is a peer whose vectored write failed, and why.
+type shipFailure struct {
+	peer int32
+	err  error
+}
+
+// shipAll is flushOut's writing half: it returns the failures for the
+// caller to route once it holds neither ep.mu (markPeerDown retakes it)
+// nor a read of a socket the routing may close.
+func (ep *TCPEndpoint) shipAll() []shipFailure {
 	if !ep.txPending.Load() {
-		return
+		return nil
 	}
-	var failedPeers []int32
-	var failedErrs []error
+	var failed []shipFailure
 	ep.mu.Lock()
 	ep.txPending.Store(false)
 	buffered := 0
@@ -1356,23 +1088,28 @@ func (ep *TCPEndpoint) flushOut() {
 		}
 		buffered += q.qn
 		if err := ep.ship(r); err != nil {
-			failedPeers = append(failedPeers, int32(r))
-			failedErrs = append(failedErrs, err)
+			failed = append(failed, shipFailure{int32(r), err})
 		}
 	}
 	ep.mu.Unlock()
 	if buffered > 0 && ep.ring != nil {
 		ep.ring.Instant(obs.KNetFlush, -1, uint32(buffered), 0)
 	}
-	// Route failures outside ep.mu: markPeerDown retakes it.
-	for i, peer := range failedPeers {
-		_ = ep.flushFailed(peer, failedErrs[i])
+	return failed
+}
+
+// routeFailures routes failed writes into the peer-loss path.
+func (ep *TCPEndpoint) routeFailures(failed []shipFailure) {
+	for _, f := range failed {
+		_ = ep.flushFailed(f.peer, f.err)
 	}
 }
 
 // Poll dispatches queued messages to their handlers without blocking and
 // reports how many ran. Buffered outgoing frames (including replies the
-// handlers just wrote) are flushed before returning.
+// handlers just wrote) are flushed before returning. A Poll that finds
+// nothing to dispatch tells the rank's read-side affinity that the rank
+// polls for its messages rather than parks on a peer (pollMissed).
 func (ep *TCPEndpoint) Poll() int {
 	n := 0
 	for {
@@ -1381,6 +1118,9 @@ func (ep *TCPEndpoint) Poll() int {
 			ep.dispatch(m)
 			n++
 		default:
+			if n == 0 {
+				ep.pollMissed()
+			}
 			ep.flushOut()
 			return n
 		}
@@ -1389,13 +1129,19 @@ func (ep *TCPEndpoint) Poll() int {
 
 // WaitFor polls (blocking) until pred() is true. Buffered outgoing
 // frames are flushed whenever the wait is about to block, so a peer
-// can never be left waiting on a frame parked in our write buffer.
+// can never be left waiting on a frame parked in our write buffer —
+// and not before, so the replies to frames that arrived together leave
+// together.
 //
-// The block is one plain receive on the inbox: frames, loopback sends,
-// external wakes, the periodic tick and endpoint close all arrive
-// there (the last three as the one coalesced wake message), so a
-// blocked wait arms no timer, runs no multi-way select and allocates
-// nothing.
+// The block is one of two. With the read side of its affinity peer —
+// the peer whose frames ended its last parks — the rank blocks in that
+// socket's read and dispatches each frame it parses (readOwned); every
+// other peer's frames, loopback sends, external wakes, the periodic
+// tick and endpoint close reach it through the inbox, and anything put
+// there ends the read. Otherwise it blocks in one plain receive on the
+// inbox. Either way a blocked wait arms no timer and runs no multi-way
+// select; it allocates nothing but the *net.OpError Go returns when a
+// wake ends a read of the socket.
 func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 	if !pred() && ep.ring != nil {
 		ep.ring.Begin(obs.KNetWait, -1, 0)
@@ -1404,11 +1150,10 @@ func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 	for !pred() {
 		select {
 		case m := <-ep.inbox:
-			ep.dispatch(m)
+			ep.waitDispatch(m)
 			continue
 		default:
 		}
-		ep.flushOut()
 		// shutdown closes done and then wakes the inbox, so a close is
 		// seen here either before blocking or on the wake's way round.
 		select {
@@ -1416,10 +1161,30 @@ func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 			return ep.closedErr()
 		default:
 		}
-		ep.dispatch(<-ep.inbox)
+		if ep.readOwned() {
+			continue
+		}
+		ep.flushOut()
+		m := <-ep.inbox
+		ep.woke = true
+		ep.waitDispatch(m)
 	}
 	ep.flushOut()
 	return nil
+}
+
+// waitDispatch is WaitFor's dispatch: the first message after a park
+// is what ended it, and votes (vote).
+func (ep *TCPEndpoint) waitDispatch(m Message) {
+	if ep.woke {
+		ep.woke = false
+		from := int32(-1)
+		if m.From != ep.rank && m.Handler < wakeHandler {
+			from = m.From
+		}
+		ep.vote(from)
+	}
+	ep.dispatch(m)
 }
 
 // Goodbye announces a clean close to every peer, so the EOF they see
@@ -1442,7 +1207,8 @@ func (ep *TCPEndpoint) Goodbye() {
 }
 
 // shutdown closes the listener and every connection without waiting for
-// the reader goroutines (fail is called from one of them).
+// the reader goroutines (fail is called from one of them); a closed
+// connection also ends a read the rank is blocked in.
 func (ep *TCPEndpoint) shutdown() {
 	ep.closeOnce.Do(func() {
 		close(ep.done)
@@ -1457,6 +1223,11 @@ func (ep *TCPEndpoint) shutdown() {
 			ep.ticker.Stop()
 		}
 		ep.mu.Unlock()
+		for _, rx := range ep.rxs {
+			if rx != nil {
+				rx.span.Stop()
+			}
+		}
 		ep.Wake() // a rank blocked in WaitFor wakes to find done closed
 	})
 }
