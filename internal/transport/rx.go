@@ -29,9 +29,9 @@ import (
 //	rxRank    ⇄ rxReading the rank around each read of its own
 //	rxRank    → rxReader  handed back: the affinity moves or drops (the
 //	                      rank polls, or parks on others), a write may
-//	                      block, the rank stayed out of reads for
-//	                      handbackSpan, the stream ended, or the endpoint
-//	                      closes
+//	                      block, the rank stayed out of reads for a whole
+//	                      watch interval, the stream ended, or the
+//	                      endpoint closes
 const (
 	rxReader int32 = iota
 	rxYield
@@ -48,9 +48,16 @@ const (
 	affinityVotes = 8
 	// handbackSpan is how long a rank that owns a read side may make no
 	// read of it — computing, or blocked in a write — before the parked
-	// reader goroutine takes the side back. A read side handed back is
+	// reader goroutine takes the side back: the watch's first look
+	// comes handbackSpan after the grant. A read side handed back is
 	// asked for again at the rank's next park.
 	handbackSpan = 4 * time.Millisecond
+	// handbackSpanMax caps the watch's interval, which doubles at each
+	// look that finds the rank still reading: a rank that keeps its side
+	// through a long exchange wakes the watch once a second, not every
+	// handbackSpan — each look starts a goroutine, and that wakes an
+	// idle thread of the scheduler in the middle of the exchange.
+	handbackSpanMax = time.Second
 	// streamShips is how many writes to a peer, with no read of it in
 	// between, make the rank a streaming writer that hands the peer's
 	// read side back before the next (TCPEndpoint.ship).
@@ -117,6 +124,7 @@ type frameReader struct {
 	own    atomic.Int32  // rxReader, rxYield, rxRank or rxReading
 	resume chan struct{} // wakes the parked reader goroutine after a hand-back
 	span   *time.Timer   // the watch that hands the side back (handbackSpan)
+	every  atomic.Int64  // the watch's interval, ns: handbackSpan doubling to handbackSpanMax
 	seen   atomic.Int64  // reads at the watch's last look
 	// shipped counts writes to the peer since the rank's last read of
 	// it while the rank owns the side (TCPEndpoint.ship).
@@ -512,6 +520,7 @@ func (ep *TCPEndpoint) yield(rx *frameReader) bool {
 	rx.handovers.Add(1)
 	ep.Wake()
 	rx.seen.Store(rx.reads.Load())
+	rx.every.Store(int64(handbackSpan))
 	rx.span.Reset(handbackSpan)
 	for o := rx.own.Load(); o == rxRank || o == rxReading; o = rx.own.Load() {
 		select {
@@ -529,10 +538,12 @@ func (ep *TCPEndpoint) yield(rx *frameReader) bool {
 }
 
 // spanElapsed is the parked reader's watch, run by rx.span: a rank that
-// owns the read side and has made no read of it for a whole span is
+// owns the read side and has made no read of it for a whole interval is
 // computing or blocked in a write, and the side goes back to
 // the reader goroutine, so nothing the peer sends waits on the rank's
-// next park. It re-arms while the rank keeps reading or sits in a read.
+// next park. It re-arms while the rank keeps reading or sits in a read,
+// at twice the interval, up to handbackSpanMax; the next grant starts
+// it again at handbackSpan.
 func (ep *TCPEndpoint) spanElapsed(rx *frameReader) {
 	if o := rx.own.Load(); o == rxReader || o == rxYield {
 		return
@@ -543,7 +554,9 @@ func (ep *TCPEndpoint) spanElapsed(rx *frameReader) {
 	default:
 	}
 	if r := rx.reads.Load(); r != rx.seen.Swap(r) || !ep.handBack(rx) {
-		rx.span.Reset(handbackSpan)
+		d := min(max(2*time.Duration(rx.every.Load()), handbackSpan), handbackSpanMax)
+		rx.every.Store(int64(d))
+		rx.span.Reset(d)
 	}
 }
 
