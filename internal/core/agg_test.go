@@ -56,13 +56,13 @@ func wireJob(t testing.TB, n, segBytes int, cfg Config, capture bool,
 			if capture {
 				defer func() { panics[i] = recover() }()
 			}
-			if err := eps[i].Connect(addrs); err != nil {
+			seg := segment.New(segBytes)
+			cd := gasnet.NewWireConduit(eps[i], seg, cfg.Wire(i))
+			defer cd.Close()
+			if err := cd.Connect(addrs, time.Time{}); err != nil {
 				t.Errorf("rank %d connect: %v", i, err)
 				return
 			}
-			seg := segment.New(segBytes)
-			cd := gasnet.NewWireConduit(eps[i], seg)
-			defer cd.Close()
 			stats[i] = RunWire(cfg, cd, seg, func(me *Rank) { main(me, eps) })
 			cd.Goodbye()
 		}(i)

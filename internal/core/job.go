@@ -117,6 +117,22 @@ type Config struct {
 	ChaosProcessExit bool
 }
 
+// Wire is what rank's wire conduit is built with under this config: the
+// rank's fault injector, and the failure detector whenever the job asks
+// for survivable peer loss (Resilient, or a fault plan). A launcher
+// builds the flat wire conduit with it; a hierarchical job drops the
+// Resilience, since its shm plane has no failure detector.
+func (c Config) Wire(rank int) gasnet.WireConfig {
+	wc := gasnet.WireConfig{Fault: c.Fault.ForRank(rank)}
+	if c.Resilient || c.Fault != nil {
+		wc.Resilience = &gasnet.ResilienceConfig{
+			HeartbeatInterval: c.HeartbeatInterval,
+			HeartbeatTimeout:  c.HeartbeatTimeout,
+		}
+	}
+	return wc
+}
+
 func (c Config) withDefaults() Config {
 	if c.Ranks <= 0 {
 		c.Ranks = 1
@@ -279,7 +295,6 @@ type Rank struct {
 	// duplicate replies must be dropped rather than treated as protocol
 	// corruption (see voidCall).
 	rcd         gasnet.ResilientConduit
-	resilient   bool
 	deadRanks   []bool
 	deathCbs    []func(rank int)
 	remoteSlots map[int]map[*finishScope]int
@@ -354,20 +369,17 @@ func newJob(cfg Config, eng *gasnet.Engine, shared bool, segs []*segment.Segment
 
 // start is every rank's one start-up path, on the goroutine that
 // becomes the rank's: aggregation over Caps.Batch, resilience over
-// Caps.Resilient when the job asks for it, obs, then main and quiesce.
+// Caps.Resilient (a conduit offers it only when its launcher built it
+// survivable: see Config.Wire), obs, then main and quiesce.
 func (r *Rank) start(main func(me *Rank)) {
 	cfg := r.job.cfg
 	if bc := r.caps.Batch; bc != nil {
 		r.initAgg(bc, cfg.Agg)
 	}
-	if rc := r.caps.Resilient; rc != nil && (cfg.Resilient || cfg.Fault != nil) {
+	if rc := r.caps.Resilient; rc != nil {
 		r.rcd = rc
-		r.resilient = true
 		r.deadRanks = make([]bool, cfg.Ranks)
-		rc.EnableResilience(gasnet.ResilienceConfig{
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			HeartbeatTimeout:  cfg.HeartbeatTimeout,
-		}, r.markRankDead)
+		rc.OnRankDeath(r.markRankDead)
 	}
 	r.initObs()
 	r.gid = goid()
@@ -444,9 +456,6 @@ func (r *Rank) initObs() {
 	r.barrierNs = obs.Reg().NewHistogram("upcxx_barrier_ns", r.id)
 	if r.agg != nil {
 		r.agg.SetObs(r.ring, r.id)
-	}
-	if so, ok := r.cd.(interface{ SetObs(*obs.Ring) }); ok {
-		so.SetObs(r.ring)
 	}
 	var removes []func()
 	for _, cs := range r.counterSources() {

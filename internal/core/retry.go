@@ -89,7 +89,7 @@ func (r *Rank) startAsync(pol *RetryPolicy,
 			}
 			ok()
 		}); err != nil {
-			if r.resilient {
+			if r.rcd != nil {
 				bad(err)
 				return
 			}

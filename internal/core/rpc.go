@@ -237,7 +237,7 @@ func (r *Rank) rpcDone(from int, payload []byte) error {
 	if held := fs.outstanding.Load(); int64(n) > held {
 		return fmt.Errorf("done-ack credits %d tasks to scope %d, which holds %d", n, id, held)
 	}
-	if r.resilient {
+	if r.rcd != nil {
 		// The acks arrived, so the sender no longer owes them: release
 		// the credits the death sweep would otherwise restore.
 		if m := r.remoteSlots[from]; m != nil {
@@ -448,7 +448,7 @@ func (r *Rank) wireTask(target int, idx uint16, args []byte,
 	var doneID uint64
 	if fs != nil {
 		doneID = r.doneIDFor(fs)
-		if r.resilient {
+		if r.rcd != nil {
 			// Record the done-ack debt so the target's death can repay
 			// it (markRankDead's sweep) instead of hanging the Finish.
 			if r.remoteSlots == nil {

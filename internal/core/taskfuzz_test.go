@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"upcxx/internal/agg"
 	"upcxx/internal/frames"
@@ -72,23 +73,23 @@ func newTaskPair(t testing.TB, segBytes int) *taskPair {
 		}
 		eps[i], addrs[i] = ep, ep.Addr()
 	}
+	raw := gasnet.NewWireConduit(eps[0], segment.New(64), gasnet.WireConfig{})
+	raw.SetBatchHandler(func(int, []byte) error { return nil }, func(int) []byte { return nil }, func() {})
+	seg := segment.New(segBytes)
+	p := &taskPair{cd: &handlerConduit{WireConduit: gasnet.NewWireConduit(eps[1], seg, gasnet.WireConfig{})}}
 	errs := make(chan error, 2)
-	for _, ep := range eps {
-		go func() { errs <- ep.Connect(addrs) }()
+	for _, cd := range []*gasnet.WireConduit{raw, p.cd.WireConduit} {
+		go func() { errs <- cd.Connect(addrs, time.Time{}) }()
 	}
 	for range eps {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw := gasnet.NewWireConduit(eps[0], segment.New(64))
-	raw.SetBatchHandler(func(int, []byte) error { return nil }, func(int) []byte { return nil }, func() {})
 	var quit atomic.Bool
 	served := make(chan error, 1)
 	go func() { served <- raw.WaitFor(quit.Load) }()
 
-	seg := segment.New(segBytes)
-	p := &taskPair{cd: &handlerConduit{WireConduit: gasnet.NewWireConduit(eps[1], seg)}}
 	cfg := Config{Ranks: 2}.withDefaults()
 	p.me = newJob(cfg, gasnet.New(sim.NoCost(2), 2), false, []*segment.Segment{nil, seg},
 		map[int]gasnet.Conduit{1: p.cd}).ranks[1]

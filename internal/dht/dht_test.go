@@ -3,6 +3,7 @@ package dht
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"upcxx/internal/agg"
 	"upcxx/internal/bench/gups"
@@ -77,13 +78,13 @@ func runWire(t *testing.T, n, perRank int, cfg core.Config) ([]uint64, []core.St
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
+			seg := segment.New(SegBytes(DefaultCapacity(perRank)))
+			cd := gasnet.NewWireConduit(eps[i], seg, cfg.Wire(i))
+			defer cd.Close()
+			if err := cd.Connect(addrs, time.Time{}); err != nil {
 				t.Errorf("rank %d connect: %v", i, err)
 				return
 			}
-			seg := segment.New(SegBytes(DefaultCapacity(perRank)))
-			cd := gasnet.NewWireConduit(eps[i], seg)
-			defer cd.Close()
 			stats[i] = core.RunWire(cfg, cd, seg, func(me *core.Rank) {
 				sums[me.ID()] = workload(t, me, perRank)
 			})

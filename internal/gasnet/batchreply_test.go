@@ -74,7 +74,7 @@ func FuzzBatchReply(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewWireConduit(tep, newTestMem(opLogMem))
+		c := NewWireConduit(tep, newTestMem(opLogMem), WireConfig{})
 		defer c.Close()
 		got := &opLog{}
 		var order []string
@@ -92,7 +92,7 @@ func FuzzBatchReply(f *testing.F) {
 		c.acks[tok] = x
 		x.n, x.left = 1, 1
 
-		c.onReply(tep, transport.Message{From: 1, To: 0, Handler: hReply, Arg: tok, Payload: payload})
+		c.onReply(transport.Message{From: 1, To: 0, Handler: hReply, Arg: tok, Payload: payload})
 
 		want := &opLog{}
 		_, refErr := agg.Apply(payload, want)
@@ -135,11 +135,21 @@ func TestHeartbeatFoldsHeardOnTick(t *testing.T) {
 	const slack = 25 * time.Millisecond
 	rc := ResilienceConfig{HeartbeatInterval: interval, HeartbeatTimeout: timeout}
 
+	// Rank 0 alone watches; its peer talks or stays silent.
+	watched := func(t *testing.T) []*WireConduit {
+		return wireFleetOf(t, 2, func(i int) (Memory, WireConfig) {
+			if i == 0 {
+				return newTestMem(64), WireConfig{Resilience: &rc}
+			}
+			return newTestMem(64), WireConfig{}
+		})
+	}
+
 	t.Run("silent peer", func(t *testing.T) {
-		cds := wireFleet(t, 2, 64) // rank 1 never dispatches: the ping goes unanswered
+		start := time.Now() // silence starts when the conduits are built
+		cds := watched(t)   // rank 1 never dispatches: the ping goes unanswered
 		var died time.Time
-		start := time.Now()
-		cds[0].EnableResilience(rc, func(int) { died = time.Now() })
+		cds[0].OnRankDeath(func(int) { died = time.Now() })
 		var pinged time.Time
 		if err := cds[0].WaitFor(func() bool {
 			if pinged.IsZero() && cds[0].pingOut[1] {
@@ -161,8 +171,8 @@ func TestHeartbeatFoldsHeardOnTick(t *testing.T) {
 	})
 
 	t.Run("talking peer", func(t *testing.T) {
-		cds := wireFleet(t, 2, 64)
-		cds[0].EnableResilience(rc, func(r int) { t.Errorf("rank %d declared dead while talking", r) })
+		cds := watched(t)
+		cds[0].OnRankDeath(func(r int) { t.Errorf("rank %d declared dead while talking", r) })
 		const talk = 15 * interval
 		talked := make(chan error, 1)
 		go func() {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"upcxx/internal/sim"
@@ -62,33 +63,32 @@ func buildHierFleet(t *testing.T, n, ppn, ringBytes, segBytes int) []Conduit {
 		}
 		shms[i] = shm
 	}
-	eps := make([]*transport.TCPEndpoint, n)
+	// Every shm file exists: attach, build, then connect — the launcher's
+	// order.
+	wires := make([]*WireConduit, n)
+	cds := make([]Conduit, n)
 	addrs := make([]string, n)
-	for i := range eps {
+	for i := range wires {
 		ep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		eps[i] = ep
+		if err := shms[i].Attach(); err != nil {
+			t.Fatal(err)
+		}
+		wires[i] = NewWireConduit(ep, newShmTestMem(shms[i].Seg()), WireConfig{})
+		cds[i] = NewHierConduit(wires[i], shms[i], nodes)
 		addrs[i] = ep.Addr()
 	}
-	cds := make([]Conduit, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, w := range wires {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
+			if err := w.Connect(addrs, time.Time{}); err != nil {
 				t.Errorf("rank %d connect: %v", i, err)
-				return
 			}
-			if err := shms[i].Attach(); err != nil {
-				t.Errorf("rank %d attach: %v", i, err)
-				return
-			}
-			wire := NewWireConduit(eps[i], newShmTestMem(shms[i].Seg()))
-			cds[i] = NewHierConduit(wire, shms[i], nodes)
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -111,15 +111,10 @@ func TestConduitCapabilities(t *testing.T) {
 	eng := New(sim.NewModel(true, sim.Local, sim.SWUPCXX, 1), 1)
 	proc := NewProcGroup(eng, []Memory{newTestMem(64)})[0]
 
-	ep, err := transport.ListenTCP(0, 1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ep.Connect([]string{ep.Addr()}); err != nil {
-		t.Fatal(err)
-	}
-	wire := NewWireConduit(ep, newTestMem(64))
-	defer wire.Close()
+	wire := wireFleet(t, 1, 64)[0]
+	resilient := wireFleetOf(t, 1, func(int) (Memory, WireConfig) {
+		return newTestMem(64), WireConfig{Resilience: &ResilienceConfig{}}
+	})[0]
 
 	hier := buildHierFleet(t, 1, 1, minShmRingBytes, 1<<12)[0]
 
@@ -129,7 +124,8 @@ func TestConduitCapabilities(t *testing.T) {
 		batch, resilient, counters, localty, waker bool
 	}{
 		{"proc", proc, false, false, false, false, false},
-		{"wire", wire, true, true, true, false, true},
+		{"wire", wire, true, false, true, false, true},
+		{"wire resilient", resilient, true, true, true, false, true},
 		{"hier", hier, true, false, true, true, true},
 	}
 	for _, tc := range cases {

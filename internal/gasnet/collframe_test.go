@@ -25,7 +25,7 @@ func collRank(t *testing.T) *HierConduit {
 	if err := shm.Attach(); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHierConduit(NewWireConduit(tep, newShmTestMem(shm.Seg())), shm, []int{0, 1})
+	h := NewHierConduit(NewWireConduit(tep, newShmTestMem(shm.Seg()), WireConfig{}), shm, []int{0, 1})
 	t.Cleanup(func() { h.Close() })
 	return h
 }
@@ -62,7 +62,7 @@ func FuzzCollectiveFrames(f *testing.F) {
 		w := h.wire
 		handlers := []struct {
 			id uint16
-			fn transport.Handler
+			fn func(transport.Message)
 		}{
 			{hTeamGather, w.onTeamGather},
 			{hTeamResult, w.onTeamResult},
@@ -71,7 +71,7 @@ func FuzzCollectiveFrames(f *testing.F) {
 			{hHierBar, h.onHierBar},
 		}
 		hd := handlers[int(which)%len(handlers)]
-		hd.fn(w.tep, transport.Message{From: 1, To: 0, Handler: hd.id, Arg: key, Payload: payload})
+		hd.fn(transport.Message{From: 1, To: 0, Handler: hd.id, Arg: key, Payload: payload})
 
 		ok := len(payload) >= 16 && u64(payload) == uint64(len(payload)-16) && u64(payload[8:]) == 0
 		if hd.id == hHierBar {

@@ -115,9 +115,9 @@ type Conduit interface {
 // itself when it does. Capabilities() returning a struct of typed
 // interfaces — rather than callers type-asserting the conduit — is
 // what lets a composing backend advertise a capability set different
-// from its Go method set (HierConduit, for example, carries a
-// resilient wire leg but does not offer resilience, because its shm
-// plane has no failure detector).
+// from its Go method set (a WireConduit, for example, offers resilience
+// only when it was built survivable, and HierConduit never does, because
+// its shm plane has no failure detector).
 //
 // Invariant: a non-nil field must behave exactly as its interface
 // documents; the table-driven caps test asserts each backend reports
@@ -232,36 +232,27 @@ func (rc ResilienceConfig) withDefaults() ResilienceConfig {
 	return rc
 }
 
-// ResilientConduit is the optional extension a conduit implements when
-// it can survive individual rank deaths instead of aborting the job:
+// ResilientConduit is the optional extension a conduit offers when it
+// can survive individual rank deaths instead of aborting the job:
 // heartbeat-based failure detection over the AM plane, typed
 // ErrRankDead failures for operations addressed to dead ranks (instead
 // of hangs), dead-rank-skipping collectives, and a coarse timer
-// service the retry layer schedules backoffs on. Everything stays
-// dormant — byte-for-byte legacy behavior — until EnableResilience is
-// called. WireConduit implements it; ProcConduit does not (in-process
-// rank death is simulated above the conduit, in core's chaos plane).
+// service the retry layer schedules backoffs on. A WireConduit built
+// with a Resilience config offers it; one built without keeps the
+// legacy model, byte for byte. ProcConduit never does (in-process rank
+// death is simulated above the conduit, in core's chaos plane).
 type ResilientConduit interface {
 	Conduit
 
-	// EnableResilience switches the conduit to survivable mode:
-	// heartbeats start, peer loss marks single ranks dead rather than
-	// tearing the job down, and onRankDeath (may be nil) runs on the
-	// calling rank's goroutine exactly once per dead rank.
-	EnableResilience(rc ResilienceConfig, onRankDeath func(rank int))
-
-	// RankDead reports whether rank has been declared dead.
-	RankDead(rank int) bool
+	// OnRankDeath installs fn (may be nil) to run on the calling rank's
+	// goroutine exactly once per rank declared dead. Call it before the
+	// job issues traffic.
+	OnRankDeath(fn func(rank int))
 
 	// After schedules fn on the conduit's tick sweep once d has
 	// elapsed, running on the calling rank's goroutine. Requires
 	// resilient mode (the tick is what drives it).
 	After(d time.Duration, fn func())
-
-	// Abort closes the conduit immediately without the goodbye
-	// handshake, so peers observe this rank as dead — the in-process
-	// simulation of a killed rank.
-	Abort()
 }
 
 // ErrRankDead is the sentinel matched (via errors.Is) by every

@@ -286,68 +286,14 @@ func TestProcConduitContract(t *testing.T) {
 
 func TestWireConduitContract(t *testing.T) {
 	const n = 4
-	eps := make([]*transport.TCPEndpoint, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		ep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		eps[i] = ep
-		addrs[i] = ep.Addr()
-	}
-	cds := make([]Conduit, n)
-	var wg sync.WaitGroup
-	for i := range eps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
-				t.Errorf("rank %d connect: %v", i, err)
-			}
-			cds[i] = NewWireConduit(eps[i], newTestMem(1<<16))
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
+	cds := wireFleet(t, n, 1<<16)
 	exerciseConduit(t, n, func(rank int) Conduit { return cds[rank] })
 }
 
 // TestWireConduitBigTransfer moves a payload large enough to span many
 // TCP segments through Put/Get and checks integrity.
 func TestWireConduitBigTransfer(t *testing.T) {
-	const n = 2
-	eps := make([]*transport.TCPEndpoint, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		ep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		eps[i] = ep
-		addrs[i] = ep.Addr()
-	}
-	mems := []*testMem{newTestMem(4 << 20), newTestMem(4 << 20)}
-	cds := make([]*WireConduit, n)
-	var wg sync.WaitGroup
-	for i := range eps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
-				t.Errorf("connect: %v", err)
-			}
-			cds[i] = NewWireConduit(eps[i], mems[i])
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
+	cds := wireFleet(t, 2, 4<<20)
 
 	big := make([]byte, 1<<20)
 	for i := range big {
@@ -386,33 +332,8 @@ func TestWireConduitHugeAllGather(t *testing.T) {
 		t.Skip("allocates ~100 MiB")
 	}
 	const n = 2
-	eps := make([]*transport.TCPEndpoint, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		ep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		eps[i] = ep
-		addrs[i] = ep.Addr()
-	}
-	cds := make([]*WireConduit, n)
+	cds := wireFleet(t, n, 64)
 	var wg sync.WaitGroup
-	for i := range eps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
-				t.Errorf("connect: %v", err)
-			}
-			cds[i] = NewWireConduit(eps[i], newTestMem(64))
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
 
 	big := transport.MaxPayload + (1 << 20) // one fragment won't fit
 	contribs := make([][]byte, n)

@@ -29,7 +29,7 @@ const (
 	hLast = hHierBar
 )
 
-// Poll budgets: how many times waitFor polls both planes before it arms
+// Poll budgets: how many times WaitFor polls both planes before it arms
 // the wake word and parks. Constants sized by measurement and selected
 // by the topology the conduit can see, never configured; DESIGN.md
 // section 3 has the sweeps.
@@ -77,7 +77,7 @@ const (
 // host (the first co-located rank). This is the paper's two-level
 // machine model: GASNet's PSHM bypass below, the network conduit above.
 //
-// Both legs' blocking-wait primitives are replaced by the one waitFor
+// Both legs' blocking-wait primitives are replaced by the one WaitFor
 // below, so EVERY blocked operation — a wire request, a collective, a
 // push on a full shm ring — services both planes: a rank parked in a
 // wire lock request still answers its neighbors' shared-memory
@@ -87,8 +87,8 @@ const (
 // Like its legs, a HierConduit is driven by its rank's single SPMD
 // goroutine. It advertises Batch, Counters, Locality and Waker;
 // NOT Resilient — the shm plane has no failure detector, so the
-// composed conduit cannot honor survivable peer loss even though its
-// wire leg could.
+// composed conduit cannot honor survivable peer loss, and its launcher
+// builds the wire leg without one too.
 type HierConduit struct {
 	wire  *WireConduit
 	shm   *ShmConduit
@@ -126,8 +126,8 @@ type HierConduit struct {
 	barRelease map[uint64]bool           // member: release flag by key
 	barWire    map[hierBarKey]int        // leader: dissemination tokens by (key, round)
 
-	// ring is this rank's span ring (nil unless tracing is on); SetObs
-	// installs it here and on both legs.
+	// ring is this rank's span ring (nil unless tracing was on when the
+	// conduit was built), shared with both legs.
 	ring *obs.Ring
 }
 
@@ -162,7 +162,9 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		barLocal:   make(map[uint64]int),
 		barRelease: make(map[uint64]bool),
 		barWire:    make(map[hierBarKey]int),
+		ring:       obs.RingFor(me),
 	}
+	shm.obsRing = h.ring // the shm leg knows its local index only, not its world rank
 	for r, nd := range nodes {
 		if nd == nodes[me] {
 			h.localIdx[r] = len(h.locals)
@@ -189,9 +191,9 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	// One wait for both planes, parked on the wire endpoint's inbox:
 	// every bell to this rank — a call from a peer of this process, a
 	// byte on its FIFO from any other — becomes a wake message there.
-	wire.wait = h.waitFor
-	shm.wait = h.waitFor
-	shm.Listen(wire.tep.Wake)
+	wire.wait = h.WaitFor
+	shm.wait = h.WaitFor
+	shm.Listen(wire.Wake)
 
 	wire.register(hHierGather, h.onHierGather)
 	wire.register(hHierTable, h.onHierTable)
@@ -208,7 +210,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	return h
 }
 
-// waitFor services both planes until pred() is true: a few polls, then
+// WaitFor services both planes until pred() is true: a few polls, then
 // a park. The poll phase is what a PSHM-enabled GASNet does — both
 // polls are cheap (a channel drain, a few atomic loads) and a yield
 // lets the co-located producer run. The park is the transport's own
@@ -226,7 +228,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 // read.
 // Wire polls and the inbox wait both flush, so a peer is never left
 // waiting on a frame parked in our write buffer.
-func (h *HierConduit) waitFor(pred func() bool) error {
+func (h *HierConduit) WaitFor(pred func() bool) error {
 	for polls := h.polls; polls > 0; polls-- {
 		if pred() {
 			return nil
@@ -238,7 +240,7 @@ func (h *HierConduit) waitFor(pred func() bool) error {
 	if h.repoll > 0 {
 		return h.shm.Park(pred, h.parkRepolling)
 	}
-	return h.shm.Park(pred, h.wire.tep.WaitFor)
+	return h.shm.Park(pred, h.wire.park)
 }
 
 // parkRepolling is the block of the all-goroutines shape (see
@@ -250,10 +252,10 @@ func (h *HierConduit) waitFor(pred func() bool) error {
 // a failed re-poll and the end of the park.
 func (h *HierConduit) parkRepolling(armed func() bool) error {
 	if h.repollTimer == nil {
-		h.repollTimer = time.AfterFunc(h.repoll, h.wire.tep.Wake)
+		h.repollTimer = time.AfterFunc(h.repoll, h.wire.Wake)
 	}
 	defer h.repollTimer.Stop()
-	return h.wire.tep.WaitFor(func() bool {
+	return h.wire.park(func() bool {
 		if armed() {
 			return true
 		}
@@ -274,19 +276,11 @@ func (h *HierConduit) Capabilities() Caps {
 
 // Wake unblocks a WaitFor on this conduit from a foreign goroutine
 // (WakerConduit; never the rank's own): the wire leg's inbox is what a
-// parked waitFor blocks on.
+// parked WaitFor blocks on.
 func (h *HierConduit) Wake() { h.wire.Wake() }
 
 // Nodes returns the launch topology (LocalityConduit).
 func (h *HierConduit) Nodes() []int { return h.nodes }
-
-// SetObs installs the rank's span ring on the composed conduit and
-// both of its legs.
-func (h *HierConduit) SetObs(ring *obs.Ring) {
-	h.ring = ring
-	h.wire.SetObs(ring)
-	h.shm.SetObs(ring)
-}
 
 // colocated returns the shm index of a co-located non-self rank.
 func (h *HierConduit) colocated(rank int) (int, bool) {
@@ -384,7 +378,7 @@ func (h *HierConduit) shmRequest(li int, handler uint16, payload []byte) ([]byte
 	h.shm.Send(li, handler, tok, payload)
 	var out []byte
 	found := false
-	err := h.waitFor(func() bool {
+	err := h.WaitFor(func() bool {
 		out, found = h.replies[tok]
 		return found
 	})
@@ -525,9 +519,6 @@ func (h *HierConduit) onShmBatch(from int, tok uint64, payload []byte) {
 	h.wire.batchAfter()
 }
 
-// WaitFor blocks until pred() is true, servicing both planes.
-func (h *HierConduit) WaitFor(pred func() bool) error { return h.waitFor(pred) }
-
 // ---- Hierarchical collectives ----
 
 // hierPart is one team's split into per-host groups, in buffers that
@@ -624,7 +615,7 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 		h.shm.Send(h.localIdx[group[0]], shmTeamContrib, key, contrib)
 		var enc []byte
 		ok := false
-		if err := h.waitFor(func() bool {
+		if err := h.WaitFor(func() bool {
 			enc, ok = h.localTable[key]
 			return ok
 		}); err != nil {
@@ -637,7 +628,7 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 	// Leader: local gather phase.
 	h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
 	h.depositLocal(key, h.me, contrib)
-	err := h.waitFor(func() bool { return len(h.localParts[key]) == len(group) })
+	err := h.WaitFor(func() bool { return len(h.localParts[key]) == len(group) })
 	h.ring.End(obs.KHierLocal)
 	if err != nil {
 		return nil, err
@@ -670,7 +661,7 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 			cw := leaders[child]
 			var b []byte
 			ok := false
-			if err := h.waitFor(func() bool {
+			if err := h.WaitFor(func() bool {
 				b, ok = h.treeBlobs[key][cw]
 				return ok
 			}); err != nil {
@@ -702,7 +693,7 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 		enc = encodeParts(parts)
 	} else {
 		ok := false
-		if err := h.waitFor(func() bool {
+		if err := h.WaitFor(func() bool {
 			enc, ok = h.hierTable[key]
 			return ok
 		}); err != nil {
@@ -731,7 +722,7 @@ func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) (
 		h.shm.Send(h.localIdx[m], shmTeamTable, key, enc)
 	}
 	// Nothing downstream is guaranteed to block; ship the frames now.
-	h.wire.tep.Flush()
+	h.wire.flush()
 	h.ring.End(obs.KHierRel)
 	return decodeParts(enc, len(members))
 }
@@ -746,14 +737,14 @@ func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
 
 	if h.me != group[0] {
 		h.shm.Send(h.localIdx[group[0]], shmBarArrive, key, nil)
-		err := h.waitFor(func() bool { return h.barRelease[key] })
+		err := h.WaitFor(func() bool { return h.barRelease[key] })
 		delete(h.barRelease, key)
 		return err
 	}
 
 	if len(group) > 1 {
 		h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
-		err := h.waitFor(func() bool { return h.barLocal[key] == len(group)-1 })
+		err := h.WaitFor(func() bool { return h.barLocal[key] == len(group)-1 })
 		h.ring.End(obs.KHierLocal)
 		delete(h.barLocal, key)
 		if err != nil {
@@ -773,7 +764,7 @@ func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
 			return err
 		}
 		bk := hierBarKey{key: key, round: round}
-		if err := h.waitFor(func() bool { return h.barWire[bk] > 0 }); err != nil {
+		if err := h.WaitFor(func() bool { return h.barWire[bk] > 0 }); err != nil {
 			return err
 		}
 		if h.barWire[bk]--; h.barWire[bk] == 0 {
@@ -787,14 +778,14 @@ func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
 	for _, m := range group[1:] {
 		h.shm.Send(h.localIdx[m], shmBarRelease, key, nil)
 	}
-	h.wire.tep.Flush()
+	h.wire.flush()
 	h.ring.End(obs.KHierRel)
 	return nil
 }
 
 // ---- Handlers ----
 
-func (h *HierConduit) onHierGather(_ *transport.TCPEndpoint, m transport.Message) {
+func (h *HierConduit) onHierGather(m transport.Message) {
 	if full, done := h.wire.reassemble(h.treeFrags, m); done {
 		byRank := h.treeBlobs[m.Arg]
 		if byRank == nil {
@@ -805,13 +796,13 @@ func (h *HierConduit) onHierGather(_ *transport.TCPEndpoint, m transport.Message
 	}
 }
 
-func (h *HierConduit) onHierTable(_ *transport.TCPEndpoint, m transport.Message) {
+func (h *HierConduit) onHierTable(m transport.Message) {
 	if full, done := h.wire.reassemble(h.tableFrags, m); done {
 		h.hierTable[m.Arg] = full
 	}
 }
 
-func (h *HierConduit) onHierBar(_ *transport.TCPEndpoint, m transport.Message) {
+func (h *HierConduit) onHierBar(m transport.Message) {
 	if len(m.Payload) != 8 {
 		h.wire.severMalformed(m, fmt.Errorf("%d-byte payload, want 8", len(m.Payload)))
 		return

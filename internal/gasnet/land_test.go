@@ -96,8 +96,12 @@ func TestLongPutKeepsSenderOrder(t *testing.T) {
 // onDone reports the RankDeadError. CI runs it -race -count=20.
 func TestGetLandingAbandoned(t *testing.T) {
 	for _, async := range []bool{false, true} {
-		cds := wireFleet(t, 2, 1<<16)
-		cds[0].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)
+		cds := wireFleetOf(t, 2, func(i int) (Memory, WireConfig) {
+			if i == 0 {
+				return newTestMem(1 << 16), WireConfig{Resilience: &ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}}
+			}
+			return newTestMem(1 << 16), WireConfig{}
+		})
 		dst := make([]byte, 4096)
 		done := make(chan error, 1)
 		go func() {
@@ -119,7 +123,7 @@ func TestGetLandingAbandoned(t *testing.T) {
 		}()
 		// Rank 1 never polls: once its reader has the request, it dies.
 		waitCounter(t, cds[1], "net_rx_frames", 1)
-		cds[1].Abort()
+		cds[1].tep.Abort()
 		err := <-done
 		var dead *RankDeadError
 		if !errors.As(err, &dead) || dead.Rank != 1 {
@@ -202,13 +206,15 @@ func TestNestedLongGets(t *testing.T) {
 // sender's death, typed.
 func TestMalformedBatchSevers(t *testing.T) {
 	for _, resilient := range []bool{false, true} {
-		cds := wireFleet(t, 2, 1<<12)
+		cds := wireFleetOf(t, 2, func(i int) (Memory, WireConfig) {
+			if i == 1 && resilient {
+				return newTestMem(1 << 12), WireConfig{Resilience: &ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}}
+			}
+			return newTestMem(1 << 12), WireConfig{}
+		})
 		after := false
 		cds[1].SetBatchHandler(func(int, []byte) error { return errors.New("hostile op") }, noReply, func() { after = true })
 		var dead error
-		if resilient {
-			cds[1].EnableResilience(ResilienceConfig{HeartbeatInterval: time.Minute, HeartbeatTimeout: time.Minute}, nil)
-		}
 		served := make(chan error, 1)
 		go func() {
 			served <- cds[1].WaitFor(func() bool {

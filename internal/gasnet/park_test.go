@@ -10,7 +10,7 @@ import (
 )
 
 // The wake protocol (ShmConduit.Park / ringIfArmed) and the park built
-// on it (HierConduit.waitFor). Nothing here sleeps to order events:
+// on it (HierConduit.WaitFor). Nothing here sleeps to order events:
 // goroutines hand each other channels, and time appears only as the
 // deadline after which a hang is reported as a failure.
 
@@ -452,12 +452,11 @@ func TestWireHandlerTable(t *testing.T) {
 			t.Errorf("wire handlers %d and %d share the name %q", prev, h, name)
 		}
 		seen[name] = h
-		if w.tx[h] == nil || w.rx[h] == nil {
-			t.Errorf("wire handler %d (%s) has no traffic slot", h, name)
-		}
 	}
-	if len(w.tx) != int(hLast) || len(w.rx) != int(hLast) {
-		t.Errorf("traffic tables hold %d/%d slots for %d handler ids", len(w.tx), len(w.rx), hLast)
+	// The traffic tables are arrays indexed by id: a slot per id up to
+	// hLast, by type.
+	if len(w.tx) != int(hLast)+1 || len(w.rx) != int(hLast)+1 {
+		t.Errorf("traffic tables hold %d/%d slots for ids up to %d", len(w.tx), len(w.rx), hLast)
 	}
 	defer func() {
 		if recover() == nil {

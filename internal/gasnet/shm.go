@@ -128,8 +128,8 @@ type ShmConduit struct {
 	parks, bellsTx                   atomic.Int64
 	bellsRx, bellsLost               atomic.Int64
 
-	// ring is this rank's span ring (nil unless tracing is on);
-	// installed via SetObs.
+	// obsRing is this rank's span ring (nil unless tracing was on), set
+	// by the composing HierConduit when it is built.
 	obsRing *obs.Ring
 }
 
@@ -603,9 +603,6 @@ func (c *ShmConduit) Poll() int {
 	}
 	return n
 }
-
-// SetObs installs the rank's span ring on the shm send/receive paths.
-func (c *ShmConduit) SetObs(ring *obs.Ring) { c.obsRing = ring }
 
 // Counters reports shm-plane traffic (complete messages, payload bytes)
 // and how often this rank ran out of poll budget and parked

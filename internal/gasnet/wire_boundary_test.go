@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"upcxx/internal/frames"
 	"upcxx/internal/transport"
@@ -14,30 +15,34 @@ import (
 // wireFleet builds n connected WireConduits over localhost TCP, each
 // backed by a testMem of memBytes.
 func wireFleet(t testing.TB, n, memBytes int) []*WireConduit {
+	return wireFleetOf(t, n, func(int) (Memory, WireConfig) { return newTestMem(memBytes), WireConfig{} })
+}
+
+// wireFleetOf builds n WireConduits over localhost TCP, rank i's over
+// the memory and with the config build(i) returns, and connects them.
+func wireFleetOf(t testing.TB, n int, build func(i int) (Memory, WireConfig)) []*WireConduit {
 	t.Helper()
-	eps := make([]*transport.TCPEndpoint, n)
+	cds := make([]*WireConduit, n)
 	addrs := make([]string, n)
-	for i := range eps {
+	for i := range cds {
 		ep, err := transport.ListenTCP(i, n, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ep.Close() })
-		eps[i] = ep
+		mem, cfg := build(i)
+		cds[i] = NewWireConduit(ep, mem, cfg)
 		addrs[i] = ep.Addr()
 	}
-	cds := make([]*WireConduit, n)
 	var wg sync.WaitGroup
-	for i := range eps {
+	for i, cd := range cds {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if err := eps[i].Connect(addrs); err != nil {
+			if err := cd.Connect(addrs, time.Time{}); err != nil {
 				t.Errorf("rank %d connect: %v", i, err)
-				return
 			}
-			cds[i] = NewWireConduit(eps[i], newTestMem(memBytes))
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if t.Failed() {

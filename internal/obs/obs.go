@@ -49,9 +49,11 @@ var tracing atomic.Bool
 func Enabled() bool { return tracing.Load() }
 
 // SetTracing flips the span-tracing gate. Enable it before the job
-// constructs its conduits: components capture their ring at
-// construction, so a ring handed out while tracing is off stays nil
-// (and every call site on it is a no-op forever).
+// builds its conduits: each component takes its ring (RingFor) when it
+// is built — the conduits and, through their options, the transport
+// endpoints; the aggregator when its rank starts — so a ring handed out
+// while tracing is off stays nil (and every call site on it is a no-op
+// forever).
 func SetTracing(on bool) { tracing.Store(on) }
 
 // DefaultRingEvents is the per-rank ring capacity when none is

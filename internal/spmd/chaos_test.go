@@ -43,9 +43,6 @@ func runWireFaulty(t *testing.T, n, segBytes int, cfg core.Config,
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.Fault != nil {
-			ep.SetFault(cfg.Fault.ForRank(i))
-		}
 		eps[i] = ep
 		addrs[i] = ep.Addr()
 	}
@@ -56,19 +53,63 @@ func runWireFaulty(t *testing.T, n, segBytes int, cfg core.Config,
 		go func(i int) {
 			defer wg.Done()
 			defer func() { panics[i] = recover() }()
-			if err := eps[i].Connect(addrs); err != nil {
+			seg := segment.New(segBytes)
+			cd := gasnet.NewWireConduit(eps[i], seg, cfg.Wire(i))
+			defer cd.Close()
+			if err := cd.Connect(addrs, time.Time{}); err != nil {
 				panics[i] = err
 				return
 			}
-			seg := segment.New(segBytes)
-			cd := gasnet.NewWireConduit(eps[i], seg)
-			defer cd.Close()
 			core.RunWire(cfg, cd, seg, func(me *core.Rank) { main(me, eps) })
 			cd.Goodbye()
 		}(i)
 	}
 	wg.Wait()
 	return panics
+}
+
+// TestResilienceDecidedAtLaunch pins where survivable mode is chosen:
+// the launcher builds a rank's wire leg with a failure detector exactly
+// when the job asks for one (Resilient, or a fault plan), and a
+// hierarchical job's never, since its shm plane has none. Only such a
+// leg pings a peer silent past HeartbeatInterval; the job idles in a
+// progress loop for 30 intervals.
+func TestResilienceDecidedAtLaunch(t *testing.T) {
+	const interval = 2 * time.Millisecond
+	idle := func(me *core.Rank) {
+		for end := time.Now().Add(30 * interval); time.Now().Before(end); {
+			me.Advance()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"resilient", core.Config{Resilient: true}},
+		{"fault plan", core.Config{Fault: mustPlan(t, "kill:rank=1,at=1h")}}, // never armed
+		{"neither", core.Config{}},
+	} {
+		tc.cfg.HeartbeatInterval, tc.cfg.HeartbeatTimeout = interval, time.Minute
+		for _, hier := range []bool{false, true} {
+			var stats []core.Stats
+			var err error
+			if hier {
+				stats, err = RunHierLocal(4, 2, 1<<16, tc.cfg, idle)
+			} else {
+				stats, err = RunWireLocal(2, 1<<16, tc.cfg, idle)
+			}
+			if err != nil {
+				t.Fatalf("%s, hier %v: %v", tc.name, hier, err)
+			}
+			pings := 0.0
+			for _, st := range stats {
+				pings += st.Counters["wire_tx_frames_ping"]
+			}
+			if want := !hier && tc.name != "neither"; (pings > 0) != want {
+				t.Errorf("%s, hier %v: %v heartbeats sent, want some: %v", tc.name, hier, pings, want)
+			}
+		}
+	}
 }
 
 // TestPeerDeathUnblocksFutureGet is the regression test for the wire

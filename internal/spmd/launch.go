@@ -157,16 +157,19 @@ func HierNodes(n, ppn int) []int {
 
 // RunChild is one rank's half of a launched job — what every upcxx-run
 // and upcxx-gate child process runs, and RunWireLocal and RunHierLocal
-// once per goroutine: listen, register with the rendezvous, connect the
-// mesh (bounded by RendezvousTimeout), build the conduit, and run main
-// as rank `rank` of n with a segBytes segment. A setup failure closes
-// whatever setup opened.
+// once per goroutine: listen, register with the rendezvous, attach the
+// co-located shm files, build the conduit, connect the mesh with
+// everything the endpoint consults fixed (bounded by RendezvousTimeout),
+// and run main as rank `rank` of n with a segBytes segment. A setup
+// failure closes whatever setup opened.
 //
 // An empty shmDir selects the flat wire conduit, every rank its own
-// host. Otherwise ranks are packed ppn to a host (HierNodes) over the
-// two-level conduit, each rank's segment a window of a file it creates
-// under the job-wide shmDir/node<k>/ before the rendezvous — which is
-// what guarantees every co-located file exists before anyone attaches.
+// host, built survivable when the job asks for it (Config.Wire).
+// Otherwise ranks are packed ppn to a host (HierNodes) over the
+// two-level conduit, never survivable, each rank's segment a window of
+// a file it creates under the job-wide shmDir/node<k>/ before the
+// rendezvous — which is what guarantees every co-located file exists
+// once the rendezvous answers, so attaching needs no connected mesh.
 func RunChild(rendezvous string, rank, n, ppn, segBytes int, shmDir string, cfg core.Config, main func(me *core.Rank)) (core.Stats, error) {
 	tep, err := transport.ListenTCP(rank, n, "127.0.0.1:0")
 	if err != nil {
@@ -179,12 +182,6 @@ func RunChild(rendezvous string, rank, n, ppn, segBytes int, shmDir string, cfg 
 		}
 		tep.Close()
 		return core.Stats{}, err
-	}
-	if cfg.Fault != nil {
-		// The injector is shared with the runtime's ChaosArm via the
-		// plan's per-rank cache, so time triggers stay dormant until the
-		// program arms them.
-		tep.SetFault(cfg.Fault.ForRank(rank))
 	}
 	var nodes []int
 	if shmDir != "" {
@@ -203,10 +200,6 @@ func RunChild(rendezvous string, rank, n, ppn, segBytes int, shmDir string, cfg 
 	if err != nil {
 		return fail(err)
 	}
-	if err := tep.ConnectBy(addrs, time.Now().Add(RendezvousTimeout)); err != nil {
-		return fail(err)
-	}
-	obs.Logf(1, rank, "spmd: mesh connected (%d ranks)", n)
 	var seg *segment.Segment
 	if shm == nil {
 		seg = segment.New(segBytes)
@@ -215,11 +208,22 @@ func RunChild(rendezvous string, rank, n, ppn, segBytes int, shmDir string, cfg 
 	} else {
 		seg = segment.NewExtern(shm.Seg())
 	}
-	wire := gasnet.NewWireConduit(tep, seg)
+	// The fault injector is shared with the runtime's ChaosArm via the
+	// plan's per-rank cache, so time triggers stay dormant until the
+	// program arms them.
+	wc := cfg.Wire(rank)
+	if shm != nil {
+		wc.Resilience = nil // the shm plane has no failure detector
+	}
+	wire := gasnet.NewWireConduit(tep, seg, wc)
 	var cd gasnet.Conduit = wire
 	if shm != nil {
 		cd = gasnet.NewHierConduit(wire, shm, nodes)
 	}
+	if err := wire.Connect(addrs, time.Now().Add(RendezvousTimeout)); err != nil {
+		return fail(err)
+	}
+	obs.Logf(1, rank, "spmd: mesh connected (%d ranks)", n)
 	defer cd.Close()
 	st := core.RunWire(cfg, cd, seg, main)
 	// Reached only when main completed: a panicking rank skips the

@@ -62,13 +62,14 @@ func TestChaosZeroAckedLoss(t *testing.T) {
 			// The victim's runtime panics once its endpoint is gone;
 			// that panic is the scripted death, anyone else's a failure.
 			defer func() { panics[i] = recover() }()
-			if err := eps[i].Connect(addrs); err != nil {
+			cfg := core.Config{Resilient: true}
+			seg := segment.New(GateSegBytes(ranks, scale))
+			cd := gasnet.NewWireConduit(eps[i], seg, cfg.Wire(i))
+			defer cd.Close()
+			if err := cd.Connect(addrs, time.Time{}); err != nil {
 				panic(fmt.Sprintf("rank %d connect: %v", i, err))
 			}
-			seg := segment.New(GateSegBytes(ranks, scale))
-			cd := gasnet.NewWireConduit(eps[i], seg)
-			defer cd.Close()
-			core.RunWire(core.Config{Resilient: true}, cd, seg, func(me *core.Rank) {
+			core.RunWire(cfg, cd, seg, func(me *core.Rank) {
 				if i == gateRank {
 					sums[i] = GatewayMain(me, st, scale)
 				} else {

@@ -78,7 +78,7 @@ func TestAllocsDispatchSteadyState(t *testing.T) {
 // resilient rank) allocates nothing — no timer per blocked wait, and
 // the one per endpoint is re-armed in place.
 func TestAllocsBlockedWaitTick(t *testing.T) {
-	eps := mesh(t, 2)
+	eps := meshWith(t, 2, func(int) Options { return Options{TickEvery: time.Millisecond, Tick: func() {}} })
 	var stop atomic.Bool
 	eps[1].Register(5, func(ep *TCPEndpoint, m Message) {
 		if err := ep.Send(Message{To: 0, Handler: 6, Arg: m.Arg}); err != nil {
@@ -87,9 +87,6 @@ func TestAllocsBlockedWaitTick(t *testing.T) {
 	})
 	var pongs uint64
 	eps[0].Register(6, func(*TCPEndpoint, Message) { pongs++ })
-	for _, ep := range eps {
-		ep.SetTick(time.Millisecond, func() {})
-	}
 	served := make(chan error, 1)
 	go func() { served <- eps[1].WaitFor(stop.Load) }()
 

@@ -15,9 +15,10 @@ import (
 	"upcxx/internal/fault"
 )
 
-// meshWith is mesh with a pre-Connect setup hook per endpoint, so fault
-// injectors and peer-down handlers are installed before any traffic.
-func meshWith(t *testing.T, n int, setup func(i int, ep *TCPEndpoint)) []*TCPEndpoint {
+// meshWith is mesh with each endpoint connected under opts(i) (nil:
+// zero Options), so fault injectors, peer-down handlers and ticks are
+// fixed before any traffic.
+func meshWith(t testing.TB, n int, opts func(i int) Options) []*TCPEndpoint {
 	t.Helper()
 	eps := make([]*TCPEndpoint, n)
 	addrs := make([]string, n)
@@ -28,9 +29,6 @@ func meshWith(t *testing.T, n int, setup func(i int, ep *TCPEndpoint)) []*TCPEnd
 		}
 		eps[i] = ep
 		addrs[i] = ep.Addr()
-		if setup != nil {
-			setup(i, ep)
-		}
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -38,7 +36,11 @@ func meshWith(t *testing.T, n int, setup func(i int, ep *TCPEndpoint)) []*TCPEnd
 		wg.Add(1)
 		go func(i int, ep *TCPEndpoint) {
 			defer wg.Done()
-			errs[i] = ep.Connect(addrs)
+			var o Options
+			if opts != nil {
+				o = opts(i)
+			}
+			errs[i] = ep.ConnectBy(addrs, time.Time{}, o)
 		}(i, ep)
 	}
 	wg.Wait()
@@ -68,9 +70,7 @@ func mustPlan(t *testing.T, spec string) *fault.Plan {
 // its op-count names; the stream stays intact around it.
 func TestInjectedDropSkipsFrame(t *testing.T) {
 	plan := mustPlan(t, "drop:rank=0,peer=1,handler=3,op=2")
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetFault(plan.ForRank(i))
-	})
+	eps := meshWith(t, 2, func(i int) Options { return Options{Fault: plan.ForRank(i)} })
 	var got []uint64
 	var mu sync.Mutex
 	eps[1].Register(3, func(_ *TCPEndpoint, m Message) {
@@ -103,9 +103,7 @@ func TestInjectedDropSkipsFrame(t *testing.T) {
 func TestInjectedDelayStallsFrame(t *testing.T) {
 	const stall = 60 * time.Millisecond
 	plan := mustPlan(t, "delay:rank=0,peer=1,op=1,delay=60ms")
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetFault(plan.ForRank(i))
-	})
+	eps := meshWith(t, 2, func(i int) Options { return Options{Fault: plan.ForRank(i)} })
 	var hit atomic.Bool
 	eps[1].Register(3, func(_ *TCPEndpoint, m Message) { hit.Store(true) })
 	start := time.Now()
@@ -132,14 +130,13 @@ func TestMidFrameSeverSurvivable(t *testing.T) {
 		peer  int
 		cause error
 	}
-	downs := make([]chan downEv, 3)
-	eps := meshWith(t, 3, func(i int, ep *TCPEndpoint) {
-		ep.SetFault(plan.ForRank(i))
-		ch := make(chan downEv, 4)
-		downs[i] = ch
-		ep.SetPeerDownHandler(func(peer int, cause error) {
-			ch <- downEv{peer, cause}
-		})
+	downs := make([]*downEv, 3) // each written by its rank's peer-down handler
+	eps := meshWith(t, 3, func(i int) Options {
+		return Options{Fault: plan.ForRank(i), PeerDown: func(peer int, cause error) {
+			if downs[i] == nil {
+				downs[i] = &downEv{peer, cause}
+			}
+		}}
 	})
 	// The send that fires the sever rule: header goes out, payload never
 	// does, connection closes.
@@ -149,31 +146,10 @@ func TestMidFrameSeverSurvivable(t *testing.T) {
 	}
 	// Rank 1 sees the mid-frame cut as peer loss from rank 0, delivered
 	// through its peer-down handler while the endpoint survives.
-	var ev downEv
-	waitDown := func(rank int) downEv {
-		t.Helper()
-		var got downEv
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			got = <-downs[rank]
-		}()
-		// Drive rank's dispatch loop until the handler ran.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			select {
-			case <-done:
-				return got
-			default:
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("rank %d never observed peer loss", rank)
-			}
-			eps[rank].Poll()
-			time.Sleep(time.Millisecond)
-		}
+	if err := eps[1].WaitFor(func() bool { return downs[1] != nil }); err != nil {
+		t.Fatalf("rank 1 never observed peer loss: %v", err)
 	}
-	ev = waitDown(1)
+	ev := *downs[1]
 	if ev.peer != 0 {
 		t.Fatalf("rank 1 peer-down from %d, want 0", ev.peer)
 	}
@@ -214,9 +190,7 @@ func TestMidFrameSeverSurvivable(t *testing.T) {
 // for organic peer loss.
 func TestMidFrameSeverLegacyTeardown(t *testing.T) {
 	plan := mustPlan(t, "sever:rank=0,peer=1,op=1")
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetFault(plan.ForRank(i))
-	})
+	eps := meshWith(t, 2, func(i int) Options { return Options{Fault: plan.ForRank(i)} })
 	waitErr := make(chan error, 1)
 	go func() {
 		waitErr <- eps[1].WaitFor(func() bool { return false })
@@ -238,8 +212,8 @@ func TestMidFrameSeverLegacyTeardown(t *testing.T) {
 // however the bye and the EOF were split across reads.
 func TestByeThenEOFStaysClean(t *testing.T) {
 	downed := make(chan int, 1)
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetPeerDownHandler(func(peer int, _ error) { downed <- peer })
+	eps := meshWith(t, 2, func(int) Options {
+		return Options{PeerDown: func(peer int, _ error) { downed <- peer }}
 	})
 	eps[0].Goodbye()
 	eps[0].Close()
@@ -293,32 +267,24 @@ func TestSeverDuringHandshake(t *testing.T) {
 // peers observe it as unannounced peer loss — the simulation seam the
 // chaos harness uses for killed ranks.
 func TestAbortLooksLikePeerLoss(t *testing.T) {
-	downed := make(chan int, 4)
-	eps := meshWith(t, 3, func(i int, ep *TCPEndpoint) {
-		if i != 1 {
-			ep.SetPeerDownHandler(func(peer int, cause error) { downed <- peer })
+	downed := []int{-1, -1, -1} // each written by its rank's peer-down handler
+	eps := meshWith(t, 3, func(i int) Options {
+		if i == 1 {
+			return Options{}
 		}
+		return Options{PeerDown: func(peer int, _ error) { downed[i] = peer }}
 	})
 	eps[1].Abort()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		select {
-		case p := <-downed:
-			if p != 1 {
-				t.Fatalf("peer-down for rank %d, want 1", p)
-			}
-			if eps[0].Err() != nil && eps[2].Err() != nil {
-				t.Fatal("survivable endpoints tore down on Abort")
-			}
-			return
-		default:
+	for _, r := range []int{0, 2} {
+		if err := eps[r].WaitFor(func() bool { return downed[r] >= 0 }); err != nil {
+			t.Fatalf("rank %d never observed the aborted rank: %v", r, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no peer observed the aborted rank")
+		if downed[r] != 1 {
+			t.Fatalf("rank %d: peer-down for rank %d, want 1", r, downed[r])
 		}
-		eps[0].Poll()
-		eps[2].Poll()
-		time.Sleep(time.Millisecond)
+		if err := eps[r].Err(); err != nil {
+			t.Fatalf("rank %d: survivable endpoint tore down on Abort: %v", r, err)
+		}
 	}
 }
 
@@ -326,9 +292,10 @@ func TestAbortLooksLikePeerLoss(t *testing.T) {
 // endpoint sits in a blocking WaitFor — the progress guarantee the
 // heartbeat layer is built on.
 func TestTickRunsWhileBlocked(t *testing.T) {
-	eps := meshWith(t, 2, nil)
 	var ticks atomic.Int64
-	eps[0].SetTick(5*time.Millisecond, func() { ticks.Add(1) })
+	eps := meshWith(t, 2, func(int) Options {
+		return Options{TickEvery: 5 * time.Millisecond, Tick: func() { ticks.Add(1) }}
+	})
 	if err := eps[0].WaitFor(func() bool { return ticks.Load() >= 3 }); err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +309,14 @@ func TestTickRunsWhileBlocked(t *testing.T) {
 // is descheduled for a whole period (at 1 ms it was, in 16 of 300 runs
 // beside a parallel go test).
 func TestTickOneFiringWhileAway(t *testing.T) {
-	eps := meshWith(t, 2, nil)
 	const period = 10 * time.Millisecond
 	var ticks atomic.Int64
-	eps[0].SetTick(period, func() { ticks.Add(1) })
+	eps := meshWith(t, 2, func(i int) Options {
+		if i != 0 {
+			return Options{}
+		}
+		return Options{TickEvery: period, Tick: func() { ticks.Add(1) }}
+	})
 	for away := time.Now().Add(20 * period); time.Now().Before(away); {
 		runtime.Gosched() // computing: no Poll, no WaitFor
 	}
@@ -375,15 +346,15 @@ func TestReservedHandlerFromWire(t *testing.T) {
 			}
 			defer ep.Close()
 			var down error
-			ep.SetPeerDownHandler(func(peer int, cause error) {
+			survivable := Options{PeerDown: func(peer int, cause error) {
 				if down == nil {
 					down = fmt.Errorf("peer %d: %w", peer, cause)
 				}
-			})
+			}}
 			var got []uint64
 			ep.Register(7, func(_ *TCPEndpoint, m Message) { got = append(got, m.Arg) })
 			connErr := make(chan error, 1)
-			go func() { connErr <- ep.Connect([]string{"", ep.Addr()}) }()
+			go func() { connErr <- ep.ConnectBy([]string{"", ep.Addr()}, time.Time{}, survivable) }()
 
 			// Rank 0, played by the test: the hello, a frame, the hostile
 			// frame mid-stream, a frame behind it — then the link closes,

@@ -37,12 +37,12 @@ func TestFlushErrorRetiresPeerSurvivable(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var downs []downEv
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetPeerDownHandler(func(peer int, cause error) {
+	eps := meshWith(t, 2, func(int) Options {
+		return Options{PeerDown: func(peer int, cause error) {
 			mu.Lock()
 			downs = append(downs, downEv{peer, cause})
 			mu.Unlock()
-		})
+		}}
 	})
 
 	failWrites(t, eps[0], 1)
@@ -97,9 +97,7 @@ func TestFlushErrorTearsDownLegacy(t *testing.T) {
 // inline flush threshold reports the write failure on the Send call
 // itself, with the same typed error.
 func TestInlineFlushErrorSurfacesOnSend(t *testing.T) {
-	eps := meshWith(t, 2, func(i int, ep *TCPEndpoint) {
-		ep.SetPeerDownHandler(func(int, error) {})
-	})
+	eps := meshWith(t, 2, func(int) Options { return Options{PeerDown: func(int, error) {}} })
 	failWrites(t, eps[0], 1)
 	big := make([]byte, flushThreshold)
 	if err := eps[0].Send(Message{To: 1, Handler: 3, Payload: big}); !errors.Is(err, ErrPeerDown) {

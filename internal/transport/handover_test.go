@@ -79,7 +79,8 @@ func returnsWithin(t *testing.T, what string, done <-chan error) error {
 // TestWakeInterruptsDirectRead: a rank parked in a read of its affinity
 // peer's socket — not on its inbox — is released by each of the things
 // that used to reach it through the inbox alone: a Wake from another
-// goroutine, the periodic tick, and Close. CI runs it -race -count=20.
+// goroutine, the periodic tick (on a mesh built with one), and Close.
+// CI runs it -race -count=20.
 func TestWakeInterruptsDirectRead(t *testing.T) {
 	eps := mesh(t, 2)
 	takeReadSide(t, eps)
@@ -94,17 +95,23 @@ func TestWakeInterruptsDirectRead(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	takeReadSide(t, eps)
 	var ticks atomic.Int64
-	eps[0].SetTick(5*time.Millisecond, func() { ticks.Add(1) })
-	done = waitIn(eps[0], func() bool { return ticks.Load() >= 3 })
-	eventually(t, "the rank never parked in its peer's socket between ticks", parked)
+	teps := meshWith(t, 2, func(i int) Options {
+		if i != 0 {
+			return Options{}
+		}
+		return Options{TickEvery: 5 * time.Millisecond, Tick: func() { ticks.Add(1) }}
+	})
+	takeReadSide(t, teps)
+	start := ticks.Load()
+	done = waitIn(teps[0], func() bool { return ticks.Load() >= start+3 })
+	eventually(t, "the rank never parked in its peer's socket between ticks",
+		func() bool { return teps[0].direct.Load() == 1 })
 	if err := returnsWithin(t, "tick", done); err != nil {
 		t.Fatal(err)
 	}
-	eps[0].SetTick(0, nil)
 
-	takeReadSide(t, eps) // parks the ticks ended voted for nobody
+	takeReadSide(t, eps)
 	done = waitIn(eps[0], func() bool { return false })
 	eventually(t, "the rank never parked in its peer's socket", parked)
 	eps[0].Close()

@@ -155,7 +155,8 @@ type landingSite interface {
 // it decides: the offset word a one-sided put leads with.
 const LanderPrefix = 8
 
-// Lander places the payload of a long frame at its destination: it runs
+// Lander (Options.Lander) places the payload of a long frame at its
+// destination, fixed for the endpoint's life when it connects: it runs
 // on whichever goroutine owns the connection's read side (its reader,
 // or the rank reading for itself) with the payload's first LanderPrefix
 // bytes and head — the part of the remaining rest bytes that arrived
@@ -165,11 +166,6 @@ const LanderPrefix = 8
 // The window is filled before the frame — with Landed set and no
 // Payload — reaches the handler.
 type Lander func(prefix, head []byte, rest int) []byte
-
-type lander struct {
-	h  uint16
-	fn Lander
-}
 
 // rxLanding is the endpoint's landing site for one peer's reader: the
 // endpoint's lander, under the per-sender order rule, and the one reply
@@ -206,12 +202,12 @@ type replySlot struct {
 // reply landing, which needs no prefix.
 func (s *rxLanding) prefix(h uint16, delivered int64) int {
 	s.placing = nil
-	if l := s.ep.lander.Load(); l != nil && l.h == h {
+	if o := &s.ep.opts; o.Lander != nil && o.LandOn == h {
 		if delivered != s.ep.dispatched[s.peer].Load() {
 			s.fallbacks.Add(1)
 			return -1
 		}
-		s.placing = l.fn
+		s.placing = o.Lander
 		return LanderPrefix
 	}
 	return 0
@@ -243,18 +239,6 @@ func (s *rxLanding) release(ok bool) {
 	s.reply.busy, s.reply.dst, s.reply.landed = false, nil, ok
 	s.mu.Unlock()
 	s.ended.Broadcast()
-}
-
-// SetLander installs fn (nil removes it) as the lander for handler h's
-// long frames: it is offered every one whose sender's earlier frames
-// have all been dispatched. An endpoint has one lander. Safe while
-// traffic flows: a frame that arrives before it takes the pooled path.
-func (ep *TCPEndpoint) SetLander(h uint16, fn Lander) {
-	var l *lander
-	if fn != nil {
-		l = &lander{h: h, fn: fn}
-	}
-	ep.lander.Store(l)
 }
 
 // ArmLanding names dst as where the reply (h, arg) from peer lands: if
@@ -636,7 +620,7 @@ func (ep *TCPEndpoint) readOwned() bool {
 			// A loss the rank reads itself is dispatched here, after
 			// every frame the peer sent, not put in the inbox it would
 			// block on.
-			if !ep.survivable.Load() {
+			if ep.opts.PeerDown == nil {
 				ep.fail(err)
 			} else if ep.retire(p, err) {
 				ep.dispatch(Message{From: p, To: ep.rank, Handler: peerDownHandler})

@@ -142,128 +142,10 @@ const (
 
 // LongPayload is the largest payload that always fits beside its header
 // in a reader's buffer. A longer one is a long message: it never
-// arrives whole with its header, and it is what a landing (SetLander,
+// arrives whole with its header, and it is what a landing (Options.Lander,
 // ArmLanding) can read straight to its destination. Every shorter frame
 // takes the one rx path there is for it.
 const LongPayload = rxBufLen - frameHdrLen
-
-// outQ is one peer's vectored send queue: frame headers (and inlined
-// small payloads) are carved from pooled slabs, large payloads are
-// queued by reference, and the whole run ships as one
-// net.Buffers.WriteTo — a single writev on a *net.TCPConn — per flush,
-// so the tx path copies nothing it can scatter-gather. Guarded by the
-// endpoint's mu.
-type outQ struct {
-	bufs  net.Buffers // iovec list, in frame order
-	wv    net.Buffers // ship's cursor over bufs (WriteTo consumes its receiver)
-	owned [][]byte    // pooled payloads released once shipped
-	slab  []byte      // active header/inline slab (len = bytes used)
-	slabs [][]byte    // retired slabs awaiting release
-	run   int         // slab offset where bufs' open tail entry begins; -1 when sealed
-	qn    int         // total queued bytes
-}
-
-// slabAppend copies p into the slab, extending the open tail iovec when
-// p lands contiguously after it (headers and inline payloads of
-// consecutive frames coalesce into one entry).
-func (q *outQ) slabAppend(p []byte) {
-	if q.slab == nil || len(q.slab)+len(p) > cap(q.slab) {
-		if q.slab != nil {
-			q.slabs = append(q.slabs, q.slab)
-		}
-		q.slab = frames.Get(slabCap)[:0]
-		q.run = -1
-	}
-	start := len(q.slab)
-	q.slab = append(q.slab, p...)
-	if q.run >= 0 {
-		q.bufs[len(q.bufs)-1] = q.slab[q.run:len(q.slab):len(q.slab)]
-	} else {
-		q.run = start
-		q.bufs = append(q.bufs, q.slab[start:len(q.slab):len(q.slab)])
-	}
-	q.qn += len(p)
-}
-
-// refAppend queues p by reference as its own iovec entry, sealing the
-// slab run (the next header starts a new entry, preserving frame order).
-func (q *outQ) refAppend(p []byte) {
-	q.run = -1
-	q.bufs = append(q.bufs, p)
-	q.qn += len(p)
-}
-
-// enqueue queues one frame whose payload is m.Payload followed by tail.
-// owned payloads are released by the queue (after the flush that ships
-// them, or immediately when inlined); borrowed ones — tail always —
-// stay aliased until the flush.
-func (q *outQ) enqueue(m Message, tail []byte, owned bool) {
-	var hdr [frameHdrLen]byte
-	putHeader(hdr[:], m, len(m.Payload)+len(tail))
-	q.slabAppend(hdr[:])
-	q.part(m.Payload, owned)
-	q.part(tail, false)
-}
-
-// part queues one payload part: inlined into the slab when small, by
-// reference otherwise.
-func (q *outQ) part(p []byte, owned bool) {
-	switch {
-	case len(p) == 0:
-	case len(p) <= InlineMax:
-		q.slabAppend(p)
-		if owned {
-			frames.Put(p)
-		}
-	default:
-		q.refAppend(p)
-		if owned {
-			q.owned = append(q.owned, p)
-		}
-	}
-}
-
-// ship writes every queued byte to c with one vectored WriteTo and
-// resets the queue (releasing owned payloads and retired slabs) whether
-// or not the write succeeded — after an error the connection is dead
-// and the bytes are gone either way. Called through TCPEndpoint.ship,
-// which skips an empty queue.
-func (q *outQ) ship(c net.Conn) error {
-	q.wv = q.bufs // a field, so taking its address allocates nothing
-	_, err := q.wv.WriteTo(c)
-	q.wv = nil
-	q.reset()
-	return err
-}
-
-// reset drops queued state, returning owned payloads and retired slabs
-// to the pool and keeping every slice's capacity for reuse.
-func (q *outQ) reset() {
-	for i := range q.bufs {
-		q.bufs[i] = nil
-	}
-	q.bufs = q.bufs[:0]
-	for i, b := range q.owned {
-		frames.Put(b)
-		q.owned[i] = nil
-	}
-	q.owned = q.owned[:0]
-	for i, s := range q.slabs {
-		frames.Put(s)
-		q.slabs[i] = nil
-	}
-	q.slabs = q.slabs[:0]
-	q.slab = q.slab[:0]
-	q.run = -1
-	q.qn = 0
-}
-
-// free releases everything including the active slab; the queue is dead.
-func (q *outQ) free() {
-	q.reset()
-	frames.Put(q.slab)
-	q.slab = nil
-}
 
 // TCPEndpoint is one rank's attachment to a full-mesh TCP fabric.
 type TCPEndpoint struct {
@@ -275,7 +157,7 @@ type TCPEndpoint struct {
 	// Guarded by mu.
 	conns  []net.Conn  // by peer rank; nil for self
 	qs     []*outQ     // vectored send queue per peer, same indexing
-	ticker *time.Timer // one-shot; marks the periodic tick due (SetTick)
+	ticker *time.Timer // one-shot; marks opts.Tick due (ConnectBy arms it)
 
 	// The send side's words, written on every send and flush by the
 	// goroutine driving the rank, bracketed away from the fields above
@@ -302,9 +184,6 @@ type TCPEndpoint struct {
 	rxs       []*frameReader // by peer rank; nil for self
 	sites     []*rxLanding   // by peer rank, the readers' landing sites; nil for self
 
-	// lander is the endpoint's one Lander and the handler it serves
-	// (SetLander), loaded by the readers on long frames only.
-	lander atomic.Pointer[lander]
 	// dispatched counts, per peer, the frames the dispatch goroutine has
 	// finished handling: the order rule lets a lander place a peer's
 	// frame only once it equals what that peer's reader has delivered.
@@ -339,101 +218,64 @@ type TCPEndpoint struct {
 
 	dropped atomic.Int64 // messages with no registered handler
 
-	// Fault-injection seam: consulted on every outgoing remote frame.
-	// Nil (the default) is a no-op. Set before Connect.
-	inj *fault.Injector
+	// Peer-down survival: a survivable endpoint (opts.PeerDown set)
+	// retires only a lost peer's connection; any other tears down whole.
+	downed    []atomic.Bool // by peer rank
+	downCause []error       // guarded by failMu
 
-	// Peer-down survival. By default a lost peer tears the whole
-	// endpoint down (fail); installing a peer-down handler switches the
-	// endpoint to survivable mode, where only that peer's connection is
-	// retired and the loss is reported through the handler.
-	survivable atomic.Bool
-	peerDown   func(peer int, cause error) // runs on the dispatch goroutine
-	downed     []atomic.Bool               // by peer rank
-	downCause  []error                     // guarded by failMu
-
-	// Optional periodic tick, run on the dispatch goroutine (heartbeats,
-	// deadline sweeps). Set before use.
-	tick      func()
-	tickEvery time.Duration
-
-	// ring is this rank's span ring (nil unless tracing is on);
-	// installed by the conduit via SetObs.
-	ring *obs.Ring
+	// opts is everything the readers, the timers and the send path
+	// consult, fixed by ConnectBy before any of them starts.
+	opts Options
 }
 
-// SetObs installs the rank's span ring on the endpoint's flush and
-// blocking-wait paths.
-func (ep *TCPEndpoint) SetObs(ring *obs.Ring) { ep.ring = ring }
-
-// SetFault installs a fault injector consulted on every outgoing remote
-// frame. A nil injector (the default) costs one predictable branch.
-// Install before Connect.
-func (ep *TCPEndpoint) SetFault(inj *fault.Injector) { ep.inj = inj }
-
-// SetPeerDownHandler switches the endpoint to survivable peer loss:
-// instead of tearing the whole endpoint down, a lost peer retires only
-// its own connection, fn runs on the dispatch goroutine (after every
-// frame that peer had already delivered), and subsequent sends to the
-// peer return a PeerDownError. Without it the legacy whole-endpoint
-// teardown applies.
-func (ep *TCPEndpoint) SetPeerDownHandler(fn func(peer int, cause error)) {
-	ep.failMu.Lock()
-	ep.peerDown = fn
-	ep.failMu.Unlock()
-	ep.survivable.Store(fn != nil)
-}
-
-// SetTick installs fn to run on the dispatch goroutine roughly every d,
-// whether the rank is polling or blocked in WaitFor — which is what
-// lets heartbeat and deadline machinery make progress while the rank
-// sits in a blocking wait. One one-shot timer per endpoint marks the
-// tick due and wakes the rank through the inbox like any other wake, so
-// a blocked wait arms nothing of its own; the dispatch goroutine re-arms
-// the timer after it has run the tick, so the timer's callback takes no
-// lock and a rank that is busy computing has at most one firing
-// outstanding however long it stays away. It replaces any tick
-// installed before (a nil fn installs none). Call it from the rank's
-// goroutine, before the job issues traffic.
-func (ep *TCPEndpoint) SetTick(d time.Duration, fn func()) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	if ep.ticker != nil {
-		ep.ticker.Stop()
-		ep.ticker = nil
-	}
-	ep.tick, ep.tickEvery = fn, d
-	if fn == nil {
-		return
-	}
-	select {
-	case <-ep.done:
-		return // shutdown has run; nothing would stop a timer armed now
-	default:
-	}
-	ep.ticker = time.AfterFunc(d, func() {
-		ep.tickDue.Store(true)
-		ep.Wake()
-	})
+// Options configures an endpoint for its whole life: ConnectBy fixes
+// them before it starts the reader goroutines and the tick, and nothing
+// changes them after. The zero value is a plain endpoint — no fault
+// injection, no spans, no landing, whole-endpoint teardown on a lost
+// peer, no tick.
+type Options struct {
+	// Fault is consulted on every outgoing remote frame; nil costs one
+	// predictable branch.
+	Fault *fault.Injector
+	// Ring is the rank's span ring on the flush and blocking-wait paths
+	// (nil unless tracing is on).
+	Ring *obs.Ring
+	// Lander, when set, is offered every long frame for handler LandOn
+	// whose sender's earlier frames have all been dispatched (the
+	// per-sender order rule); it places the payload at its destination.
+	LandOn uint16
+	Lander Lander
+	// PeerDown, when set, makes peer loss survivable: a lost peer retires
+	// only its own connection, PeerDown runs on the dispatch goroutine
+	// after every frame that peer had delivered, and later sends to it
+	// return a PeerDownError. Without it a lost peer tears the whole
+	// endpoint down.
+	PeerDown func(peer int, cause error)
+	// Tick, when set, runs on the dispatch goroutine roughly every
+	// TickEvery, whether the rank is polling or blocked in WaitFor — what
+	// lets heartbeat and deadline machinery progress while the rank sits
+	// in a blocking wait. One one-shot timer marks it due and wakes the
+	// rank like any other wake, so a blocked wait arms nothing of its
+	// own; the dispatch goroutine re-arms the timer after running the
+	// tick, so a rank busy computing has at most one firing outstanding
+	// however long it stays away.
+	TickEvery time.Duration
+	Tick      func()
 }
 
 // runDueTick fires the tick if the timer marked it due and arms the
-// timer for the next one. Dispatch goroutine only (ticker is written by
-// SetTick on this goroutine; shutdown only stops it).
+// timer for the next one. Dispatch goroutine only.
 func (ep *TCPEndpoint) runDueTick() {
 	if !ep.tickDue.Load() {
 		return
 	}
 	ep.tickDue.Store(false)
-	if ep.tick == nil {
-		return // a firing of a tick since removed
-	}
-	ep.tick()
+	ep.opts.Tick()
 	select {
 	case <-ep.done:
 		// Closed: the tick stops with the endpoint.
 	default:
-		ep.ticker.Reset(ep.tickEvery)
+		ep.ticker.Reset(ep.opts.TickEvery)
 	}
 }
 
@@ -451,15 +293,16 @@ func (ep *TCPEndpoint) peerDownErr(peer int) error {
 	return &PeerDownError{Peer: peer, Cause: cause}
 }
 
-// peerLost routes a dead peer connection: survivable endpoints retire
-// just that peer, legacy endpoints tear down whole. Safe from any
-// goroutine.
-func (ep *TCPEndpoint) peerLost(peer int32, cause error) {
-	if !ep.survivable.Load() {
+// peerLost routes a dead peer connection — survivable endpoints retire
+// just that peer, legacy endpoints tear down whole — and returns the
+// error a send to it reports. Safe from any goroutine.
+func (ep *TCPEndpoint) peerLost(peer int32, cause error) error {
+	if ep.opts.PeerDown == nil {
 		ep.fail(cause)
-		return
+		return cause
 	}
 	ep.markPeerDown(peer, cause)
+	return ep.peerDownErr(int(peer))
 }
 
 // markPeerDown retires one peer connection exactly once and enqueues
@@ -658,12 +501,11 @@ func (ep *TCPEndpoint) dispatch(m Message) {
 		return
 	}
 	if m.Handler == peerDownHandler {
+		// Only a survivable endpoint synthesizes one.
 		ep.failMu.Lock()
-		fn, cause := ep.peerDown, ep.downCause[m.From]
+		cause := ep.downCause[m.From]
 		ep.failMu.Unlock()
-		if fn != nil {
-			fn(int(m.From), cause)
-		}
+		ep.opts.PeerDown(int(m.From), cause)
 		return
 	}
 	if int(m.Handler) >= len(ep.handlers) || ep.handlers[m.Handler] == nil {
@@ -797,12 +639,17 @@ func (ep *TCPEndpoint) Register(idx uint16, h Handler) { ep.handlers[idx] = h }
 
 // Connect wires the full mesh: ranks below us dial in, we dial ranks
 // above us (a deterministic pairing that avoids duplicate connections).
-// addrs is indexed by rank.
-func (ep *TCPEndpoint) Connect(addrs []string) error { return ep.ConnectBy(addrs, time.Time{}) }
+// addrs is indexed by rank. The endpoint runs with zero Options.
+func (ep *TCPEndpoint) Connect(addrs []string) error {
+	return ep.ConnectBy(addrs, time.Time{}, Options{})
+}
 
-// ConnectBy is Connect bounded by deadline (zero: unbounded): a peer
-// that died before dialing fails it, naming every rank that never did.
-func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time) error {
+// ConnectBy is Connect bounded by deadline (zero: unbounded) — a peer
+// that died before dialing fails it, naming every rank that never did —
+// and run with opts, which it fixes before the readers and the tick
+// start. Call it once.
+func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time, opts Options) error {
+	ep.opts = opts
 	var wg sync.WaitGroup
 	var acceptErr error
 	expect := int(ep.rank) // ranks 0..rank-1 dial us
@@ -870,6 +717,14 @@ func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time) error {
 			ep.qs[r] = &outQ{run: -1}
 		}
 	}
+	if opts.Tick != nil {
+		ep.mu.Lock()
+		ep.ticker = time.AfterFunc(opts.TickEvery, func() {
+			ep.tickDue.Store(true)
+			ep.Wake()
+		})
+		ep.mu.Unlock()
+	}
 	// One reader goroutine per peer feeds the inbox whenever the rank
 	// does not read that socket itself. A read error with the endpoint
 	// still open means the peer died mid-job: surface it and tear down,
@@ -884,225 +739,6 @@ func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time) error {
 		go ep.readLoop(r, ep.rxs[r])
 	}
 	return nil
-}
-
-// Send queues a message for the target rank (loopback is delivered
-// through the inbox like any other message). Remote frames accumulate
-// in a per-peer vectored queue and ship when the queue passes the
-// inline-flush threshold, when this endpoint is about to block in
-// WaitFor, at the end of Poll, or at an explicit Flush — so a caller
-// that sends and then stops making progress calls must Flush.
-//
-// Ownership: Send BORROWS the payload until the flush that ships it
-// (payloads of at most InlineMax bytes are copied at the call, ending
-// the borrow immediately). Callers that mutate or recycle the payload
-// before then must use SendOwned. Payloads over MaxPayload and sends on
-// a closed endpoint are rejected up front.
-func (ep *TCPEndpoint) Send(m Message) error { return ep.enqueue(m, nil, false) }
-
-// SendOwned is Send with ownership transfer: the payload belongs to the
-// transport from the call on and is released to the frame pool once the
-// frame has shipped (or on any error path), so callers can hand over
-// pooled buffers without waiting for a flush. The caller must not touch
-// the payload after the call.
-func (ep *TCPEndpoint) SendOwned(m Message) error { return ep.enqueue(m, nil, true) }
-
-// SendLong is Send of a long message in two parts: the frame's payload
-// is m.Payload (header words, inlined into the slab when small)
-// followed by data, queued as its own iovec — so a caller's bulk buffer
-// reaches the socket with no copy on the way. data is borrowed like
-// Send's payload, until the flush that ships it; the receiver sees one
-// payload.
-func (ep *TCPEndpoint) SendLong(m Message, data []byte) error { return ep.enqueue(m, data, false) }
-
-// disposeOwned releases an owned payload on a path where the frame
-// never ships.
-func disposeOwned(m Message, owned bool) {
-	if owned {
-		frames.Put(m.Payload)
-	}
-}
-
-func (ep *TCPEndpoint) enqueue(m Message, tail []byte, owned bool) error {
-	if n := len(m.Payload) + len(tail); n > MaxPayload {
-		disposeOwned(m, owned)
-		return fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, n)
-	}
-	select {
-	case <-ep.done:
-		disposeOwned(m, owned)
-		return ep.closedErr()
-	default:
-	}
-	m.From = ep.rank
-	if m.To == ep.rank {
-		if len(tail) > 0 {
-			// A loopback long message is delivered as one payload, the
-			// way the wire would deliver it.
-			p := append(frames.Get(len(m.Payload) + len(tail))[:0], m.Payload...)
-			disposeOwned(m, owned)
-			m.Payload, owned = append(p, tail...), true
-		}
-		// Loopback: an owned payload rides the pooled-release path
-		// through dispatch, exactly like an rx buffer.
-		m.pooled = owned
-		if !ep.deliver(m) {
-			disposeOwned(m, owned)
-			return ep.closedErr()
-		}
-		return nil
-	}
-	if ep.downed[m.To].Load() {
-		disposeOwned(m, owned)
-		return ep.peerDownErr(int(m.To))
-	}
-	if act, fired := ep.inj.OnSend(int(m.To), m.Handler); fired {
-		switch act.Kind {
-		case fault.Drop:
-			disposeOwned(m, owned)
-			return nil // the frame silently vanishes
-		case fault.Delay:
-			time.Sleep(act.Delay)
-		case fault.Sever:
-			// The sever writes a header-only torn frame; the payload
-			// itself never ships.
-			disposeOwned(m, owned)
-			return ep.severFrame(m, len(m.Payload)+len(tail))
-		}
-	}
-	ep.mu.Lock()
-	q := ep.qs[m.To]
-	if q == nil {
-		ep.mu.Unlock()
-		disposeOwned(m, owned)
-		return fmt.Errorf("transport: no connection to rank %d", m.To)
-	}
-	q.enqueue(m, tail, owned)
-	ep.txFrames++
-	var err error
-	if q.qn >= flushThreshold {
-		err = ep.ship(int(m.To))
-	} else if !ep.txPending.Load() {
-		ep.txPending.Store(true)
-	}
-	ep.mu.Unlock()
-	if err != nil {
-		return ep.flushFailed(m.To, err)
-	}
-	return nil
-}
-
-// ship writes peer's queue out, counting the write. Caller holds mu.
-//
-// A write to a peer whose read side the rank owns may block on the peer
-// — which may be blocked writing to us — so the side goes back to its
-// reader goroutine first when the write looks like a stream's: a queue
-// past flushThreshold, or the streamShips-th write since the rank last
-// read the peer. A round trip writes once per read and keeps the side.
-func (ep *TCPEndpoint) ship(peer int) error {
-	q := ep.qs[peer]
-	if q.qn == 0 {
-		return nil
-	}
-	if rx := ep.rxs[peer]; rx.own.Load() == rxRank && (q.qn >= flushThreshold || rx.shipped.Add(1) >= streamShips) {
-		ep.handBack(rx)
-	}
-	ep.txWritevs++
-	return q.ship(ep.conns[peer])
-}
-
-// flushFailed routes a failed vectored write into the peer-loss path
-// (outside ep.mu — markPeerDown retakes it) and returns the typed send
-// error the caller should see.
-func (ep *TCPEndpoint) flushFailed(peer int32, err error) error {
-	cause := fmt.Errorf("transport: rank %d flushing to rank %d: %w", ep.rank, peer, err)
-	ep.peerLost(peer, cause)
-	if ep.survivable.Load() {
-		return ep.peerDownErr(int(peer))
-	}
-	return cause
-}
-
-// severFrame executes an injected mid-frame sever: it writes only the
-// frame header (announcing a payload that never follows) and closes
-// the connection, so the peer's next read fails with an unexpected EOF
-// partway through a frame — the worst-shaped cut a real link failure
-// produces. The local side then routes through the normal peer-loss
-// path and the caller gets the typed peer-down error.
-func (ep *TCPEndpoint) severFrame(m Message, n int) error {
-	ep.mu.Lock()
-	if q := ep.qs[m.To]; q != nil {
-		var hdr [frameHdrLen]byte
-		putHeader(hdr[:], m, n+1)
-		q.slabAppend(hdr[:])
-		_ = ep.ship(int(m.To))
-	}
-	c := ep.conns[m.To]
-	ep.mu.Unlock()
-	cause := fmt.Errorf("transport: fault injection severed rank %d's connection to rank %d mid-frame",
-		ep.rank, m.To)
-	if c != nil {
-		c.Close()
-	}
-	ep.peerLost(m.To, cause)
-	if ep.survivable.Load() {
-		return ep.peerDownErr(int(m.To))
-	}
-	return cause
-}
-
-// Flush ships every queued frame now. Callers that send and then
-// neither poll nor wait (a collective root answering its children
-// after its own wait completed) must flush, or the frames sit queued
-// while the peers sleep.
-func (ep *TCPEndpoint) Flush() { ep.flushOut() }
-
-// flushOut ships every queued frame, one vectored write per peer. A
-// failed write means that peer's connection is dead: the failure routes
-// into the peer-loss path (peer-down retirement in survivable mode,
-// whole-endpoint teardown otherwise) after ep.mu is released — so a
-// dead peer surfaces at flush time instead of waiting for the reader
-// goroutine to notice, and a flush error is never silently swallowed.
-func (ep *TCPEndpoint) flushOut() { ep.routeFailures(ep.shipAll()) }
-
-// shipFailure is a peer whose vectored write failed, and why.
-type shipFailure struct {
-	peer int32
-	err  error
-}
-
-// shipAll is flushOut's writing half: it returns the failures for the
-// caller to route once it holds neither ep.mu (markPeerDown retakes it)
-// nor a read of a socket the routing may close.
-func (ep *TCPEndpoint) shipAll() []shipFailure {
-	if !ep.txPending.Load() {
-		return nil
-	}
-	var failed []shipFailure
-	ep.mu.Lock()
-	ep.txPending.Store(false)
-	buffered := 0
-	for r, q := range ep.qs {
-		if q == nil || q.qn == 0 {
-			continue
-		}
-		buffered += q.qn
-		if err := ep.ship(r); err != nil {
-			failed = append(failed, shipFailure{int32(r), err})
-		}
-	}
-	ep.mu.Unlock()
-	if buffered > 0 && ep.ring != nil {
-		ep.ring.Instant(obs.KNetFlush, -1, uint32(buffered), 0)
-	}
-	return failed
-}
-
-// routeFailures routes failed writes into the peer-loss path.
-func (ep *TCPEndpoint) routeFailures(failed []shipFailure) {
-	for _, f := range failed {
-		_ = ep.flushFailed(f.peer, f.err)
-	}
 }
 
 // Poll dispatches queued messages to their handlers without blocking and
@@ -1121,7 +757,7 @@ func (ep *TCPEndpoint) Poll() int {
 			if n == 0 {
 				ep.pollMissed()
 			}
-			ep.flushOut()
+			ep.Flush()
 			return n
 		}
 	}
@@ -1143,9 +779,9 @@ func (ep *TCPEndpoint) Poll() int {
 // select; it allocates nothing but the *net.OpError Go returns when a
 // wake ends a read of the socket.
 func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
-	if !pred() && ep.ring != nil {
-		ep.ring.Begin(obs.KNetWait, -1, 0)
-		defer ep.ring.End(obs.KNetWait)
+	if !pred() && ep.opts.Ring != nil {
+		ep.opts.Ring.Begin(obs.KNetWait, -1, 0)
+		defer ep.opts.Ring.End(obs.KNetWait)
 	}
 	for !pred() {
 		select {
@@ -1164,12 +800,12 @@ func (ep *TCPEndpoint) WaitFor(pred func() bool) error {
 		if ep.readOwned() {
 			continue
 		}
-		ep.flushOut()
+		ep.Flush()
 		m := <-ep.inbox
 		ep.woke = true
 		ep.waitDispatch(m)
 	}
-	ep.flushOut()
+	ep.Flush()
 	return nil
 }
 
@@ -1185,25 +821,6 @@ func (ep *TCPEndpoint) waitDispatch(m Message) {
 		ep.vote(from)
 	}
 	ep.dispatch(m)
-}
-
-// Goodbye announces a clean close to every peer, so the EOF they see
-// when this endpoint closes reads as orderly teardown rather than peer
-// loss. Call it only after the job's final synchronization point, right
-// before Close; a rank that dies early must NOT say goodbye — the
-// unannounced EOF is what propagates the abort to its peers.
-func (ep *TCPEndpoint) Goodbye() {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	for r, q := range ep.qs {
-		if q == nil {
-			continue
-		}
-		// Best-effort: an unreachable peer is already tearing down.
-		q.enqueue(Message{From: ep.rank, To: int32(r), Handler: byeHandler}, nil, false)
-		ep.txFrames++
-		_ = ep.ship(r)
-	}
 }
 
 // shutdown closes the listener and every connection without waiting for

@@ -13,40 +13,7 @@ import (
 )
 
 // mesh spins up n endpoints over localhost and wires the full mesh.
-func mesh(t testing.TB, n int) []*TCPEndpoint {
-	t.Helper()
-	eps := make([]*TCPEndpoint, n)
-	addrs := make([]string, n)
-	for i := range eps {
-		ep, err := ListenTCP(i, n, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-		addrs[i] = ep.Addr()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, ep := range eps {
-		wg.Add(1)
-		go func(i int, ep *TCPEndpoint) {
-			defer wg.Done()
-			errs[i] = ep.Connect(addrs)
-		}(i, ep)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d connect: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	})
-	return eps
-}
+func mesh(t testing.TB, n int) []*TCPEndpoint { return meshWith(t, n, nil) }
 
 func TestFrameRoundTrip(t *testing.T) {
 	f := func(to, from int32, h uint16, arg uint64, payload []byte) bool {
