@@ -158,14 +158,6 @@ func LocalSlice[T any](me *Rank, p GlobalPtr[T], count int) []T {
 	return segment.Slice[T](me.seg, p.Offset(), count)
 }
 
-// Escalate builds a GlobalPtr to an object in the caller's own segment
-// from a raw segment offset; combined with Allocate on the local rank it
-// provides the paper's "escalate a private object into a shared object"
-// idiom within the registered segment.
-func Escalate[T any](me *Rank, off uint64) GlobalPtr[T] {
-	return gptrAt[T](me.id, off)
-}
-
 // PtrAt reconstructs a global pointer from its (rank, offset) pair —
 // the deserialization half of passing global pointers through
 // registered-task arguments, which travel as POD bytes: encode with

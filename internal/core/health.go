@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 )
@@ -101,14 +99,5 @@ func (r *Rank) markRankDead(rank int) {
 	}
 	for _, fn := range r.deathCbs {
 		fn(rank)
-	}
-}
-
-// requireAlive panics typed when an operation's target is dead — the
-// fail-fast guard for blocking entry points.
-func (r *Rank) requireAlive(op string, rank int) {
-	if !r.RankAlive(rank) {
-		panic(fmt.Errorf("upcxx: %s targeting rank %d from rank %d: %w",
-			op, rank, r.id, r.deadErrFor(rank)))
 	}
 }

@@ -32,14 +32,10 @@ func (r *Rank) AMAt(target int, arrival float64, bytes int, fn func(tgt *Rank)) 
 // WaitUntil services incoming tasks until pred() is true — and, on a
 // wire job, conduit traffic too, with the aggregation layer flushed
 // first (so a buffered request whose reply satisfies pred cannot
-// deadlock the wait). In-process, any cross-rank state change that
-// makes pred true must be followed by a WakeAt (or an ordinary
-// message) to this rank, or the wait may not terminate.
+// deadlock the wait). In-process, a wake is a message: any cross-rank
+// state change that makes pred true must be followed by a message to
+// this rank (an AM, a task), or the wait may not terminate.
 func (r *Rank) WaitUntil(pred func() bool) { r.waitProgress(pred) }
-
-// WakeAt sends a no-op message unblocking a WaitUntil on the target at
-// the given modeled arrival time.
-func (r *Rank) WakeAt(target int, arrival float64) { r.ep.Wake(target, arrival) }
 
 // ExternalWaker returns a function that, called from another goroutine,
 // makes this rank's blocked WaitUntil re-evaluate its predicate
@@ -53,7 +49,7 @@ func (r *Rank) WakeAt(target int, arrival float64) { r.ep.Wake(target, arrival) 
 // — so any number of callers may use it, whether the rank is parked on
 // its inbox or in a read of a peer's socket. On backends without the
 // wakeup extension (ProcConduit) it returns a harmless no-op — those
-// backends' waits are driven by modeled messages (WakeAt) instead.
+// backends' waits end on the modeled messages that change the state.
 func (r *Rank) ExternalWaker() func() {
 	if w := r.caps.Waker; w != nil {
 		return w.Wake

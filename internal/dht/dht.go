@@ -190,12 +190,6 @@ func ReplicaRanks(key uint64, ranks, k int) []int {
 	return out
 }
 
-// Owner returns the rank whose shard primarily holds key — the first
-// replica.
-func (t *Table) Owner(me *core.Rank, key uint64) int {
-	return int(gups.Mix64(key) % uint64(me.Ranks()))
-}
-
 // liveReplicas returns key's replica ranks that are still alive, in
 // placement order. Fault-free this is exactly ReplicaRanks.
 func (t *Table) liveReplicas(me *core.Rank, key uint64) []int {
@@ -475,14 +469,10 @@ func (l *Lookup) OnDone(fn func(*Lookup)) {
 	l.cb = fn
 }
 
-// Done reports whether the lookup has settled (answer absorbed or
-// failed); once true, Result is valid and Wait will not block.
-func (l *Lookup) Done() bool { return l.done }
-
 // Result returns the settled lookup's outcome without panicking: the
 // value, whether the key was present, and the typed failure (nil
-// unless every replica of the key died). Valid only once Done reports
-// true.
+// unless every replica of the key died). Valid only once the lookup
+// has settled: inside its OnDone continuation, or after Wait.
 func (l *Lookup) Result() (val uint64, found bool, err error) {
 	return l.val, l.found, l.failed
 }

@@ -107,19 +107,8 @@ type Endpoint struct {
 	_     pad.Line
 }
 
-// Engine returns the owning engine.
-func (e *Endpoint) Engine() *Engine { return e.eng }
-
 // N returns the job size.
 func (e *Endpoint) N() int { return e.eng.N }
-
-// Model returns the job's cost model.
-func (e *Endpoint) Model() *sim.Model { return e.eng.Model }
-
-// Peer returns another rank's endpoint; used by the one-sided data path
-// (the RDMA analog) and by in-process shortcuts that are charged as if
-// they were messages.
-func (e *Endpoint) Peer(rank int) *Endpoint { return e.eng.eps[rank] }
 
 // Send injects an active message of the given modeled payload size to the
 // target rank, charging send overhead to the local clock. If the target

@@ -246,22 +246,36 @@ func TestMalformedBatchSevers(t *testing.T) {
 	}
 }
 
-// FuzzOneSidedHandlers sends arbitrary payloads as get, put and xor
-// requests to rank 1 of a 2-rank loopback pair and holds every answer
-// to a reference: a malformed or out-of-range request gets the failure
-// reply and changes nothing, a well-formed one gets the reference reply
-// and effect. Never a panic on the target's dispatch goroutine. Long
-// put payloads exercise landing (and its decline, out of range).
+// FuzzOneSidedHandlers sends arbitrary payloads as get, put, xor,
+// alloc, free, lock-acquire and lock-release requests to rank 1 of a
+// 3-rank loopback fleet and holds every answer to a reference: a
+// malformed, out-of-range or unservable request gets the failure reply
+// and changes nothing, a well-formed one gets the reference reply and
+// effect. Never a panic on the target's dispatch goroutine, never a
+// hang. Long put payloads exercise landing (and its decline, out of
+// range). Rank 1 homes two locks (ids 1 and 2) whose held/free state
+// follows a shadow; a blocking acquire of a held lock parks, and the
+// fuzzer then releases it from rank 2, handing the lock to the waiter.
 func FuzzOneSidedHandlers(f *testing.F) {
 	const memBytes = 2048
-	cds := wireFleet(f, 2, memBytes)
+	cds := wireFleet(f, 3, memBytes)
 	mem := cds[1].mem.(*testMem)
 	shadow := make([]byte, memBytes) // what rank 1's memory must hold
+	// testMem's bump allocator and rank 1's locks, as the replies must
+	// show them.
+	next, live := uint64(0), map[uint64]bool{}
+	held := map[uint64]bool{cds[1].LockNew(): false, cds[1].LockNew(): false}
 	args := func(a, b uint64, data ...byte) []byte {
 		p := make([]byte, 16, 16+len(data))
 		putU64(p, a)
 		putU64(p[8:], b)
 		return append(p, data...)
+	}
+	lock := func(id uint64, try byte) []byte { return append(args(id, 0)[:8], try) }
+	word := func(v uint64) []byte {
+		p := make([]byte, 8)
+		putU64(p, v)
+		return p
 	}
 	f.Add(byte(0), args(0, 8))
 	f.Add(byte(0), args(memBytes-600, 600))
@@ -276,14 +290,26 @@ func FuzzOneSidedHandlers(f *testing.F) {
 	f.Add(byte(2), args(3, 0xFF))
 	f.Add(byte(2), args(memBytes, 0xFF))
 	f.Add(byte(2), []byte{})
+	for h := byte(3); h < 7; h++ { // 0-, 3- and 8-byte control payloads
+		f.Add(h, []byte{})
+		f.Add(h, []byte{1, 0, 0})
+		f.Add(h, word(1))
+	}
+	f.Add(byte(3), word(64))
+	f.Add(byte(3), word(1<<62))
+	f.Add(byte(4), word(0))
+	f.Add(byte(5), lock(0, 0)) // lock id 0 was never issued
+	f.Add(byte(6), word(0))
+	f.Add(byte(5), lock(1, 1)) // try: free, taken
+	f.Add(byte(5), lock(1, 1)) // try: held, refused
+	f.Add(byte(5), lock(1, 0)) // blocks until rank 2 releases it
+	f.Add(byte(6), word(1))
+	f.Add(byte(6), word(1)) // release of a free lock
+	f.Add(byte(5), lock(2, 0))
+	f.Add(byte(5), lock(3, 0))
 	f.Fuzz(func(t *testing.T, which byte, payload []byte) {
-		h := []uint16{hGet, hPut, hXor}[int(which)%3]
+		h := []uint16{hGet, hPut, hXor, hAlloc, hFree, hLockAcq, hLockRel}[int(which)%7]
 		stop := servePoll(cds[1])
-		rep, err := cds[0].request(1, h, payload)
-		stop()
-		if err != nil {
-			t.Fatal(err)
-		}
 		in := func(off, n uint64) bool { return off <= memBytes && n <= memBytes-off }
 		var want []byte
 		switch h {
@@ -308,6 +334,66 @@ func FuzzOneSidedHandlers(f *testing.F) {
 					want = shadow[off : off+8]
 				}
 			}
+		case hAlloc:
+			if len(payload) >= 8 {
+				want = word(0)
+				if size := u64(payload); next+size <= memBytes {
+					want = word(next + 1)
+					live[next] = true
+					next += size
+				}
+			}
+		case hFree:
+			if len(payload) >= 8 {
+				want = word(0)
+				if off := u64(payload); live[off] {
+					delete(live, off)
+					want = word(1)
+				}
+			}
+		case hLockAcq:
+			if len(payload) >= 9 {
+				if isHeld, ok := held[u64(payload)]; ok {
+					switch {
+					case !isHeld:
+						held[u64(payload)] = true
+						want = word(1)
+					case payload[8] == 1:
+						want = word(0)
+					default:
+						// The acquire parks at the home; a release from
+						// rank 2 hands the lock over and answers it.
+						want = word(1)
+						got := make(chan []byte, 1)
+						go func() {
+							rep, err := cds[0].request(1, hLockAcq, payload)
+							if err != nil {
+								t.Error(err)
+							}
+							got <- rep
+						}()
+						if rep, err := cds[2].request(1, hLockRel, payload[:8]); err != nil || !bytes.Equal(rep, word(1)) {
+							t.Fatalf("handoff release: reply %x, %v; want %x", rep, err, word(1))
+						}
+						rep := <-got
+						stop()
+						if !bytes.Equal(rep, want) {
+							t.Fatalf("parked acquire of lock %d: reply %x, want %x", u64(payload), rep, want)
+						}
+						return
+					}
+				}
+			}
+		case hLockRel:
+			if len(payload) >= 8 && held[u64(payload)] {
+				held[u64(payload)] = false
+				want = word(1)
+			}
+		}
+		rep, err := cds[0].request(1, h, payload)
+		stop()
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !bytes.Equal(rep, want) {
 			t.Fatalf("handler %d, %d-byte payload: reply %x, want %x", h, len(payload), rep, want)
@@ -319,4 +405,27 @@ func FuzzOneSidedHandlers(f *testing.F) {
 			t.Fatalf("handler %d, %d-byte payload: target memory differs from the reference", h, len(payload))
 		}
 	})
+}
+
+// TestLockRefusalsAreErrors: a lock request its home cannot serve — an
+// id the home never issued, the release of a lock nobody holds — comes
+// back to the caller as an error, and the home stays up to serve the
+// next request.
+func TestLockRefusalsAreErrors(t *testing.T) {
+	cds := wireFleet(t, 2, 64)
+	id := cds[1].LockNew()
+	stop := servePoll(cds[1])
+	defer stop()
+	if _, err := cds[0].LockAcquire(1, id+1, false); err == nil {
+		t.Fatal("acquire of an unknown lock: no error")
+	}
+	if err := cds[0].LockRelease(1, id); err == nil {
+		t.Fatal("release of a free lock: no error")
+	}
+	if got, err := cds[0].LockAcquire(1, id, true); err != nil || !got {
+		t.Fatalf("home after the refusals: try-acquire %v, %v; want true, nil", got, err)
+	}
+	if err := cds[0].LockRelease(1, id); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -8,6 +8,13 @@ import (
 
 // ---- Wire conduit: global memory management and lock service ----
 
+// A control request the home cannot serve — a payload too short to hold
+// its arguments, a lock id it never issued, the release of a lock that
+// is not held — is answered with an empty reply, which its requester
+// tells from every served answer (8 bytes) by length alone, as for the
+// one-sided requests. The requester's call returns an error, so the
+// rank that made the bad call aborts, not the home.
+
 type wireLockState struct {
 	held  bool
 	queue []wireLockWaiter
@@ -29,13 +36,17 @@ func (c *WireConduit) Alloc(rank int, size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v := u64(rep); v != 0 {
-		return v - 1, nil
+	if len(rep) != 8 || u64(rep) == 0 {
+		return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
 	}
-	return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
+	return u64(rep) - 1, nil
 }
 
 func (c *WireConduit) onAlloc(m transport.Message) {
+	if len(m.Payload) < 8 {
+		c.reply(m, nil) // refused
+		return
+	}
 	var rep [8]byte
 	if off, err := c.mem.Alloc(u64(m.Payload)); err == nil {
 		putU64(rep[:], off+1)
@@ -53,13 +64,17 @@ func (c *WireConduit) Free(rank int, off uint64) error {
 	if err != nil {
 		return err
 	}
-	if u64(rep) == 0 {
+	if len(rep) != 8 || u64(rep) == 0 {
 		return fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
 	}
 	return nil
 }
 
 func (c *WireConduit) onFree(m transport.Message) {
+	if len(m.Payload) < 8 {
+		c.reply(m, nil) // refused
+		return
+	}
 	var rep [8]byte
 	if c.mem.Free(u64(m.Payload)) == nil {
 		putU64(rep[:], 1)
@@ -90,21 +105,24 @@ func (c *WireConduit) LockAcquire(home int, id uint64, try bool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	if len(rep) != 8 {
+		return false, fmt.Errorf("gasnet: rank %d refused to acquire lock %d", home, id)
+	}
 	return u64(rep) == 1, nil
 }
 
 func (c *WireConduit) onLockAcquire(m transport.Message) {
-	id, try := u64(m.Payload), m.Payload[8] == 1
-	st := c.locks[id]
+	st := c.lockFor(m, 9)
 	if st == nil {
-		panic(fmt.Sprintf("gasnet: wire acquire of unknown lock %d", id))
+		c.reply(m, nil) // refused
+		return
 	}
 	var rep [8]byte
 	switch {
 	case !st.held:
 		st.held = true
 		putU64(rep[:], 1)
-	case try:
+	case m.Payload[8] == 1: // try
 		// rep stays 0: not acquired.
 	default:
 		st.queue = append(st.queue, wireLockWaiter{rank: m.From, token: m.Arg})
@@ -116,14 +134,27 @@ func (c *WireConduit) onLockAcquire(m transport.Message) {
 // LockRelease releases the lock homed on home.
 func (c *WireConduit) LockRelease(home int, id uint64) error {
 	putU64(c.reqHdr[:], id)
-	_, err := c.request(home, hLockRel, c.reqHdr[:8])
+	rep, err := c.request(home, hLockRel, c.reqHdr[:8])
+	if err == nil && len(rep) != 8 {
+		err = fmt.Errorf("gasnet: rank %d refused to release lock %d", home, id)
+	}
 	return err
 }
 
+// lockFor returns the lock a request of at least n payload bytes names,
+// or nil for a shorter payload or an id this rank never issued.
+func (c *WireConduit) lockFor(m transport.Message, n int) *wireLockState {
+	if len(m.Payload) < n {
+		return nil
+	}
+	return c.locks[u64(m.Payload)]
+}
+
 func (c *WireConduit) onLockRelease(m transport.Message) {
-	st := c.locks[u64(m.Payload)]
+	st := c.lockFor(m, 8)
 	if st == nil || !st.held {
-		panic("gasnet: wire release of unheld lock")
+		c.reply(m, nil) // refused
+		return
 	}
 	if len(st.queue) > 0 {
 		next := st.queue[0]

@@ -30,7 +30,7 @@ func TestDebugPlane(t *testing.T) {
 	withTracing(t)
 	dir := t.TempDir()
 
-	Reg().NewCounter("upcxx_debug_probe", 4).Add(11)
+	Reg().AddSource(4, func() map[string]int64 { return map[string]int64{"upcxx_debug_probe": 11} })
 	InitHealth(2)
 	MarkDead(1, "heartbeat timeout")
 	RingFor(4).Instant(KWireTx, 0, 8, 1)
@@ -82,7 +82,7 @@ func TestDebugPlane(t *testing.T) {
 func TestDebugLocalFallback(t *testing.T) {
 	t.Cleanup(Reset)
 	Reg().reset()
-	Reg().NewCounter("upcxx_local_probe", 0).Inc()
+	Reg().AddSource(0, func() map[string]int64 { return map[string]int64{"upcxx_local_probe": 1} })
 	InitHealth(1)
 
 	srv := httptest.NewServer(NewDebugHandler(""))

@@ -44,10 +44,6 @@ func NowNs() uint64 { return nowNs() }
 // tracing is the master gate every span call site checks.
 var tracing atomic.Bool
 
-// Enabled reports whether span tracing is on: exactly one atomic load,
-// the whole cost a disabled call site pays beyond a branch.
-func Enabled() bool { return tracing.Load() }
-
 // SetTracing flips the span-tracing gate. Enable it before the job
 // builds its conduits: each component takes its ring (RingFor) when it
 // is built — the conduits and, through their options, the transport
@@ -56,17 +52,9 @@ func Enabled() bool { return tracing.Load() }
 // forever).
 func SetTracing(on bool) { tracing.Store(on) }
 
-// DefaultRingEvents is the per-rank ring capacity when none is
-// configured: 1<<15 records x 32 bytes = 1 MiB per rank.
+// DefaultRingEvents is the capacity of every rank's span ring: 1<<15
+// records x 32 bytes = 1 MiB per rank.
 const DefaultRingEvents = 1 << 15
-
-// ringEvents is the capacity RingFor uses; set via SetRingEvents
-// before the first RingFor call.
-var ringEvents atomic.Int64
-
-// SetRingEvents sets the per-rank ring capacity (rounded up to a power
-// of two) for rings created afterwards.
-func SetRingEvents(n int) { ringEvents.Store(int64(n)) }
 
 // rings is the per-process ring registry, keyed by world rank. One
 // process may host many ranks (the in-process backend, RunWireLocal),
@@ -87,11 +75,7 @@ func RingFor(rank int) *Ring {
 	defer ringMu.Unlock()
 	r := rings[rank]
 	if r == nil {
-		n := int(ringEvents.Load())
-		if n <= 0 {
-			n = DefaultRingEvents
-		}
-		r = NewRing(rank, n)
+		r = NewRing(rank, DefaultRingEvents)
 		rings[rank] = r
 	}
 	return r

@@ -10,16 +10,16 @@ import (
 	"sync/atomic"
 )
 
-// Registry is the process-wide typed metrics surface. Counters, gauges
-// and histograms are created once (usually at component construction)
-// and updated with atomics; sources are pull-time callbacks that fold
-// in counter maps owned elsewhere (conduit caps, aggregator stats).
-// Rendering (Prometheus text, Snapshot) only reads atomics and calls
-// sources, so it is safe while a job is running.
+// Registry is the process-wide metrics surface, with one way to publish
+// a number: a latency (or size) distribution is a Histogram, created
+// once at component construction and updated with atomics; every other
+// number is a source, a pull-time callback folding in counters and
+// levels owned elsewhere (conduit caps, aggregator stats, a gateway's
+// in-flight and queued requests). Rendering (Prometheus text,
+// Snapshot) only reads atomics and calls sources, so it is safe while
+// a job is running.
 type Registry struct {
 	mu      sync.Mutex
-	counts  map[string]*Counter
-	gauges  map[string]*Gauge
 	hists   map[string]*Histogram
 	sources map[int]Source
 	nextSrc int
@@ -33,68 +33,12 @@ type Source struct {
 }
 
 var reg = &Registry{
-	counts:  map[string]*Counter{},
-	gauges:  map[string]*Gauge{},
 	hists:   map[string]*Histogram{},
 	sources: map[int]Source{},
 }
 
 // Reg returns the process-wide registry.
 func Reg() *Registry { return reg }
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	name string
-	rank int
-	v    atomic.Int64
-}
-
-// Add increments the counter. Safe on nil.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc adds one. Safe on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	name string
-	rank int
-	v    atomic.Int64
-}
-
-// Set stores the gauge value. Safe on nil.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge. Safe on nil.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // histBuckets is the shared exponential bucket layout: powers of two
 // starting at 1 (unit-agnostic — callers pick ns, bytes, ops...).
@@ -150,34 +94,6 @@ func (h *Histogram) Sum() int64 {
 // key builds the registry map key: name plus rank label.
 func key(name string, rank int) string { return fmt.Sprintf("%s{rank=%d}", name, rank) }
 
-// NewCounter returns the counter with the given name and rank label,
-// creating it on first use.
-func (r *Registry) NewCounter(name string, rank int) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := key(name, rank)
-	c := r.counts[k]
-	if c == nil {
-		c = &Counter{name: name, rank: rank}
-		r.counts[k] = c
-	}
-	return c
-}
-
-// NewGauge returns the gauge with the given name and rank label,
-// creating it on first use.
-func (r *Registry) NewGauge(name string, rank int) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	k := key(name, rank)
-	g := r.gauges[k]
-	if g == nil {
-		g = &Gauge{name: name, rank: rank}
-		r.gauges[k] = g
-	}
-	return g
-}
-
 // NewHistogram returns the histogram with the given name and rank
 // label, creating it on first use.
 func (r *Registry) NewHistogram(name string, rank int) *Histogram {
@@ -211,23 +127,15 @@ func (r *Registry) AddSource(rank int, pull func() map[string]int64) (remove fun
 func (r *Registry) reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counts = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
 	r.hists = map[string]*Histogram{}
 	r.sources = map[int]Source{}
 }
 
 // snapshotLocked copies out the live metric handles under the lock so
 // rendering can read atomics without holding it.
-func (r *Registry) snapshotLocked() (cs []*Counter, gs []*Gauge, hs []*Histogram, srcs []Source) {
+func (r *Registry) snapshotLocked() (hs []*Histogram, srcs []Source) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, c := range r.counts {
-		cs = append(cs, c)
-	}
-	for _, g := range r.gauges {
-		gs = append(gs, g)
-	}
 	for _, h := range r.hists {
 		hs = append(hs, h)
 	}
@@ -241,14 +149,8 @@ func (r *Registry) snapshotLocked() (cs []*Counter, gs []*Gauge, hs []*Histogram
 // with "{rank=N}" labels, the shape the bench harness folds into its
 // JSON output. Histograms contribute _count and _sum entries.
 func (r *Registry) Snapshot() map[string]int64 {
-	cs, gs, hs, srcs := r.snapshotLocked()
+	hs, srcs := r.snapshotLocked()
 	out := map[string]int64{}
-	for _, c := range cs {
-		out[key(c.name, c.rank)] = c.Value()
-	}
-	for _, g := range gs {
-		out[key(g.name, g.rank)] = g.Value()
-	}
 	for _, h := range hs {
 		out[key(h.name+"_count", h.rank)] = h.Count()
 		out[key(h.name+"_sum", h.rank)] = h.Sum()
@@ -264,18 +166,12 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// SnapshotOwn is Snapshot restricted to the registry's own typed
-// metrics — sources are skipped. Used where the source-backed counters
-// are already folded in elsewhere under different names (Stats).
+// SnapshotOwn is Snapshot restricted to the registry's histograms —
+// sources are skipped. Used where the source-backed counters are
+// already folded in elsewhere under different names (Stats).
 func (r *Registry) SnapshotOwn() map[string]int64 {
-	cs, gs, hs, _ := r.snapshotLocked()
+	hs, _ := r.snapshotLocked()
 	out := map[string]int64{}
-	for _, c := range cs {
-		out[key(c.name, c.rank)] = c.Value()
-	}
-	for _, g := range gs {
-		out[key(g.name, g.rank)] = g.Value()
-	}
 	for _, h := range hs {
 		if h.Count() == 0 {
 			continue // don't pollute the bench JSON with empty series
@@ -290,7 +186,7 @@ func (r *Registry) SnapshotOwn() map[string]int64 {
 // format (one family per metric name, rank as a label). Sources render
 // as untyped samples.
 func (r *Registry) Prometheus() string {
-	cs, gs, hs, srcs := r.snapshotLocked()
+	hs, srcs := r.snapshotLocked()
 	var b strings.Builder
 
 	type sample struct {
@@ -307,14 +203,6 @@ func (r *Registry) Prometheus() string {
 		}
 	}
 
-	for _, c := range cs {
-		add(c.name, "counter", c.rank,
-			fmt.Sprintf("%s{rank=\"%d\"} %d", c.name, c.rank, c.Value()))
-	}
-	for _, g := range gs {
-		add(g.name, "gauge", g.rank,
-			fmt.Sprintf("%s{rank=\"%d\"} %d", g.name, g.rank, g.Value()))
-	}
 	for _, h := range hs {
 		cum := int64(0)
 		var lines []string

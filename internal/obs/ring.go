@@ -151,14 +151,6 @@ func (r *Ring) SetPid(host int) {
 	}
 }
 
-// Rank returns the ring's rank (0 for a nil ring).
-func (r *Ring) Rank() int {
-	if r == nil {
-		return 0
-	}
-	return r.rank
-}
-
 // Cap returns the ring capacity in records.
 func (r *Ring) Cap() uint64 {
 	if r == nil {

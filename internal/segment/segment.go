@@ -213,17 +213,10 @@ func (s *Segment) Lock() { s.mu.Lock() }
 // Unlock releases the segment lock.
 func (s *Segment) Unlock() { s.mu.Unlock() }
 
-// Base returns the address of the first segment byte. Offsets returned by
-// Alloc are stable relative to Base for the segment's lifetime.
-func (s *Segment) Base() unsafe.Pointer { return unsafe.Pointer(&s.buf[0]) }
-
-// Bytes returns the n bytes at off without locking; callers on the owning
-// rank use it for local access, remote callers must hold Lock.
-func (s *Segment) Bytes(off, n uint64) []byte { return s.buf[off : off+n : off+n] }
-
-// Window is Bytes for an offset and length that arrived off the network:
-// nil unless [off, off+n) lies inside the segment. It is the view a wire
-// get replies from and a long put lands in.
+// Window returns the n bytes at off, without locking, for an offset and
+// length that arrived off the network: nil unless [off, off+n) lies
+// inside the segment. It is the view a wire get replies from and a long
+// put lands in.
 func (s *Segment) Window(off, n uint64) []byte {
 	if off > uint64(len(s.buf)) || n > uint64(len(s.buf))-off {
 		return nil

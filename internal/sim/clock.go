@@ -43,9 +43,5 @@ func (c *Clock) AdvanceTo(t float64) float64 {
 	return now
 }
 
-// Set unconditionally sets the clock; used only by barrier release where
-// the target time is already known to be >= every participant's clock.
-func (c *Clock) Set(t float64) { c.bits.Store(u64(t)) }
-
 func u64(f float64) uint64 { return math.Float64bits(f) }
 func f64(u uint64) float64 { return math.Float64frombits(u) }

@@ -25,9 +25,3 @@ func NewProfile(m Machine, sws ...SW) Profile {
 	}
 	return p
 }
-
-// Machines returns every predefined machine profile.
-func Machines() []Machine { return []Machine{Edison, Vesta, Local} }
-
-// SWProfiles returns every predefined software profile.
-func SWProfiles() []SW { return []SW{SWUPCXX, SWUPC, SWTitanium, SWMPI} }

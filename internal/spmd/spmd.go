@@ -178,15 +178,6 @@ func Lookup(name string) (Prog, bool) {
 	return Prog{}, false
 }
 
-// Names returns every program name, for usage strings.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, p := range registry {
-		names[i] = p.Name
-	}
-	return names
-}
-
 // mix derives test patterns and folds checksums (gups owns the shared
 // splitmix64 finalizer; a divergent copy here would change checksums on
 // only one backend path).

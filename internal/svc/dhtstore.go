@@ -27,11 +27,12 @@ import (
 //     shared frames, and settles each op back to its waiting client.
 //
 // Typed failures retry with backoff on the serve loop: a rank death
-// re-routes to the surviving replicas on the next attempt (the PR-6
-// failover-retry policy), and only an exhausted budget surfaces to the
-// client as ErrUnavailable.
+// re-routes to the surviving replicas on the next attempt (the failover
+// policy), and only an exhausted budget surfaces to the client as
+// ErrUnavailable.
 type DHTStore struct {
-	cfg StoreConfig
+	cfg   StoreConfig
+	retry core.RetryPolicy // failover; tests may shorten or stretch it
 
 	mu     sync.Mutex
 	queue  []*op
@@ -55,14 +56,15 @@ type DHTStore struct {
 	puts, gets, retries, failures atomic.Int64
 }
 
+// failover is the store's retry policy for typed runtime failures:
+// 3 attempts, 1 ms backoff doubling each time. Unlike the runtime
+// default it retries every typed failure, core.ErrRankDead included:
+// the DHT re-routes around dead replicas, so the next attempt lands on
+// the survivors.
+var failover = core.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}
+
 // StoreConfig tunes the adapter.
 type StoreConfig struct {
-	// Retry is the failover-retry policy for typed runtime failures.
-	// Unlike the runtime default, the adapter retries core.ErrRankDead
-	// (when Retryable is nil): the DHT re-routes around dead replicas,
-	// so the next attempt lands on the survivors. MaxAttempts and
-	// Backoff default per core.RetryPolicy (3 attempts, 1ms doubling).
-	Retry core.RetryPolicy
 	// VerifyKeys routes string keys through dht.StrKeys, panicking on
 	// a 64-bit hash collision instead of silently aliasing two keys.
 	// Costs one map entry per distinct key; tests and verifying runs
@@ -93,18 +95,7 @@ type op struct {
 // NewDHTStore returns an unbound store; it reports Ready only once a
 // rank's Serve loop has attached.
 func NewDHTStore(cfg StoreConfig) *DHTStore {
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = 3
-	}
-	if cfg.Retry.Backoff <= 0 {
-		cfg.Retry.Backoff = time.Millisecond
-	}
-	if cfg.Retry.Retryable == nil {
-		// Failover retry: every typed failure is worth another attempt,
-		// ErrRankDead included — re-issue routes to surviving replicas.
-		cfg.Retry.Retryable = func(error) bool { return true }
-	}
-	return &DHTStore{cfg: cfg}
+	return &DHTStore{cfg: cfg, retry: failover}
 }
 
 // ---- Client side (any goroutine) ----
@@ -392,16 +383,16 @@ func (st *DHTStore) tryInsert(me *core.Rank, tbl *dht.Table, key uint64, o *op) 
 }
 
 // settle finishes one issued op: success and exhausted failures
-// release the waiting client; retryable failures go back in the queue
-// behind a doubling backoff. Runs on the SPMD goroutine (from progress
-// dispatch or inline from issue).
+// release the waiting client; a failure with attempts left goes back in
+// the queue behind a doubling backoff. Runs on the SPMD goroutine (from
+// progress dispatch or inline from issue).
 func (st *DHTStore) settle(me *core.Rank, o *op, err error) {
 	st.inflight--
 	if err != nil {
 		o.attempts++
-		if o.attempts < st.cfg.Retry.MaxAttempts && st.cfg.Retry.Retryable(err) {
+		if o.attempts < st.retry.MaxAttempts {
 			st.retries.Add(1)
-			o.notBefore = time.Now().Add(st.cfg.Retry.Backoff << (o.attempts - 1))
+			o.notBefore = time.Now().Add(st.retry.Backoff << (o.attempts - 1))
 			st.mu.Lock()
 			st.queue = append(st.queue, o)
 			st.gated++

@@ -13,7 +13,7 @@ import (
 // and a retrying settle.
 func TestDueNowGates(t *testing.T) {
 	st := NewDHTStore(StoreConfig{})
-	st.cfg.Retry.Backoff = time.Hour
+	st.retry.Backoff = time.Hour
 	if st.dueNow() {
 		t.Fatal("empty queue reported due")
 	}
