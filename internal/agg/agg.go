@@ -41,6 +41,7 @@
 package agg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -56,11 +57,27 @@ import (
 //
 //	put: [kind][off u64][len u32][data]
 //	xor: [kind][off u64][val u64]
-//	am:  [kind][id u16][len u32][payload]
+//	run: [kind][id u16][count u8][hdrLen u8][hdr]  then count items  [len uvarint][body]
+//
+// Active messages travel only as runs. A run is count messages to
+// handler id that share the protocol header hdr; message i's payload is
+// hdr followed by body i. The encoder extends the batch's last op when
+// it is a run of the same id and header below maxRun messages, and
+// opens a new run otherwise, so issue order is the item order and a
+// lone message costs 6 bytes of framing. Every valid batch has exactly
+// one encoding, the one the encoder writes, and Apply refuses any
+// other: a zero count; a header, item or count that runs past the
+// batch; an item length not in its shortest uvarint form; and a run
+// following a run of the same id and header that is below maxRun, which
+// the encoder would have extended.
 const (
 	opPut byte = 1
 	opXor byte = 2
-	opAM  byte = 3
+	opRun byte = 3
+
+	runHead   = 5   // kind, id, count and hdrLen
+	maxRun    = 255 // messages per run: count is one byte
+	maxRunHdr = 255 // bytes of a run's header: hdrLen is one byte
 )
 
 // frameOverhead estimates the wire bytes an unbatched operation pays
@@ -179,23 +196,57 @@ type destCtl struct {
 }
 
 // Applier executes decoded batch operations against the receiving
-// rank's state: puts and xors against its registered segment, AMs
-// against its handler table. Handlers must not block. An error rejects
-// an op the sender's bytes got wrong (an offset outside the segment, an
-// unregistered handler) and ends the batch.
+// rank's state: puts and xors against its registered segment, runs of
+// AMs against its handler table. Handlers must not block. An error
+// rejects an op the sender's bytes got wrong (an offset outside the
+// segment, an unregistered handler) and ends the batch. AM takes a
+// whole run, so a protocol header is parsed once per run, and returns
+// how many of its messages ran: all of them, or those before the one
+// it rejects.
 type Applier interface {
 	Put(off uint64, data []byte) error
 	Xor64(off uint64, val uint64) error
-	AM(id uint16, payload []byte) error
+	AM(id uint16, run Run) (int, error)
+}
+
+// Run is one decoded run of active messages: the protocol header they
+// share and their bodies in issue order. Apply has bounds-checked every
+// item before handing the run over, so Next cannot fail; Hdr and the
+// bodies alias the batch and are valid only during the AM call.
+type Run struct {
+	Hdr   []byte
+	n     int    // bodies not yet taken
+	items []byte // their [len uvarint][body] items
+}
+
+// Len reports how many bodies Next has still to return.
+func (r *Run) Len() int { return r.n }
+
+// Next returns the next message's body. Call it at most Len times.
+func (r *Run) Next() []byte {
+	ln, k := int(r.items[0]), 1
+	if ln >= 0x80 {
+		v, m := binary.Uvarint(r.items)
+		ln, k = int(v), m
+	}
+	body := r.items[k : k+ln : k+ln]
+	r.items = r.items[k+ln:]
+	r.n--
+	return body
 }
 
 // destBuf is one destination rank's open batch. dones holds only the
 // non-nil completion callbacks of its ops; at flush the slice moves to
 // the batch's shipped record and an emptied one takes its place, so the
-// backing arrays are reused across flushes.
+// backing arrays are reused across flushes. run is the offset of the
+// count byte of the run the batch ends with, 0 when its last op is no
+// run (a count byte is never at offset 0), and tok the name OpenRun
+// gives that run.
 type destBuf struct {
 	buf    []byte
 	ops    int
+	run    int
+	tok    uint64
 	dones  []func()
 	oldest time.Time // when the oldest buffered op was added
 }
@@ -240,6 +291,7 @@ type Aggregator struct {
 	ctls     []destCtl  // per-destination controllers; nil unless cfg.Adaptive
 	buffered int        // ops across all open batches (so the empty case is O(1))
 	inflight int        // ops shipped but not yet acknowledged
+	runs     uint64     // runs opened, the source of their OpenRun names
 
 	now func() time.Time // injectable clock for tests
 
@@ -373,6 +425,7 @@ func le32(buf []byte, v uint32) []byte {
 // nil) runs when the destination has applied it. data is copied.
 func (a *Aggregator) Put(dst int, off uint64, data []byte, done func()) {
 	b := a.room(dst, 13+len(data))
+	b.run = 0
 	b.buf = append(b.buf, opPut)
 	b.buf = le64(b.buf, off)
 	b.buf = le32(b.buf, uint32(len(data)))
@@ -385,6 +438,7 @@ func (a *Aggregator) Put(dst int, off uint64, data []byte, done func()) {
 // not travel back; aggregated xors are fire-and-forget updates.
 func (a *Aggregator) Xor64(dst int, off uint64, val uint64, done func()) {
 	b := a.room(dst, 17)
+	b.run = 0
 	b.buf = append(b.buf, opXor)
 	b.buf = le64(b.buf, off)
 	b.buf = le64(b.buf, val)
@@ -395,21 +449,86 @@ func (a *Aggregator) Xor64(dst int, off uint64, val uint64, done func()) {
 // target's Applier dispatches it to handler id with the payload (which
 // is copied here).
 func (a *Aggregator) Send(dst int, id uint16, payload []byte, done func()) {
-	a.SendParts(dst, id, payload, nil, done)
+	a.SendParts(dst, id, nil, payload, done)
 }
 
 // SendParts is Send for a payload held in two pieces — a protocol
 // header the caller built on its stack and a body it was handed — which
-// are copied back to back into the open batch, so a layered message
-// needs no buffer of its own.
+// are copied into the open batch, so a layered message needs no buffer
+// of its own. The header is the run key: a message that follows one of
+// the same id and header joins its run and adds only its body. Headers
+// are at most maxRunHdr bytes.
 func (a *Aggregator) SendParts(dst int, id uint16, hdr, body []byte, done func()) {
-	n := len(hdr) + len(body)
-	b := a.room(dst, 7+n)
-	b.buf = append(b.buf, opAM, byte(id), byte(id>>8))
-	b.buf = le32(b.buf, uint32(n))
-	b.buf = append(b.buf, hdr...)
+	if len(hdr) > maxRunHdr {
+		panic(fmt.Sprintf("agg: %d-byte protocol header, over the %d a run holds", len(hdr), maxRunHdr))
+	}
+	item := itemLen(body)
+	b := &a.bufs[dst]
+	if !b.extends(id, hdr) || len(b.buf)+item > a.cfg.MaxBytes {
+		b = a.room(dst, runHead+len(hdr)+item)
+		b.buf = append(b.buf, opRun, byte(id), byte(id>>8), 0, byte(len(hdr)))
+		b.run = len(b.buf) - 2
+		b.buf = append(b.buf, hdr...)
+		a.runs++
+		b.tok = a.runs
+	}
+	a.addItem(dst, b, body, done)
+}
+
+// extends reports whether a message for handler id with header hdr
+// joins the run b ends with.
+func (b *destBuf) extends(id uint16, hdr []byte) bool {
+	if b.run == 0 || b.buf[b.run] == maxRun || int(b.buf[b.run+1]) != len(hdr) ||
+		uint16(b.buf[b.run-2])|uint16(b.buf[b.run-1])<<8 != id {
+		return false
+	}
+	at := b.run + 2
+	return bytes.Equal(b.buf[at:at+len(hdr)], hdr)
+}
+
+// addItem appends one message's body to the run b ends with.
+func (a *Aggregator) addItem(dst int, b *destBuf, body []byte, done func()) {
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(body)))
 	b.buf = append(b.buf, body...)
+	b.buf[b.run]++
 	a.noteOp(dst, b, done)
+}
+
+// itemLen is the encoded size of a run item carrying body.
+func itemLen(body []byte) int {
+	n := len(body)
+	k := 1
+	for v := n; v >= 0x80; v >>= 7 {
+		k++
+	}
+	return k + n
+}
+
+// OpenRun names the run dst's batch ends with, while it can take
+// another message, for Extend; it returns 0 when there is none. The
+// name is never reused, so it goes stale once the run closes: another
+// op follows it, it fills, or its batch leaves the encoder (a flush,
+// TakeReply).
+func (a *Aggregator) OpenRun(dst int) uint64 {
+	if b := &a.bufs[dst]; b.run != 0 && b.buf[b.run] < maxRun {
+		return b.tok
+	}
+	return 0
+}
+
+// Extend adds a message with body, and no completion callback, to the
+// run tok names, as SendParts with that run's id and header would, and
+// reports whether it could: false once that run is closed or full, or
+// when the item would overflow MaxBytes — the caller then sends the
+// message with SendParts. A caller that keys its runs by the fields it
+// encodes into the header skips encoding and comparing the header.
+func (a *Aggregator) Extend(dst int, tok uint64, body []byte) bool {
+	b := &a.bufs[dst]
+	if b.run == 0 || b.tok != tok || b.buf[b.run] == maxRun || len(b.buf)+itemLen(body) > a.cfg.MaxBytes {
+		return false
+	}
+	a.addItem(dst, b, body, nil)
+	return true
 }
 
 // Flush ships dst's open batch, if any.
@@ -431,7 +550,7 @@ func (a *Aggregator) flushReason(dst int, reason uint64) {
 	batch, ops := b.buf, b.ops
 	sh.ops = ops
 	sh.dones, b.dones = b.dones, sh.dones
-	b.buf, b.ops = nil, 0
+	b.buf, b.ops, b.run = nil, 0, 0
 
 	a.buffered -= ops
 	a.inflight += ops
@@ -465,7 +584,7 @@ func (a *Aggregator) TakeReply(dst int) []byte {
 		return nil
 	}
 	reply, ops := b.buf, b.ops
-	b.buf, b.ops = nil, 0
+	b.buf, b.ops, b.run = nil, 0, 0
 	a.buffered -= ops
 	a.replies.Add(1)
 	a.opsTotal.Add(int64(ops))
@@ -606,10 +725,14 @@ func (a *Aggregator) Counters() map[string]float64 {
 }
 
 // Apply decodes one batch payload and executes each op against ap, in
-// order, returning how many ops ran. A truncated or unknown op, or one
-// ap rejects, aborts with an error (a correct peer never produces one).
+// order, returning how many ops ran. A truncated, unknown or
+// non-canonical op (see the encoding above), or one ap rejects, aborts
+// with an error (a correct peer never produces one); a run is checked
+// whole before any of its messages runs.
 func Apply(batch []byte, ap Applier) (int, error) {
 	n := 0
+	var prev Run // the previous op, when it was a run
+	var prevID uint16
 	for len(batch) > 0 {
 		kind := batch[0]
 		batch = batch[1:]
@@ -627,24 +750,30 @@ func Apply(batch []byte, ap Applier) (int, error) {
 			}
 			err = ap.Put(off, batch[:ln])
 			batch = batch[ln:]
+			prev.n = 0
 		case opXor:
 			if len(batch) < 16 {
 				return n, fmt.Errorf("agg: truncated xor op")
 			}
 			err = ap.Xor64(binary.LittleEndian.Uint64(batch), binary.LittleEndian.Uint64(batch[8:]))
 			batch = batch[16:]
-		case opAM:
-			if len(batch) < 6 {
-				return n, fmt.Errorf("agg: truncated am header")
+			prev.n = 0
+		case opRun:
+			var run Run
+			var id uint16
+			if id, run, batch, err = decodeRun(batch); err != nil {
+				return n, err
 			}
-			id := uint16(batch[0]) | uint16(batch[1])<<8
-			ln := int(binary.LittleEndian.Uint32(batch[2:]))
-			batch = batch[6:]
-			if len(batch) < ln {
-				return n, fmt.Errorf("agg: am payload truncated: want %d, have %d", ln, len(batch))
+			if prev.n != 0 && prev.n < maxRun && id == prevID && bytes.Equal(run.Hdr, prev.Hdr) {
+				return n, fmt.Errorf("agg: run of handler %d continues the %d-message run before it", id, prev.n)
 			}
-			err = ap.AM(id, batch[:ln])
-			batch = batch[ln:]
+			prev, prevID = run, id
+			var k int
+			k, err = ap.AM(id, run)
+			if n += k; err != nil {
+				return n, fmt.Errorf("agg: op %d: %w", n, err)
+			}
+			continue
 		default:
 			return n, fmt.Errorf("agg: unknown op kind %d", kind)
 		}
@@ -654,4 +783,40 @@ func Apply(batch []byte, ap Applier) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// decodeRun splits the run at the front of b (its kind byte already
+// taken) from the rest of the batch, checking every bound and length.
+func decodeRun(b []byte) (id uint16, run Run, rest []byte, err error) {
+	if len(b) < runHead-1 {
+		return 0, run, nil, fmt.Errorf("agg: truncated run header")
+	}
+	id, run.n = uint16(b[0])|uint16(b[1])<<8, int(b[2])
+	hl := int(b[3])
+	b = b[runHead-1:]
+	if run.n == 0 {
+		return 0, run, nil, fmt.Errorf("agg: empty run of handler %d", id)
+	}
+	if len(b) < hl {
+		return 0, run, nil, fmt.Errorf("agg: run header truncated: want %d, have %d", hl, len(b))
+	}
+	run.Hdr, b = b[:hl:hl], b[hl:]
+	end := 0
+	for i := 0; i < run.n; i++ {
+		if end == len(b) {
+			return 0, run, nil, fmt.Errorf("agg: run of %d ends after %d items", run.n, i)
+		}
+		ln, k := uint64(b[end]), 1
+		if ln >= 0x80 {
+			if ln, k = binary.Uvarint(b[end:]); k <= 0 || b[end+k-1] == 0 {
+				return 0, run, nil, fmt.Errorf("agg: run item %d: malformed length", i)
+			}
+		}
+		if end += k; ln > uint64(len(b)-end) {
+			return 0, run, nil, fmt.Errorf("agg: run item %d truncated: want %d, have %d", i, ln, len(b)-end)
+		}
+		end += int(ln)
+	}
+	run.items = b[:end]
+	return id, run, b[end:], nil
 }

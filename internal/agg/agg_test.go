@@ -26,12 +26,17 @@ func (m *memApplier) Xor64(off uint64, val uint64) error {
 	return nil
 }
 
-func (m *memApplier) AM(id uint16, payload []byte) error {
+// AM logs each message of the run with its payload, the run's header
+// followed by the message's body.
+func (m *memApplier) AM(id uint16, run Run) (int, error) {
 	if id == rejectedAM {
-		return fmt.Errorf("no handler %d", id)
+		return 0, fmt.Errorf("no handler %d", id)
 	}
-	m.log = append(m.log, fmt.Sprintf("am %d %q", id, payload))
-	return nil
+	n := run.Len()
+	for run.Len() > 0 {
+		m.log = append(m.log, fmt.Sprintf("am %d %q", id, append(bytes.Clone(run.Hdr), run.Next()...)))
+	}
+	return n, nil
 }
 
 // rejectedAM is the handler id memApplier refuses.
@@ -246,9 +251,9 @@ func TestApplyRejectsCorruptBatches(t *testing.T) {
 		{99},          // unknown kind
 		{opPut, 0, 0}, // truncated put header
 		{opPut, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0}, // put data missing
-		{opXor, 1, 2, 3},              // truncated xor
-		{opAM, 1},                     // truncated am header
-		{opAM, 1, 0, 4, 0, 0, 0, 'x'}, // am payload short
+		{opXor, 1, 2, 3},               // truncated xor
+		{opRun, 1, 0, 1},               // truncated run header
+		{opRun, 1, 0, 4, 0, 0, 0, 'x'}, // run items short (runSeeds has the rest)
 	} {
 		if _, err := Apply(bad, ap); err == nil {
 			t.Errorf("Apply(%v) accepted a corrupt batch", bad)
@@ -271,19 +276,18 @@ func TestApplyRejectsCorruptBatches(t *testing.T) {
 	enc.Flush(0)
 }
 
-// TestSendPartsEqualsSend: a payload handed over in two pieces is the
-// same message on the wire as the pieces joined.
+// TestSendPartsEqualsSend: a payload handed over in two pieces reaches
+// the handler as the same message as the pieces joined.
 func TestSendPartsEqualsSend(t *testing.T) {
-	var got [][]byte
-	a := New(1, Config{MaxOps: 1}, func(_ int, batch []byte, _ int, done func()) {
-		got = append(got, append([]byte(nil), batch...))
-		done()
-	})
+	ap := newMemApplier()
+	c := &capture{ap: ap}
+	a := New(1, Config{MaxOps: 1}, c.flush(t))
 	a.Send(0, 0x0203, []byte("headbody"), nil)
 	a.SendParts(0, 0x0203, []byte("head"), []byte("body"), nil)
 	a.SendParts(0, 0x0203, nil, []byte("headbody"), nil)
-	if len(got) != 3 || !bytes.Equal(got[0], got[1]) || !bytes.Equal(got[0], got[2]) {
-		t.Fatalf("batches differ: %q", got)
+	want := `am 515 "headbody"`
+	if len(ap.log) != 3 || ap.log[0] != want || ap.log[1] != want || ap.log[2] != want {
+		t.Fatalf("handler saw %q, want %q three times", ap.log, want)
 	}
 }
 
@@ -324,9 +328,119 @@ func TestCallbacksOnlyForNonNil(t *testing.T) {
 // with its round trip.
 type recApplier struct{ a *Aggregator }
 
-func (r recApplier) Put(off uint64, data []byte) error  { r.a.Put(0, off, data, nil); return nil }
-func (r recApplier) Xor64(off, val uint64) error        { r.a.Xor64(0, off, val, nil); return nil }
-func (r recApplier) AM(id uint16, payload []byte) error { r.a.Send(0, id, payload, nil); return nil }
+func (r recApplier) Put(off uint64, data []byte) error { r.a.Put(0, off, data, nil); return nil }
+func (r recApplier) Xor64(off, val uint64) error       { r.a.Xor64(0, off, val, nil); return nil }
+func (r recApplier) AM(id uint16, run Run) (int, error) {
+	n := run.Len()
+	for run.Len() > 0 {
+		r.a.SendParts(0, id, run.Hdr, run.Next(), nil)
+	}
+	return n, nil
+}
+
+// runSeeds are hand-built batches in the run form, each named by what
+// Apply must do with it: the non-canonical ones are one of each kind
+// of encoding the encoder never writes.
+var runSeeds = []struct {
+	name  string
+	batch []byte
+	ok    bool
+}{
+	{"two-message run", []byte{opRun, 7, 0, 2, 1, 'h', 1, 'a', 0}, true},
+	{"runs split by a put", []byte{opRun, 7, 0, 1, 0, 0, opPut, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, opRun, 7, 0, 1, 0, 0}, true},
+	{"runs of two headers", []byte{opRun, 7, 0, 1, 1, 'a', 0, opRun, 7, 0, 1, 1, 'b', 0}, true},
+	{"zero count", []byte{opRun, 7, 0, 0, 0}, false},
+	{"header past the batch", []byte{opRun, 7, 0, 1, 4, 'h', 'd'}, false},
+	{"item past the batch", []byte{opRun, 7, 0, 1, 0, 5, 'b', 'o'}, false},
+	{"count past the batch", []byte{opRun, 7, 0, 9, 0, 0, 0}, false},
+	{"overlong item length", []byte{opRun, 7, 0, 1, 0, 0x80, 0x00}, false},
+	{"truncated item length", []byte{opRun, 7, 0, 1, 0, 0x80}, false},
+	{"mergeable neighbour", []byte{opRun, 7, 0, 1, 1, 'h', 0, opRun, 7, 0, 1, 1, 'h', 0}, false},
+}
+
+// fullRun is a run at the count cap followed by one more message of the
+// same id and header: canonical, because the first run cannot grow.
+func fullRun() []byte {
+	b := []byte{opRun, 7, 0, maxRun, 0}
+	b = append(b, make([]byte, maxRun)...) // maxRun empty bodies
+	return append(b, opRun, 7, 0, 1, 0, 0)
+}
+
+func TestApplyRunSeeds(t *testing.T) {
+	for _, c := range runSeeds {
+		if _, err := Apply(c.batch, newMemApplier()); (err == nil) != c.ok {
+			t.Errorf("%s: Apply(%x) = %v, want ok %v", c.name, c.batch, err, c.ok)
+		}
+	}
+	if n, err := Apply(fullRun(), newMemApplier()); err != nil || n != maxRun+1 {
+		t.Errorf("a full run and its successor: %d ops, %v; want %d, nil", n, err, maxRun+1)
+	}
+}
+
+// TestRunEncoding pins the run form: messages to one handler with one
+// header share a run while it is the batch's last op and below the
+// cap; a lone message costs 6 bytes of framing; a put, another header,
+// the cap, a flush or TakeReply close the run.
+func TestRunEncoding(t *testing.T) {
+	var got [][]byte
+	a := New(2, Config{MaxOps: 1000, MaxBytes: 1 << 20}, func(_ int, batch []byte, _ int, done func()) {
+		got = append(got, bytes.Clone(batch))
+		done()
+	})
+	a.SendParts(1, 7, []byte("h"), []byte("ab"), nil)
+	if n := len(a.bufs[1].buf); n != runHead+1+1+2 {
+		t.Fatalf("a lone message with a 1-byte header encodes to %d bytes, want %d", n, runHead+4)
+	}
+	a.SendParts(1, 7, []byte("h"), []byte("c"), nil)
+	a.SendParts(1, 7, []byte("g"), nil, nil)
+	a.Put(1, 0, nil, nil)
+	a.SendParts(1, 7, []byte("g"), nil, nil)
+	a.Flush(1)
+	want := []byte{opRun, 7, 0, 2, 1, 'h', 2, 'a', 'b', 1, 'c', opRun, 7, 0, 1, 1, 'g', 0,
+		opPut, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, opRun, 7, 0, 1, 1, 'g', 0}
+	if len(got) != 1 || !bytes.Equal(got[0], want) {
+		t.Fatalf("batch %x, want %x", got, want)
+	}
+
+	// The cap closes a run; the next message opens another.
+	for i := 0; i < maxRun+1; i++ {
+		a.Send(1, 7, nil, nil)
+	}
+	a.Flush(1)
+	if b := got[1]; len(b) != 2*runHead+maxRun+1 || b[3] != maxRun || b[runHead+maxRun+3] != 1 {
+		t.Fatalf("%d messages encode as %x", maxRun+1, b)
+	}
+
+	// A flush and TakeReply each end the run: the next message, and
+	// OpenRun's name for the old run, start over.
+	a.Send(1, 7, nil, nil)
+	tok := a.OpenRun(1)
+	if tok == 0 || !a.Extend(1, tok, []byte("x")) {
+		t.Fatal("Extend refused the open run it was named")
+	}
+	a.Flush(1)
+	if a.Extend(1, tok, nil) || a.OpenRun(1) != 0 {
+		t.Fatal("a flushed run is still open")
+	}
+	a.Send(1, 7, nil, nil)
+	tok = a.OpenRun(1)
+	if rep := a.TakeReply(1); !bytes.Equal(rep, []byte{opRun, 7, 0, 1, 0, 0}) {
+		t.Fatalf("reply %x", rep)
+	}
+	if a.Extend(1, tok, nil) {
+		t.Fatal("Extend added to a run TakeReply handed over")
+	}
+	a.Send(1, 7, nil, nil)
+	tok = a.OpenRun(1)
+	a.Xor64(1, 0, 1, nil)
+	if a.Extend(1, tok, nil) || a.OpenRun(1) != 0 {
+		t.Fatal("a run followed by an xor is still open")
+	}
+	a.FlushAll()
+	if last := got[len(got)-1]; !bytes.Equal(last[:runHead+1], []byte{opRun, 7, 0, 1, 0, 0}) {
+		t.Fatalf("the message after TakeReply opened %x, want a run of its own", last)
+	}
+}
 
 // FuzzApply holds the batch decoder to: arbitrary bytes give an error
 // or decode to ops that re-encode to exactly the input; never a panic.
@@ -338,8 +452,12 @@ func FuzzApply(f *testing.F) {
 	seed.SendParts(0, 1, []byte("hdr"), nil, nil)
 	seed.Flush(0)
 	f.Add([]byte{opPut, 1, 2})
-	f.Add([]byte{opAM, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{opRun, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{9})
+	for _, c := range runSeeds {
+		f.Add(c.batch)
+	}
+	f.Add(fullRun())
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var out []byte
 		enc := New(1, Config{MaxOps: 1 << 30, MaxBytes: len(in) + 1}, func(_ int, batch []byte, _ int, _ func()) {

@@ -6,6 +6,7 @@ import (
 	"upcxx/internal/agg"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
+	"upcxx/internal/pad"
 )
 
 // The message-aggregation surface: AggPut, AggXor64 and AggSend buffer
@@ -108,12 +109,33 @@ func (a rankApplier) Xor64(off, val uint64) error {
 	return nil
 }
 
-func (a rankApplier) AM(id uint16, payload []byte) error {
+// AM executes one run of aggregated active messages: a runtime id
+// through sysAMs, which take the run whole, any other id through the
+// handler table, body by body. Handlers registered with
+// RegisterAMHandler receive only runs without a protocol header (AggSend
+// sends none).
+func (a rankApplier) AM(id uint16, run agg.Run) (int, error) {
 	if id < reservedAMLimit {
 		if h := sysAMs[id]; h != nil {
-			return h(a.r, a.from, payload)
+			return h(a.r, a.from, run)
 		}
 	} else if h := a.r.amHandlers[id]; h != nil {
+		if len(run.Hdr) != 0 {
+			return 0, fmt.Errorf("aggregated AM run for handler %d carries a %d-byte header", id, len(run.Hdr))
+		}
+		n := run.Len()
+		for run.Len() > 0 {
+			h(a.r, a.from, run.Next())
+		}
+		return n, nil
+	}
+	return 0, fmt.Errorf("aggregated AM for unregistered handler %d", id)
+}
+
+// amOne executes one AggSend that never crossed a batch: one aimed at
+// this rank, or an in-process one the engine delivered.
+func (a rankApplier) amOne(id uint16, payload []byte) error {
+	if h := a.r.amHandlers[id]; h != nil {
 		h(a.r, a.from, payload)
 		return nil
 	}
@@ -129,6 +151,7 @@ func (a rankApplier) AM(id uint16, payload []byte) error {
 // gasnet.BatchConduit), which is its no-op fast path.
 func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	r.aggBC = bc
+	r.taskRuns = pad.Slice[taskRun](r.Ranks())
 	r.agg = agg.New(r.Ranks(), cfg, func(dst int, batch []byte, _ int, done func()) {
 		r.mustCd(bc.SendBatch(dst, batch, done))
 	})
@@ -280,7 +303,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	me.ep.Stats.AMs++
 	if me.agg != nil {
 		if target == me.id {
-			me.mustCd(rankApplier{r: me, from: me.id}.AM(id, payload))
+			me.mustCd(rankApplier{r: me, from: me.id}.amOne(id, payload))
 			CompleteNow(done, me)
 			return
 		}
@@ -306,7 +329,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	arrival := job.model.AMArrival(t0, me.id, target, len(pl))
 	me.ep.SendAt(target, arrival, len(pl), func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
-		tgt.mustCd(rankApplier{r: tgt, from: from}.AM(id, pl))
+		tgt.mustCd(rankApplier{r: tgt, from: from}.amOne(id, pl))
 		t := tgt.Clock()
 		if done != nil {
 			done.compComplete(t, tgt)

@@ -42,7 +42,8 @@ func HotSpans(me *Rank) []HotSpan {
 	if me.agg != nil {
 		out = append(out, bracketSpans("aggregator", me.agg)...)
 		a := reflect.ValueOf(me.agg).Elem()
-		out = append(out, sliceSpan("agg bufs", field(a, "bufs")))
+		out = append(out, sliceSpan("agg bufs", field(a, "bufs")),
+			sliceSpan("task runs", reflect.ValueOf(me.taskRuns)))
 		if ctls := field(a, "ctls"); ctls.Cap() > 0 { // adaptive jobs only
 			out = append(out, sliceSpan("agg ctls", ctls))
 		}

@@ -269,6 +269,7 @@ type Rank struct {
 	// ackID, ackN) and ship as one counted ack (oweDone).
 	calls       map[uint64]*pendingCall
 	nextCall    uint64
+	taskRuns    []taskRun // per destination: the request run wireTask may extend
 	doneTab     map[uint64]*finishScope
 	nextDone    uint64
 	scopeFree   []*finishScope

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"upcxx/internal/agg"
 	"upcxx/internal/gasnet"
 	"upcxx/internal/obs"
 	"upcxx/internal/pad"
@@ -49,9 +50,14 @@ const (
 
 // sysAMs is the dispatch table of the reserved ids: dense and fixed,
 // so the three protocol messages of every RPC skip the per-rank
-// handler map (rankApplier.AM). Each returns an error for a message no
+// handler map (rankApplier.AM). Each takes a whole run and returns how
+// many of its messages ran, with an error for the first message no
 // correct peer sends, which the conduit answers by severing the sender.
-var sysAMs = [reservedAMLimit]func(r *Rank, from int, payload []byte) error{
+// A run's header is the part of the message its sender keys runs by:
+// a request's whole rpc header (task, flags, call and done ids), with
+// the arguments as bodies; a reply's call id, with the return bytes as
+// its body; no header for done-acks, each a body of its own.
+var sysAMs = [reservedAMLimit]func(r *Rank, from int, run agg.Run) (int, error){
 	amRPCReq:  (*Rank).rpcRequest,
 	amRPCRep:  (*Rank).rpcReply,
 	amRPCDone: (*Rank).rpcDone,
@@ -106,12 +112,17 @@ type pendingCall struct {
 // how many of its attempts may still be answered.
 type voidCall struct{ target, left int }
 
-// rpcRequest executes one incoming registered-task request. It runs on
-// this rank's SPMD goroutine, inside batch application. The protocol's
-// own messages go straight to the aggregator, with no finish/event
-// registration: the task protocol does its own accounting.
-func (r *Rank) rpcRequest(from int, payload []byte) error {
-	idx, flags, callID, doneID, args, err := rpc.ParseRequest(payload)
+// rpcRequest executes one run of incoming registered-task requests: the
+// header they share is parsed and its task resolved once, then each
+// body runs as one task's arguments. It runs on this rank's SPMD
+// goroutine, inside batch application. The protocol's own messages go
+// straight to the aggregator, with no finish/event registration: the
+// task protocol does its own accounting.
+func (r *Rank) rpcRequest(from int, run agg.Run) (int, error) {
+	idx, flags, callID, doneID, rest, err := rpc.ParseRequest(run.Hdr)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes past the request header", len(rest))
+	}
 	var fn TaskBody
 	if err == nil {
 		if fn = taskRegistry.Fn(idx); fn == nil {
@@ -119,9 +130,8 @@ func (r *Rank) rpcRequest(from int, payload []byte) error {
 		}
 	}
 	if err != nil {
-		return fmt.Errorf("corrupt task request: %w", err)
+		return 0, fmt.Errorf("corrupt task request: %w", err)
 	}
-	r.ep.Stats.Tasks++
 	var onBody func([]byte, float64)
 	if flags&rpc.FlagReply != 0 {
 		onBody = func(reply []byte, _ float64) {
@@ -129,16 +139,36 @@ func (r *Rank) rpcRequest(from int, payload []byte) error {
 			r.agg.SendParts(from, amRPCRep, rpc.AppendReply(h[:0], callID, nil), reply, nil)
 		}
 	}
-	r.execTask(from, idx, fn, args, onBody, nil, doneID)
-	return nil
+	n := run.Len()
+	for run.Len() > 0 {
+		r.ep.Stats.Tasks++
+		r.execTask(from, idx, fn, run.Next(), onBody, nil, doneID)
+	}
+	return n, nil
 }
 
-// rpcReply resolves one pending call with the body's return bytes.
-func (r *Rank) rpcReply(from int, payload []byte) error {
-	callID, data, err := rpc.DecodeReply(payload)
-	if err != nil {
-		return fmt.Errorf("corrupt task reply: %w", err)
+// rpcReply resolves the pending call its run's header names with each
+// body, the body's return bytes: one reply per run, since call ids are
+// distinct, unless a retried call was answered more than once.
+func (r *Rank) rpcReply(from int, run agg.Run) (int, error) {
+	callID, rest, err := rpc.DecodeReply(run.Hdr)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes past the reply header", len(rest))
 	}
+	if err != nil {
+		return 0, fmt.Errorf("corrupt task reply: %w", err)
+	}
+	n := run.Len()
+	for i := 0; i < n; i++ {
+		if err := r.resolveCall(from, callID, run.Next()); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+// resolveCall resolves one pending call with the body's return bytes.
+func (r *Rank) resolveCall(from int, callID uint64, data []byte) error {
 	pc := r.calls[callID]
 	if pc == nil {
 		// A reply for a call that was already retired: a duplicate from
@@ -222,9 +252,24 @@ func (r *Rank) failCall(callID uint64, err error) {
 	}
 }
 
-// rpcDone credits one counted ack — count quiesced task subtrees — to
+// rpcDone credits each counted ack of its run, which has no header, to
 // the scope it belongs to.
-func (r *Rank) rpcDone(from int, payload []byte) error {
+func (r *Rank) rpcDone(from int, run agg.Run) (int, error) {
+	if len(run.Hdr) != 0 {
+		return 0, fmt.Errorf("done-ack run with a %d-byte header", len(run.Hdr))
+	}
+	n := run.Len()
+	for i := 0; i < n; i++ {
+		if err := r.creditDone(from, run.Next()); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+// creditDone credits one counted ack — count quiesced task subtrees —
+// to the scope it belongs to.
+func (r *Rank) creditDone(from int, payload []byte) error {
 	id, count, err := rpc.DecodeDone(payload)
 	if err != nil {
 		return fmt.Errorf("corrupt done-ack: %w", err)
@@ -348,7 +393,7 @@ func (r *Rank) flushDone() {
 	var h [rpc.DoneBytes]byte
 	msg := rpc.AppendDone(h[:0], r.ackID, r.ackN)
 	r.ackN = 0
-	r.agg.SendParts(r.ackTo, amRPCDone, msg, nil, nil)
+	r.agg.Send(r.ackTo, amRPCDone, msg, nil)
 }
 
 // execTask runs fn, the body of the task registered at index idx, on
@@ -463,10 +508,30 @@ func (r *Rank) wireTask(target int, idx uint16, args []byte,
 		}
 	}
 	r.ep.Stats.AMs++
-	// The header is built on the stack and args are copied exactly
-	// once, into the destination's open batch.
+	// A request without a reply has callID 0, so its header is a
+	// function of the run key (task, doneID): when the run last opened
+	// for target under that key is still open, args join it without a
+	// header built or compared. Otherwise the header is built on the
+	// stack; either way args are copied exactly once, into the
+	// destination's open batch.
+	run := &r.taskRuns[target]
+	if flags == 0 && run.task == idx && run.doneID == doneID && r.agg.Extend(target, run.tok, args) {
+		return
+	}
 	var h [rpc.ReqHeaderBytes]byte
 	r.agg.SendParts(target, amRPCReq, rpc.AppendRequest(h[:0], idx, flags, callID, doneID, nil), args, nil)
+	if flags == 0 {
+		run.tok, run.task, run.doneID = r.agg.OpenRun(target), idx, doneID
+	}
+}
+
+// taskRun is the key of the last request run wireTask opened toward one
+// destination, and the aggregator's name for that run (agg.OpenRun;
+// stale once the run has closed).
+type taskRun struct {
+	tok    uint64
+	doneID uint64
+	task   uint16
 }
 
 // wireTaskRetry ships a registered-task request under a RetryPolicy.
@@ -511,7 +576,7 @@ func (r *Rank) sendCallAttempt(callID uint64, target int, payload []byte, pol Re
 	}
 	pc.sent++
 	r.ep.Stats.AMs++
-	r.agg.Send(target, amRPCReq, payload, nil)
+	r.agg.SendParts(target, amRPCReq, payload[:rpc.ReqHeaderBytes], payload[rpc.ReqHeaderBytes:], nil)
 	// Ship now: the attempt deadline measures the network round trip,
 	// not this rank's next age-flush.
 	r.agg.FlushAll()

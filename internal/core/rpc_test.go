@@ -409,7 +409,9 @@ func TestBatchingReducesFrames(t *testing.T) {
 // under one Finish each (so ns/op covers two RPCs' worth of work on a
 // box with fewer than two idle cores). scopes/op is how many task
 // scopes rank 0's executor took per RPC it ran: the storm's bodies are
-// leaves, which take none.
+// leaves, which take none. B/rpc is rank 0's encoded batch bytes per
+// aggregated op over the timed region: framing plus the 24 bytes of
+// arguments, and the done-acks as ops of their own.
 func BenchmarkAsyncTaskWire(b *testing.B) {
 	const perEpoch = 10000
 	b.ReportAllocs()
@@ -417,6 +419,7 @@ func BenchmarkAsyncTaskWire(b *testing.B) {
 		args := make([]byte, 0, 24)
 		sent ^= stormEpoch(me, peerCell, perEpoch, 1<<40, args) // warm pools, free lists, the controller
 		scopes0 := me.scopesTaken.Load()
+		agg0 := me.agg.Counters()
 		if me.ID() == 0 {
 			b.ResetTimer()
 		}
@@ -426,6 +429,8 @@ func BenchmarkAsyncTaskWire(b *testing.B) {
 		if me.ID() == 0 {
 			b.StopTimer()
 			b.ReportMetric(float64(me.scopesTaken.Load()-scopes0)/float64(b.N), "scopes/op")
+			agg1 := me.agg.Counters()
+			b.ReportMetric((agg1["agg_batch_bytes"]-agg0["agg_batch_bytes"])/(agg1["agg_ops"]-agg0["agg_ops"]), "B/rpc")
 		}
 		return sent
 	})
@@ -713,15 +718,15 @@ func TestDoneAckOverdrawRejected(t *testing.T) {
 		fs := &finishScope{owner: me}
 		fs.add(2)
 		id := me.doneIDFor(fs)
-		if err := me.rpcDone(0, rpc.AppendDone(nil, id, 2)); err != nil || !fs.empty() {
+		if err := me.creditDone(0, rpc.AppendDone(nil, id, 2)); err != nil || !fs.empty() {
 			t.Fatalf("a 2-count ack for 2 tasks: error %v, scope holds %d", err, fs.outstanding.Load())
 		}
 		fs.add(1)
-		err := me.rpcDone(0, rpc.AppendDone(nil, id, 3))
+		err := me.creditDone(0, rpc.AppendDone(nil, id, 3))
 		if err == nil || !strings.Contains(err.Error(), "credits 3") {
 			t.Errorf("overdrawing ack: %v, want an error naming the count", err)
 		}
-		if err := me.rpcDone(0, rpc.AppendDone(nil, id+1, 1)); err == nil {
+		if err := me.creditDone(0, rpc.AppendDone(nil, id+1, 1)); err == nil {
 			t.Error("an ack for an unknown scope was accepted")
 		}
 		if got := fs.outstanding.Load(); got != 1 {
@@ -785,7 +790,7 @@ func TestLeafTaskScopeRemotePanic(t *testing.T) {
 			batches = append(batches, append([]byte(nil), batch...))
 			done()
 		})
-		enc.Send(1, amRPCReq, rpc.AppendRequest(nil, ttBoom.Index(), 0, 0, 0, nil), nil)
+		enc.SendParts(1, amRPCReq, rpc.AppendRequest(nil, ttBoom.Index(), 0, 0, 0, nil), nil, nil)
 		enc.Flush(1)
 		enc.Send(1, rawAM, nil, nil)
 		enc.Flush(1)

@@ -159,25 +159,35 @@ func (a *refRank) Xor64(off, val uint64) error {
 	return nil
 }
 
-func (a *refRank) AM(id uint16, payload []byte) error {
+func (a *refRank) AM(id uint16, run agg.Run) (int, error) {
+	n := run.Len()
 	switch id {
 	case fuzzAM:
-		a.ams = append(a.ams, append([]byte(nil), payload...))
-		return nil
+		if len(run.Hdr) != 0 {
+			return 0, errRefused
+		}
+		for run.Len() > 0 {
+			a.ams = append(a.ams, bytes.Clone(run.Next()))
+		}
+		return n, nil
 	case amRPCReq:
-		req, err := rpc.DecodeRequest(payload)
-		if err != nil || int(req.Task) >= taskRegistry.Len() {
-			return errRefused
+		// The run's header is one whole request header, shared by its
+		// messages; each body is one task's arguments.
+		req, err := rpc.DecodeRequest(run.Hdr)
+		if err != nil || len(req.Args) != 0 || int(req.Task) >= taskRegistry.Len() {
+			return 0, errRefused
 		}
 		if req.Task != fuzzTask.Index() {
 			a.other = true
-			return errRefused
+			return 0, errRefused
 		}
-		a.tasks = append(a.tasks, append([]byte(nil), req.Args...))
-		return nil
+		for run.Len() > 0 {
+			a.tasks = append(a.tasks, bytes.Clone(run.Next()))
+		}
+		return n, nil
 	}
 	// Replies and done-acks are refused too: rank 1 awaits none.
-	return errRefused
+	return 0, errRefused
 }
 
 // FuzzTaskProtocol hands arbitrary batches of the aggregation plane —
@@ -200,26 +210,54 @@ func FuzzTaskProtocol(f *testing.F) {
 		ops()
 		enc.Flush(1)
 	}
+	req := func(flags byte, callID uint64) []byte {
+		return rpc.AppendRequest(nil, fuzzTask.Index(), flags, callID, 0, nil)
+	}
 	seed(func() { // well-formed: every op a correct peer sends
 		enc.Put(1, 8, []byte("hello"), nil)
 		enc.Xor64(1, 16, 0xABCD, nil)
 		enc.Send(1, fuzzAM, []byte("ping"), nil)
-		enc.Send(1, amRPCReq, rpc.AppendRequest(nil, fuzzTask.Index(), rpc.FlagReply, 7, 3, []byte("args")), nil)
-		enc.Send(1, amRPCReq, rpc.AppendRequest(nil, fuzzTask.Index(), 0, 0, 0, nil), nil)
+		enc.SendParts(1, amRPCReq, req(rpc.FlagReply, 7), []byte("args"), nil)
+		enc.SendParts(1, amRPCReq, req(0, 0), nil, nil)
 	})
-	seed(func() { enc.Put(1, 1<<40, []byte("far"), nil) })       // a put past the segment
-	seed(func() { enc.Put(1, memBytes-2, []byte("edge"), nil) }) // a put over its end
-	seed(func() { enc.Xor64(1, memBytes, 1, nil) })              // an xor past it
-	seed(func() { enc.Xor64(1, 3, 1, nil) })                     // an unaligned xor
-	seed(func() { enc.Send(1, fuzzAM+1, nil, nil) })             // an unregistered handler
-	seed(func() { enc.Send(1, 0x07, nil, nil) })                 // a reserved id with no handler
-	seed(func() { enc.Send(1, amRPCReq, []byte{1, 2}, nil) })    // a truncated request
-	seed(func() { enc.Send(1, amRPCRep, rpc.AppendReply(nil, 9, []byte("x")), nil) })
+	seed(func() { // multi-message runs: AMs, requests, an xor between two runs
+		for _, b := range []string{"a", "bb", ""} {
+			enc.Send(1, fuzzAM, []byte(b), nil)
+		}
+		for _, b := range []string{"x", "yy", "zzz"} {
+			enc.SendParts(1, amRPCReq, req(0, 0), []byte(b), nil)
+		}
+		enc.Xor64(1, 8, 1, nil)
+		enc.SendParts(1, amRPCReq, req(0, 0), []byte("w"), nil)
+	})
+	// A run cut by a flush: five requests through a 3-op budget arrive
+	// as a run of 3 and a run of 2, in two batches.
+	cut := agg.New(2, agg.Config{MaxOps: 3}, func(_ int, batch []byte, _ int, done func()) {
+		seeds = append(seeds, append([]byte(nil), batch...))
+		done()
+	})
+	for i := range 5 {
+		cut.SendParts(1, amRPCReq, req(0, 0), []byte{byte(i)}, nil)
+	}
+	cut.Flush(1)
+	seed(func() { enc.Put(1, 1<<40, []byte("far"), nil) })              // a put past the segment
+	seed(func() { enc.Put(1, memBytes-2, []byte("edge"), nil) })        // a put over its end
+	seed(func() { enc.Xor64(1, memBytes, 1, nil) })                     // an xor past it
+	seed(func() { enc.Xor64(1, 3, 1, nil) })                            // an unaligned xor
+	seed(func() { enc.Send(1, fuzzAM+1, nil, nil) })                    // an unregistered handler
+	seed(func() { enc.Send(1, 0x07, nil, nil) })                        // a reserved id with no handler
+	seed(func() { enc.SendParts(1, fuzzAM, []byte("h"), nil, nil) })    // a header on a user AM
+	seed(func() { enc.SendParts(1, amRPCReq, []byte{1, 2}, nil, nil) }) // a truncated request header
+	seed(func() { enc.Send(1, amRPCReq, req(0, 0), nil) })              // a request header sent as a body
+	seed(func() { enc.SendParts(1, amRPCRep, rpc.AppendReply(nil, 9, nil), []byte("x"), nil) })
 	seed(func() { enc.Send(1, amRPCDone, rpc.AppendDone(nil, 5, 1), nil) })
-	seed(func() { enc.Send(1, amRPCReq, rpc.AppendRequest(nil, 0xFFFF, 0, 0, 0, nil), nil) })
+	seed(func() { enc.SendParts(1, amRPCReq, rpc.AppendRequest(nil, 0xFFFF, 0, 0, 0, nil), nil, nil) })
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// The multi-message seed cut inside its first run, a fuzzAM run of
+	// three: its 5-byte header and two items are there, the third is not.
+	f.Add(seeds[1][:5+2+3])
 	f.Add([]byte{0xFF})
 
 	pair := newTaskPair(f, memBytes)

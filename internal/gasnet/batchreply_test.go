@@ -37,12 +37,15 @@ func (l *opLog) Xor64(off, val uint64) error {
 	return nil
 }
 
-func (l *opLog) AM(id uint16, payload []byte) error {
+func (l *opLog) AM(id uint16, run agg.Run) (int, error) {
 	if id < 0x10 {
-		return errors.New("reserved handler")
+		return 0, errors.New("reserved handler")
 	}
-	l.ops = append(l.ops, fmt.Sprintf("am %d %x", id, payload))
-	return nil
+	n := run.Len()
+	for run.Len() > 0 {
+		l.ops = append(l.ops, fmt.Sprintf("am %d %x %x", id, run.Hdr, run.Next()))
+	}
+	return n, nil
 }
 
 // FuzzBatchReply hands arbitrary bytes to rank 0 as the acknowledgement

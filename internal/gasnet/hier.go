@@ -406,6 +406,18 @@ func (h *HierConduit) onShmReply(from int, tok uint64, payload []byte) {
 	h.wire.batchAfter()
 }
 
+// shmControl sends an alloc or free request to co-located rank li and
+// returns the home's answer; ok is false when the home refused it: a
+// zero answer, or a reply that is not 8 bytes long (the empty failure
+// reply a malformed request draws).
+func (h *HierConduit) shmControl(li int, handler uint16, req []byte) (v uint64, ok bool, err error) {
+	rep, err := h.shmRequest(li, handler, req)
+	if err != nil || len(rep) != 8 {
+		return 0, false, err
+	}
+	return u64(rep), u64(rep) != 0, nil
+}
+
 // Alloc runs on the owner's allocator: self directly, co-located via a
 // shm AM round trip, remote over the wire.
 func (h *HierConduit) Alloc(rank int, size uint64) (uint64, error) {
@@ -415,18 +427,24 @@ func (h *HierConduit) Alloc(rank int, size uint64) (uint64, error) {
 	}
 	var req [8]byte
 	putU64(req[:], size)
-	rep, err := h.shmRequest(li, shmAlloc, req[:])
+	v, ok, err := h.shmControl(li, shmAlloc, req[:])
 	if err != nil {
 		return 0, err
 	}
-	v := u64(rep)
-	if v == 0 {
+	if !ok {
 		return 0, fmt.Errorf("gasnet: remote alloc of %d bytes on rank %d failed", size, rank)
 	}
 	return v - 1, nil
 }
 
+// onShmAlloc answers an alloc request with offset+1, 0 when the
+// allocator refuses, and an empty reply to a request of fewer than 8
+// bytes, which no correct peer sends.
 func (h *HierConduit) onShmAlloc(from int, tok uint64, payload []byte) {
+	if len(payload) < 8 {
+		h.shm.Send(from, shmReply, tok, nil)
+		return
+	}
 	var rep [8]byte
 	if off, err := h.wire.mem.Alloc(u64(payload)); err == nil {
 		putU64(rep[:], off+1)
@@ -442,17 +460,19 @@ func (h *HierConduit) Free(rank int, off uint64) error {
 	}
 	var req [8]byte
 	putU64(req[:], off)
-	rep, err := h.shmRequest(li, shmFree, req[:])
-	if err != nil {
-		return err
+	_, ok, err := h.shmControl(li, shmFree, req[:])
+	if err == nil && !ok {
+		err = fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
 	}
-	if u64(rep) == 0 {
-		return fmt.Errorf("gasnet: remote free at offset %d on rank %d failed", off, rank)
-	}
-	return nil
+	return err
 }
 
+// onShmFree mirrors onShmAlloc.
 func (h *HierConduit) onShmFree(from int, tok uint64, payload []byte) {
+	if len(payload) < 8 {
+		h.shm.Send(from, shmReply, tok, nil)
+		return
+	}
 	var rep [8]byte
 	if h.wire.mem.Free(u64(payload)) == nil {
 		putU64(rep[:], 1)

@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -464,4 +465,41 @@ func TestWireHandlerTable(t *testing.T) {
 		}
 	}()
 	w.register(hLast+1, nil)
+}
+
+// TestShmControlRefusesShortRequests: an alloc or free request of 0, 3
+// or 7 bytes, which no correct peer sends, draws a failure reply from
+// its co-located home, never a panic there; the requester reads it as
+// a refusal (what Alloc and Free turn into their errors), and the home
+// goes on serving well-formed requests.
+func TestShmControlRefusesShortRequests(t *testing.T) {
+	hs := hierPair(t, DefaultShmRingBytes)
+	var stop bool
+	hs[1].shm.Register(9, func(int, uint64, []byte) { stop = true })
+	runRanks(t, func(me int) error {
+		h := hs[me]
+		if me == 1 {
+			return h.WaitFor(func() bool { return stop })
+		}
+		defer h.shm.Send(1, 9, 0, nil)
+		for _, handler := range []uint16{shmAlloc, shmFree} {
+			for _, n := range []int{0, 3, 7} {
+				v, ok, err := h.shmControl(1, handler, make([]byte, n))
+				if err != nil || ok {
+					return fmt.Errorf("handler %d, %d-byte request: answer %d, ok %v, error %v; want a refusal", handler, n, v, ok, err)
+				}
+			}
+		}
+		off, err := h.Alloc(1, 64)
+		if err != nil {
+			return fmt.Errorf("alloc after the refused requests: %w", err)
+		}
+		if err := h.Free(1, off); err != nil {
+			return fmt.Errorf("free after the refused requests: %w", err)
+		}
+		if err := h.Free(1, off); err == nil {
+			return errors.New("a double free was not an error")
+		}
+		return nil
+	})
 }

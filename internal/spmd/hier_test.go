@@ -50,7 +50,8 @@ func runProcTopoChecksum(t *testing.T, p Prog, n, ppn, scale int) uint64 {
 // hierarchical run must reproduce the in-process checksum computed
 // under the identical topology. The teams program runs the SplitTeam
 // subset collectives at 1/2/4/8 ranks; ring and gups sweep the
-// one-sided and atomic planes.
+// one-sided and atomic planes; dht, taskgraph and pipeline the
+// aggregation plane's runs of AMs and task requests.
 func TestHierBackendAgrees(t *testing.T) {
 	cases := []struct {
 		prog  string
@@ -62,6 +63,8 @@ func TestHierBackendAgrees(t *testing.T) {
 		{"gups", 10, []int{4}},
 		{"dht", 384, []int{4}},
 		{"collloop", 100, []int{4}},
+		{"taskgraph", 0, []int{4}},
+		{"pipeline", 0, []int{4}},
 	}
 	for _, tc := range cases {
 		p, ok := Lookup(tc.prog)
