@@ -38,8 +38,9 @@ func (m *shmTestMem) Xor64(off, val uint64) uint64 {
 
 // buildHierFleet assembles an n-rank hierarchical fleet in-process:
 // real mmap'd files in a temp dir, real TCP between the per-host
-// leaders, ppn ranks per virtual host.
-func buildHierFleet(t *testing.T, n, ppn, ringBytes, segBytes int) []Conduit {
+// leaders, ppn ranks per virtual host. Each beforeAttach runs on the
+// created shm fleet before any rank attaches.
+func buildHierFleet(t *testing.T, n, ppn, ringBytes, segBytes int, beforeAttach ...func([]*ShmConduit)) []Conduit {
 	t.Helper()
 	dir := t.TempDir()
 	nodes := make([]int, n)
@@ -62,6 +63,9 @@ func buildHierFleet(t *testing.T, n, ppn, ringBytes, segBytes int) []Conduit {
 			t.Fatal(err)
 		}
 		shms[i] = shm
+	}
+	for _, f := range beforeAttach {
+		f(shms)
 	}
 	// Every shm file exists: attach, build, then connect — the launcher's
 	// order.

@@ -6,6 +6,7 @@ package gasnet
 func (h *HierConduit) ParkAlways() {
 	h.polls = 0
 	h.repoll = 0
+	h.block = h.wire.park
 }
 
 // BellReaderDone is closed once the doorbell reader that Listen started

@@ -2,9 +2,7 @@ package gasnet
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -12,7 +10,6 @@ import (
 	"upcxx/internal/frames"
 	"upcxx/internal/obs"
 	"upcxx/internal/pad"
-	"upcxx/internal/transport"
 )
 
 // Wire handler ids of the hierarchical leader plane (11/12 are the flat
@@ -29,10 +26,13 @@ const (
 	hLast = hHierBar
 )
 
-// Poll budgets: how many times WaitFor polls both planes before it arms
-// the wake word and parks. Constants sized by measurement and selected
-// by the topology the conduit can see, never configured; DESIGN.md
-// section 3 has the sweeps.
+// Poll budgets: how many times a wait that a co-located rank may end
+// polls both planes before it arms the wake word and parks — every wait
+// but a collective's on the wire, which only a frame from another host
+// ends and which parks at once, so that the park reads that frame
+// (hier_coll.go). Constants sized by measurement and selected by the
+// topology the conduit can see, never configured; DESIGN.md section 3
+// has the sweeps.
 const (
 	// Every job but the one below: past the first few polls a waiter
 	// only takes the core from the producer it waits for, and between
@@ -105,6 +105,10 @@ type HierConduit struct {
 	// one timer that does it, made at the first such park.
 	repoll      time.Duration
 	repollTimer *time.Timer
+	// block is what a park blocks in: the wire leg's inbox wait, or
+	// parkRepolling in the shape with a repoll (a method value made once:
+	// one per park would be an allocation per park).
+	block func(armed func() bool) error
 
 	_         pad.Line // as WireConduit.nextToken
 	nextToken uint64
@@ -115,7 +119,8 @@ type HierConduit struct {
 
 	// Leader-plane collective state. All maps accumulate passively from
 	// handlers: a leader may receive deposits for a key before it enters
-	// that collective itself.
+	// that collective itself. spare holds emptied inner maps of
+	// localParts and treeBlobs for the next key.
 	localParts map[uint64]map[int][]byte // leader: world rank -> contrib
 	localTable map[uint64][]byte         // member: table by key
 	treeBlobs  map[uint64]map[int][]byte // leader: child leader (world) -> entry blob
@@ -125,15 +130,16 @@ type HierConduit struct {
 	barLocal   map[uint64]int            // leader: local arrivals by key
 	barRelease map[uint64]bool           // member: release flag by key
 	barWire    map[hierBarKey]int        // leader: dissemination tokens by (key, round)
+	spare      []map[int][]byte
+
+	// What the rank waits for, and the predicates its waits test: built
+	// once by NewHierConduit and reading cw, which await sets.
+	cw    hierWait
+	preds hierPreds
 
 	// ring is this rank's span ring (nil unless tracing was on when the
 	// conduit was built), shared with both legs.
 	ring *obs.Ring
-}
-
-type hierBarKey struct {
-	key   uint64
-	round int
 }
 
 // NewHierConduit composes wire and shm under the given host topology
@@ -175,6 +181,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 		panic(fmt.Sprintf("gasnet: shm geometry (%d locals, me %d) disagrees with topology (%d, %d)",
 			shm.Locals(), shm.Local(), len(h.locals), h.localIdx[me]))
 	}
+	h.block = h.wire.park
 	switch {
 	case len(h.locals) == 1:
 		// Alone on its host: whatever a poll could find, the inbox wait
@@ -184,6 +191,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	case len(h.locals) == len(nodes) && shm.PeersAreGoroutines():
 		h.polls = pollsBeforeParkGoroutines
 		h.repoll = repollParkedGoroutines
+		h.block = h.parkRepolling
 	default:
 		h.polls = pollsBeforePark
 	}
@@ -194,6 +202,7 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 	wire.wait = h.WaitFor
 	shm.wait = h.WaitFor
 	shm.Listen(wire.Wake)
+	h.preds = h.newHierPreds()
 
 	wire.register(hHierGather, h.onHierGather)
 	wire.register(hHierTable, h.onHierTable)
@@ -216,31 +225,35 @@ func NewHierConduit(wire *WireConduit, shm *ShmConduit, nodes []int) *HierCondui
 // lets the co-located producer run. The park is the transport's own
 // event-driven inbox wait, the one the flat wire conduit blocks in,
 // behind the shm wake protocol (ShmConduit.Park): cross-host frames
-// arrive in the inbox by themselves, and a co-located neighbour that
-// publishes into our rings while we are armed rings our bell, which
-// wakes the same inbox — directly if the neighbour is a goroutine of
-// this process, through our doorbell FIFO and its reader if it is
-// another process; no frame and no TCP between two ranks of one host.
-// One protocol for goroutine ranks and process ranks, only the
-// carrier of the bell differs (the one shape in which the inbox alone
-// is not enough also re-polls on a timer while parked: parkRepolling);
-// a rank alone on its host parks at once, and its wake word is never
-// read.
+// arrive in the inbox by themselves — or, from a peer whose frames
+// have ended the rank's last parks, in the rank's own read of that
+// peer's socket — and a co-located neighbour that publishes into our
+// rings while we are armed rings our bell, which wakes the same inbox
+// — directly if the neighbour is a goroutine of this process, through
+// our doorbell FIFO and its reader if it is another process; no frame
+// and no TCP between two ranks of one host. One protocol for goroutine
+// ranks and process ranks, only the carrier of the bell differs (the
+// one shape in which the inbox alone is not enough also re-polls on a
+// timer while parked: parkRepolling); a rank alone on its host parks
+// at once, and its wake word is never read.
 // Wire polls and the inbox wait both flush, so a peer is never left
 // waiting on a frame parked in our write buffer.
-func (h *HierConduit) WaitFor(pred func() bool) error {
-	for polls := h.polls; polls > 0; polls-- {
+func (h *HierConduit) WaitFor(pred func() bool) error { return h.wait(pred, h.polls) }
+
+// wait is WaitFor with the poll budget its call site chose: h.polls, or
+// 0 for a wait that only a wire frame can end. The poll phase's wire
+// polls cast no vote on the read side (WireConduit.pollBeforePark):
+// the park that follows them is what reads it.
+func (h *HierConduit) wait(pred func() bool, polls int) error {
+	for ; polls > 0; polls-- {
 		if pred() {
 			return nil
 		}
-		if h.wire.Poll()+h.shm.Poll() == 0 {
+		if h.wire.pollBeforePark()+h.shm.Poll() == 0 {
 			runtime.Gosched()
 		}
 	}
-	if h.repoll > 0 {
-		return h.shm.Park(pred, h.parkRepolling)
-	}
-	return h.shm.Park(pred, h.wire.park)
+	return h.shm.Park(pred, h.block)
 }
 
 // parkRepolling is the block of the all-goroutines shape (see
@@ -376,12 +389,8 @@ func (h *HierConduit) shmRequest(li int, handler uint16, payload []byte) ([]byte
 	h.nextToken++
 	tok := h.nextToken
 	h.shm.Send(li, handler, tok, payload)
-	var out []byte
-	found := false
-	err := h.WaitFor(func() bool {
-		out, found = h.replies[tok]
-		return found
-	})
+	err := h.await(hierWait{key: tok}, h.preds.replied, h.polls)
+	out := h.replies[tok]
 	delete(h.replies, tok)
 	return out, err
 }
@@ -537,313 +546,6 @@ func (h *HierConduit) onShmBatch(from int, tok uint64, payload []byte) {
 		frames.Put(rep) // copied into the ring
 	}
 	h.wire.batchAfter()
-}
-
-// ---- Hierarchical collectives ----
-
-// hierPart is one team's split into per-host groups, in buffers that
-// are reused from one collective to the next.
-type hierPart struct {
-	groupOf []int   // host -> 1 + index of its group (0: no member seen there)
-	groups  [][]int // members per host in team order, groups[i][0] leading; one slot per host
-	leaders []int   // groups[i][0] of every host that has members
-}
-
-// partition splits members into per-host groups preserving team order,
-// with each group's first member as its leader. leaders[0] == members[0],
-// so the tree root is the team root. Returns the split and this rank's
-// group index. Panics if this rank is not a member — the
-// Conduit.TeamAllGather contract. The caller holds the buffers until it
-// hands them back (h.part = p); a collective entered from a handler in
-// the meantime builds its own.
-func (h *HierConduit) partition(members []int) (p *hierPart, gi int) {
-	p, h.part = h.part, nil
-	if p == nil {
-		hosts := slices.Max(h.nodes) + 1
-		p = &hierPart{groupOf: make([]int, hosts), groups: make([][]int, hosts)}
-	}
-	clear(p.groupOf)
-	p.leaders = p.leaders[:0]
-	gi = -1
-	for _, m := range members {
-		g := p.groupOf[h.nodes[m]] - 1
-		if g < 0 {
-			g = len(p.leaders)
-			p.groupOf[h.nodes[m]] = g + 1
-			p.groups[g] = p.groups[g][:0]
-			p.leaders = append(p.leaders, m)
-		}
-		p.groups[g] = append(p.groups[g], m)
-		if m == h.me {
-			gi = g
-		}
-	}
-	if gi < 0 {
-		panic(fmt.Sprintf("gasnet: rank %d is not a member of the team", h.me))
-	}
-	return p, gi
-}
-
-// encodeEntry appends one (world rank, contribution) record.
-func encodeEntry(blob []byte, rank int, p []byte) []byte {
-	var hdr [16]byte
-	putU64(hdr[0:], uint64(rank))
-	putU64(hdr[8:], uint64(len(p)))
-	blob = append(blob, hdr[:]...)
-	return append(blob, p...)
-}
-
-func decodeEntries(blob []byte, into map[int][]byte) error {
-	for len(blob) > 0 {
-		if len(blob) < 16 {
-			return fmt.Errorf("gasnet: truncated hier entry blob")
-		}
-		rank := int(u64(blob[0:]))
-		ln := u64(blob[8:])
-		blob = blob[16:]
-		if uint64(len(blob)) < ln {
-			return fmt.Errorf("gasnet: truncated hier entry for rank %d", rank)
-		}
-		into[rank] = blob[:ln:ln]
-		blob = blob[ln:]
-	}
-	return nil
-}
-
-func (h *HierConduit) depositLocal(key uint64, world int, contrib []byte) {
-	byRank := h.localParts[key]
-	if byRank == nil {
-		byRank = make(map[int][]byte)
-		h.localParts[key] = byRank
-	}
-	if contrib == nil {
-		contrib = []byte{}
-	}
-	byRank[world] = contrib
-}
-
-// TeamAllGather runs the team allgather hierarchically: local gather to
-// the host leader, binomial tree among leaders, binomial broadcast of
-// the table back down, local distribution. The world is one more team.
-func (h *HierConduit) TeamAllGather(key uint64, members []int, contrib []byte) ([][]byte, error) {
-	p, gi := h.partition(members)
-	defer func() { h.part = p }()
-	group, leaders := p.groups[gi], p.leaders
-
-	if h.me != group[0] {
-		// Non-leader: contribute to the host leader, wait for the table.
-		h.shm.Send(h.localIdx[group[0]], shmTeamContrib, key, contrib)
-		var enc []byte
-		ok := false
-		if err := h.WaitFor(func() bool {
-			enc, ok = h.localTable[key]
-			return ok
-		}); err != nil {
-			return nil, err
-		}
-		delete(h.localTable, key)
-		return decodeParts(enc, len(members))
-	}
-
-	// Leader: local gather phase.
-	h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
-	h.depositLocal(key, h.me, contrib)
-	err := h.WaitFor(func() bool { return len(h.localParts[key]) == len(group) })
-	h.ring.End(obs.KHierLocal)
-	if err != nil {
-		return nil, err
-	}
-	byRank := h.localParts[key]
-	delete(h.localParts, key)
-	var blob []byte
-	for _, m := range group {
-		p, ok := byRank[m]
-		if !ok {
-			return nil, fmt.Errorf("gasnet: hier collective %#x: deposit from non-member while awaiting rank %d", key, m)
-		}
-		blob = encodeEntry(blob, m, p)
-	}
-
-	// Binomial tree gather among leaders, rooted at leaders[0].
-	h.ring.Begin(obs.KHierLeader, -1, uint32(len(leaders)))
-	li, L := gi, len(leaders)
-	atRoot := true
-	for mask := 1; mask < L; mask <<= 1 {
-		if li&mask != 0 {
-			parent := leaders[li-mask]
-			if err := h.wire.sendFragmented(parent, hHierGather, key, blob); err != nil {
-				return nil, err
-			}
-			atRoot = false
-			break
-		}
-		if child := li + mask; child < L {
-			cw := leaders[child]
-			var b []byte
-			ok := false
-			if err := h.WaitFor(func() bool {
-				b, ok = h.treeBlobs[key][cw]
-				return ok
-			}); err != nil {
-				return nil, err
-			}
-			delete(h.treeBlobs[key], cw)
-			blob = append(blob, b...)
-		}
-	}
-	if len(h.treeBlobs[key]) == 0 {
-		delete(h.treeBlobs, key)
-	}
-
-	var enc []byte
-	if atRoot {
-		// Assemble the member-ordered table.
-		entries := make(map[int][]byte, len(members))
-		if err := decodeEntries(blob, entries); err != nil {
-			return nil, err
-		}
-		parts := make([][]byte, len(members))
-		for i, m := range members {
-			p, ok := entries[m]
-			if !ok {
-				return nil, fmt.Errorf("gasnet: hier collective %#x: missing contribution from rank %d", key, m)
-			}
-			parts[i] = p
-		}
-		enc = encodeParts(parts)
-	} else {
-		ok := false
-		if err := h.WaitFor(func() bool {
-			enc, ok = h.hierTable[key]
-			return ok
-		}); err != nil {
-			return nil, err
-		}
-		delete(h.hierTable, key)
-	}
-	h.ring.End(obs.KHierLeader)
-	h.ring.Begin(obs.KHierRel, -1, uint32(len(enc)))
-
-	// Binomial broadcast of the table down the leader tree, then local
-	// distribution. Children descend from the highest offset so the far
-	// half of the tree starts earliest.
-	low := bits.Len(uint(L - 1)) // ceil(log2 L)
-	if li != 0 {
-		low = bits.TrailingZeros(uint(li))
-	}
-	for k := low - 1; k >= 0; k-- {
-		if child := li + 1<<k; child < L {
-			if err := h.wire.sendFragmented(leaders[child], hHierTable, key, enc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, m := range group[1:] {
-		h.shm.Send(h.localIdx[m], shmTeamTable, key, enc)
-	}
-	// Nothing downstream is guaranteed to block; ship the frames now.
-	h.wire.flush()
-	h.ring.End(obs.KHierRel)
-	return decodeParts(enc, len(members))
-}
-
-// TeamBarrier: locals arrive at their leader over shm; leaders run a
-// dissemination barrier (ceil(log2 L) rounds, each leader passing a
-// token 2^r places around the leader ring); leaders release locals.
-func (h *HierConduit) TeamBarrier(key uint64, members []int) error {
-	p, gi := h.partition(members)
-	defer func() { h.part = p }()
-	group, leaders := p.groups[gi], p.leaders
-
-	if h.me != group[0] {
-		h.shm.Send(h.localIdx[group[0]], shmBarArrive, key, nil)
-		err := h.WaitFor(func() bool { return h.barRelease[key] })
-		delete(h.barRelease, key)
-		return err
-	}
-
-	if len(group) > 1 {
-		h.ring.Begin(obs.KHierLocal, -1, uint32(len(group)))
-		err := h.WaitFor(func() bool { return h.barLocal[key] == len(group)-1 })
-		h.ring.End(obs.KHierLocal)
-		delete(h.barLocal, key)
-		if err != nil {
-			return err
-		}
-	}
-
-	li, L := gi, len(leaders)
-	h.ring.Begin(obs.KHierLeader, -1, uint32(L))
-	for round, dist := 0, 1; dist < L; round, dist = round+1, dist<<1 {
-		to := leaders[(li+dist)%L]
-		var pay [8]byte
-		putU64(pay[:], uint64(round))
-		if err := h.wire.send(transport.Message{
-			To: int32(to), Handler: hHierBar, Arg: key, Payload: pay[:],
-		}); err != nil {
-			return err
-		}
-		bk := hierBarKey{key: key, round: round}
-		if err := h.WaitFor(func() bool { return h.barWire[bk] > 0 }); err != nil {
-			return err
-		}
-		if h.barWire[bk]--; h.barWire[bk] == 0 {
-			delete(h.barWire, bk)
-		}
-	}
-
-	h.ring.End(obs.KHierLeader)
-
-	h.ring.Begin(obs.KHierRel, -1, uint32(len(group)-1))
-	for _, m := range group[1:] {
-		h.shm.Send(h.localIdx[m], shmBarRelease, key, nil)
-	}
-	h.wire.flush()
-	h.ring.End(obs.KHierRel)
-	return nil
-}
-
-// ---- Handlers ----
-
-func (h *HierConduit) onHierGather(m transport.Message) {
-	if full, done := h.wire.reassemble(h.treeFrags, m); done {
-		byRank := h.treeBlobs[m.Arg]
-		if byRank == nil {
-			byRank = make(map[int][]byte)
-			h.treeBlobs[m.Arg] = byRank
-		}
-		byRank[int(m.From)] = full
-	}
-}
-
-func (h *HierConduit) onHierTable(m transport.Message) {
-	if full, done := h.wire.reassemble(h.tableFrags, m); done {
-		h.hierTable[m.Arg] = full
-	}
-}
-
-func (h *HierConduit) onHierBar(m transport.Message) {
-	if len(m.Payload) != 8 {
-		h.wire.severMalformed(m, fmt.Errorf("%d-byte payload, want 8", len(m.Payload)))
-		return
-	}
-	h.barWire[hierBarKey{key: m.Arg, round: int(u64(m.Payload))}]++
-}
-
-func (h *HierConduit) onShmTeamContrib(from int, key uint64, payload []byte) {
-	h.depositLocal(key, h.locals[from], payload)
-}
-
-func (h *HierConduit) onShmTeamTable(from int, key uint64, payload []byte) {
-	h.localTable[key] = payload
-}
-
-func (h *HierConduit) onShmBarArrive(from int, key uint64, _ []byte) {
-	h.barLocal[key]++
-}
-
-func (h *HierConduit) onShmBarRelease(from int, key uint64, _ []byte) {
-	h.barRelease[key] = true
 }
 
 // ---- Lifecycle and metering ----

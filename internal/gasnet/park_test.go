@@ -410,6 +410,123 @@ func TestHierBudgetByTopology(t *testing.T) {
 	if err := within(t, "rank parked without a doorbell", done); err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("wire-bound waits park at once", testWaitsByWhatEndsThem)
+	t.Run("one host across processes polls", testMemberPollsOnOneHost)
+}
+
+// polledOutsidePark wraps *pred so that *n counts its evaluations made
+// outside a park — the poll phase's. Both run on the rank's goroutine.
+func polledOutsidePark(h *HierConduit, pred *func() bool, n *int) {
+	inner := *pred
+	*pred = func() bool {
+		if h.shm.parked == 0 {
+			*n++
+		}
+		return inner()
+	}
+}
+
+// testWaitsByWhatEndsThem runs barriers and allgathers at 2x2 and
+// counts, per wait, the predicate evaluations of its poll phase. A wait
+// that only a wire frame ends has none: a leader's for the other
+// leader's token, blob or table, a non-leader's for its release or
+// table (the team spans both hosts). A leader's wait for its local
+// rank, which that rank ends, polls first, so at least once a
+// collective.
+func testWaitsByWhatEndsThem(t *testing.T) {
+	const rounds = 200
+	cds := buildHierFleet(t, 4, 2, minShmRingBytes, 1<<12)
+	hs := make([]*HierConduit, len(cds))
+	for i, cd := range cds {
+		hs[i] = cd.(*HierConduit)
+	}
+	wire := []struct {
+		rank int
+		name string
+		pred *func() bool
+	}{
+		{0, "leader 0, token", &hs[0].preds.tokenIn},
+		{2, "leader 2, token", &hs[2].preds.tokenIn},
+		{0, "root leader 0, child blob", &hs[0].preds.blobIn},
+		{2, "leader 2, table from its parent", &hs[2].preds.treeTableIn},
+		{1, "non-leader 1, release", &hs[1].preds.released},
+		{3, "non-leader 3, table", &hs[3].preds.tableIn},
+	}
+	local := []struct {
+		rank int
+		name string
+		pred *func() bool
+	}{
+		{0, "leader 0, local arrival", &hs[0].preds.arrived},
+		{2, "leader 2, local contribution", &hs[2].preds.contributed},
+	}
+	polled := make([]int, len(wire)+len(local))
+	for i, w := range wire {
+		polledOutsidePark(hs[w.rank], w.pred, &polled[i])
+	}
+	for i, l := range local {
+		polledOutsidePark(hs[l.rank], l.pred, &polled[len(wire)+i])
+	}
+	world := allRanks(len(hs))
+	done := make(chan error, len(hs))
+	for me, h := range hs {
+		go func() {
+			for i := 0; i < rounds; i++ {
+				if err := h.TeamBarrier(uint64(2*i+1), world); err != nil {
+					done <- err
+					return
+				}
+				if _, err := h.TeamAllGather(uint64(2*i+2), world, []byte{byte(me)}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	for range hs {
+		if err := within(t, "rank body", done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range wire {
+		if polled[i] != 0 {
+			t.Errorf("%s: %d evaluations outside a park in %d collectives, want 0 (it parks at once)", w.name, polled[i], rounds)
+		}
+	}
+	for i, l := range local {
+		if n := polled[len(wire)+i]; n < rounds {
+			t.Errorf("%s: %d evaluations outside a park in %d collectives, want at least one each (it polls first)", l.name, n, rounds)
+		}
+	}
+}
+
+// testMemberPollsOnOneHost: on a team of one host whose ranks are
+// other processes (the foreign nonces make the fleet take them for
+// such), the non-leader's release wait is ended by its leader, a
+// co-located rank, so it polls its whole budget before it parks.
+func testMemberPollsOnOneHost(t *testing.T) {
+	cds := buildHierFleet(t, 2, 2, minShmRingBytes, 1<<12, foreignNonces)
+	h0, h1 := cds[0].(*HierConduit), cds[1].(*HierConduit)
+	if h1.polls != pollsBeforePark {
+		t.Fatalf("1x2 job across processes: poll budget %d, want %d", h1.polls, pollsBeforePark)
+	}
+	polled := 0
+	polledOutsidePark(h1, &h1.preds.released, &polled)
+	world := allRanks(2)
+	done := make(chan error, 1)
+	go func() { done <- h1.TeamBarrier(1, world) }()
+	awaitParked(t, h1) // the leader has not arrived: every poll found nothing
+	if err := h0.TeamBarrier(1, world); err != nil {
+		t.Fatal(err)
+	}
+	if err := within(t, "released non-leader", done); err != nil {
+		t.Fatal(err)
+	}
+	if polled != pollsBeforePark {
+		t.Errorf("non-leader's release wait: %d evaluations before it parked, want the budget, %d", polled, pollsBeforePark)
+	}
 }
 
 // TestShmPeersAreGoroutines: the nonce in a peer's header tells a rank

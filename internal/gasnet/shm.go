@@ -119,8 +119,15 @@ type ShmConduit struct {
 	bell func(local int)
 	// parked counts the Parks in progress: a handler run by a park's
 	// re-poll can park in turn (a push on a full ring), and only the
-	// outermost return may clear the wake word.
+	// outermost return may clear the wake word. armed is the predicate
+	// every Park hands its block, built once by CreateShm; it tests pred,
+	// the innermost Park's.
 	parked int
+	armed  func() bool
+	pred   func() bool
+	// err is the first malformed record Poll found (a *ShmRingError):
+	// from then on Poll reads no ring and every Park returns it.
+	err error
 
 	// Traffic counters: written on the SPMD goroutine, read live by the
 	// debug plane, hence atomics.
@@ -221,6 +228,11 @@ func CreateShm(dir string, me, n, ringBytes, segBytes int) (*ShmConduit, error) 
 		c.bellTx[j] = -1
 	}
 	c.bell = func(j int) { c.bells[j]() }
+	c.armed = func() bool {
+		atomic.StoreUint32(c.wake(c.me), 1)
+		c.Poll()
+		return c.err != nil || c.pred()
+	}
 	return c, nil
 }
 
@@ -350,21 +362,23 @@ func (c *ShmConduit) wake(j int) *uint32 {
 // of 1 is found by the re-poll; one published after it finds the word
 // set and rings: sync/atomic operations on the shared mapping are
 // sequentially consistent, across goroutines and across processes, so
-// "both sides miss" is excluded.
+// "both sides miss" is excluded. A malformed record ends the park with
+// its *ShmRingError.
 func (c *ShmConduit) Park(pred func() bool, block func(armed func() bool) error) error {
 	c.parks.Add(1)
-	w := c.wake(c.me)
+	outer := c.pred
+	c.pred = pred
 	c.parked++
 	defer func() {
 		if c.parked--; c.parked == 0 {
-			atomic.StoreUint32(w, 0)
+			atomic.StoreUint32(c.wake(c.me), 0)
 		}
+		c.pred = outer
 	}()
-	return block(func() bool {
-		atomic.StoreUint32(w, 1)
-		c.Poll()
-		return pred()
-	})
+	if err := block(c.armed); err != nil {
+		return err
+	}
+	return c.err
 }
 
 // ringIfArmed is the publisher's half: call it after storing a ring
@@ -554,7 +568,15 @@ func (c *ShmConduit) push(to int, h uint16, arg uint64, p []byte, more bool) boo
 // wake word whenever it could matter — and never in the common case of
 // a nearly empty ring, where the producer is parked on something else
 // and a bell would only wake it for nothing.
+//
+// Every record is checked against what push writes before a byte of
+// it is allocated or consumed (shmRecord). The first that fails stays
+// in its ring, and Poll reads no ring again: the error is kept for
+// every later Park to return.
 func (c *ShmConduit) Poll() int {
+	if c.err != nil {
+		return 0
+	}
 	n := 0
 	capacity := uint64(c.ringBytes)
 	for j := 0; j < c.n; j++ {
@@ -570,14 +592,17 @@ func (c *ShmConduit) Poll() int {
 			}
 			var hdr [shmRecHdr]byte
 			ringCopyOut(hdr[:], r.data, head)
+			fn, rec, err := c.shmRecord(hdr, tail-head)
+			if err != nil {
+				c.err = &ShmRingError{Local: j, Reason: err.Error()}
+				return n
+			}
 			ln := binary.LittleEndian.Uint32(hdr[0:])
 			more := ln&shmMoreFlag != 0
-			plen := int(ln &^ uint32(shmMoreFlag))
 			h := binary.LittleEndian.Uint16(hdr[4:])
 			arg := binary.LittleEndian.Uint64(hdr[8:])
-			payload := make([]byte, plen)
+			payload := make([]byte, ln&^uint32(shmMoreFlag))
 			ringCopyOut(payload, r.data, head+shmRecHdr)
-			rec := uint64(shmRecHdr + ((plen + shmAlignMask) &^ shmAlignMask))
 			atomic.StoreUint64(r.head(), head+rec)
 			if atomic.LoadUint64(r.tail())-head > capacity/2 {
 				c.ringIfArmed(j)
@@ -594,21 +619,56 @@ func (c *ShmConduit) Poll() int {
 			c.rxMsgs.Add(1)
 			c.rxBytes.Add(int64(len(payload)))
 			c.obsRing.Instant(obs.KShmRx, int32(j), uint32(len(payload)), uint64(h))
-			fn := c.handlers[h]
-			if fn == nil {
-				panic(fmt.Sprintf("gasnet: shm message for unregistered handler %d", h))
-			}
 			fn(j, arg, payload)
 		}
 	}
 	return n
 }
 
+// shmRecord checks the record whose header is hdr, with fill bytes
+// published after its start, against what push writes — a payload of
+// at most a quarter ring (Send fragments anything longer), the whole
+// record before the tail, a registered handler — and returns that
+// handler and the record's length in the ring.
+func (c *ShmConduit) shmRecord(hdr [shmRecHdr]byte, fill uint64) (fn func(int, uint64, []byte), rec uint64, err error) {
+	if fill > uint64(c.ringBytes) {
+		return nil, 0, fmt.Errorf("%d bytes published in a %d-byte ring", fill, c.ringBytes)
+	}
+	plen := binary.LittleEndian.Uint32(hdr[0:]) &^ uint32(shmMoreFlag)
+	if plen > uint32(c.ringBytes/4) {
+		return nil, 0, fmt.Errorf("%d-byte record payload, over the %d-byte fragment bound", plen, c.ringBytes/4)
+	}
+	rec = uint64(shmRecHdr + ((plen + shmAlignMask) &^ shmAlignMask))
+	if rec > fill {
+		return nil, 0, fmt.Errorf("%d-byte record runs past the %d bytes published", rec, fill)
+	}
+	h := binary.LittleEndian.Uint16(hdr[4:])
+	if fn = c.handlers[h]; fn == nil {
+		return nil, 0, fmt.Errorf("record for unregistered handler %d", h)
+	}
+	return fn, rec, nil
+}
+
+// ShmRingError is what a rank's waits return once a co-located peer's
+// ring held a record that push never writes: a length past the
+// fragment bound or past the published tail, a tail more than a ring
+// ahead of the head, or a handler nobody registered. Shared memory
+// carries no checksum, so it is a peer's bug or a peer's corruption;
+// either way the ring cannot be read past it.
+type ShmRingError struct {
+	Local  int // the producer's local index
+	Reason string
+}
+
+func (e *ShmRingError) Error() string {
+	return fmt.Sprintf("gasnet: shm ring from local rank %d: %s", e.Local, e.Reason)
+}
+
 // Counters reports shm-plane traffic (complete messages, payload bytes)
-// and how often this rank ran out of poll budget and parked
-// (shm_parks), rang a parked neighbour's doorbell (shm_bells_tx), was
-// rung (shm_bells_rx: a call from a peer of this process, or a byte
-// read off its FIFO) and rang one that was gone (shm_bells_lost).
+// and how often this rank parked (shm_parks), rang a parked
+// neighbour's doorbell (shm_bells_tx), was rung (shm_bells_rx: a call
+// from a peer of this process, or a byte read off its FIFO) and rang
+// one that was gone (shm_bells_lost).
 func (c *ShmConduit) Counters() map[string]float64 {
 	return map[string]float64{
 		"shm_tx_msgs":    float64(c.txMsgs.Load()),

@@ -1,9 +1,14 @@
 package gasnet
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -179,5 +184,157 @@ func TestShmSegmentVisibility(t *testing.T) {
 		if string(peer[64:64+11]) != "shared-page" {
 			t.Fatalf("rank %d sees %q through its mapping of rank 1's segment", reader, peer[64:64+11])
 		}
+	}
+}
+
+// shmRec is one record as push lays it out in a ring: header, payload,
+// padding to 8 bytes. plen is the length word, which a torn or hostile
+// record need not match to the payload it carries.
+func shmRec(plen uint32, handler uint16, arg uint64, payload []byte) []byte {
+	rec := make([]byte, shmRecHdr, shmRecHdr+len(payload)+shmAlignMask)
+	binary.LittleEndian.PutUint32(rec[0:], plen)
+	binary.LittleEndian.PutUint16(rec[4:], handler)
+	binary.LittleEndian.PutUint64(rec[8:], arg)
+	rec = append(rec, payload...)
+	for len(rec)%8 != 0 {
+		rec = append(rec, 0)
+	}
+	return rec
+}
+
+// shmMsg is one message a handler received.
+type shmMsg struct {
+	handler uint16
+	arg     uint64
+	payload []byte
+}
+
+// FuzzShmRing writes arbitrary bytes into the ring from local rank 1 to
+// rank 0 as a producer would have left them, publishes an arbitrary
+// tail and polls rank 0. Handlers 1 to 3 are registered. Poll must
+// deliver exactly the messages a walk of the same bytes by the rules
+// push writes by finds before the first record those rules exclude — a
+// tail more than a ring ahead, a payload past the quarter-ring fragment
+// bound (a torn length word), a record past the tail, an unregistered
+// handler — and stop there, with that record left in the ring and a
+// *ShmRingError that the next Park returns. Never a panic, an
+// allocation past the fragment bound, or a loop that does not end.
+func FuzzShmRing(f *testing.F) {
+	well := append(shmRec(3, 1, 7, []byte{1, 2, 3}), shmRec(shmMoreFlag|2, 2, 8, []byte{4, 5})...)
+	well = append(well, shmRec(1, 2, 8, []byte{6})...)
+	f.Add(uint64(0), uint32(len(well)), well)
+	f.Add(uint64(minShmRingBytes-16), uint32(len(well)), well) // wraps
+	torn := shmRec(1<<31-1, 1, 0, nil)                         // a length word of 2^31-1 bytes
+	f.Add(uint64(0), uint32(len(torn)), torn)
+	past := shmRec(100, 1, 0, make([]byte, 40)) // runs past the 64 bytes published
+	f.Add(uint64(0), uint32(64), past)
+	unreg := append(shmRec(0, 3, 1, nil), shmRec(4, 77, 2, []byte{1, 2, 3, 4})...)
+	f.Add(uint64(0), uint32(len(unreg)), unreg)
+	f.Add(uint64(8), uint32(minShmRingBytes+8), well) // more than a ring published
+	f.Fuzz(func(t *testing.T, start uint64, fill uint32, data []byte) {
+		const ringBytes = minShmRingBytes
+		c := buildShmFleet(t, 2, ringBytes, 64)[0]
+		var got []shmMsg
+		for h := uint16(1); h <= 3; h++ {
+			c.Register(h, func(from int, arg uint64, payload []byte) {
+				if from != 1 {
+					t.Fatalf("message from local rank %d, want 1", from)
+				}
+				got = append(got, shmMsg{h, arg, payload})
+			})
+		}
+		start &^= shmAlignMask // the consumer only ever moves head by whole records
+		r := c.ring(0, 1)
+		data = data[:min(len(data), ringBytes)]
+		ringCopyIn(r.data, start, data)
+		atomic.StoreUint64(r.head(), start)
+		atomic.StoreUint64(r.tail(), start+uint64(fill))
+
+		// The reference walk, over a copy of the ring.
+		ring := slices.Clone(r.data)
+		at := func(pos uint64, n int) []byte {
+			p := make([]byte, n)
+			ringCopyOut(p, ring, pos)
+			return p
+		}
+		var want []shmMsg
+		var part []byte
+		pos, end, bad := start, start+uint64(fill), false
+		for pos != end {
+			hdr := at(pos, shmRecHdr)
+			ln := binary.LittleEndian.Uint32(hdr)
+			plen := int(ln &^ shmMoreFlag)
+			h := binary.LittleEndian.Uint16(hdr[4:])
+			rec := uint64(shmRecHdr + (plen+7)/8*8)
+			if end-pos > ringBytes || plen > ringBytes/4 || rec > end-pos || h < 1 || h > 3 {
+				bad = true
+				break
+			}
+			part = append(part, at(pos+shmRecHdr, plen)...)
+			pos += rec
+			if ln&shmMoreFlag == 0 {
+				want = append(want, shmMsg{h, binary.LittleEndian.Uint64(hdr[8:]), part})
+				part = nil
+			}
+		}
+
+		for c.Poll() > 0 {
+		}
+		if len(got) != len(want) {
+			t.Fatalf("delivered %d messages, want %d", len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.handler != w.handler || g.arg != w.arg || !bytes.Equal(g.payload, w.payload) {
+				t.Fatalf("message %d: handler %d arg %d payload %x, want %d %d %x", i, g.handler, g.arg, g.payload, w.handler, w.arg, w.payload)
+			}
+		}
+		if head := atomic.LoadUint64(r.head()); head != pos {
+			t.Fatalf("head at %d after the poll, want %d", head, pos)
+		}
+		var ringErr *ShmRingError
+		if isBad := errors.As(c.err, &ringErr); isBad != bad {
+			t.Fatalf("kept error %v, want a malformed record reported: %v", c.err, bad)
+		}
+		if !bad {
+			return
+		}
+		if c.Poll() != 0 || atomic.LoadUint64(r.head()) != pos {
+			t.Fatal("a Poll after the malformed record read on")
+		}
+		err := c.Park(func() bool { return false }, func(armed func() bool) error {
+			if !armed() {
+				t.Fatal("the armed predicate was false with a ring error kept: the park would block")
+			}
+			return nil
+		})
+		if err != c.err {
+			t.Fatalf("Park returned %v, want the kept %v", err, c.err)
+		}
+	})
+}
+
+// TestShmMalformedRecordEndsWait: a record for a handler nobody
+// registered, published into a parked rank's ring, ends that rank's
+// wait with a *ShmRingError naming the producer — not a panic — and
+// every later wait returns the same error.
+func TestShmMalformedRecordEndsWait(t *testing.T) {
+	hs := hierPair(t, minShmRingBytes)
+	done := make(chan error, 1)
+	go func() { done <- hs[0].WaitFor(func() bool { return false }) }()
+	awaitParked(t, hs[0])
+	r := hs[1].shm.ring(0, 1)
+	rec := shmRec(0, 200, 0, nil)
+	tail := atomic.LoadUint64(r.tail())
+	ringCopyIn(r.data, tail, rec)
+	atomic.StoreUint64(r.tail(), tail+uint64(len(rec)))
+	hs[1].shm.ringIfArmed(0)
+	err := within(t, "rank parked on a malformed record", done)
+	var ringErr *ShmRingError
+	if !errors.As(err, &ringErr) || ringErr.Local != 1 {
+		t.Fatalf("wait returned %v, want a *ShmRingError from local rank 1", err)
+	}
+	if again := hs[0].WaitFor(func() bool { return true }); again != err {
+		t.Errorf("the next wait returned %v, want the kept %v", again, err)
 	}
 }

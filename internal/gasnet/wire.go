@@ -564,6 +564,10 @@ func putU64(p []byte, v uint64) { binary.LittleEndian.PutUint64(p, v) }
 // Poll dispatches queued requests without blocking.
 func (c *WireConduit) Poll() int { return c.tep.Poll() }
 
+// pollBeforePark is Poll for the poll phase of HierConduit's wait, which
+// parks in c.park once its polls are spent (transport.PollBeforePark).
+func (c *WireConduit) pollBeforePark() int { return c.tep.PollBeforePark() }
+
 // Goodbye announces a clean close to every peer. Call it on the
 // success path only, after the job's final Barrier and before Close;
 // a rank that aborts must skip it so its peers see the EOF as peer

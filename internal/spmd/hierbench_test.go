@@ -23,12 +23,18 @@ var hierShapes = []struct{ hosts, ppn int }{{2, 2}, {4, 1}, {1, 4}}
 // bells/coll and parks/coll are the doorbell frames and the parks of
 // all ranks over the whole job, warm-up included, per collective;
 // allocs/coll is the process's mallocs over the timed loop, all ranks'
-// together, per collective. Run it at a fixed count, e.g.
-// -benchtime 20000x: every b.N attempt builds a fresh job.
+// together, per collective; direct/coll and handovers/coll are the
+// frames the ranks read from a peer's socket themselves and the read
+// sides passed between them and the reader goroutines, all ranks
+// together, per collective of the timed loop (at 2x2 each leader parks
+// for the other's one frame a collective, and reads it itself: 2 and
+// 0). Run it at a fixed count, e.g. -benchtime 20000x: every b.N
+// attempt builds a fresh job.
 func benchHierColl(b *testing.B, hosts, ppn int, coll func(me *core.Rank, w *core.Team, i int)) {
 	const warm = 500
 	lat := make([]time.Duration, b.N)
 	var mallocs uint64
+	var net netCounts
 	stats, err := RunHierLocal(hosts*ppn, ppn, 1<<17, core.Config{}, func(me *core.Rank) {
 		w := me.World()
 		for i := 0; i < warm; i++ {
@@ -43,6 +49,7 @@ func benchHierColl(b *testing.B, hosts, ppn int, coll func(me *core.Rank, w *cor
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		mallocs = ms.Mallocs
+		net0 := netCalls()
 		b.ResetTimer()
 		for i := range lat {
 			t0 := time.Now()
@@ -50,6 +57,7 @@ func benchHierColl(b *testing.B, hosts, ppn int, coll func(me *core.Rank, w *cor
 			lat[i] = time.Since(t0)
 		}
 		b.StopTimer()
+		net = netCalls().sub(net0)
 		runtime.ReadMemStats(&ms)
 		mallocs = ms.Mallocs - mallocs
 	})
@@ -73,6 +81,8 @@ func benchHierColl(b *testing.B, hosts, ppn int, coll func(me *core.Rank, w *cor
 	b.ReportMetric(bells/colls, "bells/coll")
 	b.ReportMetric(parks/colls, "parks/coll")
 	b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/coll")
+	b.ReportMetric(float64(net.direct)/float64(b.N), "direct/coll")
+	b.ReportMetric(float64(net.handovers)/float64(b.N), "handovers/coll")
 }
 
 func BenchmarkHierBarrier(b *testing.B) {

@@ -342,3 +342,28 @@ func TestPollOnlyLoopSeesOwnedPeer(t *testing.T) {
 		t.Error("a handed-back side was read by the rank")
 	}
 }
+
+// TestPollBeforeParkKeepsReadSide: the polls a wait makes before it
+// parks (the hier conduit's poll phase) cast no vote, so a rank that
+// owns its peer's read side keeps its affinity through any number of
+// empty ones; a plain empty Poll still votes, and affinityVotes of
+// them hand the side back. CI runs it -race -count=20.
+func TestPollBeforeParkKeepsReadSide(t *testing.T) {
+	eps := mesh(t, 2)
+	takeReadSide(t, eps)
+	for i := 0; i < 10*affinityVotes; i++ {
+		eps[0].PollBeforePark()
+	}
+	if aff := eps[0].aff; aff != 1 {
+		t.Fatalf("after %d empty polls before a park the affinity peer is %d, want 1", 10*affinityVotes, aff)
+	}
+	for i := 0; i < affinityVotes; i++ {
+		eps[0].Poll()
+	}
+	if aff := eps[0].aff; aff != -1 {
+		t.Errorf("after %d empty Polls the affinity peer is %d, want none", affinityVotes, aff)
+	}
+	if own := eps[0].rxs[1].own.Load(); own != rxReader {
+		t.Errorf("after the affinity dropped, peer 1's read side is in state %d, want the reader's (%d)", own, rxReader)
+	}
+}

@@ -728,14 +728,16 @@ func (ep *TCPEndpoint) vote(peer int32) {
 	}
 }
 
-// pollMissed is an empty Poll's vote: a rank that polls for its
-// messages — the hier conduit's poll phase, a loop around Advance —
-// finds them in the inbox its readers fill while it polls, and would
-// find nothing there from a peer whose read side it held. So an empty
-// Poll counts as a park the affinity peer did not end, and ends any
-// candidate's run: a rank that polls before it parks never takes a
-// read side, and one that starts polling gives its side back within
-// affinityVotes polls. Rank goroutine only.
+// pollMissed is an empty Poll's vote: a rank that only polls for its
+// messages — a loop around Advance — finds them in the inbox its
+// readers fill while it polls, and would find nothing there from a
+// peer whose read side it held. So an empty Poll counts as a park the
+// affinity peer did not end, and ends any candidate's run: such a rank
+// gives its side back within affinityVotes polls. The polls a wait
+// makes before it parks (PollBeforePark, the hier conduit's poll phase)
+// do not vote: the park that follows them reads the side, so a
+// hierarchical leader parked on the other leaders' frames takes and
+// keeps their read sides like any rank that parks. Rank goroutine only.
 func (ep *TCPEndpoint) pollMissed() {
 	ep.cand, ep.votes = -1, 0
 	if ep.aff >= 0 {

@@ -746,7 +746,15 @@ func (ep *TCPEndpoint) ConnectBy(addrs []string, deadline time.Time, opts Option
 // handlers just wrote) are flushed before returning. A Poll that finds
 // nothing to dispatch tells the rank's read-side affinity that the rank
 // polls for its messages rather than parks on a peer (pollMissed).
-func (ep *TCPEndpoint) Poll() int {
+func (ep *TCPEndpoint) Poll() int { return ep.poll(true) }
+
+// PollBeforePark is Poll for the poll phase of a wait that parks in
+// WaitFor once its polls are spent: its empty polls cast no vote, so a
+// read side the rank took in its parks stays with it across the polls
+// that precede the next. Any other loop of polls calls Poll.
+func (ep *TCPEndpoint) PollBeforePark() int { return ep.poll(false) }
+
+func (ep *TCPEndpoint) poll(vote bool) int {
 	n := 0
 	for {
 		select {
@@ -754,7 +762,7 @@ func (ep *TCPEndpoint) Poll() int {
 			ep.dispatch(m)
 			n++
 		default:
-			if n == 0 {
+			if n == 0 && vote {
 				ep.pollMissed()
 			}
 			ep.Flush()
