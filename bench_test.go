@@ -135,7 +135,7 @@ func BenchmarkAblationAMvsDirect(b *testing.B) {
 	}{{"direct", core.Direct}, {"am-mediated", core.AMMediated}} {
 		b.Run(access.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				upcxx.Run(upcxx.Config{Ranks: 4, Access: access.mode, Virtual: true},
+				upcxx.Run(upcxx.Config{Ranks: 4, Access: access.mode},
 					func(me *upcxx.Rank) {
 						sa := upcxx.NewSharedArray[uint64](me, 1024, 1)
 						for k := me.ID(); k < 1024; k += me.Ranks() {
@@ -157,7 +157,7 @@ func BenchmarkAblationThreadModes(b *testing.B) {
 	}{{"serialized", core.Serialized}, {"concurrent", core.Concurrent}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				upcxx.Run(upcxx.Config{Ranks: 2, Threads: mode.tm, Virtual: true},
+				upcxx.Run(upcxx.Config{Ranks: 2, Threads: mode.tm},
 					func(me *upcxx.Rank) {
 						p := upcxx.Allocate[int64](me, me.ID(), 64)
 						for k := 0; k < 2000; k++ {
@@ -174,7 +174,7 @@ func BenchmarkAblationThreadModes(b *testing.B) {
 // against point-indexed access (paper §III-E's template specialization).
 func BenchmarkAblationUnstrided(b *testing.B) {
 	run := func(b *testing.B, rowPath bool) {
-		upcxx.Run(upcxx.Config{Ranks: 1, Virtual: true}, func(me *upcxx.Rank) {
+		upcxx.Run(upcxx.Config{Ranks: 1}, func(me *upcxx.Rank) {
 			dom := upcxx.RD3(0, 0, 0, 32, 32, 32)
 			a := upcxx.NewNDArray[float64](me, dom)
 			b.ResetTimer()
@@ -205,7 +205,7 @@ func BenchmarkAblationUnstrided(b *testing.B) {
 func BenchmarkAblationFenceVsEvents(b *testing.B) {
 	run := func(b *testing.B, useEvents bool) {
 		for i := 0; i < b.N; i++ {
-			upcxx.Run(upcxx.Config{Ranks: 8, Virtual: true}, func(me *upcxx.Rank) {
+			upcxx.Run(upcxx.Config{Ranks: 8}, func(me *upcxx.Rank) {
 				buf := upcxx.Allocate[float64](me, me.ID(), 64*8)
 				all := upcxx.TeamAllGather(me.World(), buf)
 				me.Barrier()
@@ -242,7 +242,7 @@ func BenchmarkAblationEagerRendezvous(b *testing.B) {
 	}{{"eager", sim.Local.EagerBytes - 256}, {"rendezvous", sim.Local.EagerBytes + 256}} {
 		b.Run(sz.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.Run(core.Config{Ranks: 2, SW: sim.SWMPI, Virtual: true},
+				core.Run(core.Config{Ranks: 2, SW: sim.SWMPI},
 					func(me *core.Rank) {
 						c := mpi.New(me)
 						if me.ID() == 0 {

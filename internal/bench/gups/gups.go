@@ -141,10 +141,9 @@ func Run(p Params) Result {
 		Ranks:   p.Ranks,
 		Machine: p.Machine,
 		SW:      sim.SWUPCXX,
-		Virtual: p.Virtual,
 	}
 	if p.Flavor == "upc" {
-		cfg = upc.Config(p.Ranks, p.Machine, p.Virtual)
+		cfg = upc.Config(p.Ranks, p.Machine)
 	}
 	tableSize := uint64(1) << p.LogTableSize
 	// Size segments for the local share plus slack.

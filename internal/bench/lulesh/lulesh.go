@@ -56,7 +56,6 @@ func Run(p Params) Result {
 		Ranks:        ranks,
 		Machine:      p.Machine,
 		SW:           sim.SWUPCXX,
-		Virtual:      p.Virtual,
 		SegmentBytes: 3*8*boundary*2 + (1 << 14),
 	}
 	if p.Flavor == "mpi" {

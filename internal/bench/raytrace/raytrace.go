@@ -74,7 +74,7 @@ func Run(p Params) Result {
 	if p.Steal {
 		return runStealing(p)
 	}
-	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX, Virtual: p.Virtual}
+	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX}
 
 	var checksum float64
 	var image []float64

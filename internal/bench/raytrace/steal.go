@@ -18,7 +18,7 @@ import (
 // tile is rendered exactly once by whoever dequeued it, and the partial
 // images are sum-reduced.
 func runStealing(p Params) Result {
-	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX, Virtual: p.Virtual}
+	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX}
 
 	var checksum float64
 	var image []float64

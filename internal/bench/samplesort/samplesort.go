@@ -65,9 +65,9 @@ func Run(p Params) Result {
 	if p.Oversample <= 0 {
 		p.Oversample = 32
 	}
-	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX, Virtual: p.Virtual}
+	cfg := core.Config{Ranks: p.Ranks, Machine: p.Machine, SW: sim.SWUPCXX}
 	if p.Flavor == "upc" {
-		cfg = upc.Config(p.Ranks, p.Machine, p.Virtual)
+		cfg = upc.Config(p.Ranks, p.Machine)
 	}
 	// Segment: keys + receive buffer (sized with slack for imbalance).
 	cfg.SegmentBytes = p.KeysPerRank*8*4 + (1 << 17)

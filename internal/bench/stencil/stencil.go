@@ -86,7 +86,6 @@ func Run(p Params) Result {
 		Ranks:        p.Ranks,
 		Machine:      p.Machine,
 		SW:           sw,
-		Virtual:      p.Virtual,
 		SegmentBytes: 2*(n+2)*(n+2)*(n+2)*8 + (1 << 17),
 	}
 	px, py, pz := Factor3(p.Ranks)

@@ -324,10 +324,7 @@ func AggSend(me *Rank, target int, id uint16, payload []byte, done Completer) {
 	job := me.job
 	from := me.id
 	pl := append([]byte(nil), payload...)
-	t0 := me.Clock()
-	me.ep.Clock.Advance(job.model.AMSendCost(len(pl)))
-	arrival := job.model.AMArrival(t0, me.id, target, len(pl))
-	me.ep.SendAt(target, arrival, len(pl), func(tep *gasnet.Endpoint) {
+	me.ep.Send(target, len(pl), func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
 		tgt.mustCd(rankApplier{r: tgt, from: from}.amOne(id, pl))
 		t := tgt.Clock()

@@ -182,10 +182,7 @@ func AsyncFuture[T any](me *Rank, target int, fn func(me *Rank) T, opts ...Async
 	job := me.job
 	repBytes := int(sizeOf[T]())
 
-	t0 := me.Clock()
-	me.ep.Clock.Advance(job.model.AMSendCost(cfg.payload))
-	arrival := job.model.AMArrival(t0, me.id, target, cfg.payload)
-	me.ep.SendAt(target, arrival, cfg.payload, func(tep *gasnet.Endpoint) {
+	me.ep.Send(target, cfg.payload, func(tep *gasnet.Endpoint) {
 		tgt := job.ranks[tep.Rank]
 		tep.Clock.Advance(job.model.TaskDispatchCost())
 		if cfg.flops > 0 {
@@ -193,7 +190,7 @@ func AsyncFuture[T any](me *Rank, target int, fn func(me *Rank) T, opts ...Async
 		}
 		v := fn(tgt)
 		done := tgt.Clock()
-		repArrival := done + job.model.Lat(tgt.id, me.id) + job.model.WireNs(repBytes)
+		repArrival := job.model.Arrival(done, tgt.id, me.id, repBytes)
 		tep.SendAt(me.id, repArrival, repBytes, func(rep *gasnet.Endpoint) {
 			// The reply executes on the owner's goroutine; resolution
 			// fires any attached continuations there.
@@ -258,7 +255,7 @@ func (fs *finishScope) childDoneN(n int, doneTime float64, child *Rank) {
 		fs.owner.taskQuiesced(fs, doneTime, child)
 		return
 	}
-	arrival := doneTime + child.job.model.Lat(child.id, fs.owner.id)
+	arrival := child.job.model.Arrival(doneTime, child.id, fs.owner.id, 0)
 	child.ep.Wake(fs.owner.id, arrival)
 }
 

@@ -334,7 +334,7 @@ func TestReduceSlices(t *testing.T) {
 
 func TestConcurrentThreadMode(t *testing.T) {
 	// In Concurrent mode multiple goroutines may drive one rank handle.
-	Run(Config{Ranks: 2, Threads: Concurrent, Virtual: true}, func(me *Rank) {
+	Run(Config{Ranks: 2, Threads: Concurrent}, func(me *Rank) {
 		sa := NewSharedArray[int64](me, 64, 1)
 		me.Barrier()
 		if me.ID() == 0 {
@@ -361,7 +361,7 @@ func TestConcurrentThreadMode(t *testing.T) {
 }
 
 func TestAMMediatedAccessPath(t *testing.T) {
-	Run(Config{Ranks: 3, Access: AMMediated, Virtual: true}, func(me *Rank) {
+	Run(Config{Ranks: 3, Access: AMMediated}, func(me *Rank) {
 		sa := NewSharedArray[int64](me, 30, 1)
 		for i := me.ID(); i < 30; i += me.Ranks() {
 			sa.Set(me, i, int64(i+1000))

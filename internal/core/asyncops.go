@@ -96,9 +96,8 @@ func (r *Rank) nbCharge(get bool, peer, n int) float64 {
 		r.ep.Stats.Puts++
 		r.ep.Stats.PutBytes += int64(n)
 	}
-	mo := r.job.model
-	r.ep.Clock.Advance(mo.NBInitCost())
-	return r.Clock() + mo.NBCompleteCost(r.id, peer, n)
+	r.ep.Clock.Advance(r.job.model.NBInitCost())
+	return r.job.model.NBDone(r.Clock(), r.id, peer, n)
 }
 
 // ReadAsync starts a non-blocking one-sided read of the element at p

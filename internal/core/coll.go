@@ -25,8 +25,7 @@ func worldBroadcast[T any](me *Rank, v T, root int) T {
 		nil,
 		0,
 	)
-	mo := me.job.model
-	me.ep.Clock.Advance(float64(mo.CollStages()) * mo.CollStageCost(bytes))
+	me.ep.Clock.Advance(me.job.model.BroadcastCost(me.Ranks(), bytes))
 	return *(slot.(*T))
 }
 
@@ -38,10 +37,7 @@ func worldAllGather[T any](me *Rank, v T) []T {
 		nil,
 		0,
 	)
-	mo := me.job.model
-	cost := float64(mo.CollStages())*mo.CollStageCost(bytes) +
-		float64(me.Ranks()-1)*mo.WireNs(bytes)
-	me.ep.Clock.Advance(cost)
+	me.ep.Clock.Advance(me.job.model.AllGatherCost(me.Ranks(), bytes))
 	return slot.([]T)
 }
 
@@ -67,9 +63,7 @@ func worldReduce[T any](me *Rank, v T, op func(a, b T) T) T {
 		},
 		0,
 	).(*box)
-	mo := me.job.model
-	// Allreduce tree: up and down, one element per stage.
-	me.ep.Clock.Advance(2 * float64(mo.CollStages()) * mo.CollStageCost(bytes))
+	me.ep.Clock.Advance(me.job.model.AllReduceCost(me.Ranks(), bytes))
 	return slot.result
 }
 
@@ -99,8 +93,7 @@ func worldReduceSlices[T any](me *Rank, contrib []T, op func(a, b T) T, root int
 	).(*box)
 
 	bytes := len(contrib) * int(sizeOf[T]())
-	mo := me.job.model
-	me.ep.Clock.Advance(float64(mo.CollStages())*mo.CollStageCost(0) + 2*mo.WireNs(bytes))
+	me.ep.Clock.Advance(me.job.model.ReduceSlicesCost(me.Ranks(), bytes))
 	me.Work(float64(len(contrib))) // local combine share
 	if me.id == root {
 		return slot.out

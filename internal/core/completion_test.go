@@ -97,7 +97,7 @@ func TestCompletionProducersFireOnce(t *testing.T) {
 		run  func(main func(me *core.Rank)) error
 	}{
 		{"proc", func(main func(me *core.Rank)) error {
-			core.Run(core.Config{Ranks: 2, Virtual: true}, main)
+			core.Run(core.Config{Ranks: 2}, main)
 			return nil
 		}},
 		{"tcp", func(main func(me *core.Rank)) error {

@@ -100,7 +100,7 @@ func (ev *Event) signal(done float64, from *Rank) (fired bool, fireTime float64)
 		return false, 0
 	}
 	for _, w := range wake {
-		from.ep.Wake(w.id, fireTime+from.job.model.Lat(from.id, w.id))
+		from.ep.Wake(w.id, from.job.model.Arrival(fireTime, from.id, w.id, 0))
 	}
 	for _, f := range after {
 		f(fireTime, from)
@@ -190,26 +190,15 @@ func Copy[T any](me *Rank, src, dst GlobalPtr[T], count int) {
 	}
 	bytes := count * int(sizeOf[T]())
 	srcR, dstR := int(src.rank), int(dst.rank)
-	mo := me.job.model
-
-	switch {
-	case srcR == me.id && dstR == me.id:
-		me.ep.Clock.Advance(mo.GetCost(me.id, me.id, bytes))
-	case dstR == me.id: // remote get
+	if srcR != me.id { // a get, or the get half of a third-party copy
 		me.ep.Stats.Gets++
 		me.ep.Stats.GetBytes += int64(bytes)
-		me.ep.Clock.Advance(mo.GetCost(me.id, srcR, bytes))
-	case srcR == me.id: // remote put
-		me.ep.Stats.Puts++
-		me.ep.Stats.PutBytes += int64(bytes)
-		me.ep.Clock.Advance(mo.PutCost(me.id, dstR, bytes))
-	default: // third party: get then put, staged through the initiator
-		me.ep.Stats.Gets++
-		me.ep.Stats.Puts++
-		me.ep.Stats.GetBytes += int64(bytes)
-		me.ep.Stats.PutBytes += int64(bytes)
-		me.ep.Clock.Advance(mo.GetCost(me.id, srcR, bytes) + mo.PutCost(me.id, dstR, bytes))
 	}
+	if dstR != me.id { // a put, or the put half
+		me.ep.Stats.Puts++
+		me.ep.Stats.PutBytes += int64(bytes)
+	}
+	me.ep.Clock.Advance(me.job.model.CopyCost(me.id, srcR, dstR, bytes))
 	// The bytes stage through a private buffer so that at most one
 	// segment lock is held at a time (no lock-ordering deadlocks, and
 	// overlapping same-segment ranges behave like memmove): a get off

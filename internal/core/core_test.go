@@ -8,7 +8,7 @@ import (
 )
 
 func testCfg(ranks int) Config {
-	return Config{Ranks: ranks, Machine: sim.Local, SW: sim.SWUPCXX, Virtual: true}
+	return Config{Ranks: ranks, Machine: sim.Local, SW: sim.SWUPCXX}
 }
 
 func TestRunBasics(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // loudly and precisely, not corrupt state.
 
 func TestTryAllocateLocalExhaustion(t *testing.T) {
-	Run(Config{Ranks: 1, SegmentBytes: 1 << 12, Virtual: true}, func(me *Rank) {
+	Run(Config{Ranks: 1, SegmentBytes: 1 << 12}, func(me *Rank) {
 		_, err := TryAllocate[byte](me, 0, 1<<13)
 		if !errors.Is(err, segment.ErrOutOfMemory) {
 			t.Errorf("want ErrOutOfMemory, got %v", err)
@@ -27,7 +27,7 @@ func TestTryAllocateLocalExhaustion(t *testing.T) {
 }
 
 func TestTryAllocateRemoteExhaustion(t *testing.T) {
-	Run(Config{Ranks: 2, SegmentBytes: 1 << 12, Virtual: true}, func(me *Rank) {
+	Run(Config{Ranks: 2, SegmentBytes: 1 << 12}, func(me *Rank) {
 		if me.ID() == 0 {
 			if _, err := TryAllocate[byte](me, 1, 1<<13); !errors.Is(err, segment.ErrOutOfMemory) {
 				t.Errorf("remote exhaustion: want ErrOutOfMemory, got %v", err)
@@ -76,7 +76,7 @@ func TestDeallocateForeignOffsetFails(t *testing.T) {
 func TestAllocateFreeStress(t *testing.T) {
 	// Interleaved cross-rank allocate/free churn must leave every
 	// segment empty-equivalent (peak recorded, nothing leaked).
-	st := Run(Config{Ranks: 4, SegmentBytes: 1 << 16, Virtual: true}, func(me *Rank) {
+	st := Run(Config{Ranks: 4, SegmentBytes: 1 << 16}, func(me *Rank) {
 		var live []GlobalPtr[int64]
 		for round := 0; round < 30; round++ {
 			target := (me.ID() + round) % me.Ranks()
@@ -140,7 +140,7 @@ func TestSharedArrayPropertyLayout(t *testing.T) {
 		size := int(sizeRaw%200) + 1
 		bs := int(bsRaw%9) + 1
 		ok := true
-		Run(Config{Ranks: 3, Machine: sim.Local, Virtual: true}, func(me *Rank) {
+		Run(Config{Ranks: 3, Machine: sim.Local}, func(me *Rank) {
 			sa := NewSharedArray[int32](me, size, bs)
 			if me.ID() == 0 {
 				for i := 0; i < size; i++ {

@@ -83,7 +83,7 @@ func Resolved[T any](me *Rank, v T) *Future[T] {
 func (f *Future[T]) resolve(v T, t float64, sig *Rank) {
 	if sig != nil && sig != f.owner {
 		owner := f.owner
-		arrival := t + sig.job.model.Lat(sig.id, owner.id)
+		arrival := sig.job.model.Arrival(t, sig.id, owner.id, 0)
 		sig.ep.SendAt(owner.id, arrival, 0, func(*gasnet.Endpoint) {
 			f.resolve(v, arrival, owner)
 		})
@@ -122,7 +122,7 @@ func (f *Future[T]) resolve(v T, t float64, sig *Rank) {
 func (f *Future[T]) fail(err error, t float64, sig *Rank) {
 	if sig != nil && sig != f.owner {
 		owner := f.owner
-		arrival := t + sig.job.model.Lat(sig.id, owner.id)
+		arrival := sig.job.model.Arrival(t, sig.id, owner.id, 0)
 		sig.ep.SendAt(owner.id, arrival, 0, func(*gasnet.Endpoint) {
 			f.fail(err, arrival, owner)
 		})

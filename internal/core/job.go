@@ -67,13 +67,11 @@ type Config struct {
 	SegmentBytes int
 	// Machine is the hardware profile for the cost model. Default sim.Local.
 	Machine sim.Machine
-	// SW is the software-overhead profile. Default sim.SWUPCXX.
+	// SW is the software-overhead profile. Default sim.SWUPCXX. An
+	// in-process job always charges the cost model these two select; a
+	// wire-backed job runs under sim.NoCost whatever they say: its only
+	// time base is the wall clock.
 	SW sim.SW
-	// Virtual enables virtual-time reporting in Stats (an in-process job
-	// always charges the cost model; this flag records which time base is
-	// authoritative). A wire-backed job runs under sim.NoCost whatever
-	// Machine, SW and Virtual say: its only time base is the wall clock.
-	Virtual bool
 	// Threads selects Serialized (default) or Concurrent mode.
 	Threads ThreadMode
 	// Access selects Direct (default) or AMMediated one-sided transfers
@@ -170,8 +168,9 @@ type Stats struct {
 	Counters map[string]float64
 }
 
-// Seconds returns the authoritative elapsed time of the run: virtual time
-// when the job was configured with Virtual, wall-clock time otherwise.
+// Seconds returns the elapsed time of the run on the time base the
+// caller reports: virtual time when virtual is set, wall-clock time
+// otherwise.
 func (s Stats) Seconds(virtual bool) float64 {
 	if virtual {
 		return s.VirtualNs * 1e-9
@@ -488,7 +487,7 @@ func Run(cfg Config, main func(me *Rank)) Stats {
 		segs[i] = segment.New(cfg.SegmentBytes)
 		mems[i] = segs[i]
 	}
-	eng := gasnet.New(sim.NewModel(cfg.Virtual, cfg.Machine, cfg.SW, cfg.Ranks), cfg.Ranks)
+	eng := gasnet.New(sim.NewModel(cfg.Machine, cfg.SW, cfg.Ranks), cfg.Ranks)
 	cds := make(map[int]gasnet.Conduit, cfg.Ranks)
 	for i, cd := range gasnet.NewProcGroup(eng, mems) {
 		cds[i] = cd
@@ -612,15 +611,12 @@ func (r *Rank) Advance() int {
 // Work charges n floating-point operations of modeled compute time to this
 // rank's virtual clock. Benchmarks perform their real arithmetic and then
 // charge what they executed; see DESIGN.md §4.
-func (r *Rank) Work(flops float64) { r.ep.Clock.Advance(r.job.model.FlopsCost(flops)) }
+func (r *Rank) Work(flops float64) { r.WorkParallel(flops, 1) }
 
 // WorkParallel charges n flops executed across `ways` node-local workers
 // (the OpenMP-within-rank idiom of the paper's Embree study).
 func (r *Rank) WorkParallel(flops float64, ways int) {
-	if ways < 1 {
-		ways = 1
-	}
-	r.ep.Clock.Advance(r.job.model.FlopsCost(flops) / float64(ways))
+	r.ep.Clock.Advance(r.job.model.FlopsCost(flops, ways))
 }
 
 // MemWork charges the movement of n bytes through this core's memory

@@ -710,7 +710,7 @@ func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, a
 		}
 		tgt.execTask(r.id, idx, fn, held, func(reply []byte, t float64) {
 			if fut != nil {
-				repArrival := t + job.model.Lat(tgt.id, r.id) + job.model.WireNs(len(reply))
+				repArrival := job.model.Arrival(t, tgt.id, r.id, len(reply))
 				tgt.ep.SendAt(r.id, repArrival, len(reply), func(rep *gasnet.Endpoint) {
 					fut.resolve(reply, rep.Clock.Now(), r)
 				})
@@ -725,9 +725,9 @@ func (r *Rank) engineTask(from *Rank, target int, arrival float64, idx uint16, a
 // amSendArrival charges this rank the send occupancy of one active
 // message of the given payload and returns its modeled arrival at to.
 func (r *Rank) amSendArrival(to, payload int) float64 {
-	t0 := r.Clock()
-	r.ep.Clock.Advance(r.job.model.AMSendCost(payload))
-	return r.job.model.AMArrival(t0, r.id, to, payload)
+	cost, arrival := r.job.model.AMSend(r.Clock(), r.id, to, payload)
+	r.ep.Clock.Advance(cost)
+	return arrival
 }
 
 // fanOut performs the launch across place's ranks, immediately or
@@ -748,7 +748,7 @@ func (r *Rank) fanOut(place Place, cfg asyncCfg, launchOne func(from *Rank, targ
 	targets := place.ranks
 	cfg.after.whenFired(r, func(fireTime float64, from *Rank) {
 		for _, t := range targets {
-			arrival := fireTime + job.model.Lat(from.id, t) + job.model.WireNs(cfg.payload)
+			arrival := job.model.Arrival(fireTime, from.id, t, cfg.payload)
 			launchOne(from, t, arrival)
 		}
 	})

@@ -134,10 +134,10 @@ func TestStatsCountsExact(t *testing.T) {
 		run  func(main func(me *core.Rank)) core.Stats
 	}{
 		{"proc", 4, false, func(main func(me *core.Rank)) core.Stats {
-			return core.Run(core.Config{Ranks: 4, Virtual: true}, main)
+			return core.Run(core.Config{Ranks: 4}, main)
 		}},
 		{"proc-concurrent", 4, false, func(main func(me *core.Rank)) core.Stats {
-			return core.Run(core.Config{Ranks: 4, Virtual: true, Threads: core.Concurrent}, main)
+			return core.Run(core.Config{Ranks: 4, Threads: core.Concurrent}, main)
 		}},
 		{"tcp", 2, true, func(main func(me *core.Rank)) core.Stats {
 			sts, err := spmd.RunWireLocal(2, 1<<17, core.Config{Agg: stormAgg}, main)

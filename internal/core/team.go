@@ -57,16 +57,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// log2up returns ceil(log2(n)) — the stage count of a binomial tree or
-// dissemination exchange over n participants.
-func log2up(n int) int {
-	s := 0
-	for v := 1; v < n; v <<= 1 {
-		s++
-	}
-	return s
-}
-
 // jobNodes resolves the host topology of a job: the explicit
 // Config.Nodes when given, else the conduit's own locality knowledge,
 // else the builder's default — ranks that all share this address space
@@ -205,19 +195,6 @@ func (t *Team) allGatherBytes(contrib []byte) [][]byte {
 	return parts
 }
 
-// chargeColl charges one team collective: ceil(log2 m) tree stages plus,
-// when the result fans back in full (allgather-shaped payloads), the
-// per-peer wire time.
-func (t *Team) chargeColl(elemBytes int, stages float64, fanIn bool) {
-	mo := t.r.job.model
-	m := len(t.members)
-	c := stages * float64(log2up(m)) * mo.CollStageCost(elemBytes)
-	if fanIn {
-		c += float64(m-1) * mo.WireNs(elemBytes)
-	}
-	t.r.ep.Clock.Advance(c)
-}
-
 // Barrier blocks until every member of the team arrives, servicing
 // progress while waiting. It rides the conduit's keyed team barrier (on
 // the hierarchical conduit: an intra-host shared-memory phase plus a
@@ -252,7 +229,7 @@ func (t *Team) barrier() {
 		return
 	}
 	me.mustCd(me.cd.TeamBarrier(t.nextKey(), t.members))
-	t.chargeColl(0, 1, false)
+	me.ep.Clock.Advance(me.job.model.TeamBarrierCost(len(t.members)))
 }
 
 // gatherPOD allgathers one POD value per member, indexed by team rank,
@@ -268,7 +245,7 @@ func gatherPOD[T any](t *Team, v T) [][]byte {
 				i, len(p), size))
 		}
 	}
-	t.chargeColl(int(size), 1, true)
+	t.r.ep.Clock.Advance(t.r.job.model.AllGatherCost(len(t.members), int(size)))
 	return parts
 }
 
@@ -314,7 +291,7 @@ func TeamBroadcast[T any](t *Team, v T, root int) T {
 		panic(fmt.Sprintf("upcxx: team broadcast: root contributed %d bytes, want %d",
 			len(p), sizeOf[T]()))
 	}
-	t.chargeColl(int(sizeOf[T]()), 1, false)
+	t.r.ep.Clock.Advance(t.r.job.model.BroadcastCost(len(t.members), int(sizeOf[T]())))
 	return out
 }
 
@@ -342,7 +319,8 @@ func TeamReduce[T any](t *Team, v T, op func(a, b T) T) T {
 		}
 		acc = op(acc, x)
 	}
-	t.chargeColl(int(sizeOf[T]()), 1, false) // down-sweep on top of the gather
+	// The down-sweep, on top of the gather's charge.
+	t.r.ep.Clock.Advance(t.r.job.model.BroadcastCost(len(t.members), int(sizeOf[T]())))
 	return acc
 }
 
@@ -357,8 +335,7 @@ func TeamReduceSlices[T any](t *Team, contrib []T, op func(a, b T) T, root int) 
 	checkPOD[T]()
 	parts := t.allGatherBytes(sliceBytes(contrib))
 	bytes := len(contrib) * int(sizeOf[T]())
-	mo := t.r.job.model
-	t.r.ep.Clock.Advance(float64(log2up(len(t.members)))*mo.CollStageCost(0) + 2*mo.WireNs(bytes))
+	t.r.ep.Clock.Advance(t.r.job.model.ReduceSlicesCost(len(t.members), bytes))
 	t.r.Work(float64(len(contrib)))
 	if t.myIdx != root {
 		return nil

@@ -112,7 +112,7 @@ func buildHierFleet(t *testing.T, n, ppn, ringBytes, segBytes int, beforeAttach 
 // backend silently losing a capability is a behavior change this test
 // makes loud.
 func TestConduitCapabilities(t *testing.T) {
-	eng := New(sim.NewModel(true, sim.Local, sim.SWUPCXX, 1), 1)
+	eng := New(sim.NewModel(sim.Local, sim.SWUPCXX, 1), 1)
 	proc := NewProcGroup(eng, []Memory{newTestMem(64)})[0]
 
 	wire := wireFleet(t, 1, 64)[0]

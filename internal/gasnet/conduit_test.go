@@ -275,7 +275,7 @@ func exerciseConduit(t *testing.T, n int, conduit func(rank int) Conduit) {
 
 func TestProcConduitContract(t *testing.T) {
 	const n = 4
-	eng := New(sim.NewModel(true, sim.Local, sim.SWUPCXX, n), n)
+	eng := New(sim.NewModel(sim.Local, sim.SWUPCXX, n), n)
 	mems := make([]Memory, n)
 	for i := range mems {
 		mems[i] = newTestMem(1 << 16)

@@ -114,10 +114,8 @@ func (e *Endpoint) N() int { return e.eng.N }
 // target rank, charging send overhead to the local clock. If the target
 // inbox is full the sender services its own inbox while waiting.
 func (e *Endpoint) Send(to int, bytes int, fn func(ep *Endpoint)) {
-	mo := e.eng.Model
-	t0 := e.Clock.Now()
-	e.Clock.Advance(mo.AMSendCost(bytes)) // sender occupancy
-	arrival := mo.AMArrival(t0, e.Rank, to, bytes)
+	cost, arrival := e.eng.Model.AMSend(e.Clock.Now(), e.Rank, to, bytes)
+	e.Clock.Advance(cost) // sender occupancy
 	e.SendAt(to, arrival, bytes, fn)
 }
 
@@ -210,7 +208,7 @@ func (e *Endpoint) Barrier() {
 	}
 	b.count++
 	if b.count == b.n {
-		gen.releaseNs = b.maxNs + e.eng.Model.BarrierCost()
+		gen.releaseNs = e.eng.Model.BarrierRelease(b.maxNs)
 		b.count = 0
 		b.maxNs = 0
 		b.cur = &barGen{ch: make(chan struct{})}
@@ -272,10 +270,7 @@ func (e *Endpoint) Collective(alloc func(n int) any, put func(slot any), finish 
 		c.mu.Unlock()
 	}
 
-	mo := e.eng.Model
-	cost := float64(mo.CollStages())*mo.CollStageCost(elemBytes) +
-		float64(e.eng.N-1)*mo.WireNs(elemBytes)
-	e.Clock.Advance(cost)
+	e.Clock.Advance(e.eng.Model.AllGatherCost(e.eng.N, elemBytes))
 
 	c.mu.Lock()
 	c.leavers++

@@ -9,7 +9,7 @@ import (
 )
 
 func newTestEngine(n int) *Engine {
-	return New(sim.NewModel(true, sim.Local, sim.SWUPCXX, n), n)
+	return New(sim.NewModel(sim.Local, sim.SWUPCXX, n), n)
 }
 
 // spawn runs f on every rank and waits for completion.

@@ -115,7 +115,7 @@ func (c *Comm) Isend(to, tag int, data []byte) *Request {
 	sendTime := me.Now()
 	if !rendezvous {
 		req.done = true
-		req.completeAt = sendTime + mo.NBInitCost()
+		req.completeAt = mo.EagerSendDone(sendTime)
 	}
 
 	from := me.ID()
@@ -160,31 +160,23 @@ func (c *Comm) arrived(tgt *core.Rank, u *unexpected) {
 // complete finishes a matched transfer at the receiver and notifies the
 // sender if it is still waiting (rendezvous).
 func (c *Comm) complete(tgt *core.Rank, pr *pendingRecv, u *unexpected) {
-	mo := tgt.Model()
 	n := copy(pr.buf, u.data)
 	matchTime := tgt.Now()
 	if u.arrival > matchTime {
 		matchTime = u.arrival
 	}
 	// A receive posted in time lands directly in the user buffer (no
-	// extra copy); only parked unexpected payloads pay the copy-out.
-	copyCost := 0.0
-	if u.parked {
-		copyCost = mo.MemCost(float64(n))
-	}
-	var completion float64
+	// extra copy); only parked unexpected payloads pay the copy-out. A
+	// rendezvous's RTS already arrived: the CTS round trip and the bulk
+	// transfer follow the match.
+	completion := tgt.Model().RecvDone(matchTime, u.sender, tgt.ID(), n, u.rendezvous, u.parked)
 	if u.rendezvous {
-		// RTS already arrived; CTS round trip plus the bulk transfer.
-		l := mo.Lat(u.sender, tgt.ID())
-		completion = matchTime + 2*l + mo.WireNs(n) + mo.TwoSidedMatchCost() + copyCost
 		// Sender completes when the bulk transfer drains.
 		sreq := u.sendReq
 		tgt.AMAt(u.sender, completion, 0, func(*core.Rank) {
 			sreq.done = true
 			sreq.completeAt = completion
 		})
-	} else {
-		completion = matchTime + mo.TwoSidedMatchCost() + copyCost
 	}
 	pr.req.done = true
 	pr.req.completeAt = completion

@@ -8,7 +8,7 @@ import (
 )
 
 func mpiCfg(ranks int) core.Config {
-	return core.Config{Ranks: ranks, Machine: sim.Local, SW: sim.SWMPI, Virtual: true}
+	return core.Config{Ranks: ranks, Machine: sim.Local, SW: sim.SWMPI}
 }
 
 func TestSendRecvBasic(t *testing.T) {
@@ -217,7 +217,7 @@ func TestMPIMatchingCostCharged(t *testing.T) {
 			}
 		}
 	}).VirtualNs
-	oneSided := core.Run(core.Config{Ranks: 2, Machine: sim.Local, SW: sim.SWUPCXX, Virtual: true},
+	oneSided := core.Run(core.Config{Ranks: 2, Machine: sim.Local, SW: sim.SWUPCXX},
 		func(me *core.Rank) {
 			buf := core.Allocate[byte](me, me.ID(), 1024)
 			all := core.TeamAllGather(me.World(), buf)

@@ -8,7 +8,7 @@ import (
 )
 
 func testCfg(ranks int) core.Config {
-	return core.Config{Ranks: ranks, Machine: sim.Local, Virtual: true}
+	return core.Config{Ranks: ranks, Machine: sim.Local}
 }
 
 func TestArrayLocalGetSet(t *testing.T) {

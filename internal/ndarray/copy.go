@@ -71,7 +71,7 @@ func (a *Array[T]) CopyFrom(me *core.Rank, b *Array[T]) {
 		done := false
 		me.AM(b.owner, 64, func(src *core.Rank) {
 			buf := b.pack(src, inter)
-			arrival := src.Now() + mo.Lat(src.ID(), me.ID()) + mo.WireNs(bytes)
+			arrival := mo.Arrival(src.Now(), src.ID(), me.ID(), bytes)
 			src.AMAt(me.ID(), arrival, bytes, func(dst *core.Rank) {
 				a.unpack(dst, inter, buf)
 				done = true
@@ -84,10 +84,10 @@ func (a *Array[T]) CopyFrom(me *core.Rank, b *Array[T]) {
 		// destination, acknowledge back.
 		buf := b.pack(me, inter)
 		done := false
-		arrival := me.Now() + mo.Lat(me.ID(), a.owner) + mo.WireNs(bytes)
+		arrival := mo.Arrival(me.Now(), me.ID(), a.owner, bytes)
 		me.AMAt(a.owner, arrival, bytes, func(dst *core.Rank) {
 			a.unpack(dst, inter, buf)
-			dst.AMAt(me.ID(), dst.Now()+mo.Lat(dst.ID(), me.ID()), 0,
+			dst.AMAt(me.ID(), mo.Arrival(dst.Now(), dst.ID(), me.ID(), 0), 0,
 				func(*core.Rank) { done = true })
 		})
 		me.WaitUntil(func() bool { return done })
@@ -99,10 +99,10 @@ func (a *Array[T]) CopyFrom(me *core.Rank, b *Array[T]) {
 		done := false
 		me.AM(b.owner, 64, func(src *core.Rank) {
 			buf := b.pack(src, inter)
-			arrival := src.Now() + mo.Lat(src.ID(), a.owner) + mo.WireNs(bytes)
+			arrival := mo.Arrival(src.Now(), src.ID(), a.owner, bytes)
 			src.AMAt(a.owner, arrival, bytes, func(dst *core.Rank) {
 				a.unpack(dst, inter, buf)
-				dst.AMAt(me.ID(), dst.Now()+mo.Lat(dst.ID(), me.ID()), 0,
+				dst.AMAt(me.ID(), mo.Arrival(dst.Now(), dst.ID(), me.ID(), 0), 0,
 					func(*core.Rank) { done = true })
 			})
 		})
@@ -136,7 +136,7 @@ func (a *Array[T]) CopyFromAsync(me *core.Rank, b *Array[T], done core.Completer
 
 	case b.owner == me.ID():
 		buf := b.pack(me, inter)
-		arrival := me.Now() + mo.Lat(me.ID(), a.owner) + mo.WireNs(bytes)
+		arrival := mo.Arrival(me.Now(), me.ID(), a.owner, bytes)
 		me.AMAt(a.owner, arrival, bytes, func(dst *core.Rank) {
 			a.unpack(dst, inter, buf)
 			core.CompleteAt(done, dst.Now(), dst)
@@ -145,7 +145,7 @@ func (a *Array[T]) CopyFromAsync(me *core.Rank, b *Array[T], done core.Completer
 	default:
 		me.AM(b.owner, 64, func(src *core.Rank) {
 			buf := b.pack(src, inter)
-			arrival := src.Now() + mo.Lat(src.ID(), a.owner) + mo.WireNs(bytes)
+			arrival := mo.Arrival(src.Now(), src.ID(), a.owner, bytes)
 			src.AMAt(a.owner, arrival, bytes, func(dst *core.Rank) {
 				a.unpack(dst, inter, buf)
 				core.CompleteAt(done, dst.Now(), dst)

@@ -18,8 +18,8 @@ import (
 
 // Config returns a core job configuration carrying the UPC software
 // profile on the given machine.
-func Config(ranks int, machine sim.Machine, virtual bool) core.Config {
-	return core.Config{Ranks: ranks, Machine: machine, SW: sim.SWUPC, Virtual: virtual}
+func Config(ranks int, machine sim.Machine) core.Config {
+	return core.Config{Ranks: ranks, Machine: machine, SW: sim.SWUPC}
 }
 
 // Threads returns THREADS.

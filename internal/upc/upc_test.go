@@ -8,7 +8,7 @@ import (
 )
 
 func TestVeneerBasics(t *testing.T) {
-	core.Run(Config(4, sim.Local, true), func(me *core.Rank) {
+	core.Run(Config(4, sim.Local), func(me *core.Rank) {
 		if Threads(me) != 4 || MyThread(me) != me.ID() {
 			t.Error("THREADS/MYTHREAD")
 		}
@@ -28,7 +28,7 @@ func TestVeneerBasics(t *testing.T) {
 
 func TestForallPartition(t *testing.T) {
 	// Every iteration must execute exactly once across all threads.
-	core.Run(Config(3, sim.Local, true), func(me *core.Rank) {
+	core.Run(Config(3, sim.Local), func(me *core.Rank) {
 		counts := core.NewSharedArray[int64](me, 30, 1)
 		Forall(me, 30, func(i int) int { return i / 2 }, func(i int) {
 			counts.Set(me, i, counts.Get(me, i)+1)
@@ -46,7 +46,7 @@ func TestForallPartition(t *testing.T) {
 }
 
 func TestMemgetMemput(t *testing.T) {
-	core.Run(Config(2, sim.Local, true), func(me *core.Rank) {
+	core.Run(Config(2, sim.Local), func(me *core.Rank) {
 		buf := Alloc[int32](me, 8)
 		all := core.TeamAllGather(me.World(), buf)
 		if me.ID() == 0 {
@@ -83,8 +83,8 @@ func TestUPCProfileCheaperSharedAccess(t *testing.T) {
 		}
 		me.Barrier()
 	}
-	upcT := core.Run(Config(4, sim.Vesta, true), workload).VirtualNs
-	upcxxT := core.Run(core.Config{Ranks: 4, Machine: sim.Vesta, SW: sim.SWUPCXX, Virtual: true}, workload).VirtualNs
+	upcT := core.Run(Config(4, sim.Vesta), workload).VirtualNs
+	upcxxT := core.Run(core.Config{Ranks: 4, Machine: sim.Vesta, SW: sim.SWUPCXX}, workload).VirtualNs
 	if upcT >= upcxxT {
 		t.Errorf("UPC profile (%v ns) should be cheaper than UPC++ (%v ns)", upcT, upcxxT)
 	}

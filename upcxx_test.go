@@ -9,7 +9,7 @@ import (
 // TestPublicAPIEndToEnd drives every major public construct through one
 // SPMD program — the facade-level integration test.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	st := upcxx.Run(upcxx.Config{Ranks: 4, Virtual: true}, func(me *upcxx.Rank) {
+	st := upcxx.Run(upcxx.Config{Ranks: 4}, func(me *upcxx.Rank) {
 		// Shared objects.
 		sv := upcxx.NewSharedVar[int64](me)
 		sa := upcxx.NewSharedArray[int64](me, 32, 2)
