@@ -155,6 +155,8 @@ func (r *Rank) initAgg(bc gasnet.BatchConduit, cfg agg.Config) {
 	r.agg = agg.New(r.Ranks(), cfg, func(dst int, batch []byte, _ int, done func()) {
 		r.mustCd(bc.SendBatch(dst, batch, done))
 	})
+	r.aggIdle = func() bool { return r.agg.Pending() == 0 }
+	r.waitStep = r.progressStep
 	// After a batch from s is applied, the reply hook folds the done-acks
 	// its tasks owe into one counted ack and hands what the handlers
 	// buffered for s (a DHT lookup's answer, that done-ack) to ride the
@@ -363,7 +365,7 @@ func (r *Rank) aggDrain() {
 		// below then finds nothing buffered, so traces and counters
 		// attribute the pre-barrier drain correctly.
 		r.agg.FlushAllBarrier()
-		r.waitProgress(func() bool { return r.agg.Pending() == 0 })
+		r.waitProgress(r.aggIdle)
 		return
 	}
 	// In-process: wait out engine-AM AggSends this rank launched, so
@@ -388,21 +390,26 @@ func (r *Rank) waitProgress(pred func() bool) {
 	// blocks — batch acknowledgements, self-targeted tasks, timers, a
 	// death sweep — must ack at once (oweDone), because no end of an
 	// Apply call is coming to ship a held ack until this wait returns.
-	outer := r.applying
-	r.applying = false
-	err := r.aggBC.WaitFor(func() bool {
-		// Drain self-targeted tasks first: a conduit message's handler
-		// may have queued the work that satisfies pred. Tasks may
-		// themselves buffer aggregated ops; those must ship before we
-		// block again, because the conduit wait only re-evaluates this
-		// predicate when a frame arrives — and the peer able to send
-		// one may be blocked on exactly the ops we just buffered.
-		if r.ep.Poll() > 0 {
-			r.agg.FlushAll()
-		}
-		r.agg.Tick()
-		return pred()
-	})
-	r.applying = outer
+	// A wait nested in this one (a handler's task body waiting) sets
+	// its own predicate and restores this one when it returns.
+	outer, outerPred := r.applying, r.waitPred
+	r.applying, r.waitPred = false, pred
+	err := r.aggBC.WaitFor(r.waitStep)
+	r.applying, r.waitPred = outer, outerPred
 	r.mustCd(err)
+}
+
+// progressStep is waitProgress's conduit predicate. It drains
+// self-targeted tasks first: a conduit message's handler may have
+// queued the work that satisfies the wait. Tasks may themselves buffer
+// aggregated ops; those must ship before we block again, because the
+// conduit wait only re-evaluates this predicate when a frame arrives —
+// and the peer able to send one may be blocked on exactly the ops we
+// just buffered.
+func (r *Rank) progressStep() bool {
+	if r.ep.Poll() > 0 {
+		r.agg.FlushAll()
+	}
+	r.agg.Tick()
+	return r.waitPred()
 }

@@ -222,9 +222,14 @@ type Rank struct {
 	// agg coalesces small remote ops into per-destination batches on
 	// batch-capable conduits (see agg.go); nil in-process, where the
 	// Agg* operations take their immediate fast path. aggBC is the
-	// conduit's batch extension, set iff agg is.
-	agg   *agg.Aggregator
-	aggBC gasnet.BatchConduit
+	// conduit's batch extension, set iff agg is. aggIdle and waitStep are
+	// the predicates of aggDrain's and waitProgress's conduit waits,
+	// built once by initAgg: a closure per wait would be an allocation
+	// per barrier.
+	agg      *agg.Aggregator
+	aggBC    gasnet.BatchConduit
+	aggIdle  func() bool
+	waitStep func() bool
 
 	// amHandlers dispatches aggregated active messages (AggSend) by
 	// registered handler id, like a GASNet handler table; the runtime's
@@ -265,7 +270,8 @@ type Rank struct {
 	// done-acks by scope id; applying is set while this rank is directly
 	// inside a batch application (not in a wait nested in one), during
 	// which done-acks owed to one caller scope accumulate in (ackTo,
-	// ackID, ackN) and ship as one counted ack (oweDone).
+	// ackID, ackN) and ship as one counted ack (oweDone). waitPred is
+	// what the innermost waitProgress waits for.
 	calls       map[uint64]*pendingCall
 	nextCall    uint64
 	taskRuns    []taskRun // per destination: the request run wireTask may extend
@@ -274,6 +280,7 @@ type Rank struct {
 	scopeFree   []*finishScope
 	scopesTaken atomic.Int64
 	applying    bool
+	waitPred    func() bool
 	ackTo       int
 	ackID       uint64
 	ackN        uint32
