@@ -8,10 +8,9 @@ package core
 // rendezvouses through the engine's one shared slot — one allocation
 // per collective, shared read-only, which is what keeps fig8's
 // 32,768-rank allgathers linear in memory — and it charges exactly the
-// costs the paper's figures were generated with: per binomial-tree stage
-// plus wire time for the payload, the pipelined (bandwidth-bound) form
-// for large-payload reductions, and the engine's BarrierCost for a
-// barrier.
+// costs the paper's figures were generated with: the engine
+// rendezvous's charge, then the collective's own sim.Model cost (the
+// engine's BarrierRelease for a barrier).
 
 func worldBroadcast[T any](me *Rank, v T, root int) T {
 	bytes := int(sizeOf[T]())
