@@ -90,7 +90,10 @@ func (mo *Model) SharedAccessCost() float64 { return mo.SW.SharedAccessNs }
 // the sender's occupancy, and the arrival at `to`, counted from t0
 // because o and nG overlap the wire (LogGP).
 func (mo *Model) AMSend(t0 float64, from, to, n int) (cost, arrival float64) {
-	return mo.SW.AMNs + mo.M.GapNs + mo.wireNs(n), t0 + mo.SW.AMNs + mo.lat(from, to) + mo.wireNs(n)
+	// wireNs(n), spelled out: with the call AMSend is over the inliner's
+	// budget, and every task launch calls it.
+	w := float64(n) * mo.perB
+	return mo.SW.AMNs + mo.M.GapNs + w, t0 + mo.SW.AMNs + mo.lat(from, to) + w
 }
 
 // Arrival is the time at `to` of n bytes `from` sends at t with no
