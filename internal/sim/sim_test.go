@@ -110,6 +110,32 @@ func TestOperations(t *testing.T) {
 	}
 }
 
+func TestLatIntraVsInter(t *testing.T) {
+	mo := NewModel(Edison, SWUPCXX, 48)
+	if l := mo.lat(0, 0); l != 0 {
+		t.Errorf("self latency = %v, want 0", l)
+	}
+	intra := mo.lat(0, 1)  // same node
+	inter := mo.lat(0, 24) // different node
+	if intra != Edison.IntraNodeNs {
+		t.Errorf("intra-node latency = %v, want %v", intra, Edison.IntraNodeNs)
+	}
+	if inter <= intra {
+		t.Errorf("inter-node latency %v should exceed intra-node %v", inter, intra)
+	}
+}
+
+func TestFlopsAndMemCost(t *testing.T) {
+	mo := NewModel(Edison, SWUPCXX, 24)
+	// 19.2 flops/ns peak: 19200 flops take 1000 ns.
+	if got := mo.FlopsCost(19200, 1); math.Abs(got-1000) > 1e-9 {
+		t.Errorf("FlopsCost = %v, want 1000", got)
+	}
+	if mo.MemCost(4.3*1000) != 1000 {
+		t.Errorf("MemCost wrong: %v", mo.MemCost(4.3*1000))
+	}
+}
+
 // TestNoCostCharges holds the wall-clock jobs' model to charging
 // nothing: every cost is zero and every arrival is its send time.
 func TestNoCostCharges(t *testing.T) {
